@@ -22,7 +22,7 @@ import (
 // -workers-from (see docs/DEPLOYMENT.md).
 //
 //	cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-statedir dir]
-//	                [-store mem:|dir:path|sqlite:path|blob:path]
+//	                [-store mem:|sqlite:path]
 //	                [-worker] [-worker-urls url,url] [-workers-from file]
 //	                [-auth-token tok] [-worker-inflight N] [-pprof]
 func serveCmd(args []string) error {
@@ -30,8 +30,8 @@ func serveCmd(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "default campaign worker-pool width (0 = GOMAXPROCS, or the fleet capacity when coordinating)")
 	traceDir := fs.String("tracedir", "", "trace-store directory (default: a temporary directory)")
-	stateDir := fs.String("statedir", "", "persistent state directory: campaigns, artifacts, and the job-result store survive restarts (default: in-memory)")
-	storeSpec := fs.String("store", "", "state store spec: mem:, dir:PATH, sqlite:PATH, or blob:PATH; sqlite:/blob: are shared — multiple coordinators and workers may point at one path (supersedes -statedir)")
+	stateDir := fs.String("statedir", "", "persistent state directory, owned and locked by this process: campaigns, artifacts, and the job-result store (dir/state.cvk) survive restarts (default: in-memory)")
+	storeSpec := fs.String("store", "", "state store spec: mem: or sqlite:PATH; sqlite: is shared — multiple coordinators and workers may point at one path (supersedes -statedir)")
 	worker := fs.Bool("worker", false, "worker mode: expose the internal job-execution API (POST /internal/jobs)")
 	workerURLs := fs.String("worker-urls", "", "coordinator mode: comma-separated worker base URLs to shard campaign jobs across")
 	workersFrom := fs.String("workers-from", "", "coordinator mode: file of worker base URLs, one per line ('#' comments)")
@@ -56,7 +56,6 @@ func serveCmd(args []string) error {
 		TraceDir:        *traceDir,
 		StateDir:        *stateDir,
 		Store:           *storeSpec,
-		LockStateDir:    true,
 		Worker:          *worker,
 		WorkerURLs:      urls,
 		AuthToken:       *authToken,
@@ -136,18 +135,19 @@ func workerList(flagList, fromFile string) ([]string, error) {
 // paper-default CHERIvoke configuration. With -trace, every job replays the
 // given trace stream ('-' spools stdin to disk first, so `trace record |
 // campaign -trace -` never materialises the event sequence in memory).
-// With -statedir, jobs are resolved through the persistent job-result
-// store rooted there: results computed by any earlier run (or by a server
-// sharing the directory) are served from the store, and artifacts are
-// byte-identical either way.
+// With -statedir DIR, jobs are resolved through the persistent job-result
+// store DIR/state.cvk, exactly as -store sqlite:DIR/state.cvk would:
+// results computed by any earlier run (or by a server sharing the
+// directory) are served from the store, and artifacts are byte-identical
+// either way.
 func campaignCmd(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS); never changes results")
 	jsonOut := fs.String("o", "", "write the JSON artifact to this file (default: summary only)")
 	csvOut := fs.String("csv", "", "write the CSV artifact to this file")
 	traceIn := fs.String("trace", "", "replay this trace file ('-' = stdin) instead of generating workloads")
-	stateDir := fs.String("statedir", "", "persistent job-result store: serve previously computed jobs from it, store new ones into it")
-	storeSpec := fs.String("store", "", "job-result store spec: mem:, dir:PATH, sqlite:PATH, or blob:PATH (supersedes -statedir)")
+	stateDir := fs.String("statedir", "", "persistent job-result store dir/state.cvk: serve previously computed jobs from it, store new ones into it")
+	storeSpec := fs.String("store", "", "job-result store spec: mem: or sqlite:PATH (supersedes -statedir)")
 	quiet := fs.Bool("q", false, "suppress per-job progress on stderr")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: cherivoke campaign [-workers N] [-statedir dir] [-store spec] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]")
@@ -210,20 +210,24 @@ func campaignCmd(args []string) error {
 	var res *campaign.Result
 	var stats engine.ResolveStats
 	if *storeSpec != "" || *stateDir != "" {
-		sspec := *storeSpec
-		if sspec == "" {
-			sspec = "dir:" + *stateDir
+		var store engine.Store
+		shared := true
+		var serr error
+		if *storeSpec != "" {
+			store, shared, serr = engine.OpenStore(*storeSpec, nil)
+		} else {
+			store, serr = engine.OpenStateDir(*stateDir, false, nil)
 		}
-		store, shared, serr := engine.OpenStore(sspec, nil)
 		if serr != nil {
 			return serr
 		}
-		// SkipRecovery: the CLI is a secondary consumer of the store —
-		// it must not declare a serving process's live campaigns
-		// interrupted. Shared backends additionally run the lease
-		// protocol, so a CLI run and a fleet can resolve the same spec
-		// concurrently without duplicating a single job.
-		eng, serr := engine.New(store, engine.Options{SkipRecovery: true, Shared: shared})
+		defer store.Close()
+		// A persistent store is opened Shared: the CLI is a secondary
+		// consumer and must not declare a serving process's live
+		// campaigns interrupted, and the lease protocol lets a CLI run and
+		// a fleet resolve the same spec concurrently without duplicating a
+		// single job.
+		eng, serr := engine.New(store, engine.Options{Shared: shared})
 		if serr != nil {
 			return serr
 		}

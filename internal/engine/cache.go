@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
-	"errors"
 	"sync"
 	"time"
 
@@ -267,33 +266,19 @@ func (c *CachedStore) ReleaseJobLease(key, owner string) error {
 	return c.inner.ReleaseJobLease(key, owner)
 }
 
-// PeekJobLease implements LeasePeeker, forwarding when the inner store
-// offers it.
+// PeekJobLease implements Store, forwarding.
 func (c *CachedStore) PeekJobLease(key string) (string, bool, error) {
-	if p, ok := c.inner.(LeasePeeker); ok {
-		return p.PeekJobLease(key)
-	}
-	return "", false, errors.ErrUnsupported
+	return c.inner.PeekJobLease(key)
 }
 
-// LeaseChanged implements LeaseNotifier, forwarding; a nil channel (never
-// ready) when the inner store has no notifier.
-func (c *CachedStore) LeaseChanged() <-chan struct{} {
-	if n, ok := c.inner.(LeaseNotifier); ok {
-		return n.LeaseChanged()
-	}
-	return nil
-}
+// LeaseChanged implements Store, forwarding.
+func (c *CachedStore) LeaseChanged() <-chan struct{} { return c.inner.LeaseChanged() }
 
-// PublishJob implements JobPublisher, forwarding and caching the published
-// bytes on success so the campaign pool's follow-up put of the same record
-// is dropped.
+// PublishJob implements Store, forwarding and caching the published bytes
+// on success so the campaign pool's follow-up put of the same record is
+// dropped.
 func (c *CachedStore) PublishJob(key, owner string, jr campaign.JobResult) error {
-	p, ok := c.inner.(JobPublisher)
-	if !ok {
-		return errors.ErrUnsupported
-	}
-	if err := p.PublishJob(key, owner, jr); err != nil {
+	if err := c.inner.PublishJob(key, owner, jr); err != nil {
 		return err
 	}
 	if b, err := json.Marshal(jr); err == nil {
@@ -306,3 +291,6 @@ func (c *CachedStore) PublishJob(key, owner string, jr campaign.JobResult) error
 
 // MaxSeq implements Store, forwarding: sequence evidence must be live.
 func (c *CachedStore) MaxSeq() (int, error) { return c.inner.MaxSeq() }
+
+// Close implements Store, forwarding.
+func (c *CachedStore) Close() error { return c.inner.Close() }

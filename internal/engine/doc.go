@@ -3,12 +3,14 @@
 // HTTP adapter). It owns two seams:
 //
 //   - Store: persistence for submitted campaigns, their finished Result
-//     artifacts, and individual JobResults keyed by content hash. MemStore
-//     keeps everything in process memory; DirStore files every record
-//     atomically under a state directory and recovers crash-safely on open
-//     (corrupted entries are skipped with a logged warning, and campaigns
-//     that were running when the process died are finalised from their
-//     stored result or marked failed).
+//     artifacts, and individual JobResults keyed by content hash, plus the
+//     job-lease primitives concurrent engines coordinate through. MemStore
+//     keeps everything in process memory; SQLiteStore appends every record
+//     to one crash-safe log file that any number of processes may share
+//     (OpenStore("sqlite:PATH")), or that a serving process owns
+//     exclusively as a state directory (OpenStateDir). A single-owner
+//     engine recovers on open: campaigns that were running when the process
+//     died are finalised from their stored result or marked failed.
 //
 //   - Engine: the execution front. Every job is keyed by JobKey — a SHA-256
 //     over the canonical serialisation of everything that determines its

@@ -79,20 +79,14 @@ type Options struct {
 	// cache.
 	Runner Runner
 
-	// SkipRecovery leaves records that are marked running untouched on
-	// open instead of finalising them. Recovery belongs to the store's
-	// owner — the serving process; a secondary consumer of a shared
-	// state directory (the CLI resolving against a server's job store)
-	// must not declare a live campaign interrupted.
-	SkipRecovery bool
-
 	// Shared declares that other engines — in this process or others —
 	// write the same Store concurrently. It turns on the job-lease
 	// protocol (every execution runs under a store lease, so a job is
 	// computed at most once fleet-wide) and makes Get/List/Result consult
-	// the store for campaigns other engines submitted. Shared stores are
-	// normally opened with SkipRecovery: a peer's running campaign is
-	// live, not interrupted.
+	// the store for campaigns other engines submitted. It also skips
+	// restart recovery: records marked running are left untouched on open
+	// instead of finalised, because recovery belongs to a store's single
+	// owner — a peer's running campaign is live, not interrupted.
 	Shared bool
 
 	// LeaseTTL is the job-lease lifetime under Shared (0 = a 30s
@@ -152,12 +146,12 @@ type Event struct {
 }
 
 // New builds an Engine over store, recovering persisted state: records are
-// loaded, the ID sequence resumes past the highest stored record, and any
-// campaign still marked running (the process died mid-run) is finalised
-// from its stored Result when the final write made it to disk, or marked
-// failed when it did not. Its cache-hit count is lost either way; its
-// jobs' results are not — they were stored as each job finished and will
-// serve a resubmission without a single re-execution.
+// loaded, the ID sequence resumes past the highest stored record, and —
+// unless opts.Shared — any campaign still marked running (the process died
+// mid-run) is finalised from its stored Result when the final write made it
+// to disk, or marked failed when it did not. Its cache-hit count is lost
+// either way; its jobs' results are not — they were stored as each job
+// finished and will serve a resubmission without a single re-execution.
 func New(store Store, opts Options) (*Engine, error) {
 	if si, ok := store.(storeInstrumenter); ok && opts.Metrics != nil {
 		si.instrument(opts.Metrics)
@@ -192,7 +186,7 @@ func New(store Store, opts Options) (*Engine, error) {
 		if rec.Seq > e.seq {
 			e.seq = rec.Seq
 		}
-		if rec.State == StateRunning && !opts.SkipRecovery {
+		if rec.State == StateRunning && !opts.Shared {
 			if res, err := store.Result(rec.ID); err == nil {
 				rec.finishFrom(res)
 			} else {
@@ -330,21 +324,32 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 		}
 	}
 
+	// Progress callbacks all returned with campaign.Run, so rec is the
+	// final snapshot until the terminal state is published below.
 	r.mu.Lock()
-	r.rec.Finished = time.Now().UTC()
+	rec := r.rec
+	r.mu.Unlock()
+	rec.Finished = time.Now().UTC()
 	switch {
 	case err == nil && res != nil:
 		// A completed campaign keeps its result even if a cancel raced
 		// in after the last job finished.
-		r.rec.finishFrom(res)
+		rec.finishFrom(res)
 	case ctx.Err() != nil:
-		r.rec.State = StateCancelled
-		r.rec.Error = ctx.Err().Error()
+		rec.State = StateCancelled
+		rec.Error = ctx.Err().Error()
 	default:
-		r.rec.State = StateFailed
-		r.rec.Error = err.Error()
+		rec.State = StateFailed
+		rec.Error = err.Error()
 	}
-	rec := r.rec
+	// Persist the terminal record before publishing it, so whoever sees
+	// the campaign finish sees what a restart would serve. Best effort: if
+	// the write fails, New re-finalises the still-running record from the
+	// stored Result on next open.
+	_ = e.store.PutCampaign(rec)
+
+	r.mu.Lock()
+	r.rec = rec
 	r.broadcastLocked(Event{Type: "status", Status: &rec})
 	for ch := range r.subs {
 		close(ch)
@@ -359,9 +364,6 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 		"cache_hits", rec.CacheHits,
 		"elapsed", time.Since(start).Round(time.Millisecond).String(),
 	)
-	// Best effort: if the terminal write fails, New re-finalises the
-	// still-running record from the stored Result on next open.
-	_ = e.store.PutCampaign(rec)
 }
 
 func (r *run) onProgress(p campaign.Progress) {

@@ -194,7 +194,7 @@ func TestResolveDedupByteIdentical(t *testing.T) {
 // engine performs zero job executions.
 func TestSubmitRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
-	store1, err := OpenDirStore(dir, t.Logf)
+	store1, err := OpenStateDir(dir, true, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,16 @@ func TestSubmitRestartRecovery(t *testing.T) {
 	}
 	json1, csv1 := artifacts(t, res1)
 
-	// "Restart": a fresh store and engine over the same directory.
-	store2, err := OpenDirStore(dir, t.Logf)
+	// "Restart": the first owner goes away, and a fresh store and engine
+	// open the same directory.
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := OpenStateDir(dir, true, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { store2.Close() })
 	cs := &countingStore{Store: store2}
 	e2, err := New(cs, Options{Workers: 2})
 	if err != nil {
@@ -343,22 +348,22 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 	waitState(t, e2, rec.ID)
 }
 
-// TestSkipRecoveryLeavesRunningRecords pins the secondary-consumer
-// contract: an engine opened with SkipRecovery must not declare another
-// process's live campaign interrupted.
-func TestSkipRecoveryLeavesRunningRecords(t *testing.T) {
+// TestSharedOpenLeavesRunningRecords pins the secondary-consumer contract:
+// an engine opened Shared must not declare another process's live campaign
+// interrupted.
+func TestSharedOpenLeavesRunningRecords(t *testing.T) {
 	store := NewMemStore()
 	live := Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}
 	if err := store.PutCampaign(live); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(store, Options{Workers: 1, SkipRecovery: true})
+	e, err := New(store, Options{Workers: 1, Shared: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := e.Get(live.ID)
 	if !ok || got.State != StateRunning {
-		t.Fatalf("running record touched by SkipRecovery open: %+v", got)
+		t.Fatalf("running record touched by a Shared open: %+v", got)
 	}
 	recs, err := store.Campaigns()
 	if err != nil {

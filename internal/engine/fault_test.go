@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -114,7 +111,7 @@ func TestSubmitConflictIsNotAFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(store, Options{Shared: true, SkipRecovery: true})
+	e, err := New(store, Options{Shared: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -150,113 +147,36 @@ func TestRecoverySurfacesStoreFailure(t *testing.T) {
 
 // TestFailedJobPutDoesNotFailTheJob proves a job whose result cannot be
 // stored still completes its campaign — a store outage costs future
-// recomputation, never present results.
+// recomputation, never present results. Shared engines reach the store
+// through the lease protocol's publish, single-owner ones through the
+// pool's put; both must shrug the failure off.
 func TestFailedJobPutDoesNotFailTheJob(t *testing.T) {
-	e, err := New(&failingJobStore{Store: NewMemStore()}, Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rec, err := e.Submit(testSpec(), 1)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	final := waitState(t, e, rec.ID)
-	if final.State != StateDone {
-		t.Errorf("campaign state %q, want %q (job-store outage must not fail jobs)", final.State, StateDone)
+	for _, shared := range []bool{false, true} {
+		e, err := New(&failingJobStore{Store: NewMemStore()}, Options{Shared: shared})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		rec, err := e.Submit(testSpec(), 1)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		final := waitState(t, e, rec.ID)
+		if final.State != StateDone {
+			t.Errorf("shared=%v: campaign state %q, want %q (job-store outage must not fail jobs)", shared, final.State, StateDone)
+		}
 	}
 }
 
-// failingJobStore fails every PutJob while leaving the rest of the store
-// healthy.
+// failingJobStore fails every job write — PutJob and the lease protocol's
+// PublishJob — while leaving the rest of the store healthy.
 type failingJobStore struct {
 	Store
 }
 
 func (f *failingJobStore) PutJob(string, campaign.JobResult) error { return errBrokenDisk }
 
-// TestDirStoreTornSpoolIgnored proves a torn short write — a spool file the
-// crash left behind, including one that is a prefix of a valid record — is
-// invisible to every read path.
-func TestDirStoreTornSpoolIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDirStore(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutCampaign(Campaign{ID: "c000001", Seq: 1, State: StateDone}); err != nil {
-		t.Fatal(err)
-	}
-	// The torn write: a temp spool that never reached its rename.
-	torn := filepath.Join(dir, campaignsDir, ".tmp-123456")
-	if err := os.WriteFile(torn, []byte(`{"id":"c0000`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := s.Campaigns()
-	if err != nil {
-		t.Fatalf("Campaigns: %v", err)
-	}
-	if len(recs) != 1 || recs[0].ID != "c000001" {
-		t.Errorf("torn spool visible in listing: %v", recs)
-	}
-	if n, err := s.MaxSeq(); err != nil || n != 1 {
-		t.Errorf("MaxSeq = %d, %v; want 1", n, err)
-	}
-}
-
-// TestDirStoreLockExcludesSecondOwner proves the -statedir flock: a second
-// unaware owner of a locked state directory fails loudly instead of racing
-// the first.
-func TestDirStoreLockExcludesSecondOwner(t *testing.T) {
-	if !flockSupported {
-		t.Skip("no flock on this platform")
-	}
-	dir := t.TempDir()
-	a, err := OpenDirStore(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Lock(); err != nil {
-		t.Fatalf("Lock: %v", err)
-	}
-	// Locking twice through the same handle is idempotent.
-	if err := a.Lock(); err != nil {
-		t.Fatalf("re-Lock: %v", err)
-	}
-	b, err := OpenDirStore(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockErr := lockInOtherProcess(t, dir)
-	if lockErr == nil {
-		t.Fatal("a second process acquired a held state-directory lock")
-	}
-	a.Unlock()
-	if err := b.Lock(); err != nil {
-		t.Fatalf("Lock after Unlock: %v", err)
-	}
-	b.Unlock()
-}
-
-// lockInOtherProcess attempts to take the DirStore lock from a genuinely
-// different process (flock is per-open-file-description, so an in-process
-// second open would not conflict reliably across platforms).
-func lockInOtherProcess(t *testing.T, dir string) error {
-	t.Helper()
-	// flock(1) ships with util-linux; fall back to a best-effort
-	// in-process probe if absent.
-	if _, err := os.Stat("/usr/bin/flock"); err != nil {
-		s, err := OpenDirStore(dir, t.Logf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Lock()
-	}
-	cmd := exec.Command("/usr/bin/flock", "--nonblock", "--exclusive", filepath.Join(dir, ".lock"), "true")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return fmt.Errorf("flock: %v (%s)", err, out)
-	}
-	return nil
+func (f *failingJobStore) PublishJob(string, string, campaign.JobResult) error {
+	return errBrokenDisk
 }
 
 // TestLeaseHeartbeatOutlivesTTL proves a leased execution longer than the

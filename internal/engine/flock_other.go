@@ -4,12 +4,10 @@ package engine
 
 import "os"
 
-// flockSupported reports whether advisory file locks actually exclude other
-// processes on this platform; see flock_unix.go. On platforms without
-// flock(2) the helpers degrade to no-ops: a single process stays correct
-// (the stores' own mutexes serialise it), but cross-process exclusion is
+// On platforms without flock(2) the helpers degrade to no-ops: a single
+// process stays correct (the stores' own mutexes serialise it), but
+// cross-process exclusion — including a state directory's owner lock — is
 // not enforced.
-const flockSupported = false
 
 // flockExclusive is a no-op on platforms without flock(2).
 func flockExclusive(*os.File) error { return nil }

@@ -7,12 +7,6 @@ import (
 	"syscall"
 )
 
-// flockSupported reports whether advisory file locks actually exclude other
-// processes on this platform. Where they do not, the shared backends still
-// serialise writers within one process via their own mutexes, but cannot
-// guard the file against foreign processes.
-const flockSupported = true
-
 // flockExclusive blocks until an exclusive advisory lock on f is held.
 func flockExclusive(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX)

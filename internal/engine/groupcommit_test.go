@@ -375,7 +375,7 @@ func TestLeaseOnlyBatchesSkipFsync(t *testing.T) {
 // under.
 func TestEngineFsyncsPerJob(t *testing.T) {
 	s := openTestSQLite(t)
-	e, err := New(s, Options{Runner: &LocalRunner{}, Shared: true, SkipRecovery: true, LeaseTTL: 5 * time.Second})
+	e, err := New(s, Options{Runner: &LocalRunner{}, Shared: true, LeaseTTL: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -77,20 +77,19 @@ func leaseOwnerID() string {
 //  1. A job only executes while its executor holds the lease, and the lease
 //     admits one live owner at a time.
 //  2. The result is stored before the lease is released — in one
-//     transaction where the store supports PublishJob — so when a waiting
-//     sibling finally acquires the lease, its double-check of the job
-//     store finds the result and it does not execute.
+//     PublishJob step — so when a waiting sibling finally acquires the
+//     lease, its double-check of the job store finds the result and it
+//     does not execute.
 //  3. A lease is only stolen after its TTL lapses, and a healthy holder
 //     renews at ttl/3 — so a steal implies the holder crashed or stalled
 //     beyond the TTL, the one case where re-execution is the intended
 //     outcome (results are deterministic, so even that race is benign for
 //     artifact bytes; it costs duplicate work only).
 //
-// Waiting is event-driven where the store allows: a blocked runner arms the
-// store's LeaseChanged notifier, polls the lease read-only via
-// LeasePeeker (no fsync'd append per poll), and sleeps on a jittered
-// exponential backoff between checks — woken early by any in-process
-// release or publish.
+// Waiting is event-driven: a blocked runner arms the store's LeaseChanged
+// notifier, polls the lease read-only via PeekJobLease (no fsync'd append
+// per poll), and sleeps on a jittered exponential backoff between checks —
+// woken early by any in-process release or publish.
 type leaseRunner struct {
 	inner Runner
 	store Store
@@ -150,29 +149,14 @@ func (l *leaseRunner) RunJob(ctx context.Context, key string, spec campaign.Spec
 	<-hbStopped
 
 	// Publish before releasing — the order the at-most-once argument
-	// rests on; one transaction where the store folds the two. A failed
-	// put keeps the result (the pool's own cache-store retries it) but
-	// still releases, so a sibling is never deadlocked on a dead lease.
-	if err == nil {
-		if l.publish(key, jr) {
-			return jr, nil
-		}
-		_ = l.store.PutJob(key, jr)
+	// rests on, folded into one store step. A failed publish keeps the
+	// result (the pool's own cache-store retries the put) but still
+	// releases, so a sibling is never deadlocked on a dead lease.
+	if err == nil && l.store.PublishJob(key, l.owner, jr) == nil {
+		return jr, nil
 	}
 	_ = l.store.ReleaseJobLease(key, l.owner)
 	return jr, err
-}
-
-// publish stores jr and releases the lease in one store transaction when
-// the backend offers JobPublisher, reporting whether it did. false — the
-// store lacks the op, or it failed — sends the caller down the two-step
-// PutJob + ReleaseJobLease path.
-func (l *leaseRunner) publish(key string, jr campaign.JobResult) bool {
-	p, ok := l.store.(JobPublisher)
-	if !ok {
-		return false
-	}
-	return p.PublishJob(key, l.owner, jr) == nil
 }
 
 // acquire claims key's lease, waiting out a live holder. acquired is false
@@ -197,35 +181,22 @@ func (l *leaseRunner) acquire(ctx context.Context, key string) (campaign.JobResu
 	start := time.Now()
 	defer func() { l.m.leaseWaitSecs.Observe(time.Since(start).Seconds()) }()
 
-	peeker, _ := l.store.(LeasePeeker)
-	notifier, _ := l.store.(LeaseNotifier)
 	backoff := newLeaseBackoff(l.ttl)
 	for {
 		// Arm the wakeup before reading any state: a publish or release
 		// landing between the checks below and the select still fires the
-		// channel. A nil channel (no notifier, or a decorator over a
-		// store without one) never fires; the backoff timer carries the
-		// wait alone.
-		var wake <-chan struct{}
-		if notifier != nil {
-			wake = notifier.LeaseChanged()
-		}
+		// channel.
+		wake := l.store.LeaseChanged()
 		if jr, jerr := l.store.Job(key); jerr == nil {
 			l.m.leaseServed.Inc()
 			return jr, false, nil
 		}
 		// While a live sibling holds the lease, an acquire attempt is a
 		// foregone conclusion that costs an exclusive-lock write
-		// transaction on the shared backends — peek read-only instead and
+		// transaction on the shared backend — peek read-only instead and
 		// only attempt the acquire when the lease looks free (or the peek
 		// cannot say).
-		free := true
-		if peeker != nil {
-			if owner, held, perr := peeker.PeekJobLease(key); perr == nil && held && owner != l.owner {
-				free = false
-			}
-		}
-		if free {
+		if owner, held, perr := l.store.PeekJobLease(key); perr != nil || !held || owner == l.owner {
 			err := l.store.AcquireJobLease(key, l.owner, l.ttl)
 			if err == nil {
 				l.m.leaseAcquired.Inc()

@@ -224,39 +224,25 @@ func (t *timedStore) MaxSeq() (int, error) {
 	return n, err
 }
 
-// PeekJobLease implements LeasePeeker, forwarding when the inner store
-// offers it. errors.ErrUnsupported (not counted as a store error) sends
-// the caller down the acquire-poll path.
+// PeekJobLease implements Store.
 func (t *timedStore) PeekJobLease(key string) (string, bool, error) {
-	p, ok := t.inner.(LeasePeeker)
-	if !ok {
-		return "", false, errors.ErrUnsupported
-	}
 	start := time.Now()
-	owner, held, err := p.PeekJobLease(key)
+	owner, held, err := t.inner.PeekJobLease(key)
 	t.observe("peek_lease", start, err, false)
 	return owner, held, err
 }
 
-// LeaseChanged implements LeaseNotifier, forwarding; a nil channel (never
-// ready) when the inner store has no notifier.
-func (t *timedStore) LeaseChanged() <-chan struct{} {
-	if n, ok := t.inner.(LeaseNotifier); ok {
-		return n.LeaseChanged()
-	}
-	return nil
-}
+// LeaseChanged implements Store, forwarding: arming a channel is not a
+// store operation worth timing.
+func (t *timedStore) LeaseChanged() <-chan struct{} { return t.inner.LeaseChanged() }
 
-// PublishJob implements JobPublisher, forwarding when the inner store
-// offers it. errors.ErrUnsupported (not counted as a store error) sends
-// the caller down the two-step put + release path.
+// PublishJob implements Store.
 func (t *timedStore) PublishJob(key, owner string, jr campaign.JobResult) error {
-	p, ok := t.inner.(JobPublisher)
-	if !ok {
-		return errors.ErrUnsupported
-	}
 	start := time.Now()
-	err := p.PublishJob(key, owner, jr)
-	t.observe("publish_job", start, err, errors.Is(err, errors.ErrUnsupported))
+	err := t.inner.PublishJob(key, owner, jr)
+	t.observe("publish_job", start, err, false)
 	return err
 }
+
+// Close implements Store, forwarding.
+func (t *timedStore) Close() error { return t.inner.Close() }

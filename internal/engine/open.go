@@ -2,23 +2,30 @@ package engine
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 )
+
+// StateFile is the store file a state directory holds: OpenStateDir(dir)
+// opens dir/StateFile, exactly the store the spec "sqlite:dir/state.cvk"
+// names.
+const StateFile = "state.cvk"
 
 // OpenStore opens the Store a -store spec names and reports whether it is a
 // shared backend (one other processes may be writing concurrently):
 //
 //	mem:           in-memory, nothing survives the process
-//	dir:PATH       single-owner state directory (DirStore)
 //	sqlite:PATH    shared single-file store (SQLiteStore)
-//	blob:PATH      shared blob-layout store (BlobStore)
-//	PATH           shorthand for dir:PATH, matching the old -statedir flag
 //
-// logf receives corruption warnings; nil means the standard logger.
+// Specs of the retired backends — dir:PATH, blob:PATH, or a bare path —
+// are refused with an error naming the replacement. logf receives
+// corruption warnings; nil means the standard logger.
 func OpenStore(spec string, logf func(format string, args ...any)) (Store, bool, error) {
 	scheme, path, ok := strings.Cut(spec, ":")
-	if !ok {
-		scheme, path = "dir", spec
+	if !ok || strings.ContainsAny(scheme, `/.\`) {
+		// "state" or "./st:ate": a path, not a scheme.
+		return nil, false, fmt.Errorf("engine: store spec %q is a bare path; use -statedir %s for a state directory, or sqlite:PATH for a store file", spec, spec)
 	}
 	switch scheme {
 	case "mem":
@@ -26,32 +33,74 @@ func OpenStore(spec string, logf func(format string, args ...any)) (Store, bool,
 			return nil, false, fmt.Errorf("engine: mem: store takes no path (got %q)", path)
 		}
 		return NewMemStore(), false, nil
-	case "dir":
-		if path == "" {
-			return nil, false, fmt.Errorf("engine: store spec %q has an empty path", spec)
-		}
-		s, err := OpenDirStore(path, logf)
-		return s, false, err
 	case "sqlite":
 		if path == "" {
 			return nil, false, fmt.Errorf("engine: store spec %q has an empty path", spec)
 		}
 		s, err := OpenSQLiteStore(path, logf)
-		return s, true, err
-	case "blob":
-		if path == "" {
-			return nil, false, fmt.Errorf("engine: store spec %q has an empty path", spec)
+		if err != nil {
+			return nil, false, err
 		}
-		s, err := OpenBlobStore(path, logf)
-		return s, true, err
+		return s, true, nil
+	case "dir", "blob":
+		return nil, false, fmt.Errorf("engine: the %s: store was removed; use -statedir %s for a single-owner state directory, or sqlite:PATH for a shared store", scheme, path)
 	default:
-		// "state/prod:x" or "./st:ate" are paths that happen to contain a
-		// colon, not schemes: anything with a separator before the colon
-		// is treated as a dir path whole.
-		if strings.ContainsAny(scheme, "/.") {
-			s, err := OpenDirStore(spec, logf)
-			return s, false, err
-		}
-		return nil, false, fmt.Errorf("engine: unknown store scheme %q (want mem:, dir:, sqlite:, or blob:)", scheme)
+		return nil, false, fmt.Errorf("engine: unknown store scheme %q (want mem: or sqlite:PATH)", scheme)
 	}
+}
+
+// OpenStateDir opens the state directory dir — the store file
+// dir/StateFile, creating dir if it is missing. A directory that still
+// holds the retired one-file-per-record layout is refused: its state would
+// otherwise silently appear empty. With owner set the caller becomes the
+// directory's single owner: the store takes the exclusive advisory lock
+// dir/.lock, failing at once if another process holds it, and releases it
+// on Close. logf receives corruption warnings; nil means the standard
+// logger.
+func OpenStateDir(dir string, owner bool, logf func(format string, args ...any)) (*SQLiteStore, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("engine: creating state directory: %w", err)
+	}
+	for _, sub := range []string{"campaigns", "results", "jobs"} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); err == nil {
+			return nil, fmt.Errorf("engine: state directory %s holds the retired per-record layout (%s/); this version keeps its state in %s — start from an empty directory", dir, sub, StateFile)
+		}
+	}
+	var lock *os.File
+	if owner {
+		var err error
+		if lock, err = takeDirLock(dir); err != nil {
+			return nil, err
+		}
+	}
+	s, err := OpenSQLiteStore(filepath.Join(dir, StateFile), logf)
+	if err != nil {
+		if lock != nil {
+			lock.Close()
+		}
+		return nil, err
+	}
+	s.ownerLock = lock
+	return s, nil
+}
+
+// takeDirLock takes dir/.lock exclusively without blocking: two unaware
+// owners of one state directory would race each other's recovery, so the
+// serving process locks and a second one refuses to start. The lock dies
+// with the process or the returned file.
+func takeDirLock(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("engine: opening state-directory lock: %w", err)
+	}
+	ok, err := flockTryExclusive(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("engine: locking state directory %s: %w", dir, err)
+	}
+	if !ok {
+		f.Close()
+		return nil, fmt.Errorf("engine: state directory %s is locked by another process (use -store sqlite:%s for concurrent writers)", dir, filepath.Join(dir, StateFile))
+	}
+	return f, nil
 }

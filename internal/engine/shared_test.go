@@ -43,19 +43,12 @@ func TestSharedEnginesExecuteEachJobOnce(t *testing.T) {
 			t.Cleanup(func() { s.Close() })
 			return s
 		}},
-		{"BlobStore", func(t *testing.T) Store {
-			s, err := OpenBlobStore(t.TempDir(), t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			store := backend.open(t)
 			counter := &countingRunner{inner: &LocalRunner{}}
 			newEngine := func() *Engine {
-				e, err := New(store, Options{Runner: counter, Shared: true, SkipRecovery: true, LeaseTTL: 5 * time.Second})
+				e, err := New(store, Options{Runner: counter, Shared: true, LeaseTTL: 5 * time.Second})
 				if err != nil {
 					t.Fatalf("New: %v", err)
 				}

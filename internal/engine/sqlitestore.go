@@ -73,6 +73,10 @@ type SQLiteStore struct {
 	path string
 	logf func(format string, args ...any)
 
+	// ownerLock is the state directory's exclusive advisory lock when the
+	// store was opened as its single owner (OpenStateDir); Close drops it.
+	ownerLock *os.File
+
 	// scanned is the log offset up to which tables below reflect the file.
 	scanned int64
 	// statSize is the file size observed by the last scan; a read whose
@@ -253,7 +257,8 @@ func (s *SQLiteStore) instrument(r *obs.Registry) {
 		obs.ExpBuckets(1, 2, 8))
 }
 
-// Close releases the store's file handle. Operations after Close fail.
+// Close implements Store: it releases the store's file handle and, for a
+// state directory's owner, the directory lock. Operations after Close fail.
 func (s *SQLiteStore) Close() error {
 	s.qmu.Lock()
 	s.closed = true
@@ -262,6 +267,10 @@ func (s *SQLiteStore) Close() error {
 	// later batch fails cleanly on the closed descriptor.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ownerLock != nil {
+		s.ownerLock.Close() // closing the descriptor drops its flock
+		s.ownerLock = nil
+	}
 	return s.f.Close()
 }
 
@@ -793,7 +802,7 @@ func (s *SQLiteStore) ReleaseJobLease(key, owner string) error {
 	})
 }
 
-// PeekJobLease implements LeasePeeker: a read-only view of key's lease. A
+// PeekJobLease implements Store: a read-only view of key's lease. A
 // blocked waiter polls this instead of AcquireJobLease, so waiting costs a
 // table read (usually one fstat — see readView) rather than an exclusive
 // lock per poll.
@@ -812,10 +821,10 @@ func (s *SQLiteStore) PeekJobLease(key string) (string, bool, error) {
 	return owner, held, err
 }
 
-// LeaseChanged implements LeaseNotifier.
+// LeaseChanged implements Store.
 func (s *SQLiteStore) LeaseChanged() <-chan struct{} { return s.signal.wait() }
 
-// PublishJob implements JobPublisher: the job record and the lease release
+// PublishJob implements Store: the job record and the lease release
 // fold into one transaction — one append, one fsync (shared with the rest
 // of the batch), and no observable state in which the lease is released
 // but the result unpublished.
@@ -842,9 +851,8 @@ func (s *SQLiteStore) PublishJob(key, owner string, jr campaign.JobResult) error
 }
 
 // MaxSeq implements Store. Unreadable record *content* cannot hide a
-// sequence here the way it can in a directory store — the key survives even
-// when the value doesn't parse — so keys of campaigns and results are the
-// whole evidence.
+// sequence here — the key survives even when the value doesn't parse — so
+// keys of campaigns and results are the whole evidence.
 func (s *SQLiteStore) MaxSeq() (int, error) {
 	max := 0
 	err := s.readView(func() error {

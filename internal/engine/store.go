@@ -42,11 +42,10 @@ var ErrLeaseHeld = errors.New("engine: lease held")
 // writers safe: CreateCampaign (a conditional put keyed on the campaign ID,
 // so two coordinators can never mint the same ID) and job leases (so two
 // engines racing the same job key execute it at most once between them).
-// MemStore and DirStore honour the contract within one process; SQLiteStore
-// and BlobStore extend it across processes sharing one file or directory
-// tree. The conformance contract is executable: storetest.Run exercises
-// every method against any backend, and every backend in the tree must pass
-// it.
+// MemStore honours the contract within one process; SQLiteStore extends it
+// across processes sharing one file. The conformance contract is
+// executable: storetest.Run exercises every method against any backend, and
+// every backend in the tree must pass it.
 type Store interface {
 	// PutCampaign writes (or overwrites) one campaign record.
 	PutCampaign(c Campaign) error
@@ -84,47 +83,34 @@ type Store interface {
 	// is absent, expired, or held by another owner is a no-op, not an
 	// error — the lease may have been stolen after expiry.
 	ReleaseJobLease(key, owner string) error
+	// PeekJobLease reports key's live lease, if any, without mutating it:
+	// held reports whether a live lease exists, and owner identifies its
+	// holder. Waiters blocked on a sibling's lease poll through it — a peek
+	// never appends, never fsyncs, and on SQLiteStore usually costs one
+	// fstat.
+	PeekJobLease(key string) (owner string, held bool, err error)
+	// LeaseChanged returns a channel closed on the next lease release or
+	// job publication in this process, after which waiters must call again
+	// for a fresh channel. Waiters arm it *before* re-checking state, so no
+	// transition is missed; waiters in other processes hear nothing and
+	// fall back to jittered backoff.
+	LeaseChanged() <-chan struct{}
+	// PublishJob stores jr under key and releases owner's lease on it as
+	// one step: the lease protocol's "publish before release" ordering
+	// holds trivially, since no observable state lies between the two.
+	// Publishing without holding the lease still stores the record and
+	// releases nothing; owner must be non-empty.
+	PublishJob(key, owner string, jr campaign.JobResult) error
 
 	// MaxSeq returns the highest submission sequence the store has any
 	// evidence of — counting records whose content is unreadable and
 	// orphaned result artifacts — so a recovering engine never re-mints
 	// a campaign ID that may still have data on disk.
 	MaxSeq() (int, error)
-}
 
-// LeasePeeker is the optional read-only lease inspection a Store can offer.
-// Waiters blocked on a sibling's lease poll through it: a peek never
-// appends, never fsyncs, and (on SQLiteStore) usually costs one fstat — the
-// read-only wait loop the lease protocol's fast path is built on. held
-// reports whether a live lease exists, and owner identifies its holder.
-type LeasePeeker interface {
-	// PeekJobLease reports key's live lease, if any, without mutating it.
-	PeekJobLease(key string) (owner string, held bool, err error)
-}
-
-// LeaseNotifier is the optional in-process wakeup a Store can offer: the
-// returned channel is closed when any lease is released or any job record
-// is published, after which waiters must call again for a fresh channel.
-// Waiters arm the channel *before* re-checking state, so no transition is
-// missed; cross-process waiters see nothing here and fall back to jittered
-// backoff. A nil channel (never ready) is the "unsupported" answer
-// decorators forward for stores without a notifier.
-type LeaseNotifier interface {
-	// LeaseChanged returns a channel closed on the next lease release or
-	// job publication.
-	LeaseChanged() <-chan struct{}
-}
-
-// JobPublisher is the optional combined publish-and-release a Store can
-// offer: the job record write and the lease release fold into one durable
-// transaction. The lease protocol's "publish before release" ordering
-// holds trivially — there is no observable state between the two — and the
-// write cost of finishing a job halves. Publishing without holding the
-// lease still stores the record and releases nothing.
-type JobPublisher interface {
-	// PublishJob stores jr under key and releases owner's lease on it in
-	// one transaction.
-	PublishJob(key, owner string, jr campaign.JobResult) error
+	// Close releases the store's file handle and advisory locks, if it
+	// holds any.
+	Close() error
 }
 
 // leaseSignal is a close-broadcast notifier: wait hands out one shared
@@ -167,6 +153,24 @@ func (l lease) live(now time.Time) bool {
 	return l.Owner != "" && now.UnixNano() < l.Expires
 }
 
+// validRecordName guards the record identifiers every backend accepts:
+// engine-generated campaign IDs and 64-hex job keys. Anything else —
+// separators, dots, an empty string — is rejected.
+func validRecordName(name string) bool {
+	if name == "" || len(name) > 64 {
+		return false
+	}
+	for _, c := range name {
+		switch {
+		case c >= '0' && c <= '9':
+		case c >= 'a' && c <= 'z':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // checkLeaseArgs validates the caller-supplied lease parameters shared by
 // every backend's AcquireJobLease.
 func checkLeaseArgs(key, owner string, ttl time.Duration) error {
@@ -204,8 +208,8 @@ func seqFromID(id string) (int, bool) {
 // MemStore is the in-memory Store: nothing survives the process, exactly
 // like the pre-engine server registry. Records are kept as their JSON
 // encodings so that a cache hit goes through the same serialisation
-// round-trip a DirStore hit does — MemStore-backed tests prove the same
-// byte-identity DirStore serves.
+// round-trip a SQLiteStore hit does — MemStore-backed tests prove the same
+// byte-identity the persistent store serves.
 type MemStore struct {
 	mu        sync.RWMutex
 	campaigns map[string][]byte
@@ -307,7 +311,7 @@ func (s *MemStore) ReleaseJobLease(key, owner string) error {
 	return nil
 }
 
-// PeekJobLease implements LeasePeeker.
+// PeekJobLease implements Store.
 func (s *MemStore) PeekJobLease(key string) (string, bool, error) {
 	if !validRecordName(key) {
 		return "", false, fmt.Errorf("engine: invalid lease key %q", key)
@@ -321,12 +325,12 @@ func (s *MemStore) PeekJobLease(key string) (string, bool, error) {
 	return "", false, nil
 }
 
-// LeaseChanged implements LeaseNotifier.
+// LeaseChanged implements Store.
 func (s *MemStore) LeaseChanged() <-chan struct{} { return s.signal.wait() }
 
-// PublishJob implements JobPublisher: the job write and the lease release
-// are one critical section, so a waiter that observes the lease gone also
-// observes the result present.
+// PublishJob implements Store: the job write and the lease release are one
+// critical section, so a waiter that observes the lease gone also observes
+// the result present.
 func (s *MemStore) PublishJob(key, owner string, jr campaign.JobResult) error {
 	if !validRecordName(key) {
 		return fmt.Errorf("engine: invalid record name %q", key)
@@ -419,3 +423,6 @@ func (s *MemStore) MaxSeq() (int, error) {
 	}
 	return max, nil
 }
+
+// Close implements Store; a MemStore holds nothing to release.
+func (s *MemStore) Close() error { return nil }

@@ -456,21 +456,17 @@ func testInterleavedLeasePuts(t *testing.T, s engine.Store) {
 	}
 }
 
-// testPublishJob exercises the optional JobPublisher contract: publish
-// stores the record and releases the caller's lease as one observable
-// step, a non-holder's publish still stores the record but leaves the
-// lease alone, and an empty owner is rejected.
+// testPublishJob exercises the PublishJob contract: publish stores the
+// record and releases the caller's lease as one observable step, a
+// non-holder's publish still stores the record but leaves the lease alone,
+// and an empty owner is rejected.
 func testPublishJob(t *testing.T, s engine.Store) {
 	t.Helper()
-	p, ok := s.(engine.JobPublisher)
-	if !ok {
-		t.Skip("store does not implement JobPublisher")
-	}
 	key := jobKey(40)
 	if err := s.AcquireJobLease(key, "alpha", time.Minute); err != nil {
 		t.Fatalf("AcquireJobLease: %v", err)
 	}
-	if err := p.PublishJob(key, "alpha", testJR(1)); err != nil {
+	if err := s.PublishJob(key, "alpha", testJR(1)); err != nil {
 		t.Fatalf("PublishJob: %v", err)
 	}
 	got, err := s.Job(key)
@@ -490,7 +486,7 @@ func testPublishJob(t *testing.T, s engine.Store) {
 	if err := s.AcquireJobLease(key2, "gamma", time.Minute); err != nil {
 		t.Fatalf("AcquireJobLease: %v", err)
 	}
-	if err := p.PublishJob(key2, "stranger", testJR(2)); err != nil {
+	if err := s.PublishJob(key2, "stranger", testJR(2)); err != nil {
 		t.Fatalf("PublishJob by non-holder: %v", err)
 	}
 	if _, err := s.Job(key2); err != nil {
@@ -499,27 +495,23 @@ func testPublishJob(t *testing.T, s engine.Store) {
 	if err := s.AcquireJobLease(key2, "delta", time.Minute); !errors.Is(err, engine.ErrLeaseHeld) {
 		t.Errorf("non-holder publish released gamma's lease: err = %v", err)
 	}
-	if err := p.PublishJob(jobKey(42), "", testJR(3)); err == nil {
+	if err := s.PublishJob(jobKey(42), "", testJR(3)); err == nil {
 		t.Errorf("PublishJob with empty owner: accepted, want a validation error")
 	}
 }
 
-// testPeekJobLease exercises the optional LeasePeeker contract: peeks are
+// testPeekJobLease exercises the PeekJobLease contract: peeks are
 // read-only and report (owner, held) tracking acquire, release, and expiry.
 func testPeekJobLease(t *testing.T, s engine.Store) {
 	t.Helper()
-	p, ok := s.(engine.LeasePeeker)
-	if !ok {
-		t.Skip("store does not implement LeasePeeker")
-	}
 	key := jobKey(50)
-	if owner, held, err := p.PeekJobLease(key); err != nil || held {
+	if owner, held, err := s.PeekJobLease(key); err != nil || held {
 		t.Fatalf("PeekJobLease of free key = (%q, %v, %v), want not held", owner, held, err)
 	}
 	if err := s.AcquireJobLease(key, "alpha", time.Minute); err != nil {
 		t.Fatalf("AcquireJobLease: %v", err)
 	}
-	if owner, held, err := p.PeekJobLease(key); err != nil || !held || owner != "alpha" {
+	if owner, held, err := s.PeekJobLease(key); err != nil || !held || owner != "alpha" {
 		t.Fatalf("PeekJobLease of held key = (%q, %v, %v), want (alpha, true)", owner, held, err)
 	}
 	// Peeking must not disturb the lease.
@@ -529,7 +521,7 @@ func testPeekJobLease(t *testing.T, s engine.Store) {
 	if err := s.ReleaseJobLease(key, "alpha"); err != nil {
 		t.Fatalf("ReleaseJobLease: %v", err)
 	}
-	if owner, held, err := p.PeekJobLease(key); err != nil || held {
+	if owner, held, err := s.PeekJobLease(key); err != nil || held {
 		t.Fatalf("PeekJobLease after release = (%q, %v, %v), want not held", owner, held, err)
 	}
 	// An expired lease peeks as free.
@@ -537,31 +529,24 @@ func testPeekJobLease(t *testing.T, s engine.Store) {
 		t.Fatalf("AcquireJobLease: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if owner, held, err := p.PeekJobLease(key); err != nil || held {
+	if owner, held, err := s.PeekJobLease(key); err != nil || held {
 		t.Fatalf("PeekJobLease after expiry = (%q, %v, %v), want not held", owner, held, err)
 	}
-	if _, _, err := p.PeekJobLease("../evil"); err == nil {
+	if _, _, err := s.PeekJobLease("../evil"); err == nil {
 		t.Errorf("PeekJobLease accepted an invalid key")
 	}
 }
 
-// testLeaseChanged exercises the optional LeaseNotifier contract: an armed
-// channel fires on a release and on a job publish/put — the two events a
-// blocked waiter cares about.
+// testLeaseChanged exercises the LeaseChanged contract: an armed channel
+// fires on a release and on a job publish/put — the two events a blocked
+// waiter cares about.
 func testLeaseChanged(t *testing.T, s engine.Store) {
 	t.Helper()
-	n, ok := s.(engine.LeaseNotifier)
-	if !ok {
-		t.Skip("store does not implement LeaseNotifier")
-	}
 	key := jobKey(60)
 	if err := s.AcquireJobLease(key, "alpha", time.Minute); err != nil {
 		t.Fatalf("AcquireJobLease: %v", err)
 	}
-	wake := n.LeaseChanged()
-	if wake == nil {
-		t.Skip("store reports no notification support (nil channel)")
-	}
+	wake := s.LeaseChanged()
 	if err := s.ReleaseJobLease(key, "alpha"); err != nil {
 		t.Fatalf("ReleaseJobLease: %v", err)
 	}
@@ -572,7 +557,7 @@ func testLeaseChanged(t *testing.T, s engine.Store) {
 	}
 	// Re-arm: a job put (the publish a waiter is really waiting for) also
 	// fires the channel.
-	wake = n.LeaseChanged()
+	wake = s.LeaseChanged()
 	if err := s.PutJob(key, testJR(9)); err != nil {
 		t.Fatalf("PutJob: %v", err)
 	}
@@ -646,10 +631,8 @@ func testCrossHandleLease(t *testing.T, a, b engine.Store) {
 	if err := b.AcquireJobLease(key, "beta", time.Minute); !errors.Is(err, engine.ErrLeaseHeld) {
 		t.Fatalf("b acquired a lease a holds: err = %v, want ErrLeaseHeld", err)
 	}
-	if p, ok := b.(engine.LeasePeeker); ok {
-		if owner, held, err := p.PeekJobLease(key); err != nil || !held || owner != "alpha" {
-			t.Errorf("b.PeekJobLease = (%q, %v, %v), want (alpha, true)", owner, held, err)
-		}
+	if owner, held, err := b.PeekJobLease(key); err != nil || !held || owner != "alpha" {
+		t.Errorf("b.PeekJobLease = (%q, %v, %v), want (alpha, true)", owner, held, err)
 	}
 	if err := a.ReleaseJobLease(key, "alpha"); err != nil {
 		t.Fatalf("a.ReleaseJobLease: %v", err)
@@ -700,15 +683,11 @@ func testCrossHandleConcurrent(t *testing.T, a, b engine.Store) {
 
 func testCrossHandlePublish(t *testing.T, a, b engine.Store) {
 	t.Helper()
-	pa, ok := a.(engine.JobPublisher)
-	if !ok {
-		t.Skip("store does not implement JobPublisher")
-	}
 	key := jobKey(7)
 	if err := a.AcquireJobLease(key, "alpha", time.Minute); err != nil {
 		t.Fatalf("a.AcquireJobLease: %v", err)
 	}
-	if err := pa.PublishJob(key, "alpha", testJR(7)); err != nil {
+	if err := a.PublishJob(key, "alpha", testJR(7)); err != nil {
 		t.Fatalf("a.PublishJob: %v", err)
 	}
 	// The waiter's view through the other handle: result present AND lease

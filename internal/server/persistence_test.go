@@ -5,7 +5,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // get fetches url and returns the status code, body bytes, and headers.
@@ -44,6 +50,9 @@ func TestServerRestartRecovery(t *testing.T) {
 	_, json1, _ := get(t, ts1.URL+"/campaigns/"+sub.ID+"/results")
 	_, csv1, _ := get(t, ts1.URL+"/campaigns/"+sub.ID+"/results?format=csv")
 	ts1.Close()
+	// The state directory has one owner at a time: the first server lets
+	// go of its lock before the second opens it.
+	s1.Close()
 
 	// Restart: a fresh server process over the same state directory.
 	ts2 := newTestServer(t, Options{Workers: 2, StateDir: state})
@@ -89,6 +98,45 @@ func TestServerRestartRecovery(t *testing.T) {
 	if len(list) != 2 || list[0].ID != sub.ID || list[1].ID != sub2.ID {
 		t.Fatalf("listing after restart: %+v", list)
 	}
+}
+
+// TestStateDirLockExcludesSecondOwner proves the -statedir lock: while a
+// server owns a state directory, a second server on it — or any other
+// process taking the lock, checked with flock(1) — fails loudly instead of
+// racing the owner's recovery, and the directory is free again once the
+// owner closes.
+func TestStateDirLockExcludesSecondOwner(t *testing.T) {
+	flock, err := exec.LookPath("flock")
+	if err != nil {
+		t.Fatalf("flock(1) not found: %v", err)
+	}
+	state := t.TempDir()
+	owner, err := New(Options{Workers: 1, StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(state, engine.StateFile)); err != nil {
+		t.Errorf("state file missing under the state directory: %v", err)
+	}
+	if second, err := New(Options{Workers: 1, StateDir: state}); err == nil {
+		second.Close()
+		t.Fatal("a second server opened a state directory another server owns")
+	} else if !strings.Contains(err.Error(), "locked") {
+		t.Errorf("second owner's error does not say the directory is locked: %v", err)
+	}
+	lockOther := exec.Command(flock, "--nonblock", "--exclusive", filepath.Join(state, ".lock"), "true")
+	if out, err := lockOther.CombinedOutput(); err == nil {
+		t.Fatal("another process took a held state-directory lock")
+	} else if _, exited := err.(*exec.ExitError); !exited {
+		t.Fatalf("running flock(1): %v (%s)", err, out)
+	}
+
+	owner.Close()
+	next, err := New(Options{Workers: 1, StateDir: state})
+	if err != nil {
+		t.Fatalf("state directory still locked after its owner closed: %v", err)
+	}
+	next.Close()
 }
 
 // TestServerCSVContentDisposition pins the download filename: derived from

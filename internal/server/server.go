@@ -26,24 +26,21 @@ type Options struct {
 	TraceDir string
 
 	// StateDir roots the engine's persistent state (campaign records,
-	// result artifacts, the deduplicating job-result store). Empty keeps
-	// everything in memory, like the pre-engine server.
+	// result artifacts, the deduplicating job-result store) in the store
+	// file StateDir/state.cvk (see engine.OpenStateDir). The server owns
+	// the directory: it holds the directory's exclusive advisory lock until
+	// Close, so a second server pointed at it fails loudly, and it runs
+	// restart recovery. Empty keeps everything in memory, like the
+	// pre-engine server.
 	StateDir string
 
-	// Store selects the engine's store by spec — "mem:", "dir:PATH",
-	// "sqlite:PATH", or "blob:PATH" (see engine.OpenStore). It supersedes
-	// StateDir when both are set. The sqlite: and blob: backends are
-	// shared: any number of coordinators and workers may point at the
-	// same path, job execution is deduplicated fleet-wide through store
-	// leases, and recovery is skipped on open (a peer's running campaign
-	// is live, not interrupted).
+	// Store selects the engine's store by spec — "mem:" or "sqlite:PATH"
+	// (see engine.OpenStore). It supersedes StateDir when both are set.
+	// The sqlite: backend is shared: any number of coordinators and
+	// workers may point at the same path, job execution is deduplicated
+	// fleet-wide through store leases, and recovery is skipped on open (a
+	// peer's running campaign is live, not interrupted).
 	Store string
-
-	// LockStateDir takes the state directory's exclusive advisory lock on
-	// open, so a second unaware process pointed at the same -statedir
-	// fails loudly instead of racing the first. The serving CLI sets it;
-	// in-process embedders that manage their own exclusivity need not.
-	LockStateDir bool
 
 	// Worker exposes the internal job-execution API (POST
 	// /internal/jobs): this process will execute single jobs on behalf
@@ -120,8 +117,8 @@ const (
 // before a restart are listed with their final status, their artifacts are
 // served, and resubmitted specs are answered from the job-result store
 // without re-executing anything. Options.Store generalises this to the
-// shared backends — several coordinators and workers over one sqlite: file
-// or blob: tree form a fleet computing every job at most once.
+// shared backend — several coordinators and workers over one sqlite: file
+// form a fleet computing every job at most once.
 func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, reg: obs.NewRegistry()}
 	s.metrics = newServerMetrics(s.reg)
@@ -134,29 +131,22 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 	case opts.StateDir != "":
-		ds, err := engine.OpenDirStore(opts.StateDir, nil)
+		sd, err := engine.OpenStateDir(opts.StateDir, true, nil)
 		if err != nil {
 			return nil, err
 		}
-		store = ds
+		store = sd
 	default:
 		store = engine.NewMemStore()
 	}
-	if ds, ok := store.(*engine.DirStore); ok && opts.LockStateDir {
-		if err := ds.Lock(); err != nil {
-			return nil, err
-		}
-	}
 	s.store = store
-	s.hasStore = opts.Store != "" || opts.StateDir != ""
-	engOpts := engine.Options{Workers: opts.Workers, Traces: lazyTraces{s}, Metrics: s.reg}
-	if shared {
-		// A shared store has live peers: their running campaigns must not
-		// be finalised as interrupted by this process's open. (Recovery
-		// fencing for crashed peers is a documented future step.)
-		engOpts.Shared = true
-		engOpts.SkipRecovery = true
-	}
+	_, inMemory := store.(*engine.MemStore)
+	s.hasStore = !inMemory
+	// A shared store has live peers: their running campaigns must not be
+	// finalised as interrupted by this process's open, so Shared also
+	// skips recovery. (Recovery fencing for crashed peers is a documented
+	// future step.)
+	engOpts := engine.Options{Workers: opts.Workers, Traces: lazyTraces{s}, Metrics: s.reg, Shared: shared}
 	if len(opts.WorkerURLs) > 0 {
 		remotes := make([]*engine.RemoteRunner, len(opts.WorkerURLs))
 		for i, url := range opts.WorkerURLs {
@@ -185,6 +175,7 @@ func New(opts Options) (*Server, error) {
 		if s.dispatcher != nil {
 			s.dispatcher.Close()
 		}
+		store.Close()
 		return nil, err
 	}
 	s.engine = eng
@@ -193,19 +184,14 @@ func New(opts Options) (*Server, error) {
 
 // Close releases the server's background resources: live trace sessions
 // (torn down and waited for), the coordinator's worker health-probe loop,
-// the state directory's advisory lock, and the store's file handle where it
-// has one. Other in-flight requests are unaffected.
+// and the store's file handle and state-directory lock where it has them.
+// Other in-flight requests are unaffected.
 func (s *Server) Close() {
 	s.closeLive()
 	if s.dispatcher != nil {
 		s.dispatcher.Close()
 	}
-	switch st := s.store.(type) {
-	case *engine.DirStore:
-		st.Unlock()
-	case *engine.SQLiteStore:
-		st.Close()
-	}
+	s.store.Close()
 }
 
 // lazyTraces resolves trace refs through the server's lazily created trace

@@ -86,6 +86,33 @@ func TestWorkerReadThroughSharedStore(t *testing.T) {
 	}
 }
 
+// TestMemWorkerKeepsNoResults pins that an in-memory store is not a result
+// store: a `-worker -store mem:` process executes a repeated job every
+// time instead of reading through (and saving into) a process-local map
+// that would grow with every job it ever ran.
+func TestMemWorkerKeepsNoResults(t *testing.T) {
+	const token = "mem-token"
+	w := newTestServer(t, Options{Workers: 1, Worker: true, AuthToken: token, Store: "mem:"})
+	spec := distSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := engine.JobRequest{Key: engine.JobKey(spec, jobs[0], ""), Spec: spec, Job: jobs[0]}
+	for i := 0; i < 2; i++ {
+		if resp := postJob(t, w, token, req); resp.Result.Error != "" {
+			t.Fatalf("job failed: %s", resp.Result.Error)
+		}
+	}
+	samples := scrape(t, w.URL)
+	if got := obs.Sum(samples, "cherivoke_worker_readthrough_hits_total"); got != 0 {
+		t.Errorf("mem: worker read-through hits = %v, want 0", got)
+	}
+	if got := obs.Sum(samples, obs.MetricJobsExecuted); got != 2 {
+		t.Errorf("mem: worker executed %v jobs, want 2 (both requests)", got)
+	}
+}
+
 // TestTwoCoordinatorsShareOneStore is the multi-coordinator acceptance
 // test: two coordinator processes over one SQLite store race the same
 // spec. Between them every job executes exactly once (the lease protocol),

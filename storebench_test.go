@@ -17,7 +17,7 @@ import (
 )
 
 // benchStoreKinds enumerates the backends the per-op benches cover.
-var benchStoreKinds = []string{"mem", "sqlite", "blob"}
+var benchStoreKinds = []string{"mem", "sqlite"}
 
 // openBenchStore builds a fresh store of the named kind under b's temp dir.
 func openBenchStore(b *testing.B, kind string) engine.Store {
@@ -31,12 +31,6 @@ func openBenchStore(b *testing.B, kind string) engine.Store {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { s.Close() })
-		return s
-	case "blob":
-		s, err := engine.OpenBlobStore(b.TempDir(), b.Logf)
-		if err != nil {
-			b.Fatal(err)
-		}
 		return s
 	default:
 		b.Fatalf("unknown store kind %q", kind)
@@ -160,7 +154,7 @@ func BenchmarkSharedStoreFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := engine.Options{Shared: true, SkipRecovery: true, LeaseTTL: 5 * time.Second}
+		opts := engine.Options{Shared: true, LeaseTTL: 5 * time.Second}
 		ea, err := engine.New(s, opts)
 		if err != nil {
 			b.Fatal(err)

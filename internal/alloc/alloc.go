@@ -5,10 +5,12 @@
 // and shadow-map maintenance (the paper's dlmalloc_cherivoke, §5.2).
 //
 // Like real dlmalloc, the allocator hands out 16-byte-granule-aligned
-// chunks; unlike it, bookkeeping lives beside (not inside) the simulated
-// heap. The allocator is part of CHERIvoke's trusted computing base (§3.6),
-// so its metadata being out-of-band does not change the security argument,
-// and it keeps the simulated heap image purely application data, which the
+// chunks and keeps a bitmap of its non-empty bins, so a request that no free
+// chunk fits costs one bit scan instead of a walk over every larger bin.
+// Unlike it, bookkeeping lives beside (not inside) the simulated heap. The
+// allocator is part of CHERIvoke's trusted computing base (§3.6), so its
+// metadata being out-of-band does not change the security argument, and it
+// keeps the simulated heap image purely application data, which the
 // sweep-measurement code relies on.
 package alloc
 
@@ -26,11 +28,22 @@ const Granule = 16
 // Allocation-size binning: bins 0..31 hold exact sizes 16..512; bins 32+
 // hold geometric classes, one per power of two above 512.
 const (
-	nSmallBins   = 32
-	maxSmall     = nSmallBins * Granule
-	nBins        = nSmallBins + 32
-	growQuantum  = 64 * mem.PageSize // map simulated pages in 256 KiB steps
-	maxHeapBytes = uint64(1) << 40   // sanity cap for the simulated heap
+	nSmallBins  = 32
+	maxSmall    = nSmallBins * Granule
+	nBins       = nSmallBins + 32
+	growQuantum = 64 * mem.PageSize // map simulated pages in 256 KiB steps
+)
+
+// MaxHeapBytes is the sanity cap on the simulated heap (1 TiB). A request
+// larger than it fails with ErrOOM before any padding, which would otherwise
+// wrap near 2^64.
+const MaxHeapBytes = uint64(1) << 40
+
+// The binmap is one uint64 with a bit per bin; these lengths go negative if
+// nBins drifts from 64.
+var (
+	_ [nBins - 64]byte
+	_ [64 - nBins]byte
 )
 
 // Sentinel errors.
@@ -84,6 +97,7 @@ type Allocator struct {
 	top      uint64            // first never-allocated address (sbrk pointer)
 	limit    uint64            // end of mapped region
 	bins     [nBins][]binEntry // lazy LIFO stacks; validity = maps below
+	binmap   uint64            // bit b set iff bins[b] is non-empty
 	byAddr   map[uint64]uint64 // free chunk start -> size (source of truth)
 	byEnd    map[uint64]uint64 // free chunk exclusive end -> start
 	live     map[uint64]uint64 // allocation addr -> size
@@ -157,31 +171,27 @@ func roundUp(size uint64) uint64 {
 // both neighbours (unless typed reuse forbids cross-class merging), and
 // pushes the result on its bin.
 func (a *Allocator) insertFree(addr, size uint64) {
-	if a.opt.TypedReuse {
-		a.byAddr[addr] = size
-		a.byEnd[addr+size] = addr
-		b := binFor(size)
-		a.bins[b] = append(a.bins[b], binEntry{addr, size})
-		return
-	}
-	if left, ok := a.byEnd[addr]; ok {
-		lsize := a.byAddr[left]
-		delete(a.byAddr, left)
-		delete(a.byEnd, addr)
-		addr = left
-		size += lsize
-		a.stats.Coalesces++
-	}
-	if rsize, ok := a.byAddr[addr+size]; ok {
-		delete(a.byEnd, addr+size+rsize)
-		delete(a.byAddr, addr+size)
-		size += rsize
-		a.stats.Coalesces++
+	if !a.opt.TypedReuse {
+		if left, ok := a.byEnd[addr]; ok {
+			lsize := a.byAddr[left]
+			delete(a.byAddr, left)
+			delete(a.byEnd, addr)
+			addr = left
+			size += lsize
+			a.stats.Coalesces++
+		}
+		if rsize, ok := a.byAddr[addr+size]; ok {
+			delete(a.byEnd, addr+size+rsize)
+			delete(a.byAddr, addr+size)
+			size += rsize
+			a.stats.Coalesces++
+		}
 	}
 	a.byAddr[addr] = size
 	a.byEnd[addr+size] = addr
 	b := binFor(size)
 	a.bins[b] = append(a.bins[b], binEntry{addr, size})
+	a.binmap |= 1 << b
 }
 
 // takeFree removes the free chunk starting at addr from the maps (its lazy
@@ -194,16 +204,18 @@ func (a *Allocator) takeFree(addr uint64) uint64 {
 }
 
 // popFit pops a valid free chunk of at least size bytes whose aligned start
-// fits, searching bins from the request's class upward. It returns the chunk
-// or ok=false.
+// fits, searching the non-empty bins from the request's class upward. It
+// returns the chunk or ok=false.
 func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
-	lastBin := nBins
+	first := binFor(size)
+	candidates := a.binmap >> first << first
 	if a.opt.TypedReuse {
 		// Type-stable reuse: only the request's own class, and only
 		// exact-size chunks, may be recycled.
-		lastBin = binFor(size) + 1
+		candidates &= 1 << first
 	}
-	for b := binFor(size); b < lastBin; b++ {
+	for ; candidates != 0; candidates &= candidates - 1 {
+		b := bits.TrailingZeros64(candidates)
 		bin := a.bins[b]
 		var skipped []binEntry
 		for len(bin) > 0 {
@@ -223,7 +235,7 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 				fits = e.addr == aligned && e.size == size
 			}
 			if fits {
-				a.bins[b] = append(bin, skipped...)
+				a.setBin(b, append(bin, skipped...))
 				a.takeFree(e.addr)
 				return e, true
 			}
@@ -231,9 +243,18 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 			skipped = append(skipped, e)
 			a.stats.BinRescans++
 		}
-		a.bins[b] = append(bin[:0], skipped...)
+		a.setBin(b, append(bin[:0], skipped...))
 	}
 	return binEntry{}, false
+}
+
+// setBin stores bin b's remaining entries, clearing its binmap bit once it
+// is empty.
+func (a *Allocator) setBin(b int, bin []binEntry) {
+	a.bins[b] = bin
+	if len(bin) == 0 {
+		a.binmap &^= 1 << b
+	}
 }
 
 func alignUp(addr, alignMask uint64) uint64 {
@@ -254,6 +275,9 @@ func (a *Allocator) Malloc(size uint64) (addr, padded uint64, err error) {
 // addr & ^alignMask == 0. CHERIvoke uses it to place large allocations at
 // capability-representable alignment.
 func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, err error) {
+	if size > MaxHeapBytes {
+		return 0, 0, fmt.Errorf("alloc: malloc(%d) exceeds the %d-byte heap cap: %w", size, MaxHeapBytes, ErrOOM)
+	}
 	req := size
 	size = roundUp(size)
 	if e, ok := a.popFit(size, alignMask); ok {
@@ -291,7 +315,7 @@ func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, 
 func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 	addr := alignUp(a.top, alignMask)
 	newTop := addr + size
-	if newTop-a.base > maxHeapBytes {
+	if newTop-a.base > MaxHeapBytes {
 		return 0, fmt.Errorf("alloc: heap would reach %d bytes: %w", newTop-a.base, ErrOOM)
 	}
 	if newTop > a.limit {
@@ -376,9 +400,15 @@ func (a *Allocator) FreeBytes() uint64 {
 }
 
 // CheckInvariants verifies internal consistency: free chunks are disjoint,
-// byAddr and byEnd agree, and live+free+never-allocated partitions the heap.
-// Tests call it after workloads.
+// byAddr and byEnd agree, the binmap marks exactly the non-empty bins, and
+// live+free+never-allocated partitions the heap. Tests call it after
+// workloads.
 func (a *Allocator) CheckInvariants() error {
+	for b := range a.bins {
+		if set := a.binmap&(1<<b) != 0; set != (len(a.bins[b]) > 0) {
+			return fmt.Errorf("alloc: binmap bit %d is %v but bin holds %d entries", b, set, len(a.bins[b]))
+		}
+	}
 	for addr, size := range a.byAddr {
 		if back, ok := a.byEnd[addr+size]; !ok || back != addr {
 			return fmt.Errorf("alloc: byEnd missing/disagrees for chunk %#x+%#x", addr, size)

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,18 @@ func TestMallocBasics(t *testing.T) {
 	// Zero-size mallocs return a minimal chunk, like malloc(0).
 	if _, padded, err = a.Malloc(0); err != nil || padded != Granule {
 		t.Errorf("Malloc(0) padded = %d, err %v", padded, err)
+	}
+}
+
+func TestMallocRejectsSizesBeyondHeapCap(t *testing.T) {
+	a := newAlloc(t)
+	for _, size := range []uint64{math.MaxUint64, math.MaxUint64 - 7, MaxHeapBytes + 1} {
+		if _, _, err := a.Malloc(size); !errors.Is(err, ErrOOM) {
+			t.Errorf("Malloc(%#x) err = %v, want ErrOOM", size, err)
+		}
+	}
+	if s := a.Stats(); s.Mallocs != 0 || s.HeapGrows != 0 {
+		t.Errorf("rejected mallocs left stats %+v", s)
 	}
 }
 

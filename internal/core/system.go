@@ -220,8 +220,12 @@ func (s *System) RemoveRoot(c *cap.Capability) {
 // exactly to the (granule- and representability-padded) allocation with
 // load/store data+capability permissions — the bounds-setting allocator
 // behaviour CHERIvoke requires so every heap capability is attributable to
-// exactly one allocation (§4.1).
+// exactly one allocation (§4.1). A size above alloc.MaxHeapBytes fails
+// with alloc.ErrOOM before it is padded, so it cannot wrap.
 func (s *System) Malloc(size uint64) (cap.Capability, error) {
+	if size > alloc.MaxHeapBytes {
+		return cap.Null, fmt.Errorf("core: malloc(%d) exceeds the heap cap: %w", size, alloc.ErrOOM)
+	}
 	padded := size
 	if padded == 0 {
 		padded = 1

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloc"
 	"repro/internal/cap"
 	"repro/internal/quarantine"
 	"repro/internal/revoke"
@@ -45,6 +47,25 @@ func TestMallocReturnsBoundedCapability(t *testing.T) {
 	// The memory behind it is usable.
 	if err := s.Mem().StoreWord(c, c.Base(), 42); err != nil {
 		t.Fatalf("store through fresh allocation: %v", err)
+	}
+}
+
+func TestMallocRejectsSizesBeyondHeapCap(t *testing.T) {
+	// Sizes above the heap cap fail as out of memory and record nothing.
+	// Padding the first two to the granule would wrap to a 16-byte
+	// allocation.
+	for _, size := range []uint64{math.MaxUint64, math.MaxUint64 - 7, 1 << 63} {
+		s := newSystem(t, Config{})
+		c, err := s.Malloc(size)
+		if !errors.Is(err, alloc.ErrOOM) {
+			t.Errorf("Malloc(%#x) = %v, %v; want alloc.ErrOOM", size, c, err)
+		}
+		if got := s.Stats().Mallocs; got != 0 {
+			t.Errorf("Malloc(%#x) counted %d mallocs", size, got)
+		}
+		if got := s.LiveBytes(); got != 0 {
+			t.Errorf("Malloc(%#x) left %d live bytes", size, got)
+		}
 	}
 }
 

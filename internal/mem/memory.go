@@ -47,6 +47,12 @@ func (m *Memory) Stats() Stats { return m.stats }
 // Map creates zeroed, tag-cleared pages covering [addr, addr+size). Both
 // addr and size must be page-aligned, and the range must not overlap an
 // existing mapping.
+//
+// The pages of one call are allocated together as one slab, one host
+// object instead of one per page. A slab stays reachable until its last
+// page is unmapped, so pages that core's UnmapLarge mode retires (the only
+// unmapping in the program) keep their host memory until the Memory is
+// dropped; a Memory lives for one job or one live session.
 func (m *Memory) Map(addr, size uint64) error {
 	if addr%PageSize != 0 || size%PageSize != 0 {
 		return faultf(ErrAlign, "mem: Map(%#x, %#x)", addr, size)
@@ -56,8 +62,9 @@ func (m *Memory) Map(addr, size uint64) error {
 			return faultf(ErrOverlap, "mem: Map(%#x, %#x) at %#x", addr, size, a)
 		}
 	}
-	for a := addr; a < addr+size; a += PageSize {
-		m.pages[a/PageSize] = &page{}
+	slab := make([]page, size/PageSize)
+	for i := range slab {
+		m.pages[addr/PageSize+uint64(i)] = &slab[i]
 	}
 	return nil
 }

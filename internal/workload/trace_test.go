@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/alloc"
@@ -137,5 +139,16 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 		if _, err := Replay(sys, tr); err == nil {
 			t.Errorf("corrupt trace %d accepted", i)
 		}
+	}
+}
+
+func TestReplayRejectsOversizedMalloc(t *testing.T) {
+	// A trace malloc too large for any heap fails its event instead of
+	// wrapping to a small allocation.
+	sys := traceSystem(t, core.Config{})
+	tr := &Trace{Events: []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvMalloc, Size: math.MaxUint64}}}
+	n, err := Replay(sys, tr)
+	if n != 1 || !errors.Is(err, alloc.ErrOOM) {
+		t.Errorf("Replay = %d, %v; want event 1 failing with alloc.ErrOOM", n, err)
 	}
 }

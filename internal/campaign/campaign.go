@@ -17,7 +17,7 @@ const (
 )
 
 // Traffic model names for Spec.Traffic: which cache hierarchy each job
-// builds for DRAM-traffic replay. Empty disables the replay.
+// builds for DRAM-traffic accounting. Empty disables the accounting.
 const (
 	TrafficX86   = "x86"   // Table 1's x86 hierarchy (8 MiB LLC)
 	TrafficCHERI = "cheri" // the FPGA prototype's hierarchy (256 KiB LLC)
@@ -99,11 +99,11 @@ type Spec struct {
 	ScaledStartup bool `json:"scaled_startup,omitempty"`
 
 	// Traffic selects a cache-hierarchy model (TrafficX86 or TrafficCHERI)
-	// for Figure 10's DRAM-traffic replay. Each job builds and owns its
+	// for Figure 10's DRAM-traffic accounting. Each job builds and owns its
 	// own hierarchy — hierarchies are runtime state and are never shared
 	// between jobs, so traffic-enabled campaigns parallelise freely and
 	// their artifacts stay byte-identical for any worker count and any
-	// sweep shard count (the sharded sweeper's merge is shard-invariant).
+	// sweep shard count (the sweep's traffic charge is shard-invariant).
 	Traffic string `json:"traffic,omitempty"`
 
 	// Baseline additionally runs, per job, a matched direct-free run

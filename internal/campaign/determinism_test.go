@@ -137,16 +137,20 @@ func TestTrafficValidation(t *testing.T) {
 		t.Errorf("cheri traffic model rejected: %v", err)
 	}
 
-	// A shared hierarchy on the variant must not be used by jobs: the run
-	// below would race on it (and trip -race) if it were.
+	// A shared hierarchy on the variant, or on an image sweep, must not be
+	// used by jobs or their image sweeps: the run below would race on it
+	// (and trip -race) if it were, and its traffic is not in the job key.
+	shared := mem.NewX86Hierarchy()
 	v := PaperVariant()
-	v.Revoke.Hierarchy = mem.NewX86Hierarchy()
+	v.Revoke.Hierarchy = shared
 	res, err := Run(context.Background(), Spec{
-		Profiles:  []string{"povray", "hmmer"},
-		Variants:  []Variant{v},
-		MaxLive:   []uint64{1 << 20},
-		MinSweeps: 1,
-		MaxEvents: 10000,
+		Profiles:       []string{"povray", "hmmer"},
+		Variants:       []Variant{v},
+		MaxLive:        []uint64{1 << 20},
+		MinSweeps:      1,
+		MaxEvents:      10000,
+		SweepImageSelf: true,
+		ImageSweeps:    []revoke.Config{{UseCLoadTags: true, Hierarchy: shared}},
 	}, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +158,20 @@ func TestTrafficValidation(t *testing.T) {
 	if err := res.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Revoke.Hierarchy.Stats(); got.DRAMReadBytes != 0 {
-		t.Errorf("campaign jobs replayed into the spec-level hierarchy: %+v", got)
+	if got := shared.Stats(); got != (mem.HierarchyStats{}) {
+		t.Errorf("campaign jobs charged the spec-level hierarchy: %+v", got)
 	}
 	for _, jr := range res.Jobs {
 		if jr.Traffic != nil {
 			t.Errorf("job %d has a traffic report without Spec.Traffic", jr.Job.ID)
+		}
+		if jr.ImageSweepSelf == nil || jr.ImageSweepSelf.TrafficReplayed {
+			t.Errorf("job %d: self image sweep missing or charged to a hierarchy", jr.Job.ID)
+		}
+		for i, st := range jr.ImageSweeps {
+			if st.TrafficReplayed {
+				t.Errorf("job %d image sweep %d charged to a hierarchy", jr.Job.ID, i)
+			}
 		}
 	}
 }

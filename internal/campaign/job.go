@@ -79,36 +79,6 @@ type TrafficReport struct {
 	Levels []mem.LevelStats `json:"levels"`
 }
 
-// hierarchyPools recycles the job-owned cache hierarchies across campaign
-// jobs, one pool per traffic model — the Sweeper.shardClones pattern lifted
-// to the campaign layer. A hierarchy is megabytes of line metadata, and a
-// campaign with traffic modelling runs hundreds of jobs; HierarchyPool.Put
-// resets to the exact cold state the constructor produces, so a pooled job
-// is byte-identical to one with a fresh hierarchy (the campaign determinism
-// suites pin this). sync.Pool underneath makes it safe for the worker pool.
-var hierarchyPools = map[string]*mem.HierarchyPool{
-	TrafficX86:   mem.NewHierarchyPool(mem.NewX86Hierarchy),
-	TrafficCHERI: mem.NewHierarchyPool(mem.NewCHERIHierarchy),
-}
-
-// acquireHierarchy returns a cold job-owned hierarchy for a traffic model
-// name (validated by Spec.Jobs), nil when traffic modelling is off. Pair
-// with releaseHierarchy when the job is done measuring.
-func acquireHierarchy(model string) *mem.Hierarchy {
-	if p, ok := hierarchyPools[model]; ok {
-		return p.Get()
-	}
-	return nil
-}
-
-// releaseHierarchy returns a job's hierarchy to its model's pool; nil (or an
-// unknown model) is a no-op, so callers release unconditionally.
-func releaseHierarchy(model string, h *mem.Hierarchy) {
-	if p, ok := hierarchyPools[model]; ok {
-		p.Put(h)
-	}
-}
-
 // Runtime returns the job's normalised execution time (the full CHERIvoke
 // overhead bar).
 func (r JobResult) Runtime() float64 { return r.PlusSweep }
@@ -120,9 +90,9 @@ func failed(job Job, err error) JobResult {
 
 // jobConfig builds the job's isolated system configuration. The job owns
 // its hierarchy: a hierarchy smuggled in through the variant's revoke
-// config would be shared by every job in the campaign — a data race on the
-// pool and a determinism leak — so it is dropped and rebuilt per job from
-// the declarative Traffic model instead.
+// config would be shared by every job in the campaign — a data race and a
+// determinism leak — so it is dropped and built per job from the
+// declarative Traffic model (validated by Spec.Jobs) instead.
 func jobConfig(job Job) core.Config {
 	cfg := core.Config{
 		Policy:          quarantine.Policy{Fraction: job.Fraction, MinBytes: job.QuarantineMinBytes},
@@ -132,7 +102,14 @@ func jobConfig(job Job) core.Config {
 		UnmapLarge:      job.Variant.UnmapLarge,
 		Alloc:           alloc.Options{TypedReuse: job.Variant.TypedReuse},
 	}
-	cfg.Revoke.Hierarchy = acquireHierarchy(job.Traffic)
+	switch job.Traffic {
+	case TrafficX86:
+		cfg.Revoke.Hierarchy = mem.NewX86Hierarchy()
+	case TrafficCHERI:
+		cfg.Revoke.Hierarchy = mem.NewCHERIHierarchy()
+	default:
+		cfg.Revoke.Hierarchy = nil
+	}
 	return cfg
 }
 
@@ -166,9 +143,6 @@ func runJob(spec Spec, job Job, traces TraceOpener) JobResult {
 		MaxEvents:    job.MaxEvents,
 	}
 	cfg := jobConfig(job)
-	// assemble copies the traffic counters out, so the hierarchy can go
-	// back to the pool as soon as the job result exists.
-	defer releaseHierarchy(job.Traffic, cfg.Revoke.Hierarchy)
 	if job.ScaledStartup {
 		m := sim.X86()
 		m.SweepStartup *= workload.Scale(p, wopts)
@@ -214,7 +188,6 @@ func runTraceJob(spec Spec, job Job, traces TraceOpener) JobResult {
 	p := traceProfile(job, src.Header())
 
 	cfg := jobConfig(job)
-	defer releaseHierarchy(job.Traffic, cfg.Revoke.Hierarchy)
 	sys, err := core.New(cfg)
 	if err != nil {
 		return failed(job, err)
@@ -292,17 +265,23 @@ func assemble(job Job, sys *core.System, cfg core.Config, res workload.Result) J
 // The launder-free ImageSweeps (enforced by Jobs) run first; the self-sweep
 // runs last because a laundering variant configuration clears CapDirty bits
 // on capability-free pages, which would skew any CapDirty-guided sweep
-// after it.
+// after it. Image sweeps run with no hierarchy, as jobConfig's sweeps run
+// with only the job's own: one set in the spec would be shared by every
+// job, and the traffic it gained is not part of the job's key.
 func imageSweeps(spec Spec, job Job, sys *core.System, jr *JobResult) error {
+	sweep := func(cfg revoke.Config) (revoke.Stats, error) {
+		cfg.Hierarchy = nil
+		return revoke.New(sys.Mem(), sys.Shadow(), cfg).Sweep(nil)
+	}
 	for _, cfg := range spec.ImageSweeps {
-		st, err := revoke.New(sys.Mem(), sys.Shadow(), cfg).Sweep(nil)
+		st, err := sweep(cfg)
 		if err != nil {
 			return err
 		}
 		jr.ImageSweeps = append(jr.ImageSweeps, st)
 	}
 	if spec.SweepImageSelf {
-		st, err := revoke.New(sys.Mem(), sys.Shadow(), job.Variant.Revoke).Sweep(nil)
+		st, err := sweep(job.Variant.Revoke)
 		if err != nil {
 			return err
 		}

@@ -297,8 +297,8 @@ func TestFig10TrafficModest(t *testing.T) {
 
 // TestFig10ShardInvariance is the figure-level byte-for-byte guarantee: the
 // Figure 10 rows — sweep DRAM traffic relative to application traffic — are
-// identical whether the sweeps run serially or 8-way sharded, because each
-// shard replays into a cold hierarchy clone and the merge is exact.
+// identical whether the sweeps run serially or 8-way sharded, because the
+// sweep's closed-form traffic charge does not depend on the partition.
 func TestFig10ShardInvariance(t *testing.T) {
 	serial, err := fig10At(Quick(), 1)
 	if err != nil {

@@ -247,9 +247,8 @@ type Fig10Row struct {
 }
 
 // fig10Shards is the sweep width Figure 10 runs at: the paper's §3.5
-// parallel sweep on the x86 part's four cores. The sharded sweeper's
-// deterministic merge makes the replayed traffic identical to a serial
-// sweep, so the shard count changes wall-clock time only.
+// parallel sweep on the x86 part's four cores. The sweep's traffic charge
+// is shard-invariant, so the shard count changes wall-clock time only.
 const fig10Shards = 4
 
 // Fig10 regenerates Figure 10: the extra off-core traffic generated by

@@ -1,12 +1,12 @@
 package mem
 
-import "sync"
-
 // Set-associative LRU cache model used to account DRAM traffic for the
 // revocation sweep (Figure 10) and to model the tag cache that CLoadTags
 // probes terminate in (§2.2, §3.4.1). The model tracks hits, misses and
 // write-backs; it stores no data — correctness always comes from Memory,
-// timing and traffic from this overlay.
+// timing and traffic from this overlay. A sweep is charged in closed form
+// (Hierarchy.ChargeSweep); Access, AccessTags and WriteBack are the
+// line-by-line reference model that closed form is tested against.
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -25,8 +25,7 @@ type CacheStats struct {
 
 // Merge returns the event-wise sum of s and other. Merge is a commutative
 // monoid over CacheStats — associative, commutative, with the zero value as
-// identity — which is what lets the sharded sweeper replay each shard's
-// accesses into an independent clone and fold the per-shard counters back
+// identity — so counters summed per sweep, per shard or per job fold
 // together in any grouping without changing the total.
 func (s CacheStats) Merge(other CacheStats) CacheStats {
 	return CacheStats{
@@ -44,6 +43,8 @@ type cacheLine struct {
 }
 
 // Cache is a single set-associative, write-back, write-allocate LRU cache.
+// Its line metadata is allocated on the first Access, so a cache that is
+// only charged in closed form is just its counters.
 type Cache struct {
 	cfg   CacheConfig
 	sets  [][]cacheLine
@@ -53,17 +54,7 @@ type Cache struct {
 
 // NewCache returns a cache with the given geometry. Size must be a multiple
 // of LineSize*Ways.
-func NewCache(cfg CacheConfig) *Cache {
-	nSets := int(cfg.Size / cfg.LineSize / uint64(cfg.Ways))
-	if nSets < 1 {
-		nSets = 1
-	}
-	sets := make([][]cacheLine, nSets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets}
-}
+func NewCache(cfg CacheConfig) *Cache { return &Cache{cfg: cfg} }
 
 // Config returns the cache's geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
@@ -71,31 +62,20 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// CloneCold returns a new cache with the same geometry, all lines invalid
-// and zeroed counters. Sweep shards replay into cold clones so their
-// counters can be merged deterministically.
-func (c *Cache) CloneCold() *Cache { return NewCache(c.cfg) }
-
-// AbsorbStats folds another cache's counters into this one's. Line state is
-// untouched: the absorbed cache's contents describe a different (per-shard)
-// access stream and have no meaningful union with this cache's lines.
-func (c *Cache) AbsorbStats(s CacheStats) { c.stats = c.stats.Merge(s) }
-
 // Reset invalidates all lines and zeroes counters.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = cacheLine{}
-		}
-	}
-	c.clock = 0
-	c.stats = CacheStats{}
-}
+func (c *Cache) Reset() { *c = Cache{cfg: c.cfg} }
 
 // Access touches the line containing addr, allocating it on miss. It returns
 // (hit, writeBack): writeBack is true when the allocation evicted a dirty
 // line.
 func (c *Cache) Access(addr uint64, write bool) (hit, writeBack bool) {
+	if c.sets == nil {
+		nSets := max(int(c.cfg.Size/c.cfg.LineSize/uint64(c.cfg.Ways)), 1)
+		c.sets = make([][]cacheLine, nSets)
+		for i := range c.sets {
+			c.sets[i] = make([]cacheLine, c.cfg.Ways)
+		}
+	}
 	c.clock++
 	lineAddr := addr / c.cfg.LineSize
 	set := c.sets[lineAddr%uint64(len(c.sets))]
@@ -191,47 +171,6 @@ func NewCHERIHierarchy() *Hierarchy {
 // Stats returns the hierarchy's aggregate traffic counters.
 func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
 
-// CloneCold returns a hierarchy with the same geometry at every level, all
-// lines invalid and all counters zero.
-//
-// Approximation note (per-shard cold start vs. shared LRU): a parallel sweep
-// gives each shard a cold clone instead of sharing one LRU-coherent
-// hierarchy, because a shared model would make hit/miss counts depend on
-// goroutine interleaving. The divergence this buys is bounded and is zero
-// for the sweep access pattern itself: a sweep streams every swept line
-// exactly once (no data reuse, so every data access misses a cold *and* a
-// shared cache alike) and CLoadTags probes reuse a tag line only inside its
-// 8 KiB coverage window, which the shard partitioning keeps within one
-// shard. What the clone does forgo is warmth carried in from the
-// application between sweeps — the model charges every sweep cold-cache
-// streaming traffic, matching the paper's pessimistic Figure 10 accounting.
-func (h *Hierarchy) CloneCold() *Hierarchy {
-	clone := &Hierarchy{
-		L1:  h.L1.CloneCold(),
-		L2:  h.L2.CloneCold(),
-		LLC: h.LLC.CloneCold(),
-	}
-	if h.TagCache != nil {
-		clone.TagCache = h.TagCache.CloneCold()
-	}
-	return clone
-}
-
-// Absorb merges a shard clone's counters — per-level CacheStats and the
-// aggregate traffic totals — into h, leaving h's line state untouched.
-// Because every counter merge is commutative and associative, absorbing the
-// shards of a sweep in shard-index order yields totals independent of how
-// the page list was partitioned.
-func (h *Hierarchy) Absorb(shard *Hierarchy) {
-	h.L1.AbsorbStats(shard.L1.stats)
-	h.L2.AbsorbStats(shard.L2.stats)
-	h.LLC.AbsorbStats(shard.LLC.stats)
-	if h.TagCache != nil && shard.TagCache != nil {
-		h.TagCache.AbsorbStats(shard.TagCache.stats)
-	}
-	h.stats = h.stats.Merge(shard.stats)
-}
-
 // LevelStats is one cache level's counters, labelled for artifacts.
 type LevelStats struct {
 	Name string `json:"name"`
@@ -284,11 +223,11 @@ func (h *Hierarchy) Access(addr uint64, write bool) int {
 	return 4
 }
 
-// WriteBack charges the DRAM drain of one stored line. The sweeper uses it
-// for revocation stores (and the vector kernel's unconditional line stores):
-// the store itself hits in L1 — the line was examined immediately before —
-// and its dirtied line is drained to DRAM exactly once when the streaming
-// sweep evicts it. Charging the drain directly, instead of setting dirty
+// WriteBack charges the DRAM drain of one stored line, as the sweep model
+// charges each line a sweep stores back (one holding a revocation, or every
+// swept line under the vector kernel): the store itself hits in L1 — the
+// line was examined immediately before — and its dirtied line is drained to
+// DRAM exactly once when the streaming sweep evicts it. Charging the drain directly, instead of setting dirty
 // bits and counting evictions, keeps write traffic independent of where each
 // shard's walk happens to end (lines still resident at the end of a walk
 // would otherwise never be counted).
@@ -314,39 +253,36 @@ func (h *Hierarchy) AccessTags(dataAddr uint64) bool {
 	return hit
 }
 
-// HierarchyPool recycles Hierarchy instances across simulation jobs. A
-// hierarchy is ~4 MiB of per-line metadata, so allocating one per campaign
-// job dominates job setup; Put resets the hierarchy to the exact cold state
-// New produces (Reset invalidates every line and zeroes every counter), so a
-// pooled Get is observationally identical to a fresh construction and the
-// determinism suites hold bit for bit. Safe for concurrent use by campaign
-// workers.
-type HierarchyPool struct {
-	// New constructs a hierarchy when the pool is empty
-	// (e.g. NewX86Hierarchy).
-	New  func() *Hierarchy
-	pool sync.Pool
-}
-
-// NewHierarchyPool returns a pool backed by the given constructor.
-func NewHierarchyPool(fresh func() *Hierarchy) *HierarchyPool {
-	return &HierarchyPool{New: fresh}
-}
-
-// Get returns a cold hierarchy, reusing a pooled one when available.
-func (p *HierarchyPool) Get() *Hierarchy {
-	if h, ok := p.pool.Get().(*Hierarchy); ok {
-		return h
+// ChargeSweep charges one revocation sweep to the hierarchy in closed form
+// and returns the traffic it added (a sweep's Stats.Traffic). The counts
+// describe the sweep: lines is the lines it read, stores the lines it
+// stored back, probes its CLoadTags probes and fills the distinct tag-table
+// lines those probes touched.
+//
+// The result equals walking the same sweep through Access, AccessTags and
+// WriteBack on a cold hierarchy, because the sweep model makes three
+// choices. Each sweep starts cold, so warmth carried in from the
+// application between sweeps is not credited (the paper's pessimistic
+// Figure 10 accounting). A sweep reads each swept line once, so every read
+// misses at L1, L2 and the LLC and fills from DRAM, whatever the geometry. And a tag line is reused only by probes inside its own 8 KiB
+// window, which one shard walks contiguously, so it fills once and every
+// other probe hits. Stored lines are charged as WriteBack charges them.
+func (h *Hierarchy) ChargeSweep(lines, stores, probes, fills uint64) HierarchyStats {
+	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
+		c.stats.Misses += lines
 	}
-	return p.New()
-}
-
-// Put resets h to cold and returns it to the pool. Put(nil) is a no-op, so
-// callers can release unconditionally.
-func (p *HierarchyPool) Put(h *Hierarchy) {
-	if h == nil {
-		return
+	if h.TagCache == nil {
+		fills = 0 // AccessTags charges nothing without a tag cache
+	} else {
+		h.TagCache.stats.Misses += fills
+		h.TagCache.stats.Hits += probes - fills
 	}
-	h.Reset()
-	p.pool.Put(h)
+	d := HierarchyStats{
+		DRAMReadBytes:  (lines + fills) * LineSize,
+		DRAMWriteBytes: stores * LineSize,
+		OffCoreBytes:   (lines + stores + fills) * LineSize,
+		TagDRAMReads:   fills * LineSize,
+	}
+	h.stats = h.stats.Merge(d)
+	return d
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,63 +67,42 @@ func TestHierarchyStatsMergeAlgebra(t *testing.T) {
 	}
 }
 
-func TestCacheCloneCold(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "t", Size: 4096, LineSize: 64, Ways: 4})
-	c.Access(0, true)
-	c.Access(64, false)
-	clone := c.CloneCold()
-	if clone.Config() != c.Config() {
-		t.Errorf("clone geometry %+v != %+v", clone.Config(), c.Config())
+// TestChargeSweepMatchesReference charges a cold streaming sweep in closed
+// form and walks the same sweep through AccessTags, Access and WriteBack on
+// a cold hierarchy of each geometry, and of one without a tag cache: three
+// 8 KiB windows probed line by line, every other line read, every fifth
+// read stored back.
+func TestChargeSweepMatchesReference(t *testing.T) {
+	noTagCache := func() *Hierarchy {
+		h := NewCHERIHierarchy()
+		h.TagCache = nil
+		return h
 	}
-	if clone.Stats() != (CacheStats{}) {
-		t.Errorf("clone not cold: %+v", clone.Stats())
-	}
-	if hit, _ := clone.Access(0, false); hit {
-		t.Error("clone inherited a line")
-	}
-	// Cloning must not disturb the original.
-	if hit, _ := c.Access(0, false); !hit {
-		t.Error("original lost its line to the clone")
-	}
-}
-
-func TestHierarchyCloneColdAndAbsorb(t *testing.T) {
-	for _, h := range []*Hierarchy{NewX86Hierarchy(), NewCHERIHierarchy()} {
-		h.Access(0x1000, true)
-		h.AccessTags(0x1000)
-		clone := h.CloneCold()
-		if clone.Stats() != (HierarchyStats{}) {
-			t.Errorf("clone not cold: %+v", clone.Stats())
-		}
-		for i, lvl := range clone.Levels() {
-			if lvl.CacheStats != (CacheStats{}) {
-				t.Errorf("clone level %s not cold: %+v", lvl.Name, lvl)
+	for name, mk := range map[string]func() *Hierarchy{
+		"x86": NewX86Hierarchy, "cheri": NewCHERIHierarchy, "no-tag-cache": noTagCache,
+	} {
+		ref, closed := mk(), mk()
+		var lines, stores, probes uint64
+		for addr := uint64(0); addr < 3*TagLineCoverage; addr += LineSize {
+			ref.AccessTags(addr)
+			probes++
+			if addr/LineSize%2 == 0 {
+				continue
 			}
-			if lvl.Name != h.Levels()[i].Name {
-				t.Errorf("clone level %d named %q, want %q", i, lvl.Name, h.Levels()[i].Name)
+			ref.Access(addr, false)
+			lines++
+			if lines%5 == 0 {
+				ref.WriteBack()
+				stores++
 			}
 		}
-
-		// Absorbing two clones in either order yields the same totals.
-		a, b := h.CloneCold(), h.CloneCold()
-		for i := uint64(0); i < 64; i++ {
-			a.Access(i*LineSize, i%2 == 0)
-			b.Access((1<<20)+i*LineSize*3, false)
-			b.AccessTags(i * TagLineCoverage)
+		d := closed.ChargeSweep(lines, stores, probes, 3)
+		if d != ref.Stats() || closed.Stats() != ref.Stats() {
+			t.Errorf("%s: closed form %+v (delta %+v), reference %+v",
+				name, closed.Stats(), d, ref.Stats())
 		}
-		ab, ba := h.CloneCold(), h.CloneCold()
-		ab.Absorb(a)
-		ab.Absorb(b)
-		ba.Absorb(b)
-		ba.Absorb(a)
-		if ab.Stats() != ba.Stats() {
-			t.Errorf("absorb order changed totals: %+v vs %+v", ab.Stats(), ba.Stats())
-		}
-		for i := range ab.Levels() {
-			if ab.Levels()[i] != ba.Levels()[i] {
-				t.Errorf("absorb order changed level %d: %+v vs %+v",
-					i, ab.Levels()[i], ba.Levels()[i])
-			}
+		if got, want := closed.Levels(), ref.Levels(); !slices.Equal(got, want) {
+			t.Errorf("%s levels: closed form %+v, reference %+v", name, got, want)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // The sweep is functional — tags really are cleared on the simulated memory
 // — and simultaneously produces the event counts (words examined, lines
 // fetched, probes issued, page runs entered) that internal/sim prices into
-// simulated seconds, and that the cache hierarchy model turns into DRAM
-// traffic for Figure 10.
+// simulated seconds, and from which the cache hierarchy model charges the
+// DRAM traffic of Figure 10 in closed form (mem.Hierarchy.ChargeSweep).
 //
 // Work-elimination levels (§3.4):
 //   - PTE CapDirty: only pages whose page-table entry records a capability
@@ -15,12 +15,11 @@
 //   - CLoadTags: within a swept page, lines whose tag probe returns zero are
 //     skipped without fetching data.
 //
-// The sweep consumes its page set as an iterator (Sweeper.SweepPages):
-// counting, run detection, and the shard-window partition all happen in one
-// pass over the sequence, so a page source never needs to be materialised
-// twice. Sweep is the convenience wrapper that feeds it the simulated
-// memory's mapped (or CapDirty-filtered) page list. Partitioning assigns
-// whole tag-line coverage windows to shards in arrival order, which keeps
-// the merged statistics — DRAM traffic included — byte-identical for any
-// shard count and for streamed versus in-memory workload input alike.
+// Sweep takes the simulated memory's mapped (or CapDirty-filtered) page
+// list, strictly ascending and duplicate-free, and partitions it in one pass
+// that also counts page runs and tag-line coverage windows. Partitioning
+// deals whole windows to shards round-robin, so each window's tag
+// line fills once whichever shard walks it, and the merged statistics — DRAM
+// traffic included — are byte-identical for any shard count and for
+// streamed versus in-memory workload input alike.
 package revoke

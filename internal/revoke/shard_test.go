@@ -2,7 +2,6 @@ package revoke
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -14,19 +13,18 @@ import (
 
 // trafficTolerance is the permitted relative divergence between serial and
 // sharded DRAM traffic. It is zero — exact equality — and that is a modelled
-// guarantee, not luck: the sweep streams every swept line exactly once (no
-// data-cache reuse, so cold clones and a serial walk miss identically),
-// CLoadTags tag lines are only reused within their 8 KiB window and
+// guarantee, not luck: every sweep starts cold and reads each swept line
+// once, CLoadTags tag lines are only reused within their 8 KiB window and
 // partitionByTagWindow keeps each window in one shard, and revocation
-// write-backs are charged at discovery rather than at (partition-dependent)
-// eviction. If the model ever gains cross-sweep cache warmth, this constant
-// is where the documented tolerance widens.
+// write-backs are charged per stored line rather than at
+// (partition-dependent) eviction. If the model ever gains cross-sweep cache
+// warmth, this constant is where the documented tolerance widens.
 const trafficTolerance = 0
 
 // buildSeededHeap maps `pages` pages and plants a seeded random mix of
 // capabilities, painting a seeded subset of the shadow map, so every call
 // with the same seed produces an identical sweep input.
-func buildSeededHeap(t *testing.T, seed int64, pages int) *fixture {
+func buildSeededHeap(t testing.TB, seed int64, pages int) *fixture {
 	t.Helper()
 	size := uint64(pages) * mem.PageSize
 	m := mem.New()
@@ -65,7 +63,7 @@ func buildSeededHeap(t *testing.T, seed int64, pages int) *fixture {
 
 // shardConfigs is the table of sweep configurations the invariance tests
 // cover: every work-elimination assist on and off, plus the unconditionally
-// storing vector kernel (whose line write-backs are also replayed).
+// storing vector kernel (whose line write-backs are also charged).
 var shardConfigs = []struct {
 	name string
 	cfg  Config
@@ -80,7 +78,7 @@ var shardConfigs = []struct {
 
 // TestShardCountInvariance is the tentpole guarantee: on a fixed-seed heap,
 // every Sweep statistic — work-elimination counts, byte counts, and the full
-// replayed DRAM-traffic breakdown down to per-level hits/misses — is
+// charged DRAM-traffic breakdown down to per-level hits/misses — is
 // identical for 1, 2, 4 and 8 shards. Run under -race this also exercises
 // the concurrent shard walkers against the shared memory and shadow map.
 func TestShardCountInvariance(t *testing.T) {
@@ -127,7 +125,7 @@ func TestShardCountInvariance(t *testing.T) {
 // TestSerialShardedTrafficEquivalence compares the serial sweep's DRAM
 // traffic against an 8-way sharded sweep of the identical heap, within
 // trafficTolerance (see its comment: the tolerance is exactly zero by
-// construction of the replay).
+// construction of the traffic model).
 func TestSerialShardedTrafficEquivalence(t *testing.T) {
 	within := func(a, b uint64) bool {
 		hi, lo := a, b
@@ -232,7 +230,7 @@ func TestPartitionByTagWindow(t *testing.T) {
 		pages = append(pages, heapBase+p*mem.PageSize)
 	}
 	for _, shards := range []int{1, 2, 3, 4, 8} {
-		parts, _, _ := partitionByTagWindow(slices.Values(pages), shards)
+		parts, _, _ := partitionByTagWindow(pages, shards, nil)
 		windowShard := map[uint64]int{}
 		seen := map[uint64]bool{}
 		total := 0

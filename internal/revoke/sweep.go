@@ -2,7 +2,6 @@ package revoke
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 
@@ -31,13 +30,11 @@ type Config struct {
 	// Launder re-cleans CapDirty pages found capability-free (§3.4.2).
 	Launder bool `json:"launder,omitempty"`
 
-	// Hierarchy, when non-nil, replays the sweep's accesses through the
-	// cache model for DRAM-traffic accounting (Figure 10), for serial and
-	// sharded sweeps alike: each shard replays into a cold clone
-	// (mem.Hierarchy.CloneCold) and the per-level counters are merged
-	// back in shard order, so the traffic totals are identical for any
-	// shard count. It is runtime state, not configuration data, and is
-	// excluded from serialised campaign specs.
+	// Hierarchy, when non-nil, is charged each sweep's DRAM traffic
+	// (Figure 10) through mem.Hierarchy.ChargeSweep, from counts the sweep
+	// makes anyway, so the totals are identical for any shard count. It is
+	// runtime state, not configuration data, and is excluded from
+	// serialised campaign specs.
 	Hierarchy *mem.Hierarchy `json:"-"`
 }
 
@@ -60,19 +57,16 @@ type Stats struct {
 	BytesRead     uint64 `json:"bytes_read"`    // data bytes fetched
 	BytesWritten  uint64 `json:"bytes_written"` // bytes stored (revocation write-backs)
 
-	// Traffic is the DRAM/off-core traffic this sweep generated in the
-	// attached cache hierarchy (Figure 10). TrafficReplayed is the
-	// explicit marker that a hierarchy was attached and the replay ran —
-	// it replaced the old silent skip, where a sharded sweep with a
-	// hierarchy configured simply dropped the accounting. Sharded sweeps
-	// now replay per shard and merge, so the marker is true whenever
-	// Config.Hierarchy was set.
+	// Traffic is the DRAM/off-core traffic this sweep charged to the
+	// attached cache hierarchy (Figure 10). TrafficReplayed marks that a
+	// hierarchy was attached and charged, serial or sharded; it is true
+	// exactly when Config.Hierarchy was set.
 	TrafficReplayed bool               `json:"traffic_replayed,omitempty"`
 	Traffic         mem.HierarchyStats `json:"traffic,omitzero"`
 }
 
 // Work converts the stats into the timing model's sweep-work summary. When
-// the sweep replayed through a cache hierarchy, the modelled DRAM traffic
+// the sweep was charged to a cache hierarchy, the modelled DRAM traffic
 // rides along so Machine.SweepTime can price memory time from actual line
 // fills and write-backs instead of the analytic byte counts.
 func (s Stats) Work(shards int) sim.SweepWork {
@@ -118,23 +112,17 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Sweeper revokes dangling capabilities against a shadow map. It is not safe
-// for concurrent use: the shard clones below are reused across sweeps.
+// for concurrent use: the buffers below are reused across sweeps.
 type Sweeper struct {
 	mem    *mem.Memory
 	shadow *shadow.Map
 	cfg    Config
 
-	// shardClones are the per-shard hierarchy replicas, kept across
-	// sweeps and Reset to cold before each one: a clone of the x86
-	// geometry is several MiB of line metadata, far too much to allocate
-	// per sweep when campaigns sweep thousands of times.
-	shardClones []*mem.Hierarchy
-
-	// The same keep-across-sweeps rule applied to the flat slices a sweep
-	// walks: the page list, the shard partition, the per-shard and merged
-	// revocation lists. Campaigns sweep thousands of times over stable
-	// page-set sizes, so after the first sweep these reach steady state
-	// and the per-sweep allocation count stops scaling with heap size.
+	// The flat slices a sweep walks are kept across sweeps: the page
+	// list, the shard partition, the per-shard and merged revocation
+	// lists. Campaigns sweep thousands of times over stable page-set
+	// sizes, so after the first sweep these reach steady state and the
+	// per-sweep allocation count stops scaling with heap size.
 	pageBuf      []uint64
 	partsBuf     [][]uint64
 	shardRevoked [][]uint64
@@ -157,25 +145,6 @@ func (s *Sweeper) Config() Config { return s.cfg }
 // supplied register file. Registers are updated in place: a register holding
 // a revoked capability has its tag cleared, exactly like a memory word.
 func (s *Sweeper) Sweep(regs []cap.Capability) (Stats, error) {
-	if s.cfg.UseCapDirty {
-		s.pageBuf = s.mem.AppendCapDirtyPages(s.pageBuf[:0])
-	} else {
-		s.pageBuf = s.mem.AppendAllPages(s.pageBuf[:0])
-	}
-	stats, err := s.SweepPages(slices.Values(s.pageBuf), regs)
-	stats.PagesTotal = s.mem.PageCount()
-	stats.PagesSkipped = stats.PagesTotal - stats.PagesSwept
-	return stats, err
-}
-
-// SweepPages sweeps exactly the pages the iterator yields (sorted base
-// addresses) plus the register file. The sequence is consumed in a single
-// pass that counts pages, detects contiguous runs, and partitions whole
-// tag-line coverage windows across the shards, so callers can feed page
-// sets from any source — the simulated memory, a streamed page table —
-// without materialising them twice. Stats.PagesTotal and PagesSkipped are
-// the caller's to fill: this function only knows what it swept.
-func (s *Sweeper) SweepPages(pages iter.Seq[uint64], regs []cap.Capability) (Stats, error) {
 	var stats Stats
 
 	// Register file first: cheap and always fully scanned (§3.3 "the
@@ -192,9 +161,18 @@ func (s *Sweeper) SweepPages(pages iter.Seq[uint64], regs []cap.Capability) (Sta
 		}
 	}
 
-	parts, swept, runs := appendPartitionByTagWindow(pages, s.cfg.Shards, s.partsBuf)
+	// Both page lists are strictly ascending and duplicate-free, which
+	// PageRuns and the closed-form traffic charge rely on.
+	if s.cfg.UseCapDirty {
+		s.pageBuf = s.mem.AppendCapDirtyPages(s.pageBuf[:0])
+	} else {
+		s.pageBuf = s.mem.AppendAllPages(s.pageBuf[:0])
+	}
+	parts, runs, windows := partitionByTagWindow(s.pageBuf, s.cfg.Shards, s.partsBuf)
 	s.partsBuf = parts
-	stats.PagesSwept = swept
+	stats.PagesTotal = s.mem.PageCount()
+	stats.PagesSwept = uint64(len(s.pageBuf))
+	stats.PagesSkipped = stats.PagesTotal - stats.PagesSwept
 	stats.PageRuns = runs
 
 	revoked, err := s.sweepSharded(parts, &stats)
@@ -202,48 +180,57 @@ func (s *Sweeper) SweepPages(pages iter.Seq[uint64], regs []cap.Capability) (Sta
 		return stats, err
 	}
 
-	// Apply revocations: clear tags. The write traffic was already
-	// replayed at discovery time, inside the shard that found each
-	// capability (see sweepOnePage), so the hierarchy is not touched here.
+	// Apply revocations: clear tags. The list is sorted, so the lines
+	// holding a revocation are counted as runs of one line address.
+	var linesRevoked uint64
+	prevLine := ^uint64(0)
 	for _, addr := range revoked {
 		if err := s.mem.ClearTag(addr); err != nil {
 			return stats, fmt.Errorf("revoke: clearing tag at %#x: %w", addr, err)
 		}
+		if line := addr / mem.LineSize; line != prevLine {
+			linesRevoked++
+			prevLine = line
+		}
 	}
 	stats.CapsRevoked = uint64(len(revoked))
 	stats.BytesWritten += uint64(len(revoked)) * mem.GranuleSize
+	linesStored := linesRevoked
 	if s.cfg.Kernel == sim.KernelVector {
 		// The vectorised kernel stores every line back
 		// unconditionally (§6.2), trading branches for copy traffic.
 		stats.BytesWritten = stats.LinesSwept * mem.LineSize
+		linesStored = stats.LinesSwept
+	}
+
+	if h := s.cfg.Hierarchy; h != nil {
+		var fills uint64 // every probed window fills its tag line once
+		if s.cfg.UseCLoadTags {
+			fills = windows
+		}
+		stats.Traffic = h.ChargeSweep(stats.LinesSwept, linesStored, stats.TagProbes, fills)
+		stats.TrafficReplayed = true
 	}
 
 	if s.cfg.Launder {
-		// Walk the shard partition (fixed for a given page set), not the
-		// original order: laundering is per-page independent, so the set
-		// cleaned — and the count — is identical either way.
-		for _, part := range parts {
-			for _, base := range part {
-				cleaned, err := s.mem.LaunderCapDirty(base)
-				if err != nil {
-					return stats, err
-				}
-				if cleaned {
-					stats.PagesLaunder++
-				}
+		for _, base := range s.pageBuf {
+			cleaned, err := s.mem.LaunderCapDirty(base)
+			if err != nil {
+				return stats, err
+			}
+			if cleaned {
+				stats.PagesLaunder++
 			}
 		}
 	}
 	return stats, nil
 }
 
-// shardResult is one shard's private view of the sweep: its event counts,
-// the revocations it discovered, and the cold hierarchy clone it replayed
-// traffic into.
+// shardResult is one shard's private view of the sweep: its event counts
+// and the revocations it discovered.
 type shardResult struct {
 	stats   Stats
 	revoked []uint64
-	h       *mem.Hierarchy
 	err     error
 }
 
@@ -251,13 +238,8 @@ type shardResult struct {
 // (§3.5: "pages to sweep can be distributed between independent threads;
 // the shared shadow map is read-only during the sweep") and merges the
 // per-shard results in shard-index order. One shard runs inline; more run
-// as goroutines, each reading memory and the shadow map concurrently and
-// replaying traffic into its own cold hierarchy clone. Revocations are
-// applied serially by the caller.
-//
-// Determinism: partitionByTagWindow keeps every tag-line coverage window
-// inside one shard and the replay has no cross-line reuse, so the merged
-// stats — traffic included — are byte-identical for any shard count.
+// as goroutines, each reading memory and the shadow map concurrently.
+// Revocations are applied serially by the caller.
 func (s *Sweeper) sweepSharded(parts [][]uint64, stats *Stats) ([]uint64, error) {
 	shards := len(parts)
 	results := make([]shardResult, shards)
@@ -267,20 +249,11 @@ func (s *Sweeper) sweepSharded(parts [][]uint64, stats *Stats) ([]uint64, error)
 	for i := range results {
 		results[i].revoked = s.shardRevoked[i][:0]
 	}
-	if s.cfg.Hierarchy != nil {
-		for len(s.shardClones) < shards {
-			s.shardClones = append(s.shardClones, s.cfg.Hierarchy.CloneCold())
-		}
-		for i := range results {
-			s.shardClones[i].Reset()
-			results[i].h = s.shardClones[i]
-		}
-	}
 
 	runShard := func(i int) {
 		r := &results[i]
 		for _, base := range parts[i] {
-			if err := s.sweepOnePage(base, &r.stats, &r.revoked, r.h); err != nil {
+			if err := s.sweepPage(base, &r.stats, &r.revoked); err != nil {
 				r.err = err
 				return
 			}
@@ -311,36 +284,22 @@ func (s *Sweeper) sweepSharded(parts [][]uint64, stats *Stats) ([]uint64, error)
 		stats.Add(results[i].stats)
 		revoked = append(revoked, results[i].revoked...)
 		s.shardRevoked[i] = results[i].revoked // keep any growth for reuse
-		if s.cfg.Hierarchy != nil {
-			stats.Traffic = stats.Traffic.Merge(results[i].h.Stats())
-			s.cfg.Hierarchy.Absorb(results[i].h)
-		}
 	}
 	s.revokedBuf = revoked
-	if s.cfg.Hierarchy != nil {
-		stats.TrafficReplayed = true
-	}
 	// Canonical ascending apply order, independent of the partitioning.
 	slices.Sort(revoked)
 	return revoked, nil
 }
 
-// partitionByTagWindow consumes a sorted page sequence in one pass,
-// splitting it into shards by assigning whole tag-line coverage windows
-// (mem.TagLineCoverage bytes, 2 pages) round-robin by window index, while
-// simultaneously counting the pages and their maximal contiguous runs.
-// Keeping a window's pages in one shard is what makes CLoadTags tag-cache
-// behaviour — and therefore the replayed traffic — independent of the shard
-// count: a tag line is only ever reused within its own window, and that
-// window is walked contiguously by a single shard.
-func partitionByTagWindow(pages iter.Seq[uint64], shards int) (parts [][]uint64, count, runs uint64) {
-	return appendPartitionByTagWindow(pages, shards, nil)
-}
-
-// appendPartitionByTagWindow is partitionByTagWindow reusing dst's backing
-// arrays (truncated, grown to shards slots as needed), so a sweeper that
-// partitions every sweep stops allocating once the shapes stabilise.
-func appendPartitionByTagWindow(pages iter.Seq[uint64], shards int, dst [][]uint64) (parts [][]uint64, count, runs uint64) {
+// partitionByTagWindow splits an ascending page list into shards by
+// assigning whole tag-line coverage windows (mem.TagLineCoverage bytes, 2
+// pages) round-robin by window index, reusing dst's backing arrays
+// (truncated, grown to shards slots as needed) so a sweeper that partitions
+// every sweep stops allocating once the shapes stabilise. It also counts the
+// pages' maximal contiguous runs and the distinct windows. Keeping a
+// window's pages together, and walked contiguously by one shard, is what
+// lets a window's CLoadTags probes fill its tag line exactly once.
+func partitionByTagWindow(pages []uint64, shards int, dst [][]uint64) (parts [][]uint64, runs, windows uint64) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -355,97 +314,43 @@ func appendPartitionByTagWindow(pages iter.Seq[uint64], shards int, dst [][]uint
 		parts[i] = parts[i][:0]
 	}
 	window := ^uint64(0)
-	idx := -1
 	prev := ^uint64(0)
-	for p := range pages {
+	for i, p := range pages {
 		if w := p / mem.TagLineCoverage; w != window {
 			window = w
-			idx++
+			windows++
 		}
-		parts[idx%shards] = append(parts[idx%shards], p)
-		if count == 0 || p != prev+mem.PageSize {
+		idx := (windows - 1) % uint64(shards)
+		parts[idx] = append(parts[idx], p)
+		if i == 0 || p != prev+mem.PageSize {
 			runs++
 		}
 		prev = p
-		count++
 	}
-	return parts, count, runs
+	return parts, runs, windows
 }
 
-// sweepOnePage walks one page, accumulating into the shard-private stats and
-// revocation list. When h is non-nil every access is replayed through it:
-// CLoadTags probes through the tag cache, line reads through the data
-// hierarchy, and — for lines the sweep will store back (revoked lines, or
-// every swept line under the unconditionally-storing vector kernel) — one
-// line write-back charge at discovery time (mem.Hierarchy.WriteBack).
-func (s *Sweeper) sweepOnePage(base uint64, stats *Stats, revoked *[]uint64, h *mem.Hierarchy) error {
-	// One page-table lookup per page: the loops below read tags and
-	// granules through the view instead of paying a map lookup per line
-	// probe (PeekLineTags) and per granule (PeekWords) — up to
-	// LinesPerPage + GranulesPerPage lookups a page.
+// sweepPage walks one page, accumulating into the shard-private stats and
+// revocation list. It takes one page-table lookup per page and then reads
+// tags and granules through the view. The loop skips straight over
+// capability-free pages and lines using the page's tag metadata: a page with
+// no tagged granules has closed-form counters, and a line whose tag mask is
+// zero can't contribute capabilities, so only tagged granules are decoded.
+func (s *Sweeper) sweepPage(base uint64, stats *Stats, revoked *[]uint64) error {
 	view, err := s.mem.PageView(base)
 	if err != nil {
 		return err
 	}
-	if h == nil {
-		// Traffic off (Spec.Traffic == ""): no cache replay to feed, so
-		// take the specialised walk with no per-line hierarchy branches.
-		s.sweepPageFast(base, view, stats, revoked)
-		return nil
-	}
-	for line := uint64(0); line < mem.LinesPerPage; line++ {
-		lineAddr := base + line*mem.LineSize
-		if s.cfg.UseCLoadTags {
-			mask := view.LineTagMask(uint(line))
-			stats.TagProbes++
-			h.AccessTags(lineAddr)
-			if mask == 0 {
-				stats.LinesSkipped++
-				continue
-			}
-		}
-		stats.LinesSwept++
-		stats.BytesRead += mem.LineSize
-		h.Access(lineAddr, false)
-		lineRevoked := false
-		for g := uint64(0); g < mem.GranulesPerLine; g++ {
-			lo, hi, tag := view.Granule(uint(line*mem.GranulesPerLine + g))
-			stats.WordsRead += mem.GranuleSize / mem.WordSize
-			if !tag {
-				continue
-			}
-			stats.CapsFound++
-			stats.ShadowLookups++
-			if s.shadow.Revoked(cap.DecodeBase(lo, hi)) {
-				*revoked = append(*revoked, lineAddr+g*mem.GranuleSize)
-				lineRevoked = true
-			}
-		}
-		if lineRevoked || s.cfg.Kernel == sim.KernelVector {
-			h.WriteBack()
-		}
-	}
-	return nil
-}
-
-// sweepPageFast is the traffic-off page walk. The event counts and the
-// revocation list are byte-identical to the general walk with h == nil —
-// the byte-identity suites pin this — but the loop skips straight over
-// capability-free pages and lines using the page's tag metadata:
-// a page with no tagged granules has closed-form counters, and a line whose
-// tag mask is zero can't contribute capabilities, so only tagged granules
-// are decoded.
-func (s *Sweeper) sweepPageFast(base uint64, view mem.PageView, stats *Stats, revoked *[]uint64) {
 	if view.CapCount() == 0 {
 		if s.cfg.UseCLoadTags {
 			stats.TagProbes += mem.LinesPerPage
 			stats.LinesSkipped += mem.LinesPerPage
-			return
+			return nil
 		}
 		stats.LinesSwept += mem.LinesPerPage
 		stats.BytesRead += mem.LinesPerPage * mem.LineSize
 		stats.WordsRead += mem.WordsPerPage
-		return
+		return nil
 	}
 	for line := uint64(0); line < mem.LinesPerPage; line++ {
 		mask := view.LineTagMask(uint(line))
@@ -474,4 +379,5 @@ func (s *Sweeper) sweepPageFast(base uint64, view mem.PageView, stats *Stats, re
 			}
 		}
 	}
+	return nil
 }

@@ -2,7 +2,6 @@ package revoke
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -347,23 +346,23 @@ func TestQuickSweepExactness(t *testing.T) {
 func TestPartitionCountsRuns(t *testing.T) {
 	p := mem.PageSize
 	cases := []struct {
-		pages []uint64
-		want  uint64
+		pages         []uint64
+		runs, windows uint64
 	}{
-		{nil, 0},
-		{[]uint64{0}, 1},
-		{[]uint64{0, uint64(p)}, 1},
-		{[]uint64{0, uint64(2 * p)}, 2},
-		{[]uint64{0, uint64(p), uint64(3 * p), uint64(4 * p), uint64(10 * p)}, 3},
+		{nil, 0, 0},
+		{[]uint64{0}, 1, 1},
+		{[]uint64{0, uint64(p)}, 1, 1},
+		{[]uint64{0, uint64(2 * p)}, 2, 2},
+		{[]uint64{0, uint64(p), uint64(3 * p), uint64(4 * p), uint64(10 * p)}, 3, 4},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 3} {
-			_, count, runs := partitionByTagWindow(slices.Values(c.pages), shards)
-			if runs != c.want {
-				t.Errorf("partition(%v, %d) runs = %d, want %d", c.pages, shards, runs, c.want)
+			_, runs, windows := partitionByTagWindow(c.pages, shards, nil)
+			if runs != c.runs {
+				t.Errorf("partition(%v, %d) runs = %d, want %d", c.pages, shards, runs, c.runs)
 			}
-			if count != uint64(len(c.pages)) {
-				t.Errorf("partition(%v, %d) count = %d, want %d", c.pages, shards, count, len(c.pages))
+			if windows != c.windows {
+				t.Errorf("partition(%v, %d) windows = %d, want %d", c.pages, shards, windows, c.windows)
 			}
 		}
 	}

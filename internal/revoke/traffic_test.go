@@ -1,9 +1,14 @@
 package revoke
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cap"
 	"repro/internal/mem"
+	"repro/internal/shadow"
 	"repro/internal/sim"
 )
 
@@ -49,11 +54,9 @@ func TestHierarchyTrafficAccounting(t *testing.T) {
 	}
 }
 
-// TestParallelSweepReplaysHierarchy pins the fix for the old silent-skip
-// footgun: a sharded sweep with a hierarchy attached used to drop traffic
-// accounting entirely (the cache model was single-threaded). It now replays
-// per shard into cold clones, merges, and says so via the explicit
-// TrafficReplayed marker — and the per-sweep Stats.Traffic delta matches
+// TestParallelSweepReplaysHierarchy checks that a sharded sweep with a
+// hierarchy attached charges its traffic and says so via the explicit
+// TrafficReplayed marker, and that the per-sweep Stats.Traffic delta matches
 // what landed in the hierarchy.
 func TestParallelSweepReplaysHierarchy(t *testing.T) {
 	f := newFixture(t)
@@ -75,8 +78,8 @@ func TestParallelSweepReplaysHierarchy(t *testing.T) {
 			stats.Traffic, h.Stats())
 	}
 
-	// Without a hierarchy the marker stays clear: traffic was not skipped,
-	// it was never requested.
+	// Without a hierarchy the marker stays clear: traffic was never
+	// requested.
 	plain, err := New(f.mem, f.shadow, Config{Shards: 4}).Sweep(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,5 +113,182 @@ func TestSweepTimeMatchesKernelAcrossConfigs(t *testing.T) {
 	}
 	if !(both < dirty) {
 		t.Errorf("both %.3g not below CapDirty %.3g (sparse lines)", both, dirty)
+	}
+}
+
+// gappyHeap maps a seeded subset of 64 pages — gaps, full 8 KiB tag windows
+// and half-filled ones — and paints a quarter of a pool of 32 objects.
+// plant stores capabilities to pool objects on about half the mapped pages,
+// so about a quarter of them are revoked by the next sweep.
+type gappyHeap struct {
+	*fixture
+	mapped, pool []uint64
+	r            *rand.Rand
+}
+
+func newGappyHeap(t *testing.T, seed int64) *gappyHeap {
+	t.Helper()
+	const span = 64 * mem.PageSize
+	r := rand.New(rand.NewSource(seed))
+	m := mem.New()
+	sm, err := shadow.New(heapBase, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := cap.MustRoot(0, 1<<48).SetBoundsExact(heapBase, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gappyHeap{fixture: &fixture{mem: m, shadow: sm, heap: heap}, r: r}
+	for p := uint64(0); p < span/mem.PageSize; p++ {
+		// Pages 0–1 fill a window; 3 and 4 leave 2 and 5 half-filling two.
+		if p == 3 || p == 4 || (p > 5 && r.Intn(4) == 0) {
+			continue
+		}
+		base := heapBase + p*mem.PageSize
+		if err := m.Map(base, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		g.mapped = append(g.mapped, base)
+	}
+	for i := 0; i < 32; i++ {
+		obj := heapBase + uint64(r.Intn(int(span/64)))*64
+		g.pool = append(g.pool, obj)
+		if i%4 == 0 {
+			if err := sm.Paint(obj, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.plant(t)
+	return g
+}
+
+func (g *gappyHeap) plant(t *testing.T) {
+	t.Helper()
+	for _, base := range g.mapped {
+		if g.r.Intn(2) == 0 {
+			continue
+		}
+		for n := 1 + g.r.Intn(24); n > 0; n-- {
+			at := base + uint64(g.r.Intn(mem.GranulesPerPage))*mem.GranuleSize
+			g.fixture.plant(t, at, g.pool[g.r.Intn(len(g.pool))])
+		}
+	}
+}
+
+// replayTraffic walks the sweep that cfg is about to make of f through the
+// line-by-line LRU model: one cold hierarchy per shard of the tag-window
+// partition, a CLoadTags probe per line, a read per line not skipped, and a
+// write-back per line the sweep stores. It returns the per-level counters
+// and traffic summed over the shards. Call it before the sweep: the sweep
+// clears the tags it revokes.
+func replayTraffic(t *testing.T, f *fixture, cfg Config, mk func() *mem.Hierarchy) ([]mem.LevelStats, mem.HierarchyStats) {
+	t.Helper()
+	var pages []uint64
+	if cfg.UseCapDirty {
+		pages = f.mem.CapDirtyPages()
+	} else {
+		pages = f.mem.AllPages()
+	}
+	parts, _, _ := partitionByTagWindow(pages, cfg.Shards, nil)
+	var levels []mem.LevelStats
+	var traffic mem.HierarchyStats
+	for _, part := range parts {
+		h := mk()
+		for _, base := range part {
+			for line := base; line < base+mem.PageSize; line += mem.LineSize {
+				mask, err := f.mem.PeekLineTags(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.UseCLoadTags {
+					h.AccessTags(line)
+					if mask == 0 {
+						continue
+					}
+				}
+				h.Access(line, false)
+				store := cfg.Kernel == sim.KernelVector
+				for g := uint64(0); g < mem.GranulesPerLine; g++ {
+					lo, hi, tag, err := f.mem.PeekWords(line + g*mem.GranuleSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					store = store || tag && f.shadow.Revoked(cap.DecodeBase(lo, hi))
+				}
+				if store {
+					h.WriteBack()
+				}
+			}
+		}
+		levels = mergeLevels(levels, h.Levels())
+		traffic = traffic.Merge(h.Stats())
+	}
+	return levels, traffic
+}
+
+func mergeLevels(sum, add []mem.LevelStats) []mem.LevelStats {
+	if sum == nil {
+		return add
+	}
+	for i := range sum {
+		sum[i].CacheStats = sum[i].CacheStats.Merge(add[i].CacheStats)
+	}
+	return sum
+}
+
+// TestClosedFormTrafficMatchesReplay pins the closed-form traffic charge
+// (mem.Hierarchy.ChargeSweep) to the line-by-line LRU model it replaced:
+// for every geometry, assist, kernel and shard count, three sweeps of a
+// gappy heap into one hierarchy leave the same per-level counters and
+// traffic totals as replaying them, and each sweep's Stats.Traffic equals
+// its replayed delta.
+func TestClosedFormTrafficMatchesReplay(t *testing.T) {
+	geometries := []struct {
+		name string
+		mk   func() *mem.Hierarchy
+	}{{"x86", mem.NewX86Hierarchy}, {"cheri", mem.NewCHERIHierarchy}}
+	for _, geo := range geometries {
+		for _, kernel := range []sim.Kernel{sim.KernelSimple, sim.KernelVector} {
+			for assists := 0; assists < 4; assists++ {
+				for _, shards := range []int{1, 2, 3, 4, 7} {
+					cfg := Config{
+						Kernel:       kernel,
+						UseCapDirty:  assists&1 != 0,
+						UseCLoadTags: assists&2 != 0,
+						Shards:       shards,
+						Hierarchy:    geo.mk(),
+					}
+					name := fmt.Sprintf("%s/kernel=%d/capdirty=%v/cloadtags=%v/shards=%d",
+						geo.name, kernel, cfg.UseCapDirty, cfg.UseCLoadTags, shards)
+					g := newGappyHeap(t, int64(shards))
+					s := New(g.mem, g.shadow, cfg)
+					var wantLevels []mem.LevelStats
+					var want mem.HierarchyStats
+					for sweep := 0; sweep < 3; sweep++ {
+						levels, traffic := replayTraffic(t, g.fixture, cfg, geo.mk)
+						wantLevels, want = mergeLevels(wantLevels, levels), want.Merge(traffic)
+						stats, err := s.Sweep(nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if stats.CapsRevoked == 0 {
+							t.Fatalf("%s sweep %d: nothing revoked; the store term is unchecked", name, sweep)
+						}
+						if stats.Traffic != traffic {
+							t.Errorf("%s sweep %d: Stats.Traffic %+v, replay %+v", name, sweep, stats.Traffic, traffic)
+						}
+						if got := cfg.Hierarchy.Stats(); got != want {
+							t.Errorf("%s sweep %d: hierarchy %+v, replay %+v", name, sweep, got, want)
+						}
+						if got := cfg.Hierarchy.Levels(); !slices.Equal(got, wantLevels) {
+							t.Errorf("%s sweep %d: levels %+v, replay %+v", name, sweep, got, wantLevels)
+						}
+						g.plant(t)
+					}
+				}
+			}
+		}
 	}
 }

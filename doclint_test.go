@@ -16,6 +16,7 @@ import (
 // this list as their doc.go audit lands; the docs-lint CI job runs this
 // test alongside the link check.
 var auditedPackages = []string{
+	"internal/addrmap",
 	"internal/campaign",
 	"internal/engine",
 	"internal/engine/storetest",

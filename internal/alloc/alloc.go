@@ -1,13 +1,15 @@
 // Package alloc implements the heap-allocator substrate: a dlmalloc-style
 // best-fit allocator with binned free lists, splitting and constant-time
-// boundary coalescing, operating on the simulated tagged memory. The
-// CheriVoke wrapper in this package extends it with CHERIvoke's quarantine
-// and shadow-map maintenance (the paper's dlmalloc_cherivoke, §5.2).
+// boundary coalescing, operating on the simulated tagged memory. Release
+// and FreeRange are the hooks CHERIvoke needs: core.System quarantines
+// released chunks, paints them into the shadow map and recycles them after a
+// sweep (the paper's dlmalloc_cherivoke, §5.2).
 //
 // Like real dlmalloc, the allocator hands out 16-byte-granule-aligned
 // chunks and keeps a bitmap of its non-empty bins, so a request that no free
 // chunk fits costs one bit scan instead of a walk over every larger bin.
-// Unlike it, bookkeeping lives beside (not inside) the simulated heap. The
+// Unlike it, bookkeeping lives beside (not inside) the simulated heap, in
+// addrmap tables keyed by address that stand in for boundary tags. The
 // allocator is part of CHERIvoke's trusted computing base (§3.6), so its
 // metadata being out-of-band does not change the security argument, and it
 // keeps the simulated heap image purely application data, which the
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/addrmap"
 	"repro/internal/mem"
 )
 
@@ -96,11 +99,11 @@ type Allocator struct {
 	base     uint64            // heap base address
 	top      uint64            // first never-allocated address (sbrk pointer)
 	limit    uint64            // end of mapped region
-	bins     [nBins][]binEntry // lazy LIFO stacks; validity = maps below
+	bins     [nBins][]binEntry // lazy LIFO stacks; validity = tables below
 	binmap   uint64            // bit b set iff bins[b] is non-empty
-	byAddr   map[uint64]uint64 // free chunk start -> size (source of truth)
-	byEnd    map[uint64]uint64 // free chunk exclusive end -> start
-	live     map[uint64]uint64 // allocation addr -> size
+	byAddr   addrmap.Map       // free chunk start -> size (source of truth)
+	byEnd    addrmap.Map       // free chunk exclusive end -> start
+	live     addrmap.Map       // allocation addr -> size
 	liveSize uint64
 	stats    Stats
 }
@@ -116,16 +119,7 @@ func NewWithOptions(m *mem.Memory, base uint64, opt Options) (*Allocator, error)
 	if base%mem.PageSize != 0 {
 		return nil, fmt.Errorf("alloc: heap base %#x not page-aligned", base)
 	}
-	return &Allocator{
-		mem:    m,
-		opt:    opt,
-		base:   base,
-		top:    base,
-		limit:  base,
-		byAddr: make(map[uint64]uint64),
-		byEnd:  make(map[uint64]uint64),
-		live:   make(map[uint64]uint64),
-	}, nil
+	return &Allocator{mem: m, opt: opt, base: base, top: base, limit: base}, nil
 }
 
 // Base returns the heap base address.
@@ -143,7 +137,7 @@ func (a *Allocator) MappedBytes() uint64 { return a.limit - a.base }
 func (a *Allocator) LiveBytes() uint64 { return a.liveSize }
 
 // LiveCount returns the number of live allocations.
-func (a *Allocator) LiveCount() int { return len(a.live) }
+func (a *Allocator) LiveCount() int { return a.live.Len() }
 
 // Stats returns a snapshot of the activity counters.
 func (a *Allocator) Stats() Stats { return a.stats }
@@ -172,35 +166,23 @@ func roundUp(size uint64) uint64 {
 // pushes the result on its bin.
 func (a *Allocator) insertFree(addr, size uint64) {
 	if !a.opt.TypedReuse {
-		if left, ok := a.byEnd[addr]; ok {
-			lsize := a.byAddr[left]
-			delete(a.byAddr, left)
-			delete(a.byEnd, addr)
+		if left, ok := a.byEnd.Delete(addr); ok {
+			lsize, _ := a.byAddr.Delete(left)
 			addr = left
 			size += lsize
 			a.stats.Coalesces++
 		}
-		if rsize, ok := a.byAddr[addr+size]; ok {
-			delete(a.byEnd, addr+size+rsize)
-			delete(a.byAddr, addr+size)
+		if rsize, ok := a.byAddr.Delete(addr + size); ok {
+			a.byEnd.Delete(addr + size + rsize)
 			size += rsize
 			a.stats.Coalesces++
 		}
 	}
-	a.byAddr[addr] = size
-	a.byEnd[addr+size] = addr
+	a.byAddr.Put(addr, size)
+	a.byEnd.Put(addr+size, addr)
 	b := binFor(size)
 	a.bins[b] = append(a.bins[b], binEntry{addr, size})
 	a.binmap |= 1 << b
-}
-
-// takeFree removes the free chunk starting at addr from the maps (its lazy
-// bin entry is skipped later).
-func (a *Allocator) takeFree(addr uint64) uint64 {
-	size := a.byAddr[addr]
-	delete(a.byAddr, addr)
-	delete(a.byEnd, addr+size)
-	return size
 }
 
 // popFit pops a valid free chunk of at least size bytes whose aligned start
@@ -221,7 +203,7 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 		for len(bin) > 0 {
 			e := bin[len(bin)-1]
 			bin = bin[:len(bin)-1]
-			cur, ok := a.byAddr[e.addr]
+			cur, ok := a.byAddr.Get(e.addr)
 			if !ok || cur != e.size {
 				// Stale entry left behind by coalescing.
 				a.stats.BinRescans++
@@ -236,7 +218,8 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 			}
 			if fits {
 				a.setBin(b, append(bin, skipped...))
-				a.takeFree(e.addr)
+				a.byAddr.Delete(e.addr)
+				a.byEnd.Delete(e.addr + e.size)
 				return e, true
 			}
 			// Valid but the aligned request does not fit; keep it.
@@ -297,7 +280,7 @@ func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, 
 			return 0, 0, err
 		}
 	}
-	a.live[addr] = size
+	a.live.Put(addr, size)
 	a.liveSize += size
 	a.stats.Mallocs++
 	a.stats.BytesAlloc += req
@@ -336,8 +319,7 @@ func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 
 // SizeOf returns the provisioned size of the live allocation at addr.
 func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := a.live[addr]
-	return s, ok
+	return a.live.Get(addr)
 }
 
 // Free immediately recycles the allocation at addr (the insecure, classic
@@ -365,11 +347,10 @@ func (a *Allocator) Release(addr uint64) (uint64, error) {
 }
 
 func (a *Allocator) detach(addr uint64) (uint64, error) {
-	size, ok := a.live[addr]
+	size, ok := a.live.Delete(addr)
 	if !ok {
 		return 0, fmt.Errorf("alloc: free(%#x): %w", addr, ErrBadFree)
 	}
-	delete(a.live, addr)
 	a.liveSize -= size
 	return size, nil
 }
@@ -385,7 +366,7 @@ func (a *Allocator) FreeRange(addr, size uint64) {
 
 // ForEachLive calls f for every live allocation in unspecified order.
 func (a *Allocator) ForEachLive(f func(addr, size uint64)) {
-	for addr, size := range a.live {
+	for addr, size := range a.live.All() {
 		f(addr, size)
 	}
 }
@@ -393,7 +374,7 @@ func (a *Allocator) ForEachLive(f func(addr, size uint64)) {
 // FreeBytes returns the bytes currently on the free lists.
 func (a *Allocator) FreeBytes() uint64 {
 	var sum uint64
-	for _, s := range a.byAddr {
+	for _, s := range a.byAddr.All() {
 		sum += s
 	}
 	return sum
@@ -409,19 +390,19 @@ func (a *Allocator) CheckInvariants() error {
 			return fmt.Errorf("alloc: binmap bit %d is %v but bin holds %d entries", b, set, len(a.bins[b]))
 		}
 	}
-	for addr, size := range a.byAddr {
-		if back, ok := a.byEnd[addr+size]; !ok || back != addr {
+	for addr, size := range a.byAddr.All() {
+		if back, ok := a.byEnd.Get(addr + size); !ok || back != addr {
 			return fmt.Errorf("alloc: byEnd missing/disagrees for chunk %#x+%#x", addr, size)
 		}
-		if _, isLive := a.live[addr]; isLive {
+		if _, isLive := a.live.Get(addr); isLive {
 			return fmt.Errorf("alloc: %#x both live and free", addr)
 		}
 	}
-	if len(a.byAddr) != len(a.byEnd) {
-		return fmt.Errorf("alloc: byAddr/byEnd size mismatch %d/%d", len(a.byAddr), len(a.byEnd))
+	if a.byAddr.Len() != a.byEnd.Len() {
+		return fmt.Errorf("alloc: byAddr/byEnd size mismatch %d/%d", a.byAddr.Len(), a.byEnd.Len())
 	}
 	var sum uint64
-	for _, s := range a.live {
+	for _, s := range a.live.All() {
 		sum += s
 	}
 	if sum != a.liveSize {

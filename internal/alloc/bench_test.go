@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,14 +11,17 @@ import (
 )
 
 // BenchmarkMallocFree measures one free and one malloc of steady-state
-// churn: a live set of 4096 allocations, each iteration freeing a random one
-// and allocating its replacement. The direct case frees straight to the
-// bins; the quarantine case releases instead and recycles the released
-// chunks with FreeRange once they reach a quarter of the live bytes, as
-// CHERIvoke's sweeps do.
+// churn: a live set of allocations, each iteration freeing a random one and
+// allocating its replacement. The direct case frees straight to the bins;
+// the quarantine case releases instead and recycles the released chunks with
+// FreeRange once they reach a quarter of the live bytes, as CHERIvoke's
+// sweeps do. A live set of 4096 keeps the allocator's tables in cache; one
+// of 131072 does not.
 func BenchmarkMallocFree(b *testing.B) {
-	b.Run("direct", func(b *testing.B) { benchChurn(b, false) })
-	b.Run("quarantine", func(b *testing.B) { benchChurn(b, true) })
+	for _, liveSet := range []int{4096, 1 << 17} {
+		b.Run(fmt.Sprintf("live=%d/direct", liveSet), func(b *testing.B) { benchChurn(b, liveSet, false) })
+		b.Run(fmt.Sprintf("live=%d/quarantine", liveSet), func(b *testing.B) { benchChurn(b, liveSet, true) })
+	}
 }
 
 // BenchmarkMallocGrow measures one malloc of a heap growing from empty, the
@@ -70,8 +74,7 @@ func benchRequests(liveSet int) []benchRequest {
 	return reqs
 }
 
-func benchChurn(b *testing.B, quarantine bool) {
-	const liveSet = 4096
+func benchChurn(b *testing.B, liveSet int, quarantine bool) {
 	reqs := benchRequests(liveSet)
 	a, err := New(mem.New(), heapBase)
 	if err != nil {
@@ -79,7 +82,7 @@ func benchChurn(b *testing.B, quarantine bool) {
 	}
 	live := make([]uint64, liveSet)
 	for i := range live {
-		q := reqs[i]
+		q := reqs[i%len(reqs)]
 		if live[i], _, err = a.MallocAligned(q.size, q.mask); err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,7 @@
 package mem
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cap"
 )
@@ -406,8 +406,7 @@ func (m *Memory) AppendCapDirtyPages(dst []uint64) []uint64 {
 			dst = append(dst, vpn*PageSize)
 		}
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -427,8 +426,7 @@ func (m *Memory) AppendAllPages(dst []uint64) []uint64 {
 	for vpn := range m.pages {
 		dst = append(dst, vpn*PageSize)
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(dst[start:])
 	return dst
 }
 

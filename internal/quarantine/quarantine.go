@@ -9,8 +9,11 @@
 package quarantine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"repro/internal/addrmap"
 )
 
 // Chunk is a quarantined address range [Addr, Addr+Size).
@@ -24,75 +27,71 @@ func (c Chunk) End() uint64 { return c.Addr + c.Size }
 
 // Stats counts quarantine activity.
 type Stats struct {
-	Inserts    uint64 // calls to Insert (program frees)
+	Inserts    uint64 // accepted calls to Insert (program frees)
 	Coalesces  uint64 // inserts merged into an existing chunk
 	Drains     uint64 // buffer drains (sweeps)
 	DrainedOut uint64 // chunks handed back across all drains
 }
 
 // Buffer is a quarantine buffer. It maintains chunks keyed by their start
-// and end addresses so insertion coalesces with both neighbours in O(1) map
-// work, mirroring dlmalloc's constant-time aggregation (§5.2).
+// and end addresses so insertion coalesces with both neighbours in O(1)
+// table work, mirroring dlmalloc's constant-time aggregation (§5.2).
 type Buffer struct {
-	byStart map[uint64]*Chunk // chunk start -> chunk
-	byEnd   map[uint64]*Chunk // chunk exclusive end -> chunk
+	byStart addrmap.Map // chunk start -> size
+	byEnd   addrmap.Map // chunk exclusive end -> start
 	bytes   uint64
 	stats   Stats
 }
 
 // New returns an empty quarantine buffer.
-func New() *Buffer {
-	return &Buffer{
-		byStart: make(map[uint64]*Chunk),
-		byEnd:   make(map[uint64]*Chunk),
-	}
-}
+func New() *Buffer { return &Buffer{} }
 
 // Bytes returns the total quarantined bytes.
 func (b *Buffer) Bytes() uint64 { return b.bytes }
 
 // Len returns the number of (coalesced) chunks currently detained.
-func (b *Buffer) Len() int { return len(b.byStart) }
+func (b *Buffer) Len() int { return b.byStart.Len() }
 
 // Stats returns a snapshot of the activity counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 
 // Insert detains [addr, addr+size), coalescing with adjacent quarantined
-// chunks. Inserting a range that overlaps an existing chunk is a
-// double-free-style allocator bug and returns an error.
+// chunks. It returns an error, and leaves the buffer unchanged, for an empty
+// or wrapping range and for one that starts where a quarantined chunk starts
+// or ends where one ends. Those are the only overlaps it detects: a range
+// strictly inside a chunk, such as Insert(0x1010, 0x10) into [0x1000,
+// +0x40), is accepted and its bytes are counted twice. core relies on
+// alloc.Release's ErrBadFree to stop double frees before they reach the
+// buffer.
 func (b *Buffer) Insert(addr, size uint64) error {
 	if size == 0 {
 		return fmt.Errorf("quarantine: zero-size insert at %#x", addr)
 	}
-	if addr+size < addr {
+	start, end := addr, addr+size
+	if end < start {
 		return fmt.Errorf("quarantine: range [%#x, +%#x) wraps", addr, size)
 	}
+	if _, clash := b.byStart.Get(start); clash {
+		return fmt.Errorf("quarantine: overlapping insert at %#x", start)
+	}
+	if _, clash := b.byEnd.Get(end); clash {
+		return fmt.Errorf("quarantine: overlapping insert ending at %#x", end)
+	}
 	b.stats.Inserts++
-	nc := &Chunk{Addr: addr, Size: size}
-
 	// Merge with a chunk ending exactly at our start.
-	if left, ok := b.byEnd[addr]; ok {
-		delete(b.byEnd, addr)
-		delete(b.byStart, left.Addr)
-		nc.Addr = left.Addr
-		nc.Size += left.Size
+	if left, ok := b.byEnd.Delete(start); ok {
+		b.byStart.Delete(left)
+		start = left
 		b.stats.Coalesces++
 	}
 	// Merge with a chunk starting exactly at our end.
-	if right, ok := b.byStart[addr+size]; ok {
-		delete(b.byStart, addr+size)
-		delete(b.byEnd, right.End())
-		nc.Size += right.Size
+	if rsize, ok := b.byStart.Delete(end); ok {
+		b.byEnd.Delete(end + rsize)
+		end += rsize
 		b.stats.Coalesces++
 	}
-	if _, clash := b.byStart[nc.Addr]; clash {
-		return fmt.Errorf("quarantine: overlapping insert at %#x", addr)
-	}
-	if _, clash := b.byEnd[nc.End()]; clash {
-		return fmt.Errorf("quarantine: overlapping insert ending at %#x", nc.End())
-	}
-	b.byStart[nc.Addr] = nc
-	b.byEnd[nc.End()] = nc
+	b.byStart.Put(start, end-start)
+	b.byEnd.Put(end, start)
 	b.bytes += size
 	return nil
 }
@@ -100,8 +99,8 @@ func (b *Buffer) Insert(addr, size uint64) error {
 // Contains reports whether addr lies within any quarantined chunk. It is
 // O(n) over chunks and intended for assertions and tests, not hot paths.
 func (b *Buffer) Contains(addr uint64) bool {
-	for _, c := range b.byStart {
-		if addr >= c.Addr && addr < c.End() {
+	for start, size := range b.byStart.All() {
+		if addr >= start && addr-start < size {
 			return true
 		}
 	}
@@ -112,11 +111,11 @@ func (b *Buffer) Contains(addr uint64) bool {
 // draining. The order is deterministic so that painting, recycling and every
 // downstream measurement are reproducible run-to-run.
 func (b *Buffer) Chunks() []Chunk {
-	out := make([]Chunk, 0, len(b.byStart))
-	for _, c := range b.byStart {
-		out = append(out, *c)
+	out := make([]Chunk, 0, b.byStart.Len())
+	for start, size := range b.byStart.All() {
+		out = append(out, Chunk{Addr: start, Size: size})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(x, y Chunk) int { return cmp.Compare(x.Addr, y.Addr) })
 	return out
 }
 
@@ -124,8 +123,8 @@ func (b *Buffer) Chunks() []Chunk {
 // paint and, afterwards, for the allocator to recycle.
 func (b *Buffer) Drain() []Chunk {
 	out := b.Chunks()
-	b.byStart = make(map[uint64]*Chunk)
-	b.byEnd = make(map[uint64]*Chunk)
+	b.byStart.Clear()
+	b.byEnd.Clear()
 	b.bytes = 0
 	b.stats.Drains++
 	b.stats.DrainedOut += uint64(len(out))

@@ -2,6 +2,7 @@ package quarantine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -40,16 +41,19 @@ func TestInsertCoalescesRight(t *testing.T) {
 }
 
 func TestInsertCoalescesBothSides(t *testing.T) {
-	b := New()
-	must(t, b.Insert(0x1000, 64))
-	must(t, b.Insert(0x1080, 64))
-	must(t, b.Insert(0x1040, 64)) // bridges the gap
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", b.Len())
-	}
-	c := b.Chunks()[0]
-	if c.Addr != 0x1000 || c.Size != 192 {
-		t.Errorf("chunk = %+v", c)
+	// The last base puts the merged chunk's end at 2^64-1.
+	for _, base := range []uint64{0x1000, 0, ^uint64(0) - 192} {
+		b := New()
+		must(t, b.Insert(base, 64))
+		must(t, b.Insert(base+128, 64))
+		must(t, b.Insert(base+64, 64)) // bridges the gap
+		if b.Len() != 1 {
+			t.Fatalf("base %#x: Len = %d, want 1", base, b.Len())
+		}
+		c := b.Chunks()[0]
+		if c.Addr != base || c.Size != 192 {
+			t.Errorf("base %#x: chunk = %+v", base, c)
+		}
 	}
 }
 
@@ -61,6 +65,27 @@ func TestInsertRejectsOverlap(t *testing.T) {
 	}
 	if err := b.Insert(0x1000, 32); err == nil {
 		t.Error("overlapping insert accepted")
+	}
+
+	// A rejected insert that would also have merged with its left
+	// neighbour must leave the buffer as it was.
+	b = New()
+	must(t, b.Insert(0x1000, 0x40))
+	must(t, b.Insert(0x1060, 0x20))
+	want := b.Chunks()
+	if err := b.Insert(0x1040, 0x40); err == nil {
+		t.Fatal("insert ending on a chunk's end accepted")
+	}
+	got := b.Chunks()
+	if !slices.Equal(got, want) {
+		t.Errorf("Chunks after rejected insert = %+v, want %+v", got, want)
+	}
+	var sum uint64
+	for _, c := range got {
+		sum += c.Size
+	}
+	if b.Bytes() != sum {
+		t.Errorf("Bytes = %d, chunks sum to %d", b.Bytes(), sum)
 	}
 }
 

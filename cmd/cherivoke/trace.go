@@ -39,17 +39,17 @@ func traceCmd(args []string) error {
 }
 
 // traceRecordCmd records one benchmark's workload run as a trace stream.
-// The binary and NDJSON formats are streamed as the generator runs —
-// nothing is materialised, so `trace record | campaign -trace -` pipes a
+// Both formats are streamed as the generator runs — nothing is
+// materialised, so `trace record | campaign -trace -` pipes a
 // run of any length through constant memory.
 func traceRecordCmd(args []string) error {
 	fs := flag.NewFlagSet("trace record", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "reduced-scale run")
 	seed := fs.Uint64("seed", 0, "workload generator seed (0 = default)")
-	format := fs.String("format", workload.FormatBinary, "output encoding: binary, ndjson, or json (legacy, materialised)")
+	format := fs.String("format", workload.FormatBinary, "output encoding: binary or ndjson")
 	out := fs.String("o", "-", "output file ('-' = stdout)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cherivoke trace record [-quick] [-seed N] [-format binary|ndjson|json] [-o out] <benchmark>")
+		fmt.Fprintln(os.Stderr, "usage: cherivoke trace record [-quick] [-seed N] [-format binary|ndjson] [-o out] <benchmark>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,6 +58,9 @@ func traceRecordCmd(args []string) error {
 	if fs.NArg() != 1 {
 		fs.Usage()
 		os.Exit(2)
+	}
+	if *format != workload.FormatBinary && *format != workload.FormatNDJSON {
+		return fmt.Errorf("unknown trace format %q (want binary or ndjson)", *format)
 	}
 	benchmark := fs.Arg(0)
 	p, ok := workload.ByName(benchmark)
@@ -101,47 +104,27 @@ func traceRecordCmd(args []string) error {
 	}
 
 	hdr := workload.TraceHeader{Name: benchmark, Seed: effSeed}
-	var events int
-	var res workload.Result
-	switch *format {
-	case workload.FormatBinary, workload.FormatNDJSON:
-		var tw workload.TraceWriter
-		var twErr error
-		if *format == workload.FormatBinary {
-			tw, twErr = workload.NewBinaryTraceWriter(w, hdr)
-		} else {
-			tw, twErr = workload.NewNDJSONTraceWriter(w, hdr)
-		}
-		if twErr != nil {
-			return twErr
-		}
-		counter := &countingWriter{w: tw}
-		wopts.Stream = counter
-		res, err = workload.Run(sys, p, wopts)
-		if err != nil {
-			return err
-		}
-		if err := tw.Close(); err != nil {
-			return err
-		}
-		events = counter.n
-	case workload.FormatJSON:
-		var tr workload.Trace
-		wopts.Record = &tr
-		res, err = workload.Run(sys, p, wopts)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteJSON(w); err != nil {
-			return err
-		}
-		events = len(tr.Events)
-	default:
-		return fmt.Errorf("unknown trace format %q (want binary, ndjson, or json)", *format)
+	var tw workload.TraceWriter
+	if *format == workload.FormatBinary {
+		tw, err = workload.NewBinaryTraceWriter(w, hdr)
+	} else {
+		tw, err = workload.NewNDJSONTraceWriter(w, hdr)
+	}
+	if err != nil {
+		return err
+	}
+	counter := &countingWriter{w: tw}
+	wopts.Stream = counter
+	res, err := workload.Run(sys, p, wopts)
+	if err != nil {
+		return err
+	}
+	if err := tw.Close(); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(os.Stderr, "recorded %s: %d events (%d mallocs, %d frees, %d sweeps) -> %s [%s]\n",
-		benchmark, events, res.Mallocs, res.Frees, res.Sys.Stats().Sweeps, *out, *format)
+		benchmark, counter.n, res.Mallocs, res.Frees, res.Sys.Stats().Sweeps, *out, *format)
 	return nil
 }
 

@@ -203,10 +203,26 @@ type Job struct {
 	TraceRef string `json:"trace_ref,omitempty"`
 }
 
+// MaxJobs caps the job count one spec may expand to. No experiment
+// campaign expands to more than 17 jobs (one per profile), so the cap
+// leaves room for wide parameter sweeps, while a small hostile spec (a
+// dozen entries on each axis, under 600 bytes, is 248,832 jobs) is refused
+// before its job list is allocated.
+const MaxJobs = 10000
+
 // Jobs expands the spec into its deterministic job list. Axis order is
-// fixed: profile outermost, then variant, fraction, max-live, seed.
+// fixed: profile outermost, then variant, fraction, max-live, seed. A spec
+// whose axes multiply past MaxJobs is rejected before anything is
+// allocated.
 func (s Spec) Jobs() ([]Job, error) {
 	s = s.withDefaults()
+	n := 1
+	for _, axis := range []int{len(s.Profiles), len(s.Variants), len(s.Fractions), len(s.MaxLive), len(s.Seeds)} {
+		if axis > 0 && n > MaxJobs/axis { // n*axis > MaxJobs, without overflowing
+			return nil, fmt.Errorf("campaign: spec expands to more than %d jobs", MaxJobs)
+		}
+		n *= axis
+	}
 	for _, name := range s.Profiles {
 		if s.TraceRef != "" && name == TraceProfile {
 			continue // sentinel: timing metadata comes from the trace header
@@ -242,7 +258,7 @@ func (s Spec) Jobs() ([]Job, error) {
 	default:
 		return nil, fmt.Errorf("campaign: unknown traffic model %q (want %q or %q)", s.Traffic, TrafficX86, TrafficCHERI)
 	}
-	var jobs []Job
+	jobs := make([]Job, 0, n)
 	for _, p := range s.Profiles {
 		for _, v := range s.Variants {
 			for _, f := range s.Fractions {

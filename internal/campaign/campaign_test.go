@@ -82,6 +82,37 @@ func TestJobsValidation(t *testing.T) {
 	}
 }
 
+// TestJobsCapsExpansion: a spec whose axes multiply past MaxJobs is refused
+// before its job list is allocated, including a product that overflows int
+// (8192 entries on each of five axes is 2^65, which wraps to 0).
+func TestJobsCapsExpansion(t *testing.T) {
+	seeds := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i + 1)
+		}
+		return out
+	}
+	if jobs, err := (Spec{Profiles: []string{"povray"}, Seeds: seeds(MaxJobs)}).Jobs(); err != nil || len(jobs) != MaxJobs {
+		t.Fatalf("a spec of exactly MaxJobs: %d jobs, %v", len(jobs), err)
+	}
+	// Fatal, not Error: without the cap the overflow case below never
+	// returns.
+	if _, err := (Spec{Profiles: []string{"povray", "hmmer"}, Seeds: seeds(MaxJobs/2 + 1)}).Jobs(); err == nil {
+		t.Fatalf("a spec of %d jobs was expanded past MaxJobs", MaxJobs+2)
+	}
+	const wrap = 1 << 13
+	huge := Spec{Variants: make([]Variant, wrap), Seeds: seeds(wrap)}
+	for i := 0; i < wrap; i++ {
+		huge.Profiles = append(huge.Profiles, "povray")
+		huge.Fractions = append(huge.Fractions, 0.25)
+		huge.MaxLive = append(huge.MaxLive, 1<<20)
+	}
+	if _, err := huge.Jobs(); err == nil {
+		t.Fatal("a spec whose job count overflows int was expanded")
+	}
+}
+
 // TestWorkerCountInvariance is the subsystem's core guarantee: the
 // aggregated artifacts are byte-identical whether the campaign runs
 // serially or on eight workers.

@@ -32,26 +32,6 @@ func TestSQLiteStoreConformance(t *testing.T) {
 	})
 }
 
-// The read-cache decorator must be invisible to the contract: a cached
-// store passes the same conformance suite as its backend, decorated over
-// both the racy in-memory backend and the group-committing file backend.
-func TestCachedMemStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) engine.Store {
-		return engine.NewCachedStore(engine.NewMemStore(), 1<<20)
-	})
-}
-
-func TestCachedSQLiteStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) engine.Store {
-		s, err := engine.OpenSQLiteStore(filepath.Join(t.TempDir(), "store.db"), t.Logf)
-		if err != nil {
-			t.Fatalf("OpenSQLiteStore: %v", err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return engine.NewCachedStore(s, 1<<20)
-	})
-}
-
 // openSQLitePair opens two independent handles onto one store file — the
 // two-coordinator topology in miniature.
 func openSQLitePair(t *testing.T) (a, b engine.Store) {
@@ -156,14 +136,4 @@ func TestOpenStateDir(t *testing.T) {
 			t.Errorf("OpenStateDir on the old %s/ layout: error %q does not say why", sub, err)
 		}
 	}
-}
-
-// Two *cached* handles on one file: each handle's private read cache must
-// never serve a view the shared file has superseded — the coherence rests
-// on never caching mutable records, which this suite proves cross-handle.
-func TestCachedSQLiteStoreShared(t *testing.T) {
-	storetest.RunShared(t, func(t *testing.T) (a, b engine.Store) {
-		sa, sb := openSQLitePair(t)
-		return engine.NewCachedStore(sa, 1<<20), engine.NewCachedStore(sb, 1<<20)
-	})
 }

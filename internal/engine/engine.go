@@ -95,15 +95,6 @@ type Options struct {
 	// blocked.
 	LeaseTTL time.Duration
 
-	// ReadCacheBytes bounds the engine's in-memory read cache over the
-	// store's immutable records — job results and finished campaign
-	// Result artifacts — in bytes (see CachedStore). 0 selects a 64 MiB
-	// default when Shared is set (shared backends pay at least a syscall
-	// round-trip per read; local stores are already memory-speed) and no
-	// cache otherwise; negative disables caching explicitly. Campaign
-	// records are never cached — sibling engines mutate them.
-	ReadCacheBytes int64
-
 	// Metrics, when set, instruments the engine and everything it runs:
 	// submission/cache counters, store-operation latencies, and the
 	// campaign pool's own telemetry (the registry is threaded into every
@@ -153,20 +144,10 @@ type Event struct {
 // either way; its jobs' results are not — they were stored as each job
 // finished and will serve a resubmission without a single re-execution.
 func New(store Store, opts Options) (*Engine, error) {
-	if si, ok := store.(storeInstrumenter); ok && opts.Metrics != nil {
-		si.instrument(opts.Metrics)
+	if s, ok := store.(*SQLiteStore); ok {
+		s.instrument(opts.Metrics)
 	}
 	store = instrumentStore(store, opts.Metrics)
-	// The read cache sits outermost — above the latency instruments — so
-	// a cache hit is a cache hit, not a suspiciously fast store op.
-	if n := opts.ReadCacheBytes; n > 0 || (n == 0 && opts.Shared) {
-		if n <= 0 {
-			n = defaultReadCacheBytes
-		}
-		cached := NewCachedStore(store, n)
-		cached.instrument(opts.Metrics)
-		store = cached
-	}
 	recs, err := store.Campaigns()
 	if err != nil {
 		return nil, err

@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // openTestSQLite opens a fresh SQLiteStore under t's temp dir.
@@ -187,6 +189,7 @@ func TestReadCleanSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.instrument(obs.NewRegistry())
 	if err := a.PutJob(testJobKey(800), campaign.JobResult{Job: campaign.Job{ID: 800}}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +203,9 @@ func TestReadCleanSkip(t *testing.T) {
 	}
 	if got := a.rescans.Load(); got != 0 {
 		t.Errorf("%d re-scans on an unmoved file, want 0 (clean reads must skip the flock)", got)
+	}
+	if got := a.cleanReads.Value(); got != 100 {
+		t.Errorf("%d clean reads counted, want 100", got)
 	}
 
 	// A sibling handle appends: exactly one read pays the scan, the rest
@@ -369,10 +375,10 @@ func TestLeaseOnlyBatchesSkipFsync(t *testing.T) {
 // campaign against a shared SQLite store must spend well under the old
 // protocol's ~5 fsyncs per executed job (acquire + put + release + the
 // pool's duplicate put + the campaign bookkeeping riding each one). The
-// fsync-free lease path, the publish transaction, and the read cache's
-// duplicate-put suppression bring it to ~1.25/job measured; 5/3 per job
-// plus campaign-lifecycle slack is the ≥3x-reduction line this must stay
-// under.
+// fsync-free lease path, the publish transaction, and putRecord dropping a
+// job record the table already holds bring it to ~1.25/job measured; 5/3
+// per job plus campaign-lifecycle slack is the ≥3x-reduction line this
+// must stay under.
 func TestEngineFsyncsPerJob(t *testing.T) {
 	s := openTestSQLite(t)
 	e, err := New(s, Options{Runner: &LocalRunner{}, Shared: true, LeaseTTL: 5 * time.Second})
@@ -404,6 +410,48 @@ func TestEngineFsyncsPerJob(t *testing.T) {
 	t.Logf("%d fsyncs for %d executed jobs (%.2f/job)", got, len(jobs), float64(got)/float64(len(jobs)))
 	if got > limit {
 		t.Errorf("%d fsyncs for %d jobs — exceeds the 3x-reduction budget of %d", got, len(jobs), limit)
+	}
+}
+
+// TestSQLitePutJobAfterPublishIsFree pins the store's own duplicate-put
+// suppression on the campaign pool's sequence: a job is published under its
+// lease, then put again with the same bytes. The put must append nothing
+// and issue no fsync.
+func TestSQLitePutJobAfterPublishIsFree(t *testing.T) {
+	s := openTestSQLite(t)
+	key := testJobKey(903)
+	jr := campaign.JobResult{Job: campaign.Job{ID: 903}, Mallocs: 11}
+	if err := s.AcquireJobLease(key, "holder", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PublishJob(key, "holder", jr); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(s.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size0, fsyncs0 := size(), s.Fsyncs()
+	if err := s.PutJob(key, jr); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != size0 {
+		t.Errorf("a duplicate put grew the log from %d to %d bytes", size0, got)
+	}
+	if got := s.Fsyncs(); got != fsyncs0 {
+		t.Errorf("a duplicate put issued %d fsyncs, want 0", got-fsyncs0)
+	}
+	// Different bytes under the same key still append.
+	jr.Mallocs = 12
+	if err := s.PutJob(key, jr); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got <= size0 {
+		t.Errorf("a changed put left the log at %d bytes, want it to grow past %d", got, size0)
 	}
 }
 

@@ -27,14 +27,6 @@ type engineMetrics struct {
 	poolExec      *obs.Counter
 }
 
-// storeInstrumenter is implemented by stores that carry instruments of
-// their own — the SQLite group committer's fsync/batch meters, the read
-// cache's hit/miss counters. engine.New invokes it before first use; it
-// must tolerate a nil registry.
-type storeInstrumenter interface {
-	instrument(r *obs.Registry)
-}
-
 // newEngineMetrics materialises the engine's instruments against r (all
 // no-ops when r is nil).
 func newEngineMetrics(r *obs.Registry) engineMetrics {

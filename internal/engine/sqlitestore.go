@@ -103,10 +103,11 @@ type SQLiteStore struct {
 	// fsyncs counts fsync(2) calls over the store's lifetime — the cost
 	// the group committer exists to collapse. Always maintained;
 	// fsyncCtr/batchSize mirror it into a registry once instrumented.
-	fsyncs    atomic.Uint64
-	rescans   atomic.Uint64 // reads that had to take the flock and re-scan
-	fsyncCtr  *obs.Counter
-	batchSize *obs.Histogram
+	fsyncs     atomic.Uint64
+	rescans    atomic.Uint64 // reads that had to take the flock and re-scan
+	fsyncCtr   *obs.Counter
+	batchSize  *obs.Histogram
+	cleanReads *obs.Counter // reads served on readView's one-fstat path
 
 	// syncHook, when set (tests only), replaces the fsync so commit
 	// failures can be injected between staging and acknowledgement.
@@ -242,8 +243,9 @@ func (s *SQLiteStore) Path() string { return s.path }
 // divides it by executed jobs.
 func (s *SQLiteStore) Fsyncs() uint64 { return s.fsyncs.Load() }
 
-// instrument implements storeInstrumenter: the group committer's fsync and
-// batch-size meters.
+// instrument registers the group committer's fsync and batch-size meters
+// and the clean-read counter on r; engine.New calls it before first use. A
+// nil registry leaves them disabled.
 func (s *SQLiteStore) instrument(r *obs.Registry) {
 	if r == nil {
 		return
@@ -255,6 +257,8 @@ func (s *SQLiteStore) instrument(r *obs.Registry) {
 	s.batchSize = r.Histogram("cherivoke_store_batch_size",
 		"Mutations folded into one group-committed store batch.",
 		obs.ExpBuckets(1, 2, 8))
+	s.cleanReads = r.Counter("cherivoke_store_clean_reads_total",
+		"Store reads served from the in-memory tables after one fstat, with no flock or log rescan.")
 }
 
 // Close implements Store: it releases the store's file handle and, for a
@@ -493,6 +497,7 @@ func (s *SQLiteStore) readView(fn func() error) error {
 		return fmt.Errorf("%w: %s: %v", ErrStore, s.path, err)
 	}
 	if st.Size() == s.statSize {
+		s.cleanReads.Inc()
 		return fn()
 	}
 	s.rescans.Add(1)

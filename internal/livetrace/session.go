@@ -1,7 +1,6 @@
 package livetrace
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -151,19 +150,15 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	defer spool.Close()
 
 	// Pipeline: count -> idle deadline -> tee into the spool -> buffered
-	// decode. The tee sits before the bufio.Reader, so read-ahead bytes
-	// land in the spool with the rest and the spool is always an exact
-	// prefix of the connection's bytes.
+	// decode. The tee sits before the decoder's read-ahead buffer, so
+	// read-ahead bytes land in the spool with the rest and the spool is
+	// always an exact prefix of the connection's bytes.
 	var src io.Reader = &countingReader{r: body, n: &s.bytes, c: mgr.m.bytes}
 	if setDeadline != nil && mgr.cfg.IdleTimeout > 0 {
 		src = &idleReader{r: src, set: setDeadline, idle: mgr.cfg.IdleTimeout}
 	}
 	tee := io.TeeReader(src, spool)
-	br := bufio.NewReader(tee)
-	if f := workload.SniffTraceFormat(br); f == workload.FormatJSON {
-		return fmt.Errorf("livetrace: legacy single-document JSON cannot be streamed; use the binary or NDJSON encoding")
-	}
-	tr, err := workload.NewTraceReader(br)
+	tr, err := workload.NewTraceReader(tee)
 	if err != nil {
 		return fmt.Errorf("livetrace: %w", err)
 	}

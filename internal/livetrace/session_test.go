@@ -201,8 +201,8 @@ func TestLiveSessionRejectsLegacyJSON(t *testing.T) {
 	}
 	body := strings.NewReader(`{"name":"x","seed":1,"events":[]}`)
 	err = sess.Run(context.Background(), body, nil)
-	if err == nil || !strings.Contains(err.Error(), "legacy") {
-		t.Fatalf("want legacy-JSON rejection, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "unrecognised trace format") {
+		t.Fatalf("want an unrecognised-format rejection, got %v", err)
 	}
 	if sess.Info().State != StateFailed {
 		t.Fatalf("want failed, got %s", sess.Info().State)

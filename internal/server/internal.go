@@ -38,7 +38,7 @@ func (s *Server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
 // and make the coordinator reassign it.
 func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 	var req engine.JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job request: %v", err))

@@ -319,9 +319,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// maxRequestBytes caps the JSON bodies of POST /campaigns and POST
+// /internal/jobs. A real spec is well under 1 KiB and a job request a few
+// KiB; a larger body is refused with 400 before it is buffered.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))

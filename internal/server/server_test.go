@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/engine"
 )
 
 // newTestServer builds a Server over opts and serves it from httptest.
@@ -179,6 +180,60 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: %d", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsOversizedRequests: a body past maxRequestBytes, on POST
+// /campaigns or a worker's POST /internal/jobs, and a small spec whose axes
+// multiply past campaign.MaxJobs, are refused with 400 before any work.
+func TestServerRejectsOversizedRequests(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	worker := newWorker(t, "")
+	// Leading whitespace is valid JSON, so only the size can refuse these.
+	pad := func(b []byte) []byte { return append(bytes.Repeat([]byte(" "), maxRequestBytes), b...) }
+
+	spec := campaign.Spec{Profiles: []string{"povray"}, MaxLive: []uint64{1 << 20}, MinSweeps: 1, MaxEvents: 1000}
+	submission, err := json.Marshal(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobRequest, err := json.Marshal(engine.JobRequest{Key: engine.JobKey(spec, jobs[0], ""), Spec: spec, Job: jobs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := spec
+	for i := 0; i <= campaign.MaxJobs; i++ {
+		wide.Seeds = append(wide.Seeds, uint64(i+1))
+	}
+	wideSubmission, err := json.Marshal(SubmitRequest{Spec: wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, url string
+		body      []byte
+	}{
+		{"padded submission", ts.URL + "/campaigns", pad(submission)},
+		{"padded job request", worker.URL + "/internal/jobs", pad(jobRequest)},
+		{"spec past MaxJobs", ts.URL + "/campaigns", wideSubmission},
+	} {
+		resp, err := http.Post(tc.url, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s (%d bytes): status %d, want 400", tc.name, len(tc.body), resp.StatusCode)
+		}
+	}
+	var list []Status
+	if code := getJSON(t, ts.URL+"/campaigns", &list); code != http.StatusOK || len(list) != 0 {
+		t.Errorf("refused submissions created campaigns: %d, %d entries", code, len(list))
 	}
 }
 

@@ -40,8 +40,8 @@ func (s *Server) traceStore() (*workload.Store, error) {
 }
 
 // handleTraceUpload implements POST /traces: the request body is the trace
-// stream itself (binary, NDJSON, or legacy JSON — chunked uploads stream
-// straight to disk), validated end to end and filed by content hash.
+// stream itself (binary or NDJSON — chunked uploads stream straight to
+// disk), validated end to end and filed by content hash.
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	store, err := s.traceStore()
 	if err != nil {

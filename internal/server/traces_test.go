@@ -87,14 +87,17 @@ func TestTraceUploadListInfo(t *testing.T) {
 		t.Fatalf("unknown trace status %d", code)
 	}
 
-	// Garbage is rejected with 400 and not filed.
-	resp, err = http.Post(ts.URL+"/traces", "application/octet-stream", strings.NewReader("junk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage upload status %d", resp.StatusCode)
+	// Garbage, and the retired single-document JSON trace, are rejected
+	// with 400 and not filed.
+	for _, body := range []string{"junk", `{"name":"x","seed":1,"events":[{"op":109,"size":64}]}`} {
+		resp, err = http.Post(ts.URL+"/traces", "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("upload of %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if code := getJSON(t, ts.URL+"/traces", &list); code != http.StatusOK || len(list) != 1 {
 		t.Fatalf("store grew after rejected upload: %d entries", len(list))

@@ -32,8 +32,8 @@
 // Trace (Options.Record) or streamed through a TraceWriter as it is
 // generated (Options.Stream). Two versioned on-wire encodings exist — a
 // compact binary format and NDJSON, specified in docs/TRACE_FORMAT.md —
-// plus the legacy single-document JSON form; NewTraceReader sniffs all
-// three.
+// and NewTraceReader sniffs which one a stream holds, rejecting anything
+// else.
 //
 // Replays are symmetric: Replay executes a materialised Trace, while
 // StreamingSource + ReplayStream / RunStream execute a streamed trace in

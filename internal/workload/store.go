@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -42,7 +41,7 @@ var ErrInvalidTrace = errors.New("invalid trace")
 type TraceInfo struct {
 	Hash    string `json:"hash"`              // hex SHA-256 of the trace bytes
 	Size    int64  `json:"size"`              // byte length
-	Format  string `json:"format"`            // binary | ndjson | json
+	Format  string `json:"format"`            // binary | ndjson
 	Version int    `json:"version"`           // trace format version
 	Name    string `json:"name,omitempty"`    // recorded benchmark profile
 	Seed    uint64 `json:"seed"`              // recording seed
@@ -237,41 +236,20 @@ func (s *Store) List() ([]TraceInfo, error) {
 	return out, nil
 }
 
-// maxLegacyTraceBytes caps legacy single-document JSON traces in the
-// validating scan: unlike the streaming encodings, the legacy format must
-// be materialised to read, so admitting arbitrarily large documents would
-// let one upload hold an unbounded event array in memory. Streamed formats
-// have no size limit.
-const maxLegacyTraceBytes = 64 << 20
-
 // ScanTrace streams through the trace file at path, validating it end to
 // end and counting its events. Memory use is bounded by the codec's record
-// buffer for the streaming formats, and by maxLegacyTraceBytes for legacy
-// JSON; Hash and Size are left for the caller to fill.
+// buffer; Hash and Size are left for the caller to fill.
 func ScanTrace(path string) (TraceInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return TraceInfo{}, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if SniffTraceFormat(br) == FormatJSON {
-		if fi, err := f.Stat(); err == nil && fi.Size() > maxLegacyTraceBytes {
-			return TraceInfo{}, fmt.Errorf("workload: legacy JSON trace of %d bytes exceeds the %d-byte validation cap; use the binary or NDJSON streaming encoding", fi.Size(), maxLegacyTraceBytes)
-		}
-	}
-	// NewTraceReader over the same bufio.Reader reuses the sniffed bytes
-	// (bufio.NewReader returns an existing *bufio.Reader unchanged).
-	tr, err := NewTraceReader(br)
+	tr, err := NewTraceReader(f)
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	defer tr.Close()
-	info, err := scanReader(tr)
-	if err != nil {
-		return TraceInfo{}, err
-	}
-	return info, nil
+	return scanReader(tr)
 }
 
 // scanReader drains tr, returning header metadata and event counts.

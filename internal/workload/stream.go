@@ -36,7 +36,6 @@ const DefaultWindow = 4096
 const (
 	FormatBinary = "binary"
 	FormatNDJSON = "ndjson"
-	FormatJSON   = "json" // legacy single-document Trace JSON
 )
 
 // ndjsonFormatID identifies the NDJSON header line's "format" field.
@@ -70,8 +69,8 @@ type TraceReader interface {
 	// Header returns the stream's metadata, available before any event
 	// has been read.
 	Header() TraceHeader
-	// Format names the encoding being read (FormatBinary, FormatNDJSON,
-	// or FormatJSON).
+	// Format names the encoding being read (FormatBinary or
+	// FormatNDJSON).
 	Format() string
 	// Next returns the next event, or io.EOF at end of trace.
 	Next() (TraceEvent, error)
@@ -542,109 +541,41 @@ func (nr *NDJSONTraceReader) Next() (TraceEvent, error) {
 func (nr *NDJSONTraceReader) Close() error { return closeQuiet(nr.c, nil) }
 
 // ---------------------------------------------------------------------------
-// In-memory adapter and format sniffing.
-
-// SliceReader adapts a materialised Trace to the TraceReader interface, so
-// in-memory and streamed traces run through one replay path.
-type SliceReader struct {
-	tr *Trace
-	i  int
-	c  io.Closer
-}
-
-// NewSliceReader returns a reader over tr's events.
-func NewSliceReader(tr *Trace) *SliceReader { return &SliceReader{tr: tr} }
-
-// Header synthesises a header from the trace's fields.
-func (sr *SliceReader) Header() TraceHeader {
-	return TraceHeader{Version: TraceVersion, Name: sr.tr.Name, Seed: sr.tr.Seed}
-}
-
-// Format returns FormatJSON: the materialised form round-trips through the
-// legacy single-document encoding.
-func (sr *SliceReader) Format() string { return FormatJSON }
-
-// Next returns the next event, or io.EOF past the end.
-func (sr *SliceReader) Next() (TraceEvent, error) {
-	if sr.i >= len(sr.tr.Events) {
-		return TraceEvent{}, io.EOF
-	}
-	ev := sr.tr.Events[sr.i]
-	sr.i++
-	return ev, nil
-}
-
-// Close closes the underlying stream for sniffed legacy-JSON readers; for
-// plain in-memory traces it is a no-op.
-func (sr *SliceReader) Close() error { return closeQuiet(sr.c, nil) }
+// Format sniffing.
 
 // maxNDJSONHeaderBytes bounds the sniffing window for the NDJSON header
 // line (real headers are well under 200 bytes).
 const maxNDJSONHeaderBytes = 4096
 
-// SniffTraceFormat peeks at br without consuming it and classifies the
-// stream: FormatBinary (by magic), FormatNDJSON (by its header line), or
-// FormatJSON for anything else JSON-shaped (which may still fail to decode
-// as a trace). Callers that must keep memory bounded check the format —
-// and, for FormatJSON, the input size — before handing br to
-// NewTraceReader, which materialises legacy documents.
-func SniffTraceFormat(br *bufio.Reader) string {
-	if magic, err := br.Peek(len(TraceMagic)); err == nil && string(magic) == TraceMagic {
-		return FormatBinary
-	}
-	window, _ := br.Peek(maxNDJSONHeaderBytes)
-	line := window
-	if i := bytes.IndexByte(window, '\n'); i >= 0 {
-		line = window[:i]
-	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if json.Unmarshal(line, &probe) == nil && probe.Format == ndjsonFormatID {
-		return FormatNDJSON
-	}
-	return FormatJSON
-}
-
 // NewTraceReader sniffs r's encoding and returns the matching reader:
-// binary (by magic), NDJSON (by its header line), or legacy single-document
-// trace JSON (for compatibility with old artifacts). The streaming formats
-// are never materialised; a legacy document is — callers ingesting
-// untrusted input should SniffTraceFormat first and bound legacy sizes, as
-// Store.Put does. If r is an io.Closer, the returned reader's Close closes
-// it.
+// binary by its magic, NDJSON by a header decoded from at most the first
+// maxNDJSONHeaderBytes. Anything else is rejected as unrecognised after
+// reading no more than that window, so untrusted input never makes the
+// sniffer buffer a whole document. If r is an io.Closer, the returned
+// reader's Close closes it.
 func NewTraceReader(r io.Reader) (TraceReader, error) {
-	br := bufio.NewReader(r)
-	if SniffTraceFormat(br) == FormatBinary {
+	br := bufio.NewReaderSize(r, maxNDJSONHeaderBytes)
+	if magic, err := br.Peek(len(TraceMagic)); err == nil && string(magic) == TraceMagic {
 		return newBinaryTraceReader(br, closerOf(r))
 	}
-	dec := json.NewDecoder(br)
-	var probe struct {
-		Format  string       `json:"format"`
-		Version int          `json:"version"`
-		Name    string       `json:"name"`
-		Seed    uint64       `json:"seed"`
-		Events  []TraceEvent `json:"events"`
-	}
-	if err := dec.Decode(&probe); err != nil {
-		return nil, fmt.Errorf("workload: unrecognised trace format: %w", err)
-	}
-	if probe.Format == ndjsonFormatID {
-		if probe.Version != TraceVersion {
-			return nil, fmt.Errorf("workload: unsupported trace version %d (reader supports %d)", probe.Version, TraceVersion)
+	window, peekErr := br.Peek(maxNDJSONHeaderBytes)
+	hdrDec := json.NewDecoder(bytes.NewReader(window))
+	var hdr ndjsonHeader
+	if err := hdrDec.Decode(&hdr); err != nil || hdr.Format != ndjsonFormatID {
+		if peekErr != nil && peekErr != io.EOF {
+			return nil, fmt.Errorf("workload: reading trace header: %w", peekErr)
 		}
-		return &NDJSONTraceReader{
-			dec: dec,
-			c:   closerOf(r),
-			hdr: TraceHeader{Version: probe.Version, Name: probe.Name, Seed: probe.Seed},
-		}, nil
+		return nil, fmt.Errorf("workload: unrecognised trace format: want the binary (%s) or NDJSON (%q header) encoding", TraceMagic, ndjsonFormatID)
 	}
-	if probe.Format != "" {
-		return nil, fmt.Errorf("workload: unrecognised trace format %q", probe.Format)
+	if hdr.Version != TraceVersion {
+		return nil, fmt.Errorf("workload: unsupported trace version %d (reader supports %d)", hdr.Version, TraceVersion)
 	}
-	return &SliceReader{
-		tr: &Trace{Name: probe.Name, Seed: probe.Seed, Events: probe.Events},
-		c:  closerOf(r),
+	// The header lies inside the peeked window, so Discard cannot fail.
+	_, _ = br.Discard(int(hdrDec.InputOffset()))
+	return &NDJSONTraceReader{
+		dec: json.NewDecoder(br),
+		c:   closerOf(r),
+		hdr: TraceHeader{Version: hdr.Version, Name: hdr.Name, Seed: hdr.Seed},
 	}, nil
 }
 
@@ -659,8 +590,8 @@ func WriteTrace(w TraceWriter, tr *Trace) error {
 	return nil
 }
 
-// ReadAllTrace materialises a streamed trace — the inverse adapter of
-// NewSliceReader, for tools and tests that need the whole event list.
+// ReadAllTrace materialises a streamed trace, for tools and tests that need
+// the whole event list.
 func ReadAllTrace(r TraceReader) (*Trace, error) {
 	hdr := r.Header()
 	tr := &Trace{Name: hdr.Name, Seed: hdr.Seed}

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzBinaryTraceDecode throws arbitrary bytes at the sniffing reader and
-// the binary decoder. Invariants under fuzz:
+// the binary and NDJSON decoders. Invariants under fuzz:
 //
 //   - no panic and no unbounded allocation (payload and name lengths are
 //     capped before being trusted);
@@ -46,6 +46,24 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 	hostile = binary.AppendUvarint(hostile, 1)
 	hostile = binary.AppendUvarint(hostile, 1<<40) // absurd name length
 	f.Add(hostile)
+	// NDJSON seeds: every input without the binary magic reaches the NDJSON
+	// decoder.
+	var nd bytes.Buffer
+	w, err := NewNDJSONTraceWriter(&nd, TraceHeader{Name: "nd", Seed: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteTrace(w, syntheticTrace(4, 50)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nd.Bytes())
+	f.Add(nd.Bytes()[:nd.Len()/2])                                            // truncated
+	f.Add([]byte(`{"format":"cherivoke-trace","version":2,"seed":4}` + "\n")) // wrong version
+	f.Add([]byte(`{"format":"cherivoke-trace","version":1,"seed":4}` + "\n" +
+		`{"op":"m","size":64}` + "\n" + `{"op":"f","ref":-1}` + "\n")) // negative ref
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, err1 := fuzzDecode(data)
@@ -59,20 +77,15 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatal("decode determinism: events diverge")
 		}
-		// The sniffer also accepts legacy JSON, which performs no event
-		// validation — a document with an op outside {m,p,f}, a negative
-		// ref, or an oversized name decodes but is not binary-encodable.
-		// The re-encode property only applies to well-formed events.
+		// NDJSON decodes a negative ref, and a header name that decodes
+		// past maxTraceName (each invalid UTF-8 byte becomes a 3-byte
+		// U+FFFD), neither of which the binary encoding can hold. The
+		// re-encode property only applies to encodable traces.
 		if len(first.Name) > maxTraceName {
 			return
 		}
 		for _, ev := range first.Events {
-			switch ev.Op {
-			case EvMalloc, EvPlant, EvFree:
-				if ev.Ref < 0 {
-					return
-				}
-			default:
+			if ev.Ref < 0 {
 				return
 			}
 		}

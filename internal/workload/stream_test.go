@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/revoke"
@@ -123,17 +125,71 @@ func TestCodecRoundTripRecorded(t *testing.T) {
 	}
 }
 
-// TestSniffLegacyJSON keeps old WriteJSON artifacts readable through the
-// sniffing reader.
-func TestSniffLegacyJSON(t *testing.T) {
-	tr := syntheticTrace(3, 200)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+// TestTraceReaderRejectsLegacyJSON pins the two-encoding contract: the
+// retired single-document JSON form, and anything else that is neither
+// binary nor NDJSON, is rejected as unrecognised.
+func TestTraceReaderRejectsLegacyJSON(t *testing.T) {
+	for _, in := range []string{
+		`{"name":"x","seed":1,"events":[{"op":109,"size":64}]}`,
+		`{"format":"other","version":1}` + "\n",
+		`[1,2,3]`,
+		"CVT",
+		"",
+	} {
+		r, err := NewTraceReader(strings.NewReader(in))
+		if err == nil {
+			r.Close()
+			t.Errorf("NewTraceReader(%q) accepted", in)
+			continue
+		}
+		if !strings.Contains(err.Error(), "unrecognised trace format") {
+			t.Errorf("NewTraceReader(%q): error %q, want an unrecognised-format rejection", in, err)
+		}
 	}
-	got := decode(t, buf.Bytes(), FormatJSON)
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("legacy JSON trace diverges after sniffed read")
+	// A failing read is reported as itself, not as an unknown format.
+	errRead := errors.New("read failed")
+	if _, err := NewTraceReader(iotest.ErrReader(errRead)); !errors.Is(err, errRead) {
+		t.Errorf("NewTraceReader over a failing reader: %v, want %v", err, errRead)
+	}
+}
+
+// endlessReader serves prefix and then an endless run of well-formed
+// legacy event objects, counting the bytes it hands out. Past guard bytes
+// it fails, so a reader that tries to buffer the whole stream errors out
+// instead of hanging the test.
+type endlessReader struct {
+	prefix string
+	n      int
+	guard  int
+}
+
+func (r *endlessReader) Read(p []byte) (int, error) {
+	if r.n >= r.guard {
+		return 0, errors.New("endlessReader: read past the guard")
+	}
+	const filler = `{"op":109,"size":64},`
+	for i := range p {
+		if r.n < len(r.prefix) {
+			p[i] = r.prefix[r.n]
+		} else {
+			p[i] = filler[(r.n-len(r.prefix))%len(filler)]
+		}
+		r.n++
+	}
+	return len(p), nil
+}
+
+// TestTraceReaderBoundsSniff is the untrusted-input bound: a JSON document
+// that never ends must be rejected after the sniffing window, not buffered.
+func TestTraceReaderBoundsSniff(t *testing.T) {
+	r := &endlessReader{prefix: `{"events":[`, guard: 1 << 20}
+	tr, err := NewTraceReader(r)
+	if err == nil {
+		tr.Close()
+		t.Fatal("an endless non-trace document was accepted")
+	}
+	if r.n > maxNDJSONHeaderBytes {
+		t.Fatalf("rejecting it read %d bytes, want at most the %d-byte sniffing window (err: %v)", r.n, maxNDJSONHeaderBytes, err)
 	}
 }
 
@@ -243,7 +299,11 @@ func TestBinaryDecoderSkipsUnknownOps(t *testing.T) {
 func TestStreamingSourceBoundsBuffer(t *testing.T) {
 	const window = 64
 	tr := syntheticTrace(5, 10*window+17) // many windows + a short tail
-	src := NewStreamingSource(NewSliceReader(tr), window)
+	r, err := NewTraceReader(bytes.NewReader(encode(t, tr, binaryWriter)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewStreamingSource(r, window)
 	if src.Window() != window {
 		t.Fatalf("Window() = %d, want %d", src.Window(), window)
 	}

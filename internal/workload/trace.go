@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/cap"
 	"repro/internal/core"
@@ -13,8 +11,9 @@ import (
 // capability plants and frees a workload run performed, in executable form.
 // Traces serve two purposes:
 //
-//   - artifacts: a run can be serialised (JSON) and replayed elsewhere,
-//     reproducing the workload independent of the generator's code;
+//   - artifacts: a run can be serialised (WriteTrace, in the binary or
+//     NDJSON encoding) and replayed elsewhere, reproducing the workload
+//     independent of the generator's code;
 //   - controlled comparisons: the *same* trace can be replayed against
 //     differently-configured systems (CHERIvoke vs direct-free vs typed
 //     reuse), eliminating generator divergence from the comparison.
@@ -22,9 +21,9 @@ import (
 // Events reference allocations by birth order, so a trace is
 // position-independent: replaying against any allocator layout works.
 type Trace struct {
-	Name   string       `json:"name"`
-	Seed   uint64       `json:"seed"`
-	Events []TraceEvent `json:"events"`
+	Name   string
+	Seed   uint64
+	Events []TraceEvent
 }
 
 // Event opcodes.
@@ -41,28 +40,15 @@ const (
 
 // TraceEvent is one step of a trace.
 type TraceEvent struct {
-	Op   byte   `json:"op"`
-	Size uint64 `json:"size,omitempty"` // malloc size, or plant offset
-	Ref  int    `json:"ref,omitempty"`  // allocation index for plant/free
-}
-
-// WriteJSON serialises the trace.
-func (tr *Trace) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(tr)
-}
-
-// ReadTraceJSON deserialises a trace.
-func ReadTraceJSON(r io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("workload: decoding trace: %w", err)
-	}
-	return &tr, nil
+	Op   byte
+	Size uint64 // malloc size, or plant offset
+	Ref  int    // allocation index for plant/free
 }
 
 // Replay executes the trace against sys and returns the number of events
-// applied. Frees of already-freed allocations are trace corruption and
-// error out. For traces too large to materialise, use ReplayStream.
+// applied. A free of, or a plant through, an already-freed allocation is
+// trace corruption and errors out. For traces too large to materialise,
+// use ReplayStream.
 func Replay(sys *core.System, tr *Trace) (int, error) {
 	st := replayState{caps: make([]cap.Capability, 0, len(tr.Events)/2)}
 	for i, ev := range tr.Events {
@@ -75,9 +61,9 @@ func Replay(sys *core.System, tr *Trace) (int, error) {
 
 // replayState is the per-replay allocation table: events reference
 // allocations by birth order, so the table maps that index to the
-// capability the replay's own allocator returned. It grows with the number
-// of mallocs (allocation metadata), while the event stream itself needs no
-// buffering beyond the caller's window.
+// capability the replay's own allocator returned, untagged once freed. It
+// grows with the number of mallocs (allocation metadata), while the event
+// stream itself needs no buffering beyond the caller's window.
 type replayState struct {
 	caps []cap.Capability
 }
@@ -93,24 +79,39 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 		}
 		st.caps = append(st.caps, c)
 	case EvPlant:
-		if ev.Ref < 0 || ev.Ref >= len(st.caps) {
-			return fmt.Errorf("workload: replay event %d: bad ref %d", i, ev.Ref)
+		c, err := st.live(i, ev.Ref)
+		if err != nil {
+			return err
 		}
-		c := st.caps[ev.Ref]
 		if err := sys.Mem().StoreCap(c, c.Base()+ev.Size, c.SetAddr(c.Base()+ev.Size)); err != nil {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
 	case EvFree:
-		if ev.Ref < 0 || ev.Ref >= len(st.caps) {
-			return fmt.Errorf("workload: replay event %d: bad ref %d", i, ev.Ref)
+		c, err := st.live(i, ev.Ref)
+		if err != nil {
+			return err
 		}
-		if err := sys.FreeAddr(st.caps[ev.Ref].Base()); err != nil {
+		if err := sys.FreeAddr(c.Base()); err != nil {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
+		st.caps[ev.Ref] = c.ClearTag()
 	default:
 		return fmt.Errorf("workload: replay event %d: unknown op %q", i, ev.Op)
 	}
 	return nil
+}
+
+// live returns allocation ref's capability, failing for a ref never
+// allocated or already freed. Frees are tracked by ref, not by address:
+// after a direct free, a later malloc may reuse the address.
+func (st *replayState) live(i, ref int) (cap.Capability, error) {
+	if ref < 0 || ref >= len(st.caps) {
+		return cap.Null, fmt.Errorf("workload: replay event %d: bad ref %d", i, ref)
+	}
+	if c := st.caps[ref]; c.Tag() {
+		return c, nil
+	}
+	return cap.Null, fmt.Errorf("workload: replay event %d: ref %d was already freed", i, ref)
 }
 
 // recorder is the generator-to-stream adapter: it forwards the run's exact

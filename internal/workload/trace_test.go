@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -106,27 +107,6 @@ func TestReplayAcrossConfigurations(t *testing.T) {
 	}
 }
 
-func TestTraceJSONRoundTrip(t *testing.T) {
-	tr, _ := recordedRun(t)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTraceJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.Seed != tr.Seed || len(got.Events) != len(tr.Events) {
-		t.Fatalf("round trip: %q/%d/%d vs %q/%d/%d",
-			got.Name, got.Seed, len(got.Events), tr.Name, tr.Seed, len(tr.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
 func TestReplayRejectsCorruptTraces(t *testing.T) {
 	sys := traceSystem(t, core.Config{})
 	bad := []*Trace{
@@ -138,6 +118,37 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 	for i, tr := range bad {
 		if _, err := Replay(sys, tr); err == nil {
 			t.Errorf("corrupt trace %d accepted", i)
+		}
+	}
+}
+
+// TestReplayRejectsFreedRefAfterReuse: on a direct-free system the second
+// malloc reuses the first one's address, so an address check alone would
+// let a second free of ref 0 release ref 1's object. Every replay path
+// must reject it, and a plant through a freed ref, at that event.
+func TestReplayRejectsFreedRefAfterReuse(t *testing.T) {
+	reuse := []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvFree, Ref: 0}, {Op: EvMalloc, Size: 64}}
+	for _, tc := range []struct {
+		name string
+		last TraceEvent
+	}{
+		{"double free", TraceEvent{Op: EvFree, Ref: 0}},
+		{"plant after free", TraceEvent{Op: EvPlant, Ref: 0}},
+	} {
+		tr := &Trace{Events: append(append([]TraceEvent(nil), reuse...), tc.last)}
+		for _, cfg := range []core.Config{{DirectFree: true}, {}} {
+			n, err := Replay(traceSystem(t, cfg), tr)
+			if n != 3 || err == nil || !strings.Contains(err.Error(), "ref 0 was already freed") {
+				t.Errorf("%s (DirectFree=%v): Replay = %d, %v; want event 3 rejected as a freed ref",
+					tc.name, cfg.DirectFree, n, err)
+			}
+			r, err := NewTraceReader(bytes.NewReader(encode(t, tr, binaryWriter)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReplayStream(traceSystem(t, cfg), NewStreamingSource(r, 2)); err == nil {
+				t.Errorf("%s (DirectFree=%v): ReplayStream accepted it", tc.name, cfg.DirectFree)
+			}
 		}
 	}
 }

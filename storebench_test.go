@@ -69,18 +69,11 @@ func BenchmarkStorePutJob(b *testing.B) {
 }
 
 // BenchmarkStoreGetJob measures a repeated read of one record per backend
-// — the path the clean-skip fstat fast path (sqlite) and the read cache
-// (cached variant) collapse.
+// — the path the clean-skip fstat fast path (sqlite) collapses.
 func BenchmarkStoreGetJob(b *testing.B) {
-	kinds := append(append([]string{}, benchStoreKinds...), "sqlite-cached")
-	for _, kind := range kinds {
+	for _, kind := range benchStoreKinds {
 		b.Run(kind, func(b *testing.B) {
-			var s engine.Store
-			if kind == "sqlite-cached" {
-				s = engine.NewCachedStore(openBenchStore(b, "sqlite"), 1<<20)
-			} else {
-				s = openBenchStore(b, kind)
-			}
+			s := openBenchStore(b, kind)
 			key := benchJobKey(1)
 			if err := s.PutJob(key, benchJR(1)); err != nil {
 				b.Fatal(err)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cherivoke [-quick] [-seed N] [-workers N] [table1|table2|fig5|fig6|fig7|fig8|fig9|fig10|ablations|invariance|all]
-//	cherivoke trace record [-quick] [-seed N] [-format binary|ndjson|json] [-o out] <benchmark>
+//	cherivoke trace record [-quick] [-seed N] [-format binary|ndjson] [-o out] <benchmark>
 //	cherivoke trace info <file|->
 //	cherivoke replay [-stats] <file>                   # replay a trace under both allocators
 //	cherivoke live [-server URL] [-window N] <file|->  # stream a trace into a running server's /live
@@ -73,7 +73,7 @@ func main() {
 	workers := flag.Int("workers", 0, "campaign worker-pool width (0 = GOMAXPROCS); never changes results")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cherivoke [-quick] [-seed N] [-workers N] [table1|table2|fig5..fig10|ablations|invariance|all]\n")
-		fmt.Fprintf(os.Stderr, "       cherivoke trace record [-quick] [-seed N] [-format binary|ndjson|json] [-o out] <benchmark>\n")
+		fmt.Fprintf(os.Stderr, "       cherivoke trace record [-quick] [-seed N] [-format binary|ndjson] [-o out] <benchmark>\n")
 		fmt.Fprintf(os.Stderr, "       cherivoke trace info <file|->\n")
 		fmt.Fprintf(os.Stderr, "       cherivoke replay [-stats] <file>\n")
 		fmt.Fprintf(os.Stderr, "       cherivoke live [-server URL] [-window N] <file|->\n")

@@ -19,7 +19,7 @@ import (
 
 // traceCmd dispatches the trace subcommand family.
 //
-//	cherivoke trace record [-quick] [-seed N] [-format binary|ndjson|json] [-o out] <benchmark>
+//	cherivoke trace record [-quick] [-seed N] [-format binary|ndjson] [-o out] <benchmark>
 //	cherivoke trace info <file|->
 func traceCmd(args []string) error {
 	if len(args) < 1 {

@@ -21,6 +21,7 @@ var auditedPackages = []string{
 	"internal/engine",
 	"internal/engine/storetest",
 	"internal/livetrace",
+	"internal/mem",
 	"internal/obs",
 	"internal/revoke",
 	"internal/server",

@@ -33,39 +33,63 @@ func TestDensityMeasurement(t *testing.T) {
 	}
 }
 
-func TestPeekAccessorsMatchArchitecturalOnes(t *testing.T) {
-	m, heap := newHeap(t, 1)
+// TestPageViewMatchesArchitecturalAccessors checks that a PageView reads
+// what CLoadTags and RawLoadCap read, for a touched and an untouched page,
+// without moving the architectural event counters.
+func TestPageViewMatchesArchitecturalAccessors(t *testing.T) {
+	m, heap := newHeap(t, 2)
 	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)
 	if err := m.StoreCap(heap, heapBase+0x40, obj); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Stats()
-
-	mask, err := m.PeekLineTags(heapBase + 0x40)
-	if err != nil || mask != 0b0001 {
-		t.Errorf("PeekLineTags = %#b, %v", mask, err)
+	for _, base := range []uint64{heapBase, heapBase + PageSize} {
+		before := m.Stats()
+		v, err := m.PageView(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var views []uint8
+		var grans []cap.Capability
+		for line := uint(0); line < LinesPerPage; line++ {
+			views = append(views, v.LineTagMask(line))
+		}
+		for g := uint(0); g < GranulesPerPage; g++ {
+			lo, hi, tag := v.Granule(g)
+			grans = append(grans, cap.Decode(lo, hi, tag))
+		}
+		// View reads must not perturb the architectural event counters.
+		if m.Stats() != before {
+			t.Errorf("view reads mutated stats: %+v -> %+v", before, m.Stats())
+		}
+		for line := uint(0); line < LinesPerPage; line++ {
+			mask, err := m.CLoadTags(base + uint64(line)*LineSize)
+			if err != nil || mask != views[line] {
+				t.Errorf("page %#x line %d: view mask %#b, CLoadTags %#b, %v", base, line, views[line], mask, err)
+			}
+		}
+		for g := uint(0); g < GranulesPerPage; g++ {
+			c, err := m.RawLoadCap(base + uint64(g)*GranuleSize)
+			if err != nil || c != grans[g] {
+				t.Errorf("page %#x granule %d: view %v, RawLoadCap %v, %v", base, g, grans[g], c, err)
+			}
+		}
 	}
-	lo, hi, tag, err := m.PeekWords(heapBase + 0x40)
-	if err != nil || !tag {
-		t.Fatalf("PeekWords: tag=%v err=%v", tag, err)
+	v, _ := m.PageView(heapBase)
+	if mask := v.LineTagMask(1); mask != 0b0001 {
+		t.Errorf("LineTagMask(1) = %#b, want 0b0001", mask)
 	}
-	wantLo, wantHi := obj.Encode()
-	if lo != wantLo || hi != wantHi {
-		t.Error("PeekWords returned wrong image")
+	if lo, hi, tag := v.Granule(4); !tag || cap.Decode(lo, hi, tag) != obj {
+		t.Errorf("Granule(4) = %v, want %v", cap.Decode(lo, hi, tag), obj)
 	}
-	// Peeks must not perturb the architectural event counters.
-	if m.Stats() != before {
-		t.Errorf("peek accessors mutated stats: %+v -> %+v", before, m.Stats())
+	if v.CapCount() != 1 {
+		t.Errorf("CapCount = %d, want 1", v.CapCount())
 	}
 	// Alignment and mapping errors still apply.
-	if _, err := m.PeekLineTags(heapBase + 8); !errors.Is(err, ErrAlign) {
-		t.Errorf("unaligned PeekLineTags: %v", err)
+	if _, err := m.PageView(heapBase + 8); !errors.Is(err, ErrAlign) {
+		t.Errorf("unaligned PageView: %v", err)
 	}
-	if _, _, _, err := m.PeekWords(heapBase + 4); !errors.Is(err, ErrAlign) {
-		t.Errorf("unaligned PeekWords: %v", err)
-	}
-	if _, err := m.PeekLineTags(heapBase + 64*PageSize); !errors.Is(err, ErrUnmapped) {
-		t.Errorf("unmapped PeekLineTags: %v", err)
+	if _, err := m.PageView(heapBase + 64*PageSize); !errors.Is(err, ErrUnmapped) {
+		t.Errorf("unmapped PageView: %v", err)
 	}
 }
 

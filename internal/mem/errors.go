@@ -21,6 +21,10 @@ var (
 
 	// ErrOverlap reports a mapping that overlaps an existing one.
 	ErrOverlap = errors.New("mem: mapping overlaps existing pages")
+
+	// ErrRange reports a mapping range that wraps around or reaches past
+	// the 48-bit virtual address space.
+	ErrRange = errors.New("mem: range outside the 48-bit address space")
 )
 
 func faultf(err error, format string, args ...any) error {

@@ -15,6 +15,16 @@ import (
 	"repro/internal/cap"
 )
 
+// addrLimit is the top of the 48-bit virtual address space.
+const addrLimit = 1 << 48
+
+// wordsBlockPages is how many pages' words one host allocation holds: a
+// page takes its words from the last block on its first nonzero store.
+const wordsBlockPages = 64
+
+// wordsBlock holds the words of wordsBlockPages pages.
+type wordsBlock [wordsBlockPages][WordsPerPage]uint64
+
 // Stats counts architectural memory events. Counters are cumulative; callers
 // snapshot and subtract to measure an interval.
 type Stats struct {
@@ -31,73 +41,237 @@ type Stats struct {
 // Memory is the simulated tagged memory. It is not safe for concurrent
 // mutation; the parallel sweeper shards read-only and applies revocations
 // through a lock owned by the revoker.
+//
+// The page table is an address-ordered slice of disjoint regions, each a
+// run of consecutive page slots. An allocator heap is one region that Map
+// extends as the heap grows, a page lookup is a binary search over the
+// regions, and page lists come out in address order with no sort. A slot
+// costs under 64 bytes until the page's first nonzero store, which gives it
+// 4 KiB of words from the Memory's blocks of wordsBlockPages pages; an
+// untouched page reads as zero. The page, cap-page and cap-line counts
+// behind Density change with every tag transition, Map and Unmap.
 type Memory struct {
-	pages map[uint64]*page // keyed by virtual page number
-	stats Stats
+	regions  []region
+	blocks   []*wordsBlock // word slot i is blocks[i/wordsBlockPages][i%wordsBlockPages]
+	slots    uint32        // word slots handed out
+	mapped   int           // mapped pages
+	capPages int           // mapped pages holding a tag
+	capLines int           // lines of mapped pages holding a tag
+	stats    Stats
 }
 
-// New returns an empty memory with no mappings.
-func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+// region is a run of mapped pages: pages[i] is the page at base+i*PageSize.
+type region struct {
+	base  uint64
+	pages []page
 }
+
+func (r *region) end() uint64 { return r.base + uint64(len(r.pages))*PageSize }
+
+// New returns an empty memory with no mappings.
+func New() *Memory { return &Memory{} }
 
 // Stats returns a snapshot of the cumulative event counters.
 func (m *Memory) Stats() Stats { return m.stats }
 
-// Map creates zeroed, tag-cleared pages covering [addr, addr+size). Both
-// addr and size must be page-aligned, and the range must not overlap an
-// existing mapping.
-//
-// The pages of one call are allocated together as one slab, one host
-// object instead of one per page. A slab stays reachable until its last
-// page is unmapped, so pages that core's UnmapLarge mode retires (the only
-// unmapping in the program) keep their host memory until the Memory is
-// dropped; a Memory lives for one job or one live session.
-func (m *Memory) Map(addr, size uint64) error {
+// pageRange checks that [addr, addr+size) is page-aligned and inside the
+// 48-bit address space, and returns its end.
+func pageRange(op string, addr, size uint64) (uint64, error) {
 	if addr%PageSize != 0 || size%PageSize != 0 {
-		return faultf(ErrAlign, "mem: Map(%#x, %#x)", addr, size)
+		return 0, faultf(ErrAlign, "mem: %s(%#x, %#x)", op, addr, size)
 	}
-	for a := addr; a < addr+size; a += PageSize {
-		if _, ok := m.pages[a/PageSize]; ok {
-			return faultf(ErrOverlap, "mem: Map(%#x, %#x) at %#x", addr, size, a)
+	if size > addrLimit || addr > addrLimit-size {
+		return 0, faultf(ErrRange, "mem: %s(%#x, %#x)", op, addr, size)
+	}
+	return addr + size, nil
+}
+
+// search returns the index of the first region ending above addr: the
+// region holding addr if one does, else where a region at addr would go.
+func (m *Memory) search(addr uint64) int {
+	lo, hi := 0, len(m.regions)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.regions[mid].end() <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	slab := make([]page, size/PageSize)
-	for i := range slab {
-		m.pages[addr/PageSize+uint64(i)] = &slab[i]
+	return lo
+}
+
+// Map creates zeroed, tag-cleared pages covering [addr, addr+size). Both
+// addr and size must be page-aligned, the range must lie inside the 48-bit
+// address space, and it must not overlap an existing mapping. A range that
+// starts where a mapping ends extends that mapping's region.
+func (m *Memory) Map(addr, size uint64) error {
+	end, err := pageRange("Map", addr, size)
+	if err != nil {
+		return err
+	}
+	if size == 0 {
+		return nil
+	}
+	i := m.search(addr)
+	if i < len(m.regions) && m.regions[i].base < end {
+		return faultf(ErrOverlap, "mem: Map(%#x, %#x) at %#x", addr, size, max(addr, m.regions[i].base))
+	}
+	n := int(size / PageSize)
+	if i > 0 && m.regions[i-1].end() == addr {
+		// The extension may reuse slots an Unmap trimmed off the
+		// region's end, so it is cleared.
+		r := &m.regions[i-1]
+		old := len(r.pages)
+		r.pages = slices.Grow(r.pages, n)[:old+n]
+		clear(r.pages[old:])
+	} else {
+		m.regions = slices.Insert(m.regions, i, region{base: addr, pages: make([]page, n)})
+	}
+	m.mapped += n
+	return nil
+}
+
+// Unmap removes the pages covering [addr, addr+size), which must be
+// page-aligned and inside the 48-bit address space. Unmapped holes in the
+// range are ignored, matching munmap semantics. An unmapped page's words
+// are not reused; they are freed with the Memory.
+func (m *Memory) Unmap(addr, size uint64) error {
+	end, err := pageRange("Unmap", addr, size)
+	if err != nil {
+		return err
+	}
+	for i := m.search(addr); i < len(m.regions) && m.regions[i].base < end; {
+		r := &m.regions[i]
+		n := uint64(len(r.pages))
+		lo := (max(addr, r.base) - r.base) / PageSize
+		hi := (min(end, r.end()) - r.base) / PageSize
+		m.drop(r.pages[lo:hi])
+		switch {
+		case lo == 0 && hi == n:
+			m.regions = slices.Delete(m.regions, i, i+1)
+		case lo == 0:
+			r.base += hi * PageSize
+			r.pages = r.pages[hi:]
+			i++
+		case hi == n:
+			r.pages = r.pages[:lo]
+			i++
+		default:
+			// A hole inside one region splits it. The lower part's
+			// capacity ends at the hole, so extending it never
+			// writes into the upper part's slots.
+			upper := region{base: r.base + hi*PageSize, pages: r.pages[hi:]}
+			r.pages = r.pages[:lo:lo]
+			m.regions = slices.Insert(m.regions, i+1, upper)
+			return nil
+		}
 	}
 	return nil
 }
 
-// Unmap removes the pages covering [addr, addr+size). Unmapped holes in the
-// range are ignored, matching munmap semantics.
-func (m *Memory) Unmap(addr, size uint64) error {
-	if addr%PageSize != 0 || size%PageSize != 0 {
-		return faultf(ErrAlign, "mem: Unmap(%#x, %#x)", addr, size)
+// drop takes unmapped pages out of the counts.
+func (m *Memory) drop(pages []page) {
+	for i := range pages {
+		if pages[i].capCount > 0 {
+			m.capPages--
+			m.capLines -= int(pages[i].capLines)
+		}
 	}
-	for a := addr; a < addr+size; a += PageSize {
-		delete(m.pages, a/PageSize)
-	}
-	return nil
+	m.mapped -= len(pages)
 }
 
 // Mapped reports whether addr lies in a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
-	_, ok := m.pages[addr/PageSize]
-	return ok
+	_, err := m.pageFor(addr)
+	return err == nil
 }
 
 // MappedBytes returns the total mapped size in bytes.
 func (m *Memory) MappedBytes() uint64 {
-	return uint64(len(m.pages)) * PageSize
+	return uint64(m.mapped) * PageSize
 }
 
 func (m *Memory) pageFor(addr uint64) (*page, error) {
-	p, ok := m.pages[addr/PageSize]
-	if !ok {
-		return nil, faultf(ErrUnmapped, "mem: access at %#x", addr)
+	if i := m.search(addr); i < len(m.regions) && m.regions[i].base <= addr {
+		r := &m.regions[i]
+		return &r.pages[(addr-r.base)/PageSize], nil
 	}
-	return p, nil
+	return nil, faultf(ErrUnmapped, "mem: access at %#x", addr)
+}
+
+// words returns p's words, or nil while p is untouched.
+func (m *Memory) words(p *page) *[WordsPerPage]uint64 {
+	if p.words == 0 {
+		return nil
+	}
+	i := p.words - 1
+	return &m.blocks[i/wordsBlockPages][i%wordsBlockPages]
+}
+
+// word returns word w of p.
+func (m *Memory) word(p *page, w uint64) uint64 {
+	if ws := m.words(p); ws != nil {
+		return ws[w]
+	}
+	return 0
+}
+
+// setWord stores val in word w of p. A zero store leaves an untouched page
+// untouched.
+func (m *Memory) setWord(p *page, w, val uint64) {
+	ws := m.words(p)
+	if ws == nil {
+		if val == 0 {
+			return
+		}
+		ws = m.newWords(p)
+	}
+	ws[w] = val
+}
+
+// newWords gives the untouched page p the next free word slot, allocating
+// a block when the last one is full, and returns its words.
+func (m *Memory) newWords(p *page) *[WordsPerPage]uint64 {
+	i := m.slots
+	if i%wordsBlockPages == 0 {
+		m.blocks = append(m.blocks, new(wordsBlock))
+	}
+	m.slots++
+	p.words = i + 1
+	return &m.blocks[i/wordsBlockPages][i%wordsBlockPages]
+}
+
+// setTag sets the tag of granule g of p to v, keeping the page's and the
+// Memory's tag counts in step, and reports whether the tag changed.
+func (m *Memory) setTag(p *page, g uint, v bool) bool {
+	bit := uint8(1) << (g % 8)
+	if (p.tags[g/8]&bit != 0) == v {
+		return false
+	}
+	line := g / GranulesPerLine
+	if v {
+		if p.lineTagMask(line) == 0 {
+			p.capLines++
+			m.capLines++
+		}
+		if p.capCount == 0 {
+			m.capPages++
+		}
+		p.tags[g/8] |= bit
+		p.capCount++
+		return true
+	}
+	p.tags[g/8] &^= bit
+	p.capCount--
+	if p.lineTagMask(line) == 0 {
+		p.capLines--
+		m.capLines--
+	}
+	if p.capCount == 0 {
+		m.capPages--
+	}
+	return true
 }
 
 // LoadWord performs a capability-checked 8-byte data load.
@@ -115,7 +289,7 @@ func (m *Memory) LoadWord(auth cap.Capability, addr uint64) (uint64, error) {
 		return 0, err
 	}
 	m.stats.LoadWords++
-	return p.words[addr%PageSize/WordSize], nil
+	return m.word(p, addr%PageSize/WordSize), nil
 }
 
 // StoreWord performs a capability-checked 8-byte data store. A data store
@@ -154,7 +328,7 @@ func (m *Memory) LoadCap(auth cap.Capability, addr uint64) (cap.Capability, erro
 		tag = false
 	}
 	m.stats.CapLoads++
-	return cap.Decode(p.words[w], p.words[w+1], tag), nil
+	return cap.Decode(m.word(p, w), m.word(p, w+1), tag), nil
 }
 
 // StoreCap performs a capability-checked 16-byte capability store. Storing a
@@ -188,7 +362,7 @@ func (m *Memory) RawLoadWord(addr uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.words[addr%PageSize/WordSize], nil
+	return m.word(p, addr%PageSize/WordSize), nil
 }
 
 // RawStoreWord stores a word without capability checks, clearing the tag of
@@ -201,12 +375,10 @@ func (m *Memory) RawStoreWord(addr, val uint64) error {
 	if err != nil {
 		return err
 	}
-	g := uint(addr % PageSize / GranuleSize)
-	if p.tagAt(g) {
-		p.setTag(g, false)
+	if m.setTag(p, uint(addr%PageSize/GranuleSize), false) {
 		m.stats.TagsClear++
 	}
-	p.words[addr%PageSize/WordSize] = val
+	m.setWord(p, addr%PageSize/WordSize, val)
 	m.stats.StoreWords++
 	return nil
 }
@@ -221,7 +393,7 @@ func (m *Memory) RawLoadCap(addr uint64) (cap.Capability, error) {
 		return cap.Null, err
 	}
 	w := addr % PageSize / WordSize
-	return cap.Decode(p.words[w], p.words[w+1], p.tagAt(uint(addr%PageSize/GranuleSize))), nil
+	return cap.Decode(m.word(p, w), m.word(p, w+1), p.tagAt(uint(addr%PageSize/GranuleSize))), nil
 }
 
 // RawStoreCap stores a capability image and tag without authority checks,
@@ -239,21 +411,19 @@ func (m *Memory) RawStoreCap(addr uint64, c cap.Capability) error {
 		return faultf(ErrCapStoreInhibit, "mem: RawStoreCap(%#x)", addr)
 	}
 	w := addr % PageSize / WordSize
-	g := uint(addr % PageSize / GranuleSize)
 	lo, hi := c.Encode()
-	p.words[w] = lo
-	p.words[w+1] = hi
-	old := p.tagAt(g)
-	p.setTag(g, c.Tag())
-	switch {
-	case c.Tag() && !old:
-		m.stats.TagsSet++
-		if !p.capDirty {
-			p.capDirty = true
-			m.stats.DirtyTraps++
+	m.setWord(p, w, lo)
+	m.setWord(p, w+1, hi)
+	if m.setTag(p, uint(addr%PageSize/GranuleSize), c.Tag()) {
+		if c.Tag() {
+			m.stats.TagsSet++
+			if !p.capDirty {
+				p.capDirty = true
+				m.stats.DirtyTraps++
+			}
+		} else {
+			m.stats.TagsClear++
 		}
-	case !c.Tag() && old:
-		m.stats.TagsClear++
 	}
 	m.stats.CapStores++
 	return nil
@@ -276,9 +446,7 @@ func (m *Memory) ClearTag(addr uint64) error {
 	if err != nil {
 		return err
 	}
-	g := uint(addr % PageSize / GranuleSize)
-	if p.tagAt(g) {
-		p.setTag(g, false)
+	if m.setTag(p, uint(addr%PageSize/GranuleSize), false) {
 		m.stats.TagsClear++
 	}
 	return nil
@@ -300,44 +468,18 @@ func (m *Memory) CLoadTags(addr uint64) (uint8, error) {
 	return p.lineTagMask(uint(addr % PageSize / LineSize)), nil
 }
 
-// PeekLineTags is CLoadTags without the architectural event accounting: a
-// pure read the parallel sweeper can issue from concurrent shards (the
-// sweeper keeps its own probe counters).
-func (m *Memory) PeekLineTags(addr uint64) (uint8, error) {
-	if addr%LineSize != 0 {
-		return 0, faultf(ErrAlign, "mem: PeekLineTags(%#x)", addr)
-	}
-	p, err := m.pageFor(addr)
-	if err != nil {
-		return 0, err
-	}
-	return p.lineTagMask(uint(addr % PageSize / LineSize)), nil
-}
-
-// PeekWords returns the two words of the granule at addr and its tag without
-// any accounting; the sweep inner loop is built on it.
-func (m *Memory) PeekWords(addr uint64) (lo, hi uint64, tag bool, err error) {
-	if addr%GranuleSize != 0 {
-		return 0, 0, false, faultf(ErrAlign, "mem: PeekWords(%#x)", addr)
-	}
-	p, err := m.pageFor(addr)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	w := addr % PageSize / WordSize
-	return p.words[w], p.words[w+1], p.tagAt(uint(addr % PageSize / GranuleSize)), nil
-}
-
 // PageView is a borrowed read-only view of one mapped page: the sweep hot
 // loop resolves the page-table lookup once per page and then reads tags and
-// granules through the view, instead of paying a map lookup per PeekLineTags
-// and PeekWords call (up to LinesPerPage + GranulesPerPage lookups per page).
-// A view is invalidated by Unmap of its page; it must not outlive the sweep
-// that took it, and mutating the memory through other accessors while
-// holding a view is the caller's concurrency problem (same rules as the
-// Peek* accessors it replaces).
+// granules through the view, with no lookup per line or granule. Reads
+// through a view have no architectural event accounting, so concurrent
+// sweep shards may take views of the same memory. Any Map or Unmap
+// invalidates every view: extending a region can move its page slots. A
+// view must not outlive the sweep that took it, and mutating the memory
+// through other accessors while holding a view is the caller's concurrency
+// problem.
 type PageView struct {
-	p *page
+	p     *page
+	words *[WordsPerPage]uint64 // nil while the page is untouched
 }
 
 // PageView returns a view of the mapped page at base (which must be
@@ -350,23 +492,25 @@ func (m *Memory) PageView(base uint64) (PageView, error) {
 	if err != nil {
 		return PageView{}, err
 	}
-	return PageView{p: p}, nil
+	return PageView{p: p, words: m.words(p)}, nil
 }
 
 // LineTagMask returns the tag bits of line index line (0..LinesPerPage-1),
-// bit i for granule i of the line — PeekLineTags without the per-call page
-// lookup.
+// bit i for granule i of the line: what CLoadTags returns for that line.
 func (v PageView) LineTagMask(line uint) uint8 { return v.p.lineTagMask(line) }
 
 // Granule returns the two data words and tag of granule index g
-// (0..GranulesPerPage-1) — PeekWords without the per-call page lookup.
+// (0..GranulesPerPage-1).
 func (v PageView) Granule(g uint) (lo, hi uint64, tag bool) {
-	w := g * (GranuleSize / WordSize)
-	return v.p.words[w], v.p.words[w+1], v.p.tagAt(g)
+	if v.words != nil {
+		w := g * (GranuleSize / WordSize)
+		lo, hi = v.words[w], v.words[w+1]
+	}
+	return lo, hi, v.p.tagAt(g)
 }
 
 // CapCount returns the page's tagged-granule count.
-func (v PageView) CapCount() int { return v.p.capCount }
+func (v PageView) CapCount() int { return int(v.p.capCount) }
 
 // SetCapStoreInhibit sets or clears the capability-store-inhibit PTE bit of
 // the page containing addr.
@@ -388,45 +532,47 @@ func (m *Memory) CapDirty(addr uint64) (bool, error) {
 	return p.capDirty, nil
 }
 
-// CapDirtyPages returns the sorted base addresses of all CapDirty pages —
+// CapDirtyPages returns the ascending base addresses of all CapDirty pages —
 // the system API (akin to Windows' GetWriteWatch, footnote 4) a sweep uses
 // to restrict itself to pages that may contain capabilities.
 func (m *Memory) CapDirtyPages() []uint64 {
-	return m.AppendCapDirtyPages(make([]uint64, 0, len(m.pages)))
+	return m.AppendCapDirtyPages(nil)
 }
 
-// AppendCapDirtyPages appends the sorted base addresses of all CapDirty
+// AppendCapDirtyPages appends the ascending base addresses of all CapDirty
 // pages to dst and returns it — CapDirtyPages for callers (the sweeper, the
 // campaign loop) that reuse one backing slice across sweeps instead of
 // allocating a page list per call.
 func (m *Memory) AppendCapDirtyPages(dst []uint64) []uint64 {
-	start := len(dst)
-	for vpn, p := range m.pages {
-		if p.capDirty {
-			dst = append(dst, vpn*PageSize)
+	for _, r := range m.regions {
+		for i := range r.pages {
+			if r.pages[i].capDirty {
+				dst = append(dst, r.base+uint64(i)*PageSize)
+			}
 		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 
 // PageCount returns the number of mapped pages, without materialising the
 // page list the way AllPages does.
-func (m *Memory) PageCount() uint64 { return uint64(len(m.pages)) }
+func (m *Memory) PageCount() uint64 { return uint64(m.mapped) }
 
-// AllPages returns the sorted base addresses of every mapped page.
+// AllPages returns the ascending base addresses of every mapped page.
 func (m *Memory) AllPages() []uint64 {
-	return m.AppendAllPages(make([]uint64, 0, len(m.pages)))
+	return m.AppendAllPages(nil)
 }
 
-// AppendAllPages appends the sorted base addresses of every mapped page to
-// dst and returns it, for callers reusing one backing slice across sweeps.
+// AppendAllPages appends the ascending base addresses of every mapped page
+// to dst and returns it, for callers reusing one backing slice across
+// sweeps.
 func (m *Memory) AppendAllPages(dst []uint64) []uint64 {
-	start := len(dst)
-	for vpn := range m.pages {
-		dst = append(dst, vpn*PageSize)
+	dst = slices.Grow(dst, m.mapped)
+	for _, r := range m.regions {
+		for i := range r.pages {
+			dst = append(dst, r.base+uint64(i)*PageSize)
+		}
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -453,7 +599,7 @@ func (m *Memory) PageCapCount(base uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.capCount, nil
+	return int(p.capCount), nil
 }
 
 // PageCapLines returns the number of cache lines holding at least one tagged
@@ -463,7 +609,7 @@ func (m *Memory) PageCapLines(base uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.capLines(), nil
+	return int(p.capLines), nil
 }
 
 // Density returns the fraction of mapped pages containing at least one
@@ -473,28 +619,37 @@ func (m *Memory) PageCapLines(base uint64) (int, error) {
 // (§5.3), so callers sampling for Table 2 should measure just before a
 // sweep.
 func (m *Memory) Density() (pageDensity, lineDensity float64) {
-	if len(m.pages) == 0 {
+	if m.mapped == 0 {
 		return 0, 0
 	}
-	var withCaps, lines int
-	for _, p := range m.pages {
-		if p.capCount > 0 {
-			withCaps++
-			lines += p.capLines()
-		}
-	}
-	total := len(m.pages)
-	return float64(withCaps) / float64(total),
-		float64(lines) / float64(total*LinesPerPage)
+	return float64(m.capPages) / float64(m.mapped),
+		float64(m.capLines) / float64(m.mapped*LinesPerPage)
 }
 
-// CheckTagInvariant verifies that every page's capCount matches its tag
-// bitmap; tests call it after workloads to catch accounting drift.
+// CheckTagInvariant verifies the page table's bookkeeping against a
+// recount: every page's tag counts match its tag bitmap, the Memory's page,
+// cap-page and cap-line counts match the pages, and the regions are
+// non-empty, ascending, disjoint and inside the 48-bit address space. Tests
+// call it after workloads to catch accounting drift.
 func (m *Memory) CheckTagInvariant() bool {
-	for _, p := range m.pages {
-		if p.capCount != p.countTags() {
+	var mapped, capPages, capLines int
+	for i := range m.regions {
+		r := &m.regions[i]
+		if len(r.pages) == 0 || r.end() > addrLimit || i > 0 && r.base < m.regions[i-1].end() {
 			return false
 		}
+		for j := range r.pages {
+			p := &r.pages[j]
+			granules, lines := p.countTags()
+			if int(p.capCount) != granules || int(p.capLines) != lines {
+				return false
+			}
+			if granules > 0 {
+				capPages++
+				capLines += lines
+			}
+		}
+		mapped += len(r.pages)
 	}
-	return true
+	return mapped == m.mapped && capPages == m.capPages && capLines == m.capLines
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -47,6 +49,79 @@ func TestMapUnmap(t *testing.T) {
 	}
 	if m.Mapped(heapBase) || !m.Mapped(heapBase+2*PageSize) {
 		t.Error("Unmap removed wrong pages")
+	}
+}
+
+// TestMapRejectsRangesOutsideAddressSpace pins the 48-bit address space:
+// a range that wraps past 2^64 or reaches past 2^48 maps nothing, however
+// often it is tried, and neither does a snapshot page up there.
+func TestMapRejectsRangesOutsideAddressSpace(t *testing.T) {
+	m := New()
+	for _, r := range []struct{ addr, size uint64 }{
+		{0xFFFFFFFFFFFFF000, 0x2000}, // wraps past 2^64
+		{0xFFFFFFFFFFFFF000, 0x2000}, // and again: no double-map
+		{1 << 48, PageSize},
+		{1<<48 - PageSize, 2 * PageSize},
+	} {
+		if err := m.Map(r.addr, r.size); !errors.Is(err, ErrRange) {
+			t.Errorf("Map(%#x, %#x) = %v, want ErrRange", r.addr, r.size, err)
+		}
+		if err := m.Unmap(r.addr, r.size); !errors.Is(err, ErrRange) {
+			t.Errorf("Unmap(%#x, %#x) = %v, want ErrRange", r.addr, r.size, err)
+		}
+	}
+	if m.PageCount() != 0 || m.Mapped(0) || m.Mapped(1<<48) {
+		t.Fatalf("rejected ranges mapped %d pages", m.PageCount())
+	}
+	if err := m.Map(1<<48-PageSize, PageSize); err != nil {
+		t.Errorf("mapping the top page of the space: %v", err)
+	}
+	for _, vpn := range []uint64{1 << 36, 1 << 52} { // 2^48, and 2^64 (wraps to 0)
+		var buf bytes.Buffer
+		img := snapshotImage{Version: snapshotVersion, Pages: []snapshotPage{{VPN: vpn}}}
+		if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(&buf); !errors.Is(err, ErrRange) {
+			t.Errorf("snapshot page number %#x: %v, want ErrRange", vpn, err)
+		}
+	}
+}
+
+// TestMapExtendsAndSplitsRegions checks the region table's shapes: a Map
+// that starts where a mapping ends extends its region, a hole unmapped from
+// the middle splits it, and a later Map of the hole's pages never writes
+// into the part above the hole.
+func TestMapExtendsAndSplitsRegions(t *testing.T) {
+	m := New()
+	for i := uint64(0); i < 4; i++ {
+		if err := m.Map(heapBase+i*4*PageSize, 4*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.regions) != 1 || m.PageCount() != 16 {
+		t.Fatalf("four abutting Maps made %d regions, %d pages", len(m.regions), m.PageCount())
+	}
+	if err := m.RawStoreWord(heapBase+10*PageSize, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unmap(heapBase+4*PageSize, 4*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.regions) != 2 {
+		t.Fatalf("a hole made %d regions, want 2", len(m.regions))
+	}
+	if err := m.Map(heapBase+4*PageSize, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.RawLoadWord(heapBase + 10*PageSize); err != nil || v != 7 {
+		t.Errorf("word above the hole = %d, %v after re-mapping the hole", v, err)
+	}
+	if err := m.Map(heapBase+7*PageSize, 2*PageSize); !errors.Is(err, ErrOverlap) {
+		t.Errorf("Map across the upper region's base: %v, want ErrOverlap", err)
+	}
+	if !m.CheckTagInvariant() || m.PageCount() != 14 {
+		t.Errorf("after re-mapping: invariant %v, %d pages", m.CheckTagInvariant(), m.PageCount())
 	}
 }
 

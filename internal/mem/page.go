@@ -36,8 +36,19 @@ const (
 // hardware keeps in its hierarchical tag table, and the page-table metadata
 // CHERIvoke's hardware assists consume.
 type page struct {
-	words [WordsPerPage]uint64
+	// words is 1 + the index of the page's words among the Memory's word
+	// slots, or 0 until the page's first nonzero store: every word of an
+	// untouched page reads as zero (Memory.setWord). An index, not a
+	// pointer, keeps page slots free of pointers for the garbage
+	// collector to scan.
+	words uint32
 	tags  [GranulesPerPage / 8]uint8
+
+	// capCount and capLines count the set tag bits and the lines holding
+	// at least one, maintained on every tag transition (Memory.setTag) so
+	// density queries are O(1).
+	capCount uint16
+	capLines uint8
 
 	// capDirty is the PTE CapDirty flag (§3.4.2): set by the first tagged
 	// store to the page, cleared only when a sweep finds the page
@@ -47,29 +58,10 @@ type page struct {
 	// capStoreInhibit is the capability-store-inhibit PTE bit: tagged
 	// stores trap instead of setting capDirty.
 	capStoreInhibit bool
-
-	// capCount tracks the number of set tag bits, maintained on every
-	// tag transition so density queries are O(1).
-	capCount int
 }
 
 func (p *page) tagAt(granule uint) bool {
 	return p.tags[granule/8]&(1<<(granule%8)) != 0
-}
-
-func (p *page) setTag(granule uint, v bool) {
-	bit := uint8(1) << (granule % 8)
-	old := p.tags[granule/8]&bit != 0
-	if v == old {
-		return
-	}
-	if v {
-		p.tags[granule/8] |= bit
-		p.capCount++
-	} else {
-		p.tags[granule/8] &^= bit
-		p.capCount--
-	}
 }
 
 // The nibble extraction in lineTagMask assumes exactly 4 granules per line
@@ -87,24 +79,16 @@ func (p *page) lineTagMask(line uint) uint8 {
 	return (p.tags[line>>1] >> ((line & 1) * GranulesPerLine)) & (1<<GranulesPerLine - 1)
 }
 
-// capLines returns the number of cache lines in the page containing at least
-// one tagged granule.
-func (p *page) capLines() int {
-	n := 0
+// countTags recounts the set tag bits and the lines holding one from the
+// tag bitmap, for snapshot restore and invariant checks.
+func (p *page) countTags() (granules, lines int) {
+	for _, b := range p.tags {
+		granules += bits.OnesCount8(b)
+	}
 	for l := uint(0); l < LinesPerPage; l++ {
 		if p.lineTagMask(l) != 0 {
-			n++
+			lines++
 		}
 	}
-	return n
-}
-
-// countTags recomputes capCount from the tag bitmap (used by invariant
-// checks in tests).
-func (p *page) countTags() int {
-	n := 0
-	for _, b := range p.tags {
-		n += bits.OnesCount8(b)
-	}
-	return n
+	return granules, lines
 }

@@ -30,25 +30,33 @@ type snapshotImage struct {
 const snapshotVersion = 1
 
 // WriteSnapshot serialises the memory image (pages in ascending address
-// order, so identical states produce identical bytes).
+// order, so identical states produce identical bytes). An untouched page is
+// written with zero words.
 func (m *Memory) WriteSnapshot(w io.Writer) error {
 	img := snapshotImage{Version: snapshotVersion}
-	for _, base := range m.AllPages() {
-		p := m.pages[base/PageSize]
-		img.Pages = append(img.Pages, snapshotPage{
-			VPN:             base / PageSize,
-			Words:           p.words,
-			Tags:            p.tags,
-			CapDirty:        p.capDirty,
-			CapStoreInhibit: p.capStoreInhibit,
-		})
+	for _, r := range m.regions {
+		for i := range r.pages {
+			p := &r.pages[i]
+			sp := snapshotPage{
+				VPN:             r.base/PageSize + uint64(i),
+				Tags:            p.tags,
+				CapDirty:        p.capDirty,
+				CapStoreInhibit: p.capStoreInhibit,
+			}
+			if w := m.words(p); w != nil {
+				sp.Words = *w
+			}
+			img.Pages = append(img.Pages, sp)
+		}
 	}
 	return gob.NewEncoder(w).Encode(&img)
 }
 
 // ReadSnapshot reconstructs a memory from a serialised image. The result is
 // a fresh Memory with zeroed event counters: sweeping a dump measures the
-// sweep, not the run that produced it.
+// sweep, not the run that produced it. Each page is mapped with Map, so an
+// image with a duplicate page or one outside the 48-bit address space is
+// rejected.
 func ReadSnapshot(r io.Reader) (*Memory, error) {
 	var img snapshotImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
@@ -58,18 +66,26 @@ func ReadSnapshot(r io.Reader) (*Memory, error) {
 		return nil, fmt.Errorf("mem: snapshot version %d, want %d", img.Version, snapshotVersion)
 	}
 	m := New()
-	for _, sp := range img.Pages {
-		if _, dup := m.pages[sp.VPN]; dup {
-			return nil, fmt.Errorf("mem: snapshot has duplicate page %#x", sp.VPN*PageSize)
+	for i := range img.Pages {
+		sp := &img.Pages[i]
+		base := sp.VPN * PageSize
+		if base/PageSize != sp.VPN {
+			return nil, faultf(ErrRange, "mem: snapshot page number %#x", sp.VPN)
 		}
-		p := &page{
-			words:           sp.Words,
-			tags:            sp.Tags,
-			capDirty:        sp.CapDirty,
-			capStoreInhibit: sp.CapStoreInhibit,
+		if err := m.Map(base, PageSize); err != nil {
+			return nil, fmt.Errorf("mem: snapshot page %#x: %w", base, err)
 		}
-		p.capCount = p.countTags()
-		m.pages[sp.VPN] = p
+		p, _ := m.pageFor(base)
+		p.tags, p.capDirty, p.capStoreInhibit = sp.Tags, sp.CapDirty, sp.CapStoreInhibit
+		if sp.Words != ([WordsPerPage]uint64{}) {
+			*m.newWords(p) = sp.Words
+		}
+		granules, lines := p.countTags()
+		p.capCount, p.capLines = uint16(granules), uint8(lines)
+		if granules > 0 {
+			m.capPages++
+			m.capLines += lines
+		}
 	}
 	return m, nil
 }

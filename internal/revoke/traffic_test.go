@@ -197,11 +197,13 @@ func replayTraffic(t *testing.T, f *fixture, cfg Config, mk func() *mem.Hierarch
 	for _, part := range parts {
 		h := mk()
 		for _, base := range part {
-			for line := base; line < base+mem.PageSize; line += mem.LineSize {
-				mask, err := f.mem.PeekLineTags(line)
-				if err != nil {
-					t.Fatal(err)
-				}
+			view, err := f.mem.PageView(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := uint(0); l < mem.LinesPerPage; l++ {
+				line := base + uint64(l)*mem.LineSize
+				mask := view.LineTagMask(l)
 				if cfg.UseCLoadTags {
 					h.AccessTags(line)
 					if mask == 0 {
@@ -210,11 +212,8 @@ func replayTraffic(t *testing.T, f *fixture, cfg Config, mk func() *mem.Hierarch
 				}
 				h.Access(line, false)
 				store := cfg.Kernel == sim.KernelVector
-				for g := uint64(0); g < mem.GranulesPerLine; g++ {
-					lo, hi, tag, err := f.mem.PeekWords(line + g*mem.GranuleSize)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for g := uint(0); g < mem.GranulesPerLine; g++ {
+					lo, hi, tag := view.Granule(l*mem.GranulesPerLine + g)
 					store = store || tag && f.shadow.Revoked(cap.DecodeBase(lo, hi))
 				}
 				if store {

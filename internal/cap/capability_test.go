@@ -239,6 +239,29 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCapabilityOpsZeroAlloc pins SetBounds and an Encode→Decode round trip
+// at zero heap allocations: a Capability is a value, and bounds compression
+// is integer arithmetic on it.
+func TestCapabilityOpsZeroAlloc(t *testing.T) {
+	root := mustRoot(t)
+	var i uint64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := root.SetBounds(i%1024*4096+0x10000000, 4096); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("SetBounds allocates %.2f per call, want 0", allocs)
+	}
+	c, _ := root.SetBounds(0x10000000, 4096)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		lo, hi := c.Encode()
+		c = Decode(lo, hi, true)
+	}); allocs != 0 {
+		t.Errorf("Encode→Decode allocates %.2f per round trip, want 0", allocs)
+	}
+}
+
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	root := MustRoot(0, addrSpaceTop)
 	f := func(seed int64) bool {

@@ -79,9 +79,10 @@ type SQLiteStore struct {
 
 	// scanned is the log offset up to which tables below reflect the file.
 	scanned int64
-	// statSize is the file size observed by the last scan; a read whose
-	// stat matches it skips the flock/scan round-trip entirely (the log
-	// below statSize is immutable).
+	// statSize is the file size at which the last scan ended on a record
+	// boundary, the torn record's start when it stopped at a torn tail. A
+	// read whose stat matches it skips the flock/scan round-trip entirely
+	// (the log below statSize is immutable).
 	statSize  int64
 	campaigns map[string][]byte
 	results   map[string][]byte
@@ -367,10 +368,10 @@ func (s *SQLiteStore) apply(kind byte, key string, val []byte) {
 
 // catchUp scans the log from s.scanned to EOF, folding every complete,
 // checksum-valid record into the tables. A torn or corrupt tail stops the
-// scan: s.scanned is left at the last good boundary, and tornAt reports
-// that offset so a writer (holding the exclusive lock) can truncate the
-// tail away — the crash-recovery "WAL replay". Callers must hold at least
-// a shared flock on s.f.
+// scan: s.scanned and s.statSize are left at the last good boundary, and
+// tornAt reports that offset so a writer (holding the exclusive lock) can
+// truncate the tail away — the crash-recovery "WAL replay". Callers must
+// hold at least a shared flock on s.f.
 func (s *SQLiteStore) catchUp() (tornAt int64, torn bool, err error) {
 	st, err := s.f.Stat()
 	if err != nil {
@@ -383,7 +384,7 @@ func (s *SQLiteStore) catchUp() (tornAt int64, torn bool, err error) {
 	}
 	base := s.scanned
 	r := io.NewSectionReader(s.f, base, size-base)
-	br := &countingByteReader{r: r}
+	br := &countingByteReader{r: r, size: size - base}
 	for {
 		recStart := base + br.n
 		kind, key, val, ok, err := readOneRecord(br)
@@ -392,6 +393,7 @@ func (s *SQLiteStore) catchUp() (tornAt int64, torn bool, err error) {
 		}
 		if !ok {
 			if recStart < size {
+				s.statSize = recStart
 				return recStart, true, nil
 			}
 			return 0, false, nil
@@ -404,9 +406,10 @@ func (s *SQLiteStore) catchUp() (tornAt int64, torn bool, err error) {
 // countingByteReader adapts an io.Reader into the ByteReader binary.Uvarint
 // needs while tracking how many bytes were consumed.
 type countingByteReader struct {
-	r   io.Reader
-	n   int64
-	buf [1]byte
+	r    io.Reader
+	n    int64
+	size int64 // bytes r holds: a longer length prefix is a torn tail
+	buf  [1]byte
 }
 
 // ReadByte implements io.ByteReader.
@@ -436,7 +439,7 @@ func readOneRecord(br *countingByteReader) (kind byte, key string, val []byte, o
 	sum := crc32.New(crc32.MakeTable(crc32.Castagnoli))
 	sum.Write([]byte{kind})
 	keyLen, rerr := readUvarint(br, sum)
-	if rerr != nil || keyLen > sqliteMaxRecord {
+	if rerr != nil || keyLen > sqliteMaxRecord || keyLen > uint64(br.size-br.n) {
 		return 0, "", nil, false, nil
 	}
 	keyBuf := make([]byte, keyLen)
@@ -445,7 +448,7 @@ func readOneRecord(br *countingByteReader) (kind byte, key string, val []byte, o
 	}
 	sum.Write(keyBuf)
 	valLen, rerr := readUvarint(br, sum)
-	if rerr != nil || valLen > sqliteMaxRecord {
+	if rerr != nil || valLen > sqliteMaxRecord || valLen > uint64(br.size-br.n) {
 		return 0, "", nil, false, nil
 	}
 	val = make([]byte, valLen)
@@ -488,7 +491,7 @@ func readUvarint(br *countingByteReader, sum io.Writer) (uint64, error) {
 // immutable (appends only grow the file; truncation only removes torn
 // bytes past every validated record boundary), so the tables are current
 // and the flock/scan round-trip is skipped. A torn tail observed under the
-// shared lock is simply not folded in — the next writer truncates it.
+// shared lock is not folded in; reads rescan it until a writer truncates it.
 func (s *SQLiteStore) readView(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

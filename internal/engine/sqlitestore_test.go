@@ -22,6 +22,42 @@ func openSQLite(t *testing.T, path string) *engine.SQLiteStore {
 	return s
 }
 
+// recordImage returns the bytes write appends to the log of a fresh store.
+func recordImage(tb testing.TB, write func(s *engine.SQLiteStore) error) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "image.db")
+	s, err := engine.OpenSQLiteStore(path, tb.Logf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	before, err := os.Stat(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := write(s); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b[before.Size():]
+}
+
+// appendBytes appends b to the file at path, as a crash mid-append leaves it.
+func appendBytes(tb testing.TB, path string, b []byte) {
+	tb.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestSQLiteStoreCrossHandleVisibility proves two handles on one file — the
 // stand-in for two coordinator processes on a shared mount — observe each
 // other's writes and exclude each other's leases.
@@ -116,6 +152,50 @@ func TestSQLiteStoreTornTailRecovery(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Errorf("Campaigns after recovery returned %d records, want 2", len(recs))
+	}
+}
+
+// TestSQLiteStoreReadAfterTornTailRescans proves a handle that read past a
+// torn tail does not treat the torn bytes as part of the immutable log: when
+// another handle truncates the tail and appends a record of exactly the torn
+// length, the file's size is unchanged, and the reader must still rescan and
+// serve the new record.
+func TestSQLiteStoreReadAfterTornTailRescans(t *testing.T) {
+	k1, k2 := strings.Repeat("a1", 32), strings.Repeat("b2", 32)
+	jr2 := campaign.JobResult{Mallocs: 2}
+
+	torn := recordImage(t, func(s *engine.SQLiteStore) error { return s.PutJob(k2, jr2) })
+	torn[len(torn)-1] ^= 0xFF // a crash left the record with a bad checksum
+
+	path := filepath.Join(t.TempDir(), "store.db")
+	w := openSQLite(t, path)
+	r := openSQLite(t, path)
+	if err := w.PutJob(k1, campaign.JobResult{Mallocs: 1}); err != nil {
+		t.Fatalf("PutJob: %v", err)
+	}
+	if _, err := r.Job(k1); err != nil {
+		t.Fatalf("Job(k1) via r: %v", err)
+	}
+	appendBytes(t, path, torn)
+	if _, err := r.Job(k2); !errors.Is(err, engine.ErrNotFound) {
+		t.Fatalf("Job(k2) via r over the torn tail: err = %v, want ErrNotFound", err)
+	}
+	tornSize, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// w truncates the torn tail and appends k2's record in its place.
+	if err := w.PutJob(k2, jr2); err != nil {
+		t.Fatalf("PutJob(k2) via w: %v", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != tornSize.Size() {
+		t.Fatalf("stat after the rewrite: %v, %v; want the torn size %d", st, err, tornSize.Size())
+	}
+	for name, s := range map[string]*engine.SQLiteStore{"r": r, "w": w, "fresh": openSQLite(t, path)} {
+		if got, err := s.Job(k2); err != nil || got.Mallocs != jr2.Mallocs {
+			t.Errorf("Job(k2) via %s: Mallocs %d, err %v; want the record w wrote", name, got.Mallocs, err)
+		}
 	}
 }
 

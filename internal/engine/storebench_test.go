@@ -1,9 +1,8 @@
 // Store benchmarks: per-backend operation latency, lease-protocol
 // throughput under contention, and the end-to-end shared-store fleet
 // rate. These are the numbers the shared-store fast path (group commit,
-// read caching, fsync-free leases) exists to move, gated like the paper
-// benches via cmd/benchgate (see docs/BENCHMARKS.md).
-package repro
+// clean-skip reads, fsync-free leases) exists to move.
+package engine_test
 
 import (
 	"fmt"

@@ -51,3 +51,39 @@ func benchInsert(b *testing.B, liveSet int) {
 		}
 	}
 }
+
+// BenchmarkAblationCoalescing measures quarantine insertion with adjacent
+// (coalescing) versus scattered (non-coalescing) free patterns — the
+// batching effect of §6.1.1.
+func BenchmarkAblationCoalescing(b *testing.B) {
+	const n = 4096
+	b.Run("adjacent", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf := New()
+			for j := uint64(0); j < n; j++ {
+				if err := buf.Insert(0x10000000+j*64, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := buf.Len(); got != 1 {
+				b.Fatalf("adjacent inserts left %d chunks", got)
+			}
+			b.ReportMetric(float64(n)/float64(buf.Stats().DrainedOut+uint64(buf.Len())), "frees-per-chunk")
+			buf.Drain()
+		}
+	})
+	b.Run("scattered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf := New()
+			for j := uint64(0); j < n; j++ {
+				if err := buf.Insert(0x10000000+j*128, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := buf.Len(); got != n {
+				b.Fatalf("scattered inserts coalesced to %d chunks", got)
+			}
+			buf.Drain()
+		}
+	})
+}

@@ -126,6 +126,36 @@ func TestPaintNaiveMatchesOptimised(t *testing.T) {
 	}
 }
 
+// TestPaintZeroAlloc pins Paint and PaintNaive, over a mixture of 16-byte
+// to 1 KiB chunks and each pass followed by ClearAll, at zero heap
+// allocations: New and Grow allocate the map's words, nothing else does.
+func TestPaintZeroAlloc(t *testing.T) {
+	const size = 1 << 20
+	m := newMap(t, size)
+	var chunks [][2]uint64 // address, size
+	for i, addr := 0, base; addr+4096 < base+size; i++ {
+		sz := uint64(16 + i%64*16)
+		chunks = append(chunks, [2]uint64{addr, sz})
+		addr += sz + 16
+	}
+	for _, p := range []struct {
+		name  string
+		paint func(addr, size uint64) error
+	}{{"Paint", m.Paint}, {"PaintNaive", m.PaintNaive}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, c := range chunks {
+				if err := p.paint(c[0], c[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.ClearAll()
+		})
+		if allocs != 0 {
+			t.Errorf("%s of %d chunks and ClearAll allocate %.2f per pass, want 0", p.name, len(chunks), allocs)
+		}
+	}
+}
+
 func TestClearAll(t *testing.T) {
 	m := newMap(t, 1<<16)
 	if err := m.Paint(base, 1<<14); err != nil {

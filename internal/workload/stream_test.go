@@ -637,8 +637,9 @@ func TestStreamingSourceEOFSticky(t *testing.T) {
 	}
 }
 
-// loopingRecords serves a binary header once, then cycles one pre-encoded
-// malloc record forever, so AllocsPerRun can measure a steady-state Next.
+// loopingRecords serves a binary header once, then cycles a pre-encoded
+// body of records forever, never the end record, so AllocsPerRun and
+// BenchmarkBinaryTraceDecode can measure a steady-state Next.
 type loopingRecords struct {
 	header []byte
 	body   []byte

@@ -211,10 +211,9 @@ func campaignCmd(args []string) error {
 	var stats engine.ResolveStats
 	if *storeSpec != "" || *stateDir != "" {
 		var store engine.Store
-		shared := true
 		var serr error
 		if *storeSpec != "" {
-			store, shared, serr = engine.OpenStore(*storeSpec, nil)
+			store, serr = engine.OpenStore(*storeSpec, nil)
 		} else {
 			store, serr = engine.OpenStateDir(*stateDir, false, nil)
 		}
@@ -222,12 +221,12 @@ func campaignCmd(args []string) error {
 			return serr
 		}
 		defer store.Close()
-		// A persistent store is opened Shared: the CLI is a secondary
-		// consumer and must not declare a serving process's live
-		// campaigns interrupted, and the lease protocol lets a CLI run and
-		// a fleet resolve the same spec concurrently without duplicating a
-		// single job.
-		eng, serr := engine.New(store, engine.Options{Shared: shared})
+		// The CLI opens a state directory without its owner lock, so the
+		// engine treats it as shared: the CLI is a secondary consumer and
+		// must not declare a serving process's live campaigns interrupted,
+		// and the lease protocol lets a CLI run and a fleet resolve the
+		// same spec concurrently without duplicating a single job.
+		eng, serr := engine.New(store, engine.Options{})
 		if serr != nil {
 			return serr
 		}

@@ -4,52 +4,46 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // mapCache is a JobCache over a plain map, keyed by the job with its
 // expansion ID zeroed — the same "everything but the ID" discipline the
-// engine's content keys use.
+// engine's content keys use. The pool only reads a cache, so mapCache is
+// also the Runner that fills it: it executes in process and records each
+// successful result, the way internal/engine's runner publishes to the
+// store its cache reads.
 type mapCache struct {
 	mu      sync.Mutex
 	results map[string]JobResult
-	lookups int
 	stores  int
 }
 
 func newMapCache() *mapCache { return &mapCache{results: map[string]JobResult{}} }
 
-func cacheKey(t *testing.T, job Job) string {
-	t.Helper()
+func mapCacheKey(job Job) string {
 	job.ID = 0
-	b, err := json.Marshal(job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := json.Marshal(job)
 	return string(b)
 }
 
 func (c *mapCache) Lookup(_ Spec, job Job) (JobResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lookups++
-	job.ID = 0
-	b, _ := json.Marshal(job)
-	jr, ok := c.results[string(b)]
+	jr, ok := c.results[mapCacheKey(job)]
 	return jr, ok
 }
 
-func (c *mapCache) Store(_ Spec, job Job, jr JobResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stores++
-	job.ID = 0
-	b, _ := json.Marshal(job)
-	c.results[string(b)] = jr
+func (c *mapCache) RunJob(_ context.Context, spec Spec, job Job) (JobResult, error) {
+	jr := ExecuteJob(spec, job, nil)
+	if jr.Error == "" {
+		c.mu.Lock()
+		c.stores++
+		c.results[mapCacheKey(job)] = jr
+		c.mu.Unlock()
+	}
+	return jr, nil
 }
 
 func cacheSpec() Spec {
@@ -62,10 +56,10 @@ func cacheSpec() Spec {
 	}
 }
 
-// TestRunJobCache covers the cache hook's contract: a cold run stores every
-// successful job, a warm run executes nothing and produces byte-identical
-// artifacts, progress events mark cached jobs, and hits are re-stamped with
-// the current expansion's job ID.
+// TestRunJobCache covers the cache hook's contract: a cold run hands every
+// job to the runner, a warm run executes nothing and produces
+// byte-identical artifacts, progress events mark cached jobs, and hits are
+// re-stamped with the current expansion's job ID.
 func TestRunJobCache(t *testing.T) {
 	spec := cacheSpec()
 	cache := newMapCache()
@@ -81,7 +75,7 @@ func TestRunJobCache(t *testing.T) {
 		return jb.Bytes(), cb.Bytes()
 	}
 
-	cold, err := Run(context.Background(), spec, RunOptions{Workers: 2, Cache: cache})
+	cold, err := Run(context.Background(), spec, RunOptions{Workers: 2, Cache: cache, Runner: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +90,7 @@ func TestRunJobCache(t *testing.T) {
 	warm, err := Run(context.Background(), spec, RunOptions{
 		Workers: 2,
 		Cache:   cache,
+		Runner:  cache,
 		OnProgress: func(p Progress) {
 			if p.Cached {
 				cachedEvents++
@@ -126,14 +121,14 @@ func TestRunJobCache(t *testing.T) {
 func TestRunJobCacheRestampsID(t *testing.T) {
 	cache := newMapCache()
 	wide := cacheSpec()
-	if _, err := Run(context.Background(), wide, RunOptions{Workers: 2, Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), wide, RunOptions{Workers: 2, Cache: cache, Runner: cache}); err != nil {
 		t.Fatal(err)
 	}
 
 	// hmmer was job 1 in the wide spec; alone it expands as job 0.
 	narrow := cacheSpec()
 	narrow.Profiles = []string{"hmmer"}
-	res, err := Run(context.Background(), narrow, RunOptions{Workers: 1, Cache: cache})
+	res, err := Run(context.Background(), narrow, RunOptions{Workers: 1, Cache: cache, Runner: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,40 +141,5 @@ func TestRunJobCacheRestampsID(t *testing.T) {
 	}
 	if jr.Stats.Sweeps == 0 {
 		t.Fatal("cached hit lost its measurements")
-	}
-}
-
-// failingOpener rejects every ref — the shape of a transient trace-store
-// outage.
-type failingOpener struct{}
-
-func (failingOpener) OpenTrace(ref string) (workload.TraceReader, string, error) {
-	return nil, "", fmt.Errorf("trace store offline (ref %q)", ref)
-}
-
-// TestRunJobCacheSkipsFailures pins that errored jobs are never stored: a
-// cache poisoned with transient failures would serve them forever.
-func TestRunJobCacheSkipsFailures(t *testing.T) {
-	cache := newMapCache()
-	spec := Spec{
-		Name:      "failing",
-		Profiles:  []string{"povray"},
-		MaxLive:   []uint64{1 << 20},
-		MinSweeps: 1,
-		MaxEvents: 10000,
-		TraceRef:  "deadbeef00",
-	}
-	res, err := Run(context.Background(), spec, RunOptions{Workers: 1, Cache: cache, Traces: failingOpener{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FirstError() == nil {
-		t.Fatal("expected the trace job to fail")
-	}
-	if cache.stores != 0 {
-		t.Fatalf("failed job was stored (%d stores)", cache.stores)
-	}
-	if _, ok := cache.results[cacheKey(t, res.Jobs[0].Job)]; ok {
-		t.Fatal("failed job reachable in cache")
 	}
 }

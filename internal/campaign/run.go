@@ -28,13 +28,14 @@ type RunOptions struct {
 	// TraceRef.
 	Traces TraceOpener
 
-	// Cache, when set, is consulted before each job executes and fed
-	// every successful result. A hit is used verbatim (re-stamped with
-	// the current job's ID), so a correct cache — one that only returns
-	// results produced by an identical job under an identical spec —
-	// keeps artifacts byte-identical to an uncached run. Failed jobs are
-	// never stored: their errors may be transient (a missing trace, a
-	// full disk). Methods must be safe for concurrent use by the pool.
+	// Cache, when set, is consulted before each job executes. A hit is
+	// used verbatim (re-stamped with the current job's ID), so a correct
+	// cache — one that only returns results produced by an identical job
+	// under an identical spec — keeps artifacts byte-identical to an
+	// uncached run. The pool only reads it: filling it is the Runner's
+	// business (internal/engine's runner publishes each successful
+	// result to the store its cache reads). Lookup must be safe for
+	// concurrent use by the pool.
 	Cache JobCache
 
 	// Runner, when set, replaces in-process job execution: every cache
@@ -62,16 +63,14 @@ type JobRunner interface {
 	RunJob(ctx context.Context, spec Spec, job Job) (JobResult, error)
 }
 
-// JobCache serves previously computed job results. The spec passed to both
-// methods is the normalised form (defaults resolved), so implementations
-// can derive stable content keys from it. internal/engine implements this
-// over a persistent Store, keyed by a content hash of everything that
-// determines the result.
+// JobCache serves previously computed job results. The spec passed to
+// Lookup is the normalised form (defaults resolved), so implementations can
+// derive stable content keys from it. internal/engine implements this over
+// a persistent Store, keyed by a content hash of everything that determines
+// the result.
 type JobCache interface {
 	// Lookup returns a stored result for the job, if one exists.
 	Lookup(spec Spec, job Job) (JobResult, bool)
-	// Store records a successfully completed job's result.
-	Store(spec Spec, job Job, jr JobResult)
 }
 
 // Progress describes one completed job.
@@ -199,9 +198,6 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (*Result, error) {
 					} else {
 						jr = runJob(spec, jobs[i], opts.Traces)
 						pm.executed.Inc()
-					}
-					if opts.Cache != nil && jr.Error == "" {
-						opts.Cache.Store(spec, jobs[i], jr)
 					}
 				}
 				pm.jobDone(jr, cached, started)

@@ -13,7 +13,7 @@ import (
 
 // recordCampaignTrace records a trace with exactly the workload options a
 // default campaign job would use, and files it in a fresh store.
-func recordCampaignTrace(t *testing.T, spec Spec) (*workload.Store, string) {
+func recordCampaignTrace(t testing.TB, spec Spec) (*workload.Store, string) {
 	t.Helper()
 	job := mustJobs(t, spec)[0]
 	p, _ := workload.ByName(job.Profile)
@@ -52,7 +52,7 @@ func recordCampaignTrace(t *testing.T, spec Spec) (*workload.Store, string) {
 	return store, info.Hash
 }
 
-func mustJobs(t *testing.T, spec Spec) []Job {
+func mustJobs(t testing.TB, spec Spec) []Job {
 	t.Helper()
 	jobs, err := spec.Jobs()
 	if err != nil {

@@ -54,18 +54,19 @@ func TestSQLiteStoreShared(t *testing.T) {
 	storetest.RunShared(t, openSQLitePair)
 }
 
-// TestOpenStoreSpecs pins the -store parser: the two backends open, and
-// every spelling of a retired backend — dir:, blob:, a bare path — fails
-// with an error naming its replacement.
+// TestOpenStoreSpecs pins the -store parser: the two backends open — sqlite:
+// as the SQLiteStore an engine treats as shared — and every spelling of a
+// retired backend — dir:, blob:, a bare path — fails with an error naming
+// its replacement.
 func TestOpenStoreSpecs(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		spec     string
-		shared   bool
+		sqlite   bool
 		wantErrs []string // substrings the error must contain; nil = success
 	}{
 		{spec: "mem:"},
-		{spec: "sqlite:" + filepath.Join(dir, "s.cvk"), shared: true},
+		{spec: "sqlite:" + filepath.Join(dir, "s.cvk"), sqlite: true},
 		{spec: "dir:" + dir, wantErrs: []string{"-statedir " + dir, "sqlite:PATH"}},
 		{spec: "blob:" + dir, wantErrs: []string{"-statedir " + dir, "sqlite:PATH"}},
 		{spec: dir, wantErrs: []string{"bare path", "-statedir " + dir, "sqlite:PATH"}},
@@ -75,14 +76,14 @@ func TestOpenStoreSpecs(t *testing.T) {
 		{spec: "sqlite:", wantErrs: []string{"empty path"}},
 		{spec: "nfs:x", wantErrs: []string{"unknown store scheme"}},
 	} {
-		s, shared, err := engine.OpenStore(tc.spec, t.Logf)
+		s, err := engine.OpenStore(tc.spec, t.Logf)
 		if tc.wantErrs == nil {
 			if err != nil {
 				t.Errorf("OpenStore(%q): %v", tc.spec, err)
 				continue
 			}
-			if shared != tc.shared {
-				t.Errorf("OpenStore(%q) shared = %v, want %v", tc.spec, shared, tc.shared)
+			if _, sqlite := s.(*engine.SQLiteStore); sqlite != tc.sqlite {
+				t.Errorf("OpenStore(%q) is a SQLiteStore: %v, want %v", tc.spec, sqlite, tc.sqlite)
 			}
 			s.Close()
 			continue
@@ -110,12 +111,12 @@ func TestOpenStateDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStateDir on a missing directory: %v", err)
 	}
-	if err := s.PutJob(fmt.Sprintf("%064x", 1), campaign.JobResult{Mallocs: 7}); err != nil {
+	if err := s.PublishJob(fmt.Sprintf("%064x", 1), "writer", campaign.JobResult{Mallocs: 7}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// The same state through the sqlite: spelling.
-	viaSpec, _, err := engine.OpenStore("sqlite:"+filepath.Join(dir, engine.StateFile), t.Logf)
+	viaSpec, err := engine.OpenStore("sqlite:"+filepath.Join(dir, engine.StateFile), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

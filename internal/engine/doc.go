@@ -8,9 +8,11 @@
 //     keeps everything in process memory; SQLiteStore appends every record
 //     to one crash-safe log file that any number of processes may share
 //     (OpenStore("sqlite:PATH")), or that a serving process owns
-//     exclusively as a state directory (OpenStateDir). A single-owner
-//     engine recovers on open: campaigns that were running when the process
-//     died are finalised from their stored result or marked failed.
+//     exclusively as a state directory (OpenStateDir). The engine reads
+//     sharing off the store: only a SQLiteStore without the owner lock is
+//     shared. An exclusive engine recovers on open: campaigns that were
+//     running when the process died are finalised from their stored result
+//     or marked failed.
 //
 //   - Engine: the execution front. Every job is keyed by JobKey — a SHA-256
 //     over the canonical serialisation of everything that determines its
@@ -22,17 +24,18 @@
 //     JSON and CSV artifacts to a cold run; the cache changes cost, never
 //     results.
 //
-//   - Runner: the distribution seam. The engine hands every cache-miss job
-//     to its configured Runner along with the job's key. LocalRunner
-//     executes in-process (the default); RemoteRunner forwards one job to a
-//     worker process's internal HTTP API; Dispatcher implements Runner over
-//     a whole fleet — jobs shard across workers by JobKey hash with bounded
-//     per-worker dispatch, failed workers are marked down and their jobs
-//     reassigned, and local execution is the last resort, so campaigns
-//     always complete. Because the routing key is the dedup key and workers
-//     execute the same campaign.ExecuteJob a local pool would, artifacts
-//     are byte-identical at any worker count and the fleet shares one
-//     deduplicated job store.
+//   - Runner: the distribution seam. The engine runs every cache-miss job
+//     under a store lease on its configured Runner, with the job's key, and
+//     publishes each successful result — the one way a job result is
+//     written. LocalRunner executes in-process (the default); RemoteRunner
+//     forwards one job to a worker process's internal HTTP API; Dispatcher
+//     implements Runner over a whole fleet — jobs shard across workers by
+//     JobKey hash with bounded per-worker dispatch, failed workers are
+//     marked down and their jobs reassigned, and local execution is the
+//     last resort, so campaigns always complete. Because the routing key is
+//     the dedup key and workers execute the same campaign.ExecuteJob a
+//     local pool would, artifacts are byte-identical at any worker count
+//     and the fleet shares one deduplicated job store.
 //
 // The engine deliberately excludes from the key everything that only
 // schedules work: worker counts, sweep-shard membership of the pool,

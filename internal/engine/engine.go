@@ -74,25 +74,14 @@ type Options struct {
 	// Runner, when set, executes the jobs the job-result store cannot
 	// serve — the distribution seam. A coordinator passes a Dispatcher
 	// here to fan jobs out across worker processes; nil executes
-	// in-process via campaign's own pool. Either way results flow back
-	// through the Store, so the fleet shares one deduplicated job
-	// cache.
+	// in-process. Either way every execution runs under a store lease and
+	// its result is published to the Store, so the fleet shares one
+	// deduplicated job cache.
 	Runner Runner
 
-	// Shared declares that other engines — in this process or others —
-	// write the same Store concurrently. It turns on the job-lease
-	// protocol (every execution runs under a store lease, so a job is
-	// computed at most once fleet-wide) and makes Get/List/Result consult
-	// the store for campaigns other engines submitted. It also skips
-	// restart recovery: records marked running are left untouched on open
-	// instead of finalised, because recovery belongs to a store's single
-	// owner — a peer's running campaign is live, not interrupted.
-	Shared bool
-
-	// LeaseTTL is the job-lease lifetime under Shared (0 = a 30s
-	// default). A holder heartbeats at a third of this; a lease idle past
-	// it is stolen, so it bounds how long a crashed engine's jobs stay
-	// blocked.
+	// LeaseTTL is the job-lease lifetime (0 = a 30s default). A holder
+	// heartbeats at a third of this; a lease idle past it is stolen, so it
+	// bounds how long a crashed engine's jobs stay blocked.
 	LeaseTTL time.Duration
 
 	// Metrics, when set, instruments the engine and everything it runs:
@@ -112,6 +101,7 @@ type Engine struct {
 	opts    Options
 	metrics engineMetrics
 	owner   string // fleet-unique lease owner identity
+	shared  bool   // other engines may write the store (see sharedStore)
 
 	mu   sync.Mutex
 	seq  int
@@ -138,12 +128,14 @@ type Event struct {
 
 // New builds an Engine over store, recovering persisted state: records are
 // loaded, the ID sequence resumes past the highest stored record, and —
-// unless opts.Shared — any campaign still marked running (the process died
-// mid-run) is finalised from its stored Result when the final write made it
-// to disk, or marked failed when it did not. Its cache-hit count is lost
-// either way; its jobs' results are not — they were stored as each job
-// finished and will serve a resubmission without a single re-execution.
+// unless the store is shared — any campaign still marked running (the
+// process died mid-run) is finalised from its stored Result when the final
+// write made it to disk, or marked failed when it did not. Its cache-hit
+// count is lost either way; its jobs' results are not — they were published
+// as each job finished and will serve a resubmission without a single
+// re-execution.
 func New(store Store, opts Options) (*Engine, error) {
+	shared := sharedStore(store)
 	if s, ok := store.(*SQLiteStore); ok {
 		s.instrument(opts.Metrics)
 	}
@@ -155,7 +147,7 @@ func New(store Store, opts Options) (*Engine, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = defaultLeaseTTL
 	}
-	e := &Engine{store: store, opts: opts, metrics: newEngineMetrics(opts.Metrics), owner: leaseOwnerID(), runs: make(map[string]*run, len(recs))}
+	e := &Engine{store: store, opts: opts, metrics: newEngineMetrics(opts.Metrics), owner: leaseOwnerID(), shared: shared, runs: make(map[string]*run, len(recs))}
 	// Resume the ID sequence past every record the store has evidence of
 	// — a corrupted (hence unlisted) record still fences off its ID, so
 	// its orphaned result artifact can never be served for a new
@@ -167,7 +159,7 @@ func New(store Store, opts Options) (*Engine, error) {
 		if rec.Seq > e.seq {
 			e.seq = rec.Seq
 		}
-		if rec.State == StateRunning && !opts.Shared {
+		if rec.State == StateRunning && !shared {
 			if res, err := store.Result(rec.ID); err == nil {
 				rec.finishFrom(res)
 			} else {
@@ -185,6 +177,16 @@ func New(store Store, opts Options) (*Engine, error) {
 		e.runs[rec.ID] = &run{rec: rec, closed: true}
 	}
 	return e, nil
+}
+
+// sharedStore reports whether other engines may write store concurrently:
+// a SQLiteStore opened without its state directory's owner lock. A MemStore
+// and an owner-locked state directory are exclusive. Get, List and Result
+// read a shared store for campaigns other engines submitted, and New leaves
+// its running records — a live peer's — to the store's single owner.
+func sharedStore(store Store) bool {
+	s, ok := store.(*SQLiteStore)
+	return ok && s.ownerLock == nil
 }
 
 // resolveTraceHash maps a spec's trace ref to the full content hash of the
@@ -290,11 +292,12 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 	start := time.Now()
 	lg.Info("campaign started", "name", spec.Name, "jobs", jobs, "workers", workers)
 
+	leased := e.jobRunner(traceHash, e.opts.Traces)
 	res, err := campaign.Run(ctx, spec, campaign.RunOptions{
 		Workers:    workers,
 		Traces:     e.opts.Traces,
-		Cache:      e.cache(traceHash),
-		Runner:     e.jobRunner(traceHash),
+		Cache:      leased,
+		Runner:     leased,
 		OnProgress: r.onProgress,
 		Metrics:    e.opts.Metrics,
 	})
@@ -379,7 +382,7 @@ func (e *Engine) run(id string) *run {
 	return e.runs[id]
 }
 
-// Get returns a campaign's current record snapshot. Under Shared, an ID
+// Get returns a campaign's current record snapshot. On a shared store, an ID
 // this engine does not hold is looked up in the store, so either
 // coordinator sharing a store answers for any campaign — live local runs
 // stay authoritative because the local record is always at least as fresh
@@ -387,7 +390,7 @@ func (e *Engine) run(id string) *run {
 func (e *Engine) Get(id string) (Campaign, bool) {
 	r := e.run(id)
 	if r == nil {
-		if e.opts.Shared {
+		if e.shared {
 			if rec, err := e.store.Campaign(id); err == nil {
 				return rec, true
 			}
@@ -400,8 +403,8 @@ func (e *Engine) Get(id string) (Campaign, bool) {
 }
 
 // List returns every campaign's record, sorted by submission sequence — a
-// stable order for repeated polls, across restarts included. Under Shared
-// the listing merges in campaigns other engines submitted to the store,
+// stable order for repeated polls, across restarts included. On a shared
+// store the listing merges in campaigns other engines submitted to the store,
 // with this engine's own live records taking precedence.
 func (e *Engine) List() []Campaign {
 	e.mu.Lock()
@@ -418,7 +421,7 @@ func (e *Engine) List() []Campaign {
 		local[r.rec.ID] = struct{}{}
 		r.mu.Unlock()
 	}
-	if e.opts.Shared {
+	if e.shared {
 		if recs, err := e.store.Campaigns(); err == nil {
 			for _, rec := range recs {
 				if _, ok := local[rec.ID]; !ok {
@@ -433,10 +436,10 @@ func (e *Engine) List() []Campaign {
 
 // Result returns a campaign's stored artifact; ErrNotFound covers both an
 // unknown ID and a campaign without a result (still running, cancelled, or
-// failed before completion). Under Shared the ID need not be local: a
+// failed before completion). On a shared store the ID need not be local: a
 // finished sibling's artifact is served from the store, bytes identical.
 func (e *Engine) Result(id string) (*campaign.Result, error) {
-	if e.run(id) == nil && !e.opts.Shared {
+	if e.run(id) == nil && !e.shared {
 		return nil, ErrNotFound
 	}
 	return e.store.Result(id)
@@ -454,10 +457,11 @@ func (e *Engine) LookupJob(key string) (campaign.JobResult, bool) {
 	return jr, true
 }
 
-// SaveJob stores a completed job's result under its content key. A failed
-// put only costs a future recomputation, so errors are not surfaced.
+// SaveJob publishes a job the worker API executed under its content key —
+// the one write path every job result takes (see publishJob), so a failed
+// job is not saved and a failed write only costs a future recomputation.
 func (e *Engine) SaveJob(key string, jr campaign.JobResult) {
-	_ = e.store.PutJob(key, jr)
+	publishJob(e.store, key, e.owner, jr)
 }
 
 // Cancel requests cancellation of a running campaign; it reports whether
@@ -498,71 +502,16 @@ func (e *Engine) Subscribe(id string) (ch <-chan Event, unsubscribe func(), live
 	}, true
 }
 
-// jobRunner adapts the engine's Runner — if one is configured — to the
-// campaign pool's per-job seam, pinning the campaign's resolved trace hash
-// into every job's key. Nil (the single-node, in-process case) keeps
-// execution inside campaign's own pool. Under Shared every execution path —
-// dispatched or local — is wrapped in the store's job-lease protocol, so
-// engines racing the same job key execute it at most once between them.
-func (e *Engine) jobRunner(traceHash string) campaign.JobRunner {
-	runner := e.opts.Runner
-	if !e.opts.Shared {
-		if runner == nil {
-			return nil
-		}
-		return &jobDispatch{runner: runner, traceHash: traceHash, m: &e.metrics}
+// jobRunner builds the campaign pool's cache and runner for one campaign: a
+// job the store cannot serve runs under the store's job-lease protocol, on
+// the engine's configured Runner or, without one, in process against
+// traces. The campaign's resolved trace hash is pinned into every job's key.
+func (e *Engine) jobRunner(traceHash string, traces campaign.TraceOpener) *leaseRunner {
+	inner := e.opts.Runner
+	if inner == nil {
+		inner = &LocalRunner{Traces: traces, executed: e.metrics.poolExec}
 	}
-	if runner == nil {
-		runner = &countedLocalRunner{local: &LocalRunner{Traces: e.opts.Traces}, m: &e.metrics}
-	}
-	leased := &leaseRunner{inner: runner, store: e.store, owner: e.owner, ttl: e.opts.LeaseTTL, m: &e.metrics}
-	return &jobDispatch{runner: leased, traceHash: traceHash, m: &e.metrics}
-}
-
-// cache builds the one-campaign JobCache view of the store.
-func (e *Engine) cache(traceHash string) campaign.JobCache {
-	return &storeCache{store: e.store, traceHash: traceHash, m: &e.metrics}
-}
-
-// jobDispatch is the campaign.JobRunner view of an engine Runner: it
-// computes the job's content key and forwards.
-type jobDispatch struct {
-	runner    Runner
-	traceHash string
-	m         *engineMetrics
-}
-
-// RunJob implements campaign.JobRunner.
-func (d *jobDispatch) RunJob(ctx context.Context, spec campaign.Spec, job campaign.Job) (campaign.JobResult, error) {
-	d.m.jobKeys.Inc()
-	return d.runner.RunJob(ctx, JobKey(spec, job, d.traceHash), spec, job)
-}
-
-// storeCache adapts the Store to campaign.JobCache for one campaign run,
-// pinning the resolved trace hash into every key.
-type storeCache struct {
-	store     Store
-	traceHash string
-	m         *engineMetrics
-}
-
-// Lookup implements campaign.JobCache.
-func (c *storeCache) Lookup(spec campaign.Spec, job campaign.Job) (campaign.JobResult, bool) {
-	c.m.jobKeys.Inc()
-	jr, err := c.store.Job(JobKey(spec, job, c.traceHash))
-	if err != nil {
-		c.m.cacheMisses.Inc()
-		return campaign.JobResult{}, false
-	}
-	c.m.cacheHits.Inc()
-	return jr, true
-}
-
-// Store implements campaign.JobCache. A failed put only costs a future
-// recomputation, so it is not allowed to fail the job that just succeeded.
-func (c *storeCache) Store(spec campaign.Spec, job campaign.Job, jr campaign.JobResult) {
-	c.m.jobKeys.Inc()
-	_ = c.store.PutJob(JobKey(spec, job, c.traceHash), jr)
+	return &leaseRunner{inner: inner, store: e.store, owner: e.owner, ttl: e.opts.LeaseTTL, traceHash: traceHash, m: &e.metrics}
 }
 
 // ResolveOptions tunes a synchronous Resolve.
@@ -586,7 +535,7 @@ type ResolveStats struct {
 
 // Resolve runs spec synchronously through the job-result store without
 // registering a campaign: every job is served from the store when its key
-// is present and executed (and stored) when it is not. The figure endpoints
+// is present and executed (and published) when it is not. The figure endpoints
 // and the CLI's -statedir path use it — overlapping sweeps share results
 // with each other and with submitted campaigns.
 func (e *Engine) Resolve(ctx context.Context, spec campaign.Spec, opts ResolveOptions) (*campaign.Result, ResolveStats, error) {
@@ -610,11 +559,12 @@ func (e *Engine) Resolve(ctx context.Context, spec campaign.Spec, opts ResolveOp
 	// OnProgress calls are serialised by the pool and complete before Run
 	// returns, so stats needs no locking of its own.
 	var stats ResolveStats
+	leased := e.jobRunner(traceHash, traces)
 	res, err := campaign.Run(ctx, spec, campaign.RunOptions{
 		Workers: workers,
 		Traces:  traces,
-		Cache:   e.cache(traceHash),
-		Runner:  e.jobRunner(traceHash),
+		Cache:   leased,
+		Runner:  leased,
 		Metrics: e.opts.Metrics,
 		OnProgress: func(p campaign.Progress) {
 			if p.Cached {
@@ -637,8 +587,5 @@ func (e *Engine) Resolve(ctx context.Context, spec campaign.Spec, opts ResolveOp
 // own direct runner does.
 func (e *Engine) ResolveCampaign(ctx context.Context, spec campaign.Spec, workers int) (*campaign.Result, error) {
 	res, _, err := e.Resolve(ctx, spec, ResolveOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }

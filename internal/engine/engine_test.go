@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/revoke"
 	"repro/internal/workload"
 )
 
@@ -26,20 +27,20 @@ func testSpec(profiles ...string) campaign.Spec {
 	}
 }
 
-// countingStore wraps a Store and counts job-cache traffic: PutJob calls
-// happen exactly once per executed job, so a run with zero puts provably
-// executed nothing.
+// countingStore wraps a Store and counts job-result writes: PublishJob
+// happens exactly once per successfully executed job, so a run with zero
+// publishes provably executed nothing.
 type countingStore struct {
 	Store
 	mu      sync.Mutex
 	putJobs int
 }
 
-func (c *countingStore) PutJob(key string, jr campaign.JobResult) error {
+func (c *countingStore) PublishJob(key, owner string, jr campaign.JobResult) error {
 	c.mu.Lock()
 	c.putJobs++
 	c.mu.Unlock()
-	return c.Store.PutJob(key, jr)
+	return c.Store.PublishJob(key, owner, jr)
 }
 
 func (c *countingStore) puts() int {
@@ -99,6 +100,13 @@ func TestJobKeyDeterminants(t *testing.T) {
 	windowed.TraceWindow = 512
 	if JobKey(windowed, job, "") != base {
 		t.Error("trace window leaked into the job key")
+	}
+	// An empty image-sweep list does not survive the JSON hop to a worker
+	// (the field is omitempty), so it keys like an absent one.
+	emptySweeps := spec
+	emptySweeps.ImageSweeps = []revoke.Config{}
+	if JobKey(emptySweeps, job, "") != base {
+		t.Error("an empty image-sweep list moved the job key")
 	}
 
 	// Result-shaping inputs each get their own key.
@@ -349,21 +357,22 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 }
 
 // TestSharedOpenLeavesRunningRecords pins the secondary-consumer contract:
-// an engine opened Shared must not declare another process's live campaign
+// an engine over a shared store — a SQLiteStore opened without its state
+// directory's owner lock — must not declare another process's live campaign
 // interrupted.
 func TestSharedOpenLeavesRunningRecords(t *testing.T) {
-	store := NewMemStore()
+	store := openTestSQLite(t)
 	live := Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}
 	if err := store.PutCampaign(live); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(store, Options{Workers: 1, Shared: true})
+	e, err := New(store, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := e.Get(live.ID)
 	if !ok || got.State != StateRunning {
-		t.Fatalf("running record touched by a Shared open: %+v", got)
+		t.Fatalf("running record touched by a shared open: %+v", got)
 	}
 	recs, err := store.Campaigns()
 	if err != nil {

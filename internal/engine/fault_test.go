@@ -57,11 +57,11 @@ func (f *faultStore) PutResult(id string, res *campaign.Result) error {
 	return f.Store.PutResult(id, res)
 }
 
-func (f *faultStore) PutJob(key string, jr campaign.JobResult) error {
-	if err := f.op("put_job"); err != nil {
+func (f *faultStore) PublishJob(key, owner string, jr campaign.JobResult) error {
+	if err := f.op("publish_job"); err != nil {
 		return err
 	}
-	return f.Store.PutJob(key, jr)
+	return f.Store.PublishJob(key, owner, jr)
 }
 
 func (f *faultStore) MaxSeq() (int, error) {
@@ -111,7 +111,7 @@ func TestSubmitConflictIsNotAFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(store, Options{Shared: true})
+	e, err := New(store, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -146,34 +146,37 @@ func TestRecoverySurfacesStoreFailure(t *testing.T) {
 }
 
 // TestFailedJobPutDoesNotFailTheJob proves a job whose result cannot be
-// stored still completes its campaign — a store outage costs future
-// recomputation, never present results. Shared engines reach the store
-// through the lease protocol's publish, single-owner ones through the
-// pool's put; both must shrug the failure off.
+// published still completes its campaign — a store outage costs future
+// recomputation, never present results — and that the failed publish
+// releases the lease instead of leaving it to its TTL.
 func TestFailedJobPutDoesNotFailTheJob(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		e, err := New(&failingJobStore{Store: NewMemStore()}, Options{Shared: shared})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		rec, err := e.Submit(testSpec(), 1)
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		final := waitState(t, e, rec.ID)
-		if final.State != StateDone {
-			t.Errorf("shared=%v: campaign state %q, want %q (job-store outage must not fail jobs)", shared, final.State, StateDone)
-		}
+	store := NewMemStore()
+	e, err := New(&failingJobStore{Store: store}, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec, err := e.Submit(testSpec(), 1)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	final := waitState(t, e, rec.ID)
+	if final.State != StateDone {
+		t.Errorf("campaign state %q, want %q (job-store outage must not fail jobs)", final.State, StateDone)
+	}
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, held, _ := store.PeekJobLease(JobKey(testSpec(), jobs[0], "")); held {
+		t.Error("a failed publish left the job's lease held")
 	}
 }
 
-// failingJobStore fails every job write — PutJob and the lease protocol's
-// PublishJob — while leaving the rest of the store healthy.
+// failingJobStore fails every job write — PublishJob — while leaving the
+// rest of the store healthy.
 type failingJobStore struct {
 	Store
 }
-
-func (f *failingJobStore) PutJob(string, campaign.JobResult) error { return errBrokenDisk }
 
 func (f *failingJobStore) PublishJob(string, string, campaign.JobResult) error {
 	return errBrokenDisk
@@ -187,9 +190,9 @@ func TestLeaseHeartbeatOutlivesTTL(t *testing.T) {
 	slow := runnerFunc(func() time.Duration { return 120 * time.Millisecond })
 	lr := &leaseRunner{inner: slow, store: store, owner: "slowpoke", ttl: 40 * time.Millisecond, m: &m}
 	done := make(chan error, 1)
-	key := testJobKey(1)
+	key := emptyJobKey()
 	go func() {
-		_, err := lr.RunJob(t.Context(), key, campaign.Spec{}, campaign.Job{})
+		_, err := lr.RunJob(t.Context(), campaign.Spec{}, campaign.Job{})
 		done <- err
 	}()
 	// Give the runner time to take the lease and outlive one TTL.
@@ -221,3 +224,7 @@ func (r runnerFunc) RunJob(ctx context.Context, key string, spec campaign.Spec, 
 func testJobKey(n int) string {
 	return fmt.Sprintf("%064x", 0xabc0000+n)
 }
+
+// emptyJobKey is the key a leaseRunner computes for the zero spec and job —
+// the job the lease-protocol tests run.
+func emptyJobKey() string { return JobKey(campaign.Spec{}, campaign.Job{}, "") }

@@ -64,7 +64,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.PutJob(testJobKey(500+i), campaign.JobResult{Job: campaign.Job{ID: i}})
+			errs[i] = s.PublishJob(testJobKey(500+i), "writer", campaign.JobResult{Job: campaign.Job{ID: i}})
 		}()
 	}
 	start(0)
@@ -112,7 +112,7 @@ func TestGroupCommitNoEarlyAckOnSyncFailure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = s.PutJob(testJobKey(600+i), campaign.JobResult{Job: campaign.Job{ID: i}})
+			errs[i] = s.PublishJob(testJobKey(600+i), "writer", campaign.JobResult{Job: campaign.Job{ID: i}})
 		}(i)
 	}
 	wg.Wait()
@@ -129,8 +129,8 @@ func TestGroupCommitNoEarlyAckOnSyncFailure(t *testing.T) {
 	s.mu.Lock()
 	s.syncHook = nil
 	s.mu.Unlock()
-	if err := s.PutJob(testJobKey(699), campaign.JobResult{Job: campaign.Job{ID: 699}}); err != nil {
-		t.Fatalf("PutJob after recovery: %v", err)
+	if err := s.PublishJob(testJobKey(699), "writer", campaign.JobResult{Job: campaign.Job{ID: 699}}); err != nil {
+		t.Fatalf("PublishJob after recovery: %v", err)
 	}
 	if _, err := s.Job(testJobKey(699)); err != nil {
 		t.Fatalf("Job after recovery: %v", err)
@@ -149,7 +149,7 @@ func TestGroupCommitPerTxnErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pile a doomed create, a doomed acquire, and a healthy put into the
+	// Pile a doomed create, a doomed acquire, and a healthy publish into the
 	// same commit window.
 	s.mu.Lock()
 	var wg sync.WaitGroup
@@ -159,7 +159,7 @@ func TestGroupCommitPerTxnErrors(t *testing.T) {
 	waitQueue(t, s, func(leading bool, queued int) bool { return leading })
 	wg.Add(2)
 	go func() { defer wg.Done(); leaseErr = s.AcquireJobLease(testJobKey(700), "thief", time.Minute) }()
-	go func() { defer wg.Done(); putErr = s.PutJob(testJobKey(701), campaign.JobResult{}) }()
+	go func() { defer wg.Done(); putErr = s.PublishJob(testJobKey(701), "writer", campaign.JobResult{}) }()
 	waitQueue(t, s, func(leading bool, queued int) bool { return queued >= 2 })
 	s.mu.Unlock()
 	wg.Wait()
@@ -171,7 +171,7 @@ func TestGroupCommitPerTxnErrors(t *testing.T) {
 		t.Errorf("batched acquire of held lease: err = %v, want ErrLeaseHeld", leaseErr)
 	}
 	if putErr != nil {
-		t.Errorf("healthy put failed alongside doomed batchmates: %v", putErr)
+		t.Errorf("healthy publish failed alongside doomed batchmates: %v", putErr)
 	}
 	if _, err := s.Job(testJobKey(701)); err != nil {
 		t.Errorf("healthy batchmate's record missing: %v", err)
@@ -190,7 +190,7 @@ func TestReadCleanSkip(t *testing.T) {
 	}
 	defer a.Close()
 	a.instrument(obs.NewRegistry())
-	if err := a.PutJob(testJobKey(800), campaign.JobResult{Job: campaign.Job{ID: 800}}); err != nil {
+	if err := a.PublishJob(testJobKey(800), "writer", campaign.JobResult{Job: campaign.Job{ID: 800}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -215,7 +215,7 @@ func TestReadCleanSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if err := b.PutJob(testJobKey(801), campaign.JobResult{Job: campaign.Job{ID: 801}}); err != nil {
+	if err := b.PublishJob(testJobKey(801), "writer", campaign.JobResult{Job: campaign.Job{ID: 801}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -276,7 +276,7 @@ func TestLeaseBackoffNoLockStep(t *testing.T) {
 // channel preempts the timer.
 func TestLeaseWaiterWakesOnPublish(t *testing.T) {
 	store := NewMemStore()
-	key := testJobKey(900)
+	key := emptyJobKey()
 	if err := store.AcquireJobLease(key, "holder", time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLeaseWaiterWakesOnPublish(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		jr, err := lr.RunJob(context.Background(), key, campaign.Spec{}, campaign.Job{})
+		jr, err := lr.RunJob(context.Background(), campaign.Spec{}, campaign.Job{})
 		done <- outcome{jr, err}
 	}()
 
@@ -322,7 +322,7 @@ func TestLeaseWaiterWakesOnPublish(t *testing.T) {
 // waiting burns zero fsyncs.
 func TestLeaseWaitRefusalsDoNotFsync(t *testing.T) {
 	s := openTestSQLite(t)
-	key := testJobKey(901)
+	key := emptyJobKey()
 	if err := s.AcquireJobLease(key, "holder", time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestLeaseWaitRefusalsDoNotFsync(t *testing.T) {
 	lr := &leaseRunner{inner: &LocalRunner{}, store: s, owner: "waiter", ttl: time.Hour, m: &m}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	if _, err := lr.RunJob(ctx, key, campaign.Spec{}, campaign.Job{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := lr.RunJob(ctx, campaign.Spec{}, campaign.Job{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunJob under held lease: err = %v, want deadline", err)
 	}
 	if got := s.Fsyncs() - base; got != 0 {
@@ -363,25 +363,24 @@ func TestLeaseOnlyBatchesSkipFsync(t *testing.T) {
 		t.Fatalf("lease state lost without fsync: %v", err)
 	}
 	// A data record must still sync.
-	if err := s.PutJob(key, campaign.JobResult{}); err != nil {
+	if err := s.PublishJob(key, "writer", campaign.JobResult{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Fsyncs() - base; got != 1 {
-		t.Errorf("a job put issued %d fsyncs, want 1", got)
+		t.Errorf("a job publish issued %d fsyncs, want 1", got)
 	}
 }
 
 // TestEngineFsyncsPerJob is the acceptance measurement: an engine running a
 // campaign against a shared SQLite store must spend well under the old
-// protocol's ~5 fsyncs per executed job (acquire + put + release + the
-// pool's duplicate put + the campaign bookkeeping riding each one). The
-// fsync-free lease path, the publish transaction, and putRecord dropping a
-// job record the table already holds bring it to ~1.25/job measured; 5/3
-// per job plus campaign-lifecycle slack is the ≥3x-reduction line this
+// protocol's ~5 fsyncs per executed job (acquire + put + release + a
+// duplicate put + the campaign bookkeeping riding each one). The fsync-free
+// lease path and the publish transaction bring it to ~1.25/job measured;
+// 5/3 per job plus campaign-lifecycle slack is the ≥3x-reduction line this
 // must stay under.
 func TestEngineFsyncsPerJob(t *testing.T) {
 	s := openTestSQLite(t)
-	e, err := New(s, Options{Runner: &LocalRunner{}, Shared: true, LeaseTTL: 5 * time.Second})
+	e, err := New(s, Options{Runner: &LocalRunner{}, LeaseTTL: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -413,18 +412,19 @@ func TestEngineFsyncsPerJob(t *testing.T) {
 	}
 }
 
-// TestSQLitePutJobAfterPublishIsFree pins the store's own duplicate-put
-// suppression on the campaign pool's sequence: a job is published under its
-// lease, then put again with the same bytes. The put must append nothing
-// and issue no fsync.
-func TestSQLitePutJobAfterPublishIsFree(t *testing.T) {
+// TestSQLiteRepublishIsFree pins the store's duplicate-publish suppression
+// on the worker→coordinator sequence over one store: a worker publishes the
+// job it executed (holding no lease), then the coordinator publishes the
+// same bytes under its lease. The second publish must append no job record
+// and — once the lease is gone — nothing at all, with no fsync.
+func TestSQLiteRepublishIsFree(t *testing.T) {
 	s := openTestSQLite(t)
 	key := testJobKey(903)
 	jr := campaign.JobResult{Job: campaign.Job{ID: 903}, Mallocs: 11}
-	if err := s.AcquireJobLease(key, "holder", time.Minute); err != nil {
+	if err := s.AcquireJobLease(key, "coordinator", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PublishJob(key, "holder", jr); err != nil {
+	if err := s.PublishJob(key, "worker", jr); err != nil {
 		t.Fatal(err)
 	}
 	size := func() int64 {
@@ -435,23 +435,44 @@ func TestSQLitePutJobAfterPublishIsFree(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	size0, fsyncs0 := size(), s.Fsyncs()
-	if err := s.PutJob(key, jr); err != nil {
+	// What a bare lease release appends, measured on a sibling key.
+	other := testJobKey(904)
+	if err := s.AcquireJobLease(other, "coordinator", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := size(); got != size0 {
-		t.Errorf("a duplicate put grew the log from %d to %d bytes", size0, got)
+	size0 := size()
+	if err := s.ReleaseJobLease(other, "coordinator"); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Fsyncs(); got != fsyncs0 {
-		t.Errorf("a duplicate put issued %d fsyncs, want 0", got-fsyncs0)
+	release := size() - size0
+
+	size0 = size()
+	if err := s.PublishJob(key, "coordinator", jr); err != nil {
+		t.Fatal(err)
+	}
+	if _, held, err := s.PeekJobLease(key); err != nil || held {
+		t.Fatalf("the holder's publish left its lease held (err %v)", err)
+	}
+	if grown := size() - size0; grown != release {
+		t.Errorf("a duplicate publish grew the log by %d bytes, want only the %d-byte lease release", grown, release)
+	}
+	size1, fsyncs1 := size(), s.Fsyncs()
+	if err := s.PublishJob(key, "worker", jr); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != size1 {
+		t.Errorf("a duplicate publish with no lease to release grew the log from %d to %d bytes", size1, got)
+	}
+	if got := s.Fsyncs(); got != fsyncs1 {
+		t.Errorf("a duplicate publish issued %d fsyncs, want 0", got-fsyncs1)
 	}
 	// Different bytes under the same key still append.
 	jr.Mallocs = 12
-	if err := s.PutJob(key, jr); err != nil {
+	if err := s.PublishJob(key, "worker", jr); err != nil {
 		t.Fatal(err)
 	}
-	if got := size(); got <= size0 {
-		t.Errorf("a changed put left the log at %d bytes, want it to grow past %d", got, size0)
+	if got := size(); got <= size1 {
+		t.Errorf("a changed publish left the log at %d bytes, want it to grow past %d", got, size1)
 	}
 }
 

@@ -53,7 +53,14 @@ type keyPayload struct {
 // full content hash of the trace a TraceRef job replays ("" for generated
 // workloads) — callers resolve it once per campaign so the key names exact
 // input bytes, not a ref spelling.
+//
+// An empty image-sweep list hashes as an absent one: Spec.ImageSweeps is
+// omitempty, so a spec crossing the JSON coordinator→worker hop loses an
+// empty list, and the key must not change with it.
 func JobKey(spec campaign.Spec, job campaign.Job, traceHash string) string {
+	if len(spec.ImageSweeps) == 0 {
+		spec.ImageSweeps = nil
+	}
 	payload := keyPayload{
 		Version:            jobKeyVersion,
 		Profile:            job.Profile,

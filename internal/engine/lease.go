@@ -70,9 +70,14 @@ func leaseOwnerID() string {
 	return fmt.Sprintf("pid%d-%s", os.Getpid(), hex.EncodeToString(b[:]))
 }
 
-// leaseRunner wraps a Runner with the store's job-lease protocol, making
-// execution at-most-once across every engine sharing the store. The
-// at-most-once argument:
+// leaseRunner is the campaign pool's JobCache and JobRunner on every
+// engine: the pool looks each job up in the store through it, and each
+// miss runs here under the store's job-lease protocol, on the engine's
+// inner Runner (the dispatcher, or local execution). It is the one place
+// job results are written, and only successful ones: a job-level failure
+// may be transient, and a published one would be served from then on. The
+// argument that execution is at-most-once across every engine sharing the
+// store, after the pool's lookup missed:
 //
 //  1. A job only executes while its executor holds the lease, and the lease
 //     admits one live owner at a time.
@@ -91,30 +96,35 @@ func leaseOwnerID() string {
 // per poll), and sleeps on a jittered exponential backoff between checks —
 // woken early by any in-process release or publish.
 type leaseRunner struct {
-	inner Runner
-	store Store
-	owner string
-	ttl   time.Duration
-	m     *engineMetrics
+	inner     Runner
+	store     Store
+	owner     string
+	ttl       time.Duration
+	traceHash string // the campaign's resolved trace hash, pinned into every key
+	m         *engineMetrics
 }
 
-// RunJob implements Runner.
-func (l *leaseRunner) RunJob(ctx context.Context, key string, spec campaign.Spec, job campaign.Job) (campaign.JobResult, error) {
-	// A sibling may have published the result since the pool's cache
-	// lookup missed.
-	if jr, err := l.store.Job(key); err == nil {
-		l.m.leaseServed.Inc()
-		return jr, nil
-	}
-
-	jr, acquired, err := l.acquire(ctx, key)
+// Lookup implements campaign.JobCache.
+func (l *leaseRunner) Lookup(spec campaign.Spec, job campaign.Job) (campaign.JobResult, bool) {
+	l.m.jobKeys.Inc()
+	jr, err := l.store.Job(JobKey(spec, job, l.traceHash))
 	if err != nil {
-		return campaign.JobResult{}, err
+		l.m.cacheMisses.Inc()
+		return campaign.JobResult{}, false
 	}
-	if !acquired {
-		// The holder published while this runner waited — served, not
-		// executed.
-		return jr, nil
+	l.m.cacheHits.Inc()
+	return jr, true
+}
+
+// RunJob implements campaign.JobRunner.
+func (l *leaseRunner) RunJob(ctx context.Context, spec campaign.Spec, job campaign.Job) (campaign.JobResult, error) {
+	l.m.jobKeys.Inc()
+	key := JobKey(spec, job, l.traceHash)
+	jr, acquired, err := l.acquire(ctx, key)
+	if err != nil || !acquired {
+		// A failed wait, or the holder published while this runner
+		// waited — served, not executed.
+		return jr, err
 	}
 
 	// Double-check under the lease: if the previous holder published
@@ -149,14 +159,22 @@ func (l *leaseRunner) RunJob(ctx context.Context, key string, spec campaign.Spec
 	<-hbStopped
 
 	// Publish before releasing — the order the at-most-once argument
-	// rests on, folded into one store step. A failed publish keeps the
-	// result (the pool's own cache-store retries the put) but still
-	// releases, so a sibling is never deadlocked on a dead lease.
-	if err == nil && l.store.PublishJob(key, l.owner, jr) == nil {
-		return jr, nil
+	// rests on, folded into one store step. A failure, or a publish that
+	// did not land, releases instead, so a sibling is never deadlocked on
+	// a dead lease; the job's own result stands either way.
+	if err != nil || !publishJob(l.store, key, l.owner, jr) {
+		_ = l.store.ReleaseJobLease(key, l.owner)
 	}
-	_ = l.store.ReleaseJobLease(key, l.owner)
 	return jr, err
+}
+
+// publishJob is the one write path of a job result: it publishes jr under
+// key (releasing owner's lease on it, when held) and reports whether it
+// did. A job-level failure is never published. A failed write is not
+// surfaced: it only costs a future recomputation, never the job that just
+// succeeded.
+func publishJob(store Store, key, owner string, jr campaign.JobResult) bool {
+	return jr.Error == "" && store.PublishJob(key, owner, jr) == nil
 }
 
 // acquire claims key's lease, waiting out a live holder. acquired is false
@@ -214,22 +232,4 @@ func (l *leaseRunner) acquire(ctx context.Context, key string) (campaign.JobResu
 		case <-time.After(backoff.wait()):
 		}
 	}
-}
-
-// countedLocalRunner is LocalRunner plus the pool's executed-jobs counter:
-// when the engine wraps local execution in a leaseRunner, the campaign pool
-// sees a configured Runner and stops counting executions itself, so the
-// runner that actually executes must count.
-type countedLocalRunner struct {
-	local *LocalRunner
-	m     *engineMetrics
-}
-
-// RunJob implements Runner.
-func (c *countedLocalRunner) RunJob(ctx context.Context, key string, spec campaign.Spec, job campaign.Job) (campaign.JobResult, error) {
-	jr, err := c.local.RunJob(ctx, key, spec, job)
-	if err == nil {
-		c.m.poolExec.Inc()
-	}
-	return jr, err
 }

@@ -192,14 +192,6 @@ func (t *timedStore) Result(id string) (*campaign.Result, error) {
 	return res, err
 }
 
-// PutJob implements Store.
-func (t *timedStore) PutJob(key string, jr campaign.JobResult) error {
-	start := time.Now()
-	err := t.inner.PutJob(key, jr)
-	t.observe("put_job", start, err, false)
-	return err
-}
-
 // Job implements Store.
 func (t *timedStore) Job(key string) (campaign.JobResult, error) {
 	start := time.Now()

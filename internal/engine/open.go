@@ -12,40 +12,40 @@ import (
 // names.
 const StateFile = "state.cvk"
 
-// OpenStore opens the Store a -store spec names and reports whether it is a
-// shared backend (one other processes may be writing concurrently):
+// OpenStore opens the Store a -store spec names:
 //
 //	mem:           in-memory, nothing survives the process
 //	sqlite:PATH    shared single-file store (SQLiteStore)
 //
-// Specs of the retired backends — dir:PATH, blob:PATH, or a bare path —
-// are refused with an error naming the replacement. logf receives
-// corruption warnings; nil means the standard logger.
-func OpenStore(spec string, logf func(format string, args ...any)) (Store, bool, error) {
+// An engine over a sqlite: store treats it as shared (see New). Specs of
+// the retired backends — dir:PATH, blob:PATH, or a bare path — are refused
+// with an error naming the replacement. logf receives corruption warnings;
+// nil means the standard logger.
+func OpenStore(spec string, logf func(format string, args ...any)) (Store, error) {
 	scheme, path, ok := strings.Cut(spec, ":")
 	if !ok || strings.ContainsAny(scheme, `/.\`) {
 		// "state" or "./st:ate": a path, not a scheme.
-		return nil, false, fmt.Errorf("engine: store spec %q is a bare path; use -statedir %s for a state directory, or sqlite:PATH for a store file", spec, spec)
+		return nil, fmt.Errorf("engine: store spec %q is a bare path; use -statedir %s for a state directory, or sqlite:PATH for a store file", spec, spec)
 	}
 	switch scheme {
 	case "mem":
 		if path != "" {
-			return nil, false, fmt.Errorf("engine: mem: store takes no path (got %q)", path)
+			return nil, fmt.Errorf("engine: mem: store takes no path (got %q)", path)
 		}
-		return NewMemStore(), false, nil
+		return NewMemStore(), nil
 	case "sqlite":
 		if path == "" {
-			return nil, false, fmt.Errorf("engine: store spec %q has an empty path", spec)
+			return nil, fmt.Errorf("engine: store spec %q has an empty path", spec)
 		}
 		s, err := OpenSQLiteStore(path, logf)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return s, true, nil
+		return s, nil
 	case "dir", "blob":
-		return nil, false, fmt.Errorf("engine: the %s: store was removed; use -statedir %s for a single-owner state directory, or sqlite:PATH for a shared store", scheme, path)
+		return nil, fmt.Errorf("engine: the %s: store was removed; use -statedir %s for a single-owner state directory, or sqlite:PATH for a shared store", scheme, path)
 	default:
-		return nil, false, fmt.Errorf("engine: unknown store scheme %q (want mem: or sqlite:PATH)", scheme)
+		return nil, fmt.Errorf("engine: unknown store scheme %q (want mem: or sqlite:PATH)", scheme)
 	}
 }
 

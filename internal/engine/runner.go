@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // ErrJobRejected marks a worker's deliberate refusal of one request (a 4xx
@@ -41,6 +42,10 @@ type LocalRunner struct {
 	// Traces resolves Job.TraceRef for trace-driven jobs (nil when the
 	// deployment has no trace store).
 	Traces campaign.TraceOpener
+
+	// executed counts the engine's own in-process executions (nil for
+	// the Dispatcher's fallback, which counts its own).
+	executed *obs.Counter
 }
 
 // RunJob implements Runner. Job execution is not interruptible mid-job, so
@@ -49,7 +54,9 @@ func (l *LocalRunner) RunJob(ctx context.Context, _ string, spec campaign.Spec, 
 	if err := ctx.Err(); err != nil {
 		return campaign.JobResult{}, err
 	}
-	return campaign.ExecuteJob(spec, job, l.Traces), nil
+	jr := campaign.ExecuteJob(spec, job, l.Traces)
+	l.executed.Inc()
+	return jr, nil
 }
 
 // JobRequest is the body of the internal worker API's POST /internal/jobs:

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,109 +24,92 @@ func (c *countingRunner) RunJob(ctx context.Context, key string, spec campaign.S
 	return c.inner.RunJob(ctx, key, spec, job)
 }
 
-// TestSharedEnginesExecuteEachJobOnce is the tentpole's concurrency proof:
-// two engines — two in-process coordinators — share one store, race the
-// same campaign, and between them execute every job exactly once, with
+// TestSharedEnginesExecuteEachJobOnce is the lease protocol's concurrency proof:
+// two engines — two in-process coordinators — share one SQLite store, race
+// the same campaign, and between them execute every job exactly once, with
 // byte-identical artifacts and distinct CAS-minted IDs.
 func TestSharedEnginesExecuteEachJobOnce(t *testing.T) {
-	for _, backend := range []struct {
-		name string
-		open func(t *testing.T) Store
-	}{
-		{"MemStore", func(t *testing.T) Store { return NewMemStore() }},
-		{"SQLiteStore", func(t *testing.T) Store {
-			s, err := OpenSQLiteStore(filepath.Join(t.TempDir(), "store.db"), t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
-		}},
-	} {
-		t.Run(backend.name, func(t *testing.T) {
-			store := backend.open(t)
-			counter := &countingRunner{inner: &LocalRunner{}}
-			newEngine := func() *Engine {
-				e, err := New(store, Options{Runner: counter, Shared: true, LeaseTTL: 5 * time.Second})
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
-				return e
-			}
-			a, b := newEngine(), newEngine()
+	store := openTestSQLite(t)
+	counter := &countingRunner{inner: &LocalRunner{}}
+	newEngine := func() *Engine {
+		e, err := New(store, Options{Runner: counter, LeaseTTL: 5 * time.Second})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return e
+	}
+	a, b := newEngine(), newEngine()
 
-			spec := testSpec("povray", "xalancbmk")
-			jobs, err := spec.Jobs()
-			if err != nil {
-				t.Fatal(err)
-			}
+	spec := testSpec("povray", "xalancbmk")
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var wg sync.WaitGroup
-			recs := make([]Campaign, 2)
-			for i, e := range []*Engine{a, b} {
-				wg.Add(1)
-				go func(i int, e *Engine) {
-					defer wg.Done()
-					rec, err := e.Submit(spec, 2)
-					if err != nil {
-						t.Errorf("Submit on engine %d: %v", i, err)
-						return
-					}
-					recs[i] = waitState(t, e, rec.ID)
-				}(i, e)
-			}
-			wg.Wait()
-			if t.Failed() {
+	var wg sync.WaitGroup
+	recs := make([]Campaign, 2)
+	for i, e := range []*Engine{a, b} {
+		wg.Add(1)
+		go func(i int, e *Engine) {
+			defer wg.Done()
+			rec, err := e.Submit(spec, 2)
+			if err != nil {
+				t.Errorf("Submit on engine %d: %v", i, err)
 				return
 			}
+			recs[i] = waitState(t, e, rec.ID)
+		}(i, e)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
-			// Distinct CAS-minted IDs.
-			if recs[0].ID == recs[1].ID {
-				t.Errorf("both engines minted campaign %s", recs[0].ID)
-			}
-			for i, rec := range recs {
-				if rec.State != StateDone {
-					t.Errorf("engine %d campaign state %q, want %q (error: %s)", i, rec.State, StateDone, rec.Error)
-				}
-			}
+	// Distinct CAS-minted IDs.
+	if recs[0].ID == recs[1].ID {
+		t.Errorf("both engines minted campaign %s", recs[0].ID)
+	}
+	for i, rec := range recs {
+		if rec.State != StateDone {
+			t.Errorf("engine %d campaign state %q, want %q (error: %s)", i, rec.State, StateDone, rec.Error)
+		}
+	}
 
-			// Zero duplicate executions fleet-wide.
-			if got := counter.execs.Load(); got != int64(len(jobs)) {
-				t.Errorf("%d executions across both engines, want exactly %d", got, len(jobs))
-			}
+	// Zero duplicate executions fleet-wide.
+	if got := counter.execs.Load(); got != int64(len(jobs)) {
+		t.Errorf("%d executions across both engines, want exactly %d", got, len(jobs))
+	}
 
-			// Byte-identical artifacts: each coordinator serves the other's
-			// campaign too (shared visibility), and all four reads agree.
-			resA, err := a.Result(recs[0].ID)
+	// Byte-identical artifacts: each coordinator serves the other's
+	// campaign too (shared visibility), and all four reads agree.
+	resA, err := a.Result(recs[0].ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	wantJSON, wantCSV := artifacts(t, resA)
+	for _, e := range []*Engine{a, b} {
+		for _, rec := range recs {
+			res, err := e.Result(rec.ID)
 			if err != nil {
-				t.Fatalf("Result: %v", err)
+				t.Fatalf("Result(%s): %v", rec.ID, err)
 			}
-			wantJSON, wantCSV := artifacts(t, resA)
-			for _, e := range []*Engine{a, b} {
-				for _, rec := range recs {
-					res, err := e.Result(rec.ID)
-					if err != nil {
-						t.Fatalf("Result(%s): %v", rec.ID, err)
-					}
-					gotJSON, gotCSV := artifacts(t, res)
-					if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
-						t.Errorf("artifacts for %s diverge across coordinators", rec.ID)
-					}
-				}
+			gotJSON, gotCSV := artifacts(t, res)
+			if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("artifacts for %s diverge across coordinators", rec.ID)
 			}
+		}
+	}
 
-			// Shared visibility: each engine lists both campaigns.
-			for i, e := range []*Engine{a, b} {
-				if got := len(e.List()); got != 2 {
-					t.Errorf("engine %d lists %d campaigns, want 2", i, got)
-				}
-				for _, rec := range recs {
-					if _, ok := e.Get(rec.ID); !ok {
-						t.Errorf("engine %d cannot Get %s", i, rec.ID)
-					}
-				}
+	// Shared visibility: each engine lists both campaigns.
+	for i, e := range []*Engine{a, b} {
+		if got := len(e.List()); got != 2 {
+			t.Errorf("engine %d lists %d campaigns, want 2", i, got)
+		}
+		for _, rec := range recs {
+			if _, ok := e.Get(rec.ID); !ok {
+				t.Errorf("engine %d cannot Get %s", i, rec.ID)
 			}
-		})
+		}
 	}
 }
 
@@ -142,13 +124,12 @@ func TestLeaseRunnersRaceOneExecution(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]campaign.JobResult, racers)
 	errs := make([]error, racers)
-	key := testJobKey(2)
 	for i := 0; i < racers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			lr := &leaseRunner{inner: counter, store: store, owner: leaseOwnerID(), ttl: time.Second, m: &m}
-			results[i], errs[i] = lr.RunJob(context.Background(), key, campaign.Spec{}, campaign.Job{})
+			results[i], errs[i] = lr.RunJob(context.Background(), campaign.Spec{}, campaign.Job{})
 		}(i)
 	}
 	wg.Wait()
@@ -169,9 +150,13 @@ func TestLeaseRunnersRaceOneExecution(t *testing.T) {
 // only until its TTL, after which a sibling steals it and the job runs.
 func TestLeaseRunnerStealsFromDeadOwner(t *testing.T) {
 	store := NewMemStore()
-	key := testJobKey(3)
+	spec := testSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The dead engine: held the lease, never published, never renews.
-	if err := store.AcquireJobLease(key, "deceased", 80*time.Millisecond); err != nil {
+	if err := store.AcquireJobLease(JobKey(spec, jobs[0], ""), "deceased", 80*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	counter := &countingRunner{inner: &LocalRunner{}}
@@ -180,12 +165,7 @@ func TestLeaseRunnerStealsFromDeadOwner(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	spec := testSpec()
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lr.RunJob(ctx, key, spec, jobs[0]); err != nil {
+	if _, err := lr.RunJob(ctx, spec, jobs[0]); err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
 	if waited := time.Since(start); waited < 50*time.Millisecond {
@@ -200,8 +180,7 @@ func TestLeaseRunnerStealsFromDeadOwner(t *testing.T) {
 // sibling's live lease honours context cancellation instead of spinning.
 func TestLeaseRunnerRespectsCancellation(t *testing.T) {
 	store := NewMemStore()
-	key := testJobKey(4)
-	if err := store.AcquireJobLease(key, "holder", time.Hour); err != nil {
+	if err := store.AcquireJobLease(emptyJobKey(), "holder", time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	m := engineMetrics{}
@@ -211,7 +190,7 @@ func TestLeaseRunnerRespectsCancellation(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := lr.RunJob(ctx, key, campaign.Spec{}, campaign.Job{}); !errors.Is(err, context.Canceled) {
+	if _, err := lr.RunJob(ctx, campaign.Spec{}, campaign.Job{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunJob under a held lease: err = %v, want context.Canceled", err)
 	}
 }

@@ -45,10 +45,11 @@ const (
 	recLease    = byte(4)
 )
 
-// sqliteMaxRecord bounds one record's key+value size — far above any real
-// record, low enough that a corrupted length prefix cannot make a reader
-// attempt a multi-gigabyte allocation.
-const sqliteMaxRecord = 64 << 20
+// sqliteMaxRecord bounds one record's key and its value — far above any
+// real record, low enough that a corrupted length prefix cannot make a
+// reader attempt a multi-gigabyte allocation. It is a variable only so
+// tests can exercise the bound without 64 MiB records.
+var sqliteMaxRecord uint64 = 64 << 20
 
 // SQLiteStore is the shared single-file Store. Every handle — in this
 // process or another — keeps an in-memory table of the log's latest state
@@ -180,10 +181,14 @@ func (v *txnView) lease(key string) (lease, bool) {
 	return l, ok
 }
 
-// stage appends one non-lease record to the batch and the overlay.
-func (v *txnView) stage(kind byte, key string, val []byte) {
+// stage appends one record to the batch and, for data records, the
+// overlay. It refuses a key or value longer than sqliteMaxRecord before
+// appending anything: every reader would take it for a torn tail.
+func (v *txnView) stage(kind byte, key string, val []byte) error {
+	if uint64(len(key)) > sqliteMaxRecord || uint64(len(val)) > sqliteMaxRecord {
+		return fmt.Errorf("engine: %d-byte record %q exceeds the store's %d-byte record bound", len(val), key, sqliteMaxRecord)
+	}
 	v.buf = appendRecord(v.buf, kind, key, val)
-	v.needSync = true
 	switch kind {
 	case recCampaign:
 		v.campaigns[key] = val
@@ -193,6 +198,8 @@ func (v *txnView) stage(kind byte, key string, val []byte) {
 		v.jobs[key] = val
 		v.touched = true
 	}
+	v.needSync = v.needSync || kind != recLease
+	return nil
 }
 
 // stageLease appends one lease record; a zero-Owner lease is the release
@@ -202,7 +209,9 @@ func (v *txnView) stageLease(key string, l lease) error {
 	if err != nil {
 		return err
 	}
-	v.buf = appendRecord(v.buf, recLease, key, b)
+	if err := v.stage(recLease, key, b); err != nil {
+		return err
+	}
 	v.leases[key] = l
 	v.touched = true
 	return nil
@@ -654,18 +663,7 @@ func (s *SQLiteStore) putRecord(kind byte, key string, v any) error {
 	if err != nil {
 		return err
 	}
-	return s.writeTxn(func(view *txnView) error {
-		if kind == recJob {
-			// Job records are content-addressed: concurrent writers of one
-			// key carry identical bytes, so re-appending a record the log
-			// already holds would only grow the file and the batch.
-			if cur, ok := view.job(key); ok && bytes.Equal(cur, b) {
-				return nil
-			}
-		}
-		view.stage(kind, key, b)
-		return nil
-	})
+	return s.writeTxn(func(view *txnView) error { return view.stage(kind, key, b) })
 }
 
 // getRecord reads the latest value for (table, key) into v.
@@ -710,8 +708,7 @@ func (s *SQLiteStore) CreateCampaign(c Campaign) error {
 		if _, ok := v.campaign(c.ID); ok {
 			return fmt.Errorf("%w: campaign %s already exists", ErrConflict, c.ID)
 		}
-		v.stage(recCampaign, c.ID, b)
-		return nil
+		return v.stage(recCampaign, c.ID, b)
 	})
 }
 
@@ -761,11 +758,6 @@ func (s *SQLiteStore) Result(id string) (*campaign.Result, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// PutJob implements Store.
-func (s *SQLiteStore) PutJob(key string, jr campaign.JobResult) error {
-	return s.putRecord(recJob, key, jr)
 }
 
 // Job implements Store.
@@ -835,7 +827,8 @@ func (s *SQLiteStore) LeaseChanged() <-chan struct{} { return s.signal.wait() }
 // PublishJob implements Store: the job record and the lease release
 // fold into one transaction — one append, one fsync (shared with the rest
 // of the batch), and no observable state in which the lease is released
-// but the result unpublished.
+// but the result unpublished. Job records are content-addressed, so
+// republishing bytes the log already holds appends no job record.
 func (s *SQLiteStore) PublishJob(key, owner string, jr campaign.JobResult) error {
 	if !validRecordName(key) {
 		return fmt.Errorf("engine: invalid record name %q", key)
@@ -849,7 +842,9 @@ func (s *SQLiteStore) PublishJob(key, owner string, jr campaign.JobResult) error
 	}
 	return s.writeTxn(func(v *txnView) error {
 		if cur, ok := v.job(key); !ok || !bytes.Equal(cur, b) {
-			v.stage(recJob, key, b)
+			if err := v.stage(recJob, key, b); err != nil {
+				return err
+			}
 		}
 		if cur, ok := v.lease(key); ok && cur.Owner == owner {
 			return v.stageLease(key, lease{})

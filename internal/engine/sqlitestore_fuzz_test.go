@@ -34,9 +34,9 @@ var (
 // a fresh open serve the same state.
 func FuzzSQLiteLogTail(f *testing.F) {
 	k1Image := recordImage(f, func(s *engine.SQLiteStore) error {
-		return s.PutJob(fuzzK1, campaign.JobResult{Mallocs: 99})
+		return s.PublishJob(fuzzK1, "writer", campaign.JobResult{Mallocs: 99})
 	})
-	k2Image := recordImage(f, func(s *engine.SQLiteStore) error { return s.PutJob(fuzzK2, fuzzJR2) })
+	k2Image := recordImage(f, func(s *engine.SQLiteStore) error { return s.PublishJob(fuzzK2, "writer", fuzzJR2) })
 	badCRC := slices.Clone(k1Image)
 	badCRC[len(badCRC)-1] ^= 0xFF
 	sameLength := slices.Clone(k2Image)
@@ -54,7 +54,7 @@ func FuzzSQLiteLogTail(f *testing.F) {
 		if err := early.PutCampaign(fuzzCampaign); err != nil {
 			t.Fatal(err)
 		}
-		if err := early.PutJob(fuzzK1, fuzzJR1); err != nil {
+		if err := early.PublishJob(fuzzK1, "writer", fuzzJR1); err != nil {
 			t.Fatal(err)
 		}
 		if err := early.AcquireJobLease(fuzzK1, "fuzz", time.Hour); err != nil {
@@ -67,8 +67,8 @@ func FuzzSQLiteLogTail(f *testing.F) {
 		checkAcknowledged(t, "late", late, rewritten)
 		checkAcknowledged(t, "early", early, rewritten)
 
-		if err := late.PutJob(fuzzK2, fuzzJR2); err != nil {
-			t.Fatalf("PutJob after the tail: %v", err)
+		if err := late.PublishJob(fuzzK2, "writer", fuzzJR2); err != nil {
+			t.Fatalf("PublishJob after the tail: %v", err)
 		}
 		fresh := openSQLite(t, path)
 		checkAcknowledged(t, "fresh", fresh, rewritten)

@@ -114,8 +114,8 @@ func TestSQLiteStoreTornTailRecovery(t *testing.T) {
 	if err := s.PutCampaign(engine.Campaign{ID: "c000001", Seq: 1, State: engine.StateDone}); err != nil {
 		t.Fatalf("PutCampaign: %v", err)
 	}
-	if err := s.PutJob(strings.Repeat("cd", 32), campaign.JobResult{Mallocs: 7}); err != nil {
-		t.Fatalf("PutJob: %v", err)
+	if err := s.PublishJob(strings.Repeat("cd", 32), "writer", campaign.JobResult{Mallocs: 7}); err != nil {
+		t.Fatalf("PublishJob: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -164,14 +164,14 @@ func TestSQLiteStoreReadAfterTornTailRescans(t *testing.T) {
 	k1, k2 := strings.Repeat("a1", 32), strings.Repeat("b2", 32)
 	jr2 := campaign.JobResult{Mallocs: 2}
 
-	torn := recordImage(t, func(s *engine.SQLiteStore) error { return s.PutJob(k2, jr2) })
+	torn := recordImage(t, func(s *engine.SQLiteStore) error { return s.PublishJob(k2, "writer", jr2) })
 	torn[len(torn)-1] ^= 0xFF // a crash left the record with a bad checksum
 
 	path := filepath.Join(t.TempDir(), "store.db")
 	w := openSQLite(t, path)
 	r := openSQLite(t, path)
-	if err := w.PutJob(k1, campaign.JobResult{Mallocs: 1}); err != nil {
-		t.Fatalf("PutJob: %v", err)
+	if err := w.PublishJob(k1, "writer", campaign.JobResult{Mallocs: 1}); err != nil {
+		t.Fatalf("PublishJob: %v", err)
 	}
 	if _, err := r.Job(k1); err != nil {
 		t.Fatalf("Job(k1) via r: %v", err)
@@ -186,8 +186,8 @@ func TestSQLiteStoreReadAfterTornTailRescans(t *testing.T) {
 	}
 
 	// w truncates the torn tail and appends k2's record in its place.
-	if err := w.PutJob(k2, jr2); err != nil {
-		t.Fatalf("PutJob(k2) via w: %v", err)
+	if err := w.PublishJob(k2, "writer", jr2); err != nil {
+		t.Fatalf("PublishJob(k2) via w: %v", err)
 	}
 	if st, err := os.Stat(path); err != nil || st.Size() != tornSize.Size() {
 		t.Fatalf("stat after the rewrite: %v, %v; want the torn size %d", st, err, tornSize.Size())

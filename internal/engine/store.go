@@ -65,9 +65,6 @@ type Store interface {
 	// Result returns a stored Result, or ErrNotFound.
 	Result(id string) (*campaign.Result, error)
 
-	// PutJob stores one successfully completed job's result under its
-	// content key.
-	PutJob(key string, jr campaign.JobResult) error
 	// Job returns the result stored under key, or ErrNotFound.
 	Job(key string) (campaign.JobResult, error)
 
@@ -95,11 +92,12 @@ type Store interface {
 	// transition is missed; waiters in other processes hear nothing and
 	// fall back to jittered backoff.
 	LeaseChanged() <-chan struct{}
-	// PublishJob stores jr under key and releases owner's lease on it as
-	// one step: the lease protocol's "publish before release" ordering
-	// holds trivially, since no observable state lies between the two.
-	// Publishing without holding the lease still stores the record and
-	// releases nothing; owner must be non-empty.
+	// PublishJob, the only job-result write, stores jr under its content
+	// key and releases owner's lease on it as one step: the lease
+	// protocol's "publish before release" ordering holds trivially, since
+	// no observable state lies between the two. Publishing without holding
+	// the lease still stores the record and releases nothing; owner must
+	// be non-empty.
 	PublishJob(key, owner string, jr campaign.JobResult) error
 
 	// MaxSeq returns the highest submission sequence the store has any
@@ -384,16 +382,6 @@ func (s *MemStore) Result(id string) (*campaign.Result, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// PutJob implements Store. A publication may end a sibling's wait, so it
-// fires the lease notifier.
-func (s *MemStore) PutJob(key string, jr campaign.JobResult) error {
-	if err := s.put(s.jobs, key, jr); err != nil {
-		return err
-	}
-	s.signal.broadcast()
-	return nil
 }
 
 // Job implements Store.

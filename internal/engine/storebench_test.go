@@ -50,16 +50,16 @@ func benchJR(n int) campaign.JobResult {
 	}
 }
 
-// BenchmarkStorePutJob measures one durable job write per backend — on
+// BenchmarkStorePublishJob measures one durable job write per backend — on
 // sqlite, a full group-commit cycle (flock, append, fsync) with no
 // batchmates to share it.
-func BenchmarkStorePutJob(b *testing.B) {
+func BenchmarkStorePublishJob(b *testing.B) {
 	for _, kind := range benchStoreKinds {
 		b.Run(kind, func(b *testing.B) {
 			s := openBenchStore(b, kind)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.PutJob(benchJobKey(i), benchJR(i)); err != nil {
+				if err := s.PublishJob(benchJobKey(i), "writer", benchJR(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +74,7 @@ func BenchmarkStoreGetJob(b *testing.B) {
 		b.Run(kind, func(b *testing.B) {
 			s := openBenchStore(b, kind)
 			key := benchJobKey(1)
-			if err := s.PutJob(key, benchJR(1)); err != nil {
+			if err := s.PublishJob(key, "writer", benchJR(1)); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -124,7 +124,7 @@ func BenchmarkStoreWriteContention(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			n := int(atomic.AddInt64(&seq, 1))
-			if err := s.PutJob(benchJobKey(10000+n), benchJR(n)); err != nil {
+			if err := s.PublishJob(benchJobKey(10000+n), "writer", benchJR(n)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -146,7 +146,7 @@ func BenchmarkSharedStoreFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := engine.Options{Shared: true, LeaseTTL: 5 * time.Second}
+		opts := engine.Options{LeaseTTL: 5 * time.Second}
 		ea, err := engine.New(s, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -197,8 +197,8 @@ func testJobRoundTrip(t *testing.T, s engine.Store) {
 		FreedBytes: 1 << 20,
 		Scale:      0.5,
 	}
-	if err := s.PutJob(key, jr); err != nil {
-		t.Fatalf("PutJob: %v", err)
+	if err := s.PublishJob(key, "writer", jr); err != nil {
+		t.Fatalf("PublishJob: %v", err)
 	}
 	got, err := s.Job(key)
 	if err != nil {
@@ -218,8 +218,8 @@ func testInvalidNames(t *testing.T, s engine.Store) {
 		if err := s.PutCampaign(engine.Campaign{ID: bad}); err == nil {
 			t.Errorf("PutCampaign(%q) accepted an invalid name", bad)
 		}
-		if err := s.PutJob(bad, campaign.JobResult{}); err == nil {
-			t.Errorf("PutJob(%q) accepted an invalid name", bad)
+		if err := s.PublishJob(bad, "writer", campaign.JobResult{}); err == nil {
+			t.Errorf("PublishJob(%q) accepted an invalid name", bad)
 		}
 		if err := s.AcquireJobLease(bad, "owner", time.Second); err == nil {
 			t.Errorf("AcquireJobLease(%q) accepted an invalid key", bad)
@@ -247,11 +247,11 @@ func testMaxSeq(t *testing.T, s engine.Store) {
 		t.Fatalf("MaxSeq with orphan result = %d, %v; want 9", n, err)
 	}
 	// Job keys are content hashes, not sequences, and must not count.
-	if err := s.PutJob(jobKey(3), campaign.JobResult{}); err != nil {
-		t.Fatalf("PutJob: %v", err)
+	if err := s.PublishJob(jobKey(3), "writer", campaign.JobResult{}); err != nil {
+		t.Fatalf("PublishJob: %v", err)
 	}
 	if n, err := s.MaxSeq(); err != nil || n != 9 {
-		t.Fatalf("MaxSeq after job put = %d, %v; want 9", n, err)
+		t.Fatalf("MaxSeq after job publish = %d, %v; want 9", n, err)
 	}
 }
 
@@ -363,7 +363,7 @@ func testJR(n int) campaign.JobResult {
 	}
 }
 
-// testConcurrentWriters drives many concurrent mutations — puts, campaign
+// testConcurrentWriters drives many concurrent mutations — job publishes, campaign
 // records, lease traffic — through one handle and then audits that every
 // acknowledged record is served back byte-identical. On a group-committing
 // backend the writers coalesce into shared batches; the acknowledgement
@@ -378,7 +378,7 @@ func testConcurrentWriters(t *testing.T, s engine.Store) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			errs[2*i] = s.PutJob(jobKey(100+i), testJR(i))
+			errs[2*i] = s.PublishJob(jobKey(100+i), "writer", testJR(i))
 		}(i)
 		go func(i int) {
 			defer wg.Done()
@@ -387,7 +387,7 @@ func testConcurrentWriters(t *testing.T, s engine.Store) {
 				errs[2*i+1] = err
 				return
 			}
-			// Lease traffic interleaves with the puts in the same batches.
+			// Lease traffic interleaves with the publishes in the same batches.
 			if err := s.AcquireJobLease(jobKey(200+i), c.ID, time.Minute); err != nil {
 				errs[2*i+1] = err
 			}
@@ -402,7 +402,7 @@ func testConcurrentWriters(t *testing.T, s engine.Store) {
 	for i := 0; i < writers; i++ {
 		jr, err := s.Job(jobKey(100 + i))
 		if err != nil {
-			t.Fatalf("Job(%d) after acked put: %v", i, err)
+			t.Fatalf("Job(%d) after acked publish: %v", i, err)
 		}
 		if want := testJR(i); !bytes.Equal(mustJSON(t, jr), mustJSON(t, want)) {
 			t.Errorf("job %d round-trip mismatch after concurrent commit", i)
@@ -416,9 +416,9 @@ func testConcurrentWriters(t *testing.T, s engine.Store) {
 	}
 }
 
-// testInterleavedLeasePuts interleaves lease hand-offs and job puts on one
-// key and checks the store folds them in operation order: the final read
-// serves the last acknowledged put, and the lease ends with the last
+// testInterleavedLeasePuts interleaves lease hand-offs and job publishes on
+// one key and checks the store folds them in operation order: the final
+// read serves the last acknowledged publish, and the lease ends with the last
 // acquirer. A batching store that reordered records within a batch would
 // fail the final-state checks.
 func testInterleavedLeasePuts(t *testing.T, s engine.Store) {
@@ -430,8 +430,8 @@ func testInterleavedLeasePuts(t *testing.T, s engine.Store) {
 		if err := s.AcquireJobLease(key, owner, time.Minute); err != nil {
 			t.Fatalf("round %d acquire: %v", i, err)
 		}
-		if err := s.PutJob(key, testJR(i)); err != nil {
-			t.Fatalf("round %d put: %v", i, err)
+		if err := s.PublishJob(key, "writer", testJR(i)); err != nil {
+			t.Fatalf("round %d publish: %v", i, err)
 		}
 		if i < rounds-1 {
 			if err := s.ReleaseJobLease(key, owner); err != nil {
@@ -538,7 +538,7 @@ func testPeekJobLease(t *testing.T, s engine.Store) {
 }
 
 // testLeaseChanged exercises the LeaseChanged contract: an armed channel
-// fires on a release and on a job publish/put — the two events a blocked
+// fires on a release and on a job publish — the two events a blocked
 // waiter cares about.
 func testLeaseChanged(t *testing.T, s engine.Store) {
 	t.Helper()
@@ -555,16 +555,16 @@ func testLeaseChanged(t *testing.T, s engine.Store) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("LeaseChanged channel did not fire on release")
 	}
-	// Re-arm: a job put (the publish a waiter is really waiting for) also
-	// fires the channel.
+	// Re-arm: a job publish (what a waiter is really waiting for) also
+	// fires the channel, even from a publisher not holding the lease.
 	wake = s.LeaseChanged()
-	if err := s.PutJob(key, testJR(9)); err != nil {
-		t.Fatalf("PutJob: %v", err)
+	if err := s.PublishJob(key, "writer", testJR(9)); err != nil {
+		t.Fatalf("PublishJob: %v", err)
 	}
 	select {
 	case <-wake:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("LeaseChanged channel did not fire on job put")
+		t.Fatalf("LeaseChanged channel did not fire on job publish")
 	}
 }
 
@@ -581,8 +581,8 @@ func testCrossHandleVisibility(t *testing.T, a, b engine.Store) {
 	if !bytes.Equal(mustJSON(t, got), mustJSON(t, testCampaign(1))) {
 		t.Errorf("campaign not byte-identical across handles")
 	}
-	if err := a.PutJob(jobKey(1), testJR(1)); err != nil {
-		t.Fatalf("a.PutJob: %v", err)
+	if err := a.PublishJob(jobKey(1), "writer", testJR(1)); err != nil {
+		t.Fatalf("a.PublishJob: %v", err)
 	}
 	jr, err := b.Job(jobKey(1))
 	if err != nil {
@@ -654,11 +654,11 @@ func testCrossHandleConcurrent(t *testing.T, a, b engine.Store) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			errs[2*i] = a.PutJob(jobKey(300+i), testJR(i))
+			errs[2*i] = a.PublishJob(jobKey(300+i), "writer", testJR(i))
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			errs[2*i+1] = b.PutJob(jobKey(400+i), testJR(100+i))
+			errs[2*i+1] = b.PublishJob(jobKey(400+i), "writer", testJR(100+i))
 		}(i)
 	}
 	wg.Wait()

@@ -83,7 +83,7 @@ func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 	}
 	jr := campaign.ExecuteJob(req.Spec, req.Job, traces)
 	s.metrics.internal.Inc()
-	if s.hasStore && jr.Error == "" {
+	if s.hasStore {
 		s.engine.SaveJob(req.Key, jr)
 	}
 	writeJSON(w, http.StatusOK, engine.JobResponse{Key: req.Key, Result: jr})

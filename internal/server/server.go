@@ -123,11 +123,10 @@ func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, reg: obs.NewRegistry()}
 	s.metrics = newServerMetrics(s.reg)
 	var store engine.Store
-	var shared bool
 	switch {
 	case opts.Store != "":
 		var err error
-		if store, shared, err = engine.OpenStore(opts.Store, nil); err != nil {
+		if store, err = engine.OpenStore(opts.Store, nil); err != nil {
 			return nil, err
 		}
 	case opts.StateDir != "":
@@ -142,11 +141,10 @@ func New(opts Options) (*Server, error) {
 	s.store = store
 	_, inMemory := store.(*engine.MemStore)
 	s.hasStore = !inMemory
-	// A shared store has live peers: their running campaigns must not be
-	// finalised as interrupted by this process's open, so Shared also
-	// skips recovery. (Recovery fencing for crashed peers is a documented
-	// future step.)
-	engOpts := engine.Options{Workers: opts.Workers, Traces: lazyTraces{s}, Metrics: s.reg, Shared: shared}
+	// The engine reads sharing off the store: a sqlite: store has live
+	// peers, whose running campaigns this process's open must not finalise
+	// as interrupted, while the owner-locked state directory recovers.
+	engOpts := engine.Options{Workers: opts.Workers, Traces: lazyTraces{s}, Metrics: s.reg}
 	if len(opts.WorkerURLs) > 0 {
 		remotes := make([]*engine.RemoteRunner, len(opts.WorkerURLs))
 		for i, url := range opts.WorkerURLs {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -76,4 +78,62 @@ func BenchmarkBinaryTraceDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIncrementalReplay measures the live analyzer's replay in
+// ns/event: a recorded xalancbmk trace, decoded once into DefaultWindow
+// windows outside the timer, applied window by window through a fresh
+// IncrementalReplay per iteration.
+func BenchmarkIncrementalReplay(b *testing.B) {
+	cfg := core.Config{Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10}}
+	sys, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _ := ByName("xalancbmk")
+	var buf bytes.Buffer
+	w, err := NewBinaryTraceWriter(&buf, TraceHeader{Name: p.Name, Seed: DefaultSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := Run(sys, p, Options{MinSweeps: 2, MaxLiveBytes: 2 << 20, Stream: w}); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewTraceReader(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := NewStreamingSource(r, DefaultWindow)
+	var windows [][]TraceEvent
+	events := 0
+	for {
+		win, err := src.NextWindow()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		windows = append(windows, append([]TraceEvent(nil), win...))
+		events += len(win)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ir := NewIncrementalReplay(sys)
+		b.StartTimer()
+		for _, win := range windows {
+			if err := ir.ApplyWindow(win); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }

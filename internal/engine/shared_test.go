@@ -29,88 +29,93 @@ func (c *countingRunner) RunJob(ctx context.Context, key string, spec campaign.S
 // the same campaign, and between them execute every job exactly once, with
 // byte-identical artifacts and distinct CAS-minted IDs.
 func TestSharedEnginesExecuteEachJobOnce(t *testing.T) {
-	store := openTestSQLite(t)
-	counter := &countingRunner{inner: &LocalRunner{}}
-	newEngine := func() *Engine {
-		e, err := New(store, Options{Runner: counter, LeaseTTL: 5 * time.Second})
+	// The subtest names the backend: a shared store is a SQLiteStore opened
+	// without its state directory's owner lock, and a MemStore engine is
+	// always exclusive.
+	t.Run("SQLiteStore", func(t *testing.T) {
+		store := openTestSQLite(t)
+		counter := &countingRunner{inner: &LocalRunner{}}
+		newEngine := func() *Engine {
+			e, err := New(store, Options{Runner: counter, LeaseTTL: 5 * time.Second})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			return e
+		}
+		a, b := newEngine(), newEngine()
+
+		spec := testSpec("povray", "xalancbmk")
+		jobs, err := spec.Jobs()
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatal(err)
 		}
-		return e
-	}
-	a, b := newEngine(), newEngine()
 
-	spec := testSpec("povray", "xalancbmk")
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	recs := make([]Campaign, 2)
-	for i, e := range []*Engine{a, b} {
-		wg.Add(1)
-		go func(i int, e *Engine) {
-			defer wg.Done()
-			rec, err := e.Submit(spec, 2)
-			if err != nil {
-				t.Errorf("Submit on engine %d: %v", i, err)
-				return
-			}
-			recs[i] = waitState(t, e, rec.ID)
-		}(i, e)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	// Distinct CAS-minted IDs.
-	if recs[0].ID == recs[1].ID {
-		t.Errorf("both engines minted campaign %s", recs[0].ID)
-	}
-	for i, rec := range recs {
-		if rec.State != StateDone {
-			t.Errorf("engine %d campaign state %q, want %q (error: %s)", i, rec.State, StateDone, rec.Error)
+		var wg sync.WaitGroup
+		recs := make([]Campaign, 2)
+		for i, e := range []*Engine{a, b} {
+			wg.Add(1)
+			go func(i int, e *Engine) {
+				defer wg.Done()
+				rec, err := e.Submit(spec, 2)
+				if err != nil {
+					t.Errorf("Submit on engine %d: %v", i, err)
+					return
+				}
+				recs[i] = waitState(t, e, rec.ID)
+			}(i, e)
 		}
-	}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 
-	// Zero duplicate executions fleet-wide.
-	if got := counter.execs.Load(); got != int64(len(jobs)) {
-		t.Errorf("%d executions across both engines, want exactly %d", got, len(jobs))
-	}
-
-	// Byte-identical artifacts: each coordinator serves the other's
-	// campaign too (shared visibility), and all four reads agree.
-	resA, err := a.Result(recs[0].ID)
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	wantJSON, wantCSV := artifacts(t, resA)
-	for _, e := range []*Engine{a, b} {
-		for _, rec := range recs {
-			res, err := e.Result(rec.ID)
-			if err != nil {
-				t.Fatalf("Result(%s): %v", rec.ID, err)
-			}
-			gotJSON, gotCSV := artifacts(t, res)
-			if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
-				t.Errorf("artifacts for %s diverge across coordinators", rec.ID)
+		// Distinct CAS-minted IDs.
+		if recs[0].ID == recs[1].ID {
+			t.Errorf("both engines minted campaign %s", recs[0].ID)
+		}
+		for i, rec := range recs {
+			if rec.State != StateDone {
+				t.Errorf("engine %d campaign state %q, want %q (error: %s)", i, rec.State, StateDone, rec.Error)
 			}
 		}
-	}
 
-	// Shared visibility: each engine lists both campaigns.
-	for i, e := range []*Engine{a, b} {
-		if got := len(e.List()); got != 2 {
-			t.Errorf("engine %d lists %d campaigns, want 2", i, got)
+		// Zero duplicate executions fleet-wide.
+		if got := counter.execs.Load(); got != int64(len(jobs)) {
+			t.Errorf("%d executions across both engines, want exactly %d", got, len(jobs))
 		}
-		for _, rec := range recs {
-			if _, ok := e.Get(rec.ID); !ok {
-				t.Errorf("engine %d cannot Get %s", i, rec.ID)
+
+		// Byte-identical artifacts: each coordinator serves the other's
+		// campaign too (shared visibility), and all four reads agree.
+		resA, err := a.Result(recs[0].ID)
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		wantJSON, wantCSV := artifacts(t, resA)
+		for _, e := range []*Engine{a, b} {
+			for _, rec := range recs {
+				res, err := e.Result(rec.ID)
+				if err != nil {
+					t.Fatalf("Result(%s): %v", rec.ID, err)
+				}
+				gotJSON, gotCSV := artifacts(t, res)
+				if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
+					t.Errorf("artifacts for %s diverge across coordinators", rec.ID)
+				}
 			}
 		}
-	}
+
+		// Shared visibility: each engine lists both campaigns.
+		for i, e := range []*Engine{a, b} {
+			if got := len(e.List()); got != 2 {
+				t.Errorf("engine %d lists %d campaigns, want 2", i, got)
+			}
+			for _, rec := range recs {
+				if _, ok := e.Get(rec.ID); !ok {
+					t.Errorf("engine %d cannot Get %s", i, rec.ID)
+				}
+			}
+		}
+	})
 }
 
 // TestLeaseRunnersRaceOneExecution races N leaseRunners on one key and

@@ -25,6 +25,7 @@ var auditedPackages = []string{
 	"internal/obs",
 	"internal/revoke",
 	"internal/server",
+	"internal/spanset",
 	"internal/testutil",
 	"internal/workload",
 }

@@ -1,5 +1,6 @@
 // Package addrmap is a hash table from uint64 to uint64, for the allocator's
-// and the quarantine's bookkeeping keyed by simulated address.
+// free-chunk index keyed by simulated address: chunk start to size, and
+// chunk end to start.
 //
 // The table uses open addressing with linear probing, Fibonacci
 // (multiplicative) hashing and a power-of-two number of slots. Delete shifts

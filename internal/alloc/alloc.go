@@ -9,7 +9,11 @@
 // chunks and keeps a bitmap of its non-empty bins, so a request that no free
 // chunk fits costs one bit scan instead of a walk over every larger bin.
 // Unlike it, bookkeeping lives beside (not inside) the simulated heap, in
-// addrmap tables keyed by address that stand in for boundary tags. The
+// place of boundary tags. Live allocations are two spanset bit-planes over
+// the heap's granules, indexed by heap offset like the revocation shadow
+// map: the first and the last granule of each allocation. Free chunks are
+// addrmap tables keyed by address (start to size, end to start), which give
+// a chunk's size in O(1) and stay small enough to be cache-resident. The
 // allocator is part of CHERIvoke's trusted computing base (§3.6), so its
 // metadata being out-of-band does not change the security argument, and it
 // keeps the simulated heap image purely application data, which the
@@ -17,12 +21,15 @@
 package alloc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/addrmap"
 	"repro/internal/mem"
+	"repro/internal/spanset"
 )
 
 // Granule is the allocation granule and minimum alignment (16 bytes).
@@ -103,7 +110,7 @@ type Allocator struct {
 	binmap   uint64            // bit b set iff bins[b] is non-empty
 	byAddr   addrmap.Map       // free chunk start -> size (source of truth)
 	byEnd    addrmap.Map       // free chunk exclusive end -> start
-	live     addrmap.Map       // allocation addr -> size
+	live     spanset.Set       // live allocations over [base, limit)
 	liveSize uint64
 	stats    Stats
 }
@@ -119,7 +126,7 @@ func NewWithOptions(m *mem.Memory, base uint64, opt Options) (*Allocator, error)
 	if base%mem.PageSize != 0 {
 		return nil, fmt.Errorf("alloc: heap base %#x not page-aligned", base)
 	}
-	return &Allocator{mem: m, opt: opt, base: base, top: base, limit: base}, nil
+	return &Allocator{mem: m, opt: opt, base: base, top: base, limit: base, live: spanset.New(base)}, nil
 }
 
 // Base returns the heap base address.
@@ -178,6 +185,15 @@ func (a *Allocator) insertFree(addr, size uint64) {
 			a.stats.Coalesces++
 		}
 	}
+	a.pushFree(addr, size)
+}
+
+// pushFree records the free chunk [addr, addr+size) and pushes it on its
+// bin without coalescing. MallocAligned calls it for a split's head and
+// tail slack, which can have no free neighbour: one side is the new
+// allocation, and the other bounded a free chunk, which insertFree never
+// leaves beside another (typed reuse, which does, never splits).
+func (a *Allocator) pushFree(addr, size uint64) {
 	a.byAddr.Put(addr, size)
 	a.byEnd.Put(addr+size, addr)
 	b := binFor(size)
@@ -267,11 +283,11 @@ func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, 
 		addr = alignUp(e.addr, alignMask)
 		// Return any head and tail slack to the free lists.
 		if head := addr - e.addr; head > 0 {
-			a.insertFree(e.addr, head)
+			a.pushFree(e.addr, head)
 			a.stats.Splits++
 		}
 		if tail := e.addr + e.size - (addr + size); tail > 0 {
-			a.insertFree(addr+size, tail)
+			a.pushFree(addr+size, tail)
 			a.stats.Splits++
 		}
 	} else {
@@ -280,7 +296,7 @@ func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, 
 			return 0, 0, err
 		}
 	}
-	a.live.Put(addr, size)
+	a.live.Add(addr, size)
 	a.liveSize += size
 	a.stats.Mallocs++
 	a.stats.BytesAlloc += req
@@ -307,6 +323,7 @@ func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 			return 0, fmt.Errorf("alloc: growing heap: %w", err)
 		}
 		a.limit += grow
+		a.live.Grow(a.limit)
 		a.stats.HeapGrows++
 	}
 	if head := addr - a.top; head > 0 {
@@ -319,7 +336,7 @@ func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 
 // SizeOf returns the provisioned size of the live allocation at addr.
 func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
-	return a.live.Get(addr)
+	return a.live.SizeAt(addr)
 }
 
 // Free immediately recycles the allocation at addr (the insecure, classic
@@ -347,7 +364,7 @@ func (a *Allocator) Release(addr uint64) (uint64, error) {
 }
 
 func (a *Allocator) detach(addr uint64) (uint64, error) {
-	size, ok := a.live.Delete(addr)
+	size, ok := a.live.Remove(addr)
 	if !ok {
 		return 0, fmt.Errorf("alloc: free(%#x): %w", addr, ErrBadFree)
 	}
@@ -364,7 +381,7 @@ func (a *Allocator) FreeRange(addr, size uint64) {
 	a.insertFree(addr, size)
 }
 
-// ForEachLive calls f for every live allocation in unspecified order.
+// ForEachLive calls f for every live allocation in ascending address order.
 func (a *Allocator) ForEachLive(f func(addr, size uint64)) {
 	for addr, size := range a.live.All() {
 		f(addr, size)
@@ -380,36 +397,57 @@ func (a *Allocator) FreeBytes() uint64 {
 	return sum
 }
 
-// CheckInvariants verifies internal consistency: free chunks are disjoint,
-// byAddr and byEnd agree, the binmap marks exactly the non-empty bins, and
-// live+free+never-allocated partitions the heap. Tests call it after
-// workloads.
+// CheckInvariants verifies internal consistency: the live planes pair each
+// first granule with a last one, byAddr and byEnd agree, the binmap marks
+// exactly the non-empty bins, free chunks and live allocations are disjoint
+// and below the heap top, and liveSize is the sum of the live allocations.
+// Tests call it after workloads.
 func (a *Allocator) CheckInvariants() error {
 	for b := range a.bins {
 		if set := a.binmap&(1<<b) != 0; set != (len(a.bins[b]) > 0) {
 			return fmt.Errorf("alloc: binmap bit %d is %v but bin holds %d entries", b, set, len(a.bins[b]))
 		}
 	}
+	if err := a.live.Check(); err != nil {
+		return fmt.Errorf("alloc: live planes: %w", err)
+	}
+	var free []binEntry
 	for addr, size := range a.byAddr.All() {
 		if back, ok := a.byEnd.Get(addr + size); !ok || back != addr {
 			return fmt.Errorf("alloc: byEnd missing/disagrees for chunk %#x+%#x", addr, size)
 		}
-		if _, isLive := a.live.Get(addr); isLive {
-			return fmt.Errorf("alloc: %#x both live and free", addr)
-		}
+		free = append(free, binEntry{addr, size})
 	}
 	if a.byAddr.Len() != a.byEnd.Len() {
 		return fmt.Errorf("alloc: byAddr/byEnd size mismatch %d/%d", a.byAddr.Len(), a.byEnd.Len())
 	}
+	slices.SortFunc(free, func(x, y binEntry) int { return cmp.Compare(x.addr, y.addr) })
 	var sum uint64
-	for _, s := range a.live.All() {
-		sum += s
+	end := a.base // of the previous chunk, free or live, in address order
+	for addr, size := range a.live.All() {
+		for len(free) > 0 && free[0].addr < addr {
+			if free[0].addr < end {
+				return fmt.Errorf("alloc: free chunk %#x+%#x overlaps the chunk ending at %#x", free[0].addr, free[0].size, end)
+			}
+			end, free = free[0].addr+free[0].size, free[1:]
+		}
+		if addr < end {
+			return fmt.Errorf("alloc: live %#x+%#x overlaps the chunk ending at %#x", addr, size, end)
+		}
+		end = addr + size
+		sum += size
+	}
+	for _, e := range free {
+		if e.addr < end {
+			return fmt.Errorf("alloc: free chunk %#x+%#x overlaps the chunk ending at %#x", e.addr, e.size, end)
+		}
+		end = e.addr + e.size
+	}
+	if end > a.top {
+		return fmt.Errorf("alloc: a chunk ends at %#x, past the heap top %#x", end, a.top)
 	}
 	if sum != a.liveSize {
 		return fmt.Errorf("alloc: liveSize %d != sum %d", a.liveSize, sum)
-	}
-	if sum+a.FreeBytes() > a.HeapBytes() {
-		return fmt.Errorf("alloc: live %d + free %d exceeds heap %d", sum, a.FreeBytes(), a.HeapBytes())
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,93 @@ func TestDoubleFree(t *testing.T) {
 	}
 	if err := a.Free(heapBase + 0x999000); !errors.Is(err, ErrBadFree) {
 		t.Errorf("wild free: got %v", err)
+	}
+}
+
+// TestBadFreesOfPlanes: only an allocation's exact start frees it. An
+// interior, unaligned or out-of-heap address, or a chunk already released to
+// quarantine, returns ErrBadFree and leaves the allocation live.
+func TestBadFreesOfPlanes(t *testing.T) {
+	a := newAlloc(t)
+	p, size, err := a.Malloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _, _ := a.Malloc(64)
+	for _, addr := range []uint64{p + 16, p + size - 16, p + 1, heapBase - 16, a.limit, a.limit + 1<<20} {
+		if err := a.Free(addr); !errors.Is(err, ErrBadFree) {
+			t.Errorf("Free(%#x) with %#x+%#x live: got %v, want ErrBadFree", addr, p, size, err)
+		}
+	}
+	if got, ok := a.SizeOf(p); !ok || got != size {
+		t.Fatalf("SizeOf(%#x) = %d, %v after bad frees; want %d", p, got, ok, size)
+	}
+	if _, err := a.Release(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Free(p); !errors.Is(err, ErrBadFree) {
+		t.Errorf("Free of a released chunk: got %v, want ErrBadFree", err)
+	}
+	if _, err := a.Release(p); !errors.Is(err, ErrBadFree) {
+		t.Errorf("Release of a released chunk: got %v, want ErrBadFree", err)
+	}
+	if got, ok := a.SizeOf(q); !ok || got != 64 {
+		t.Errorf("neighbour SizeOf = %d, %v; want 64", got, ok)
+	}
+	must(t, a.CheckInvariants())
+}
+
+// TestSizeOfSpansManyPlaneWords: a plane word covers 1 KiB, so a 1 MiB
+// allocation's last granule lies 1024 words past its first, and the scan
+// for it must not stop at a neighbour's.
+func TestSizeOfSpansManyPlaneWords(t *testing.T) {
+	a := newAlloc(t)
+	before, _, _ := a.Malloc(48)
+	big, size, err := a.Malloc(1<<20 + 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _, _ := a.Malloc(16)
+	if got, ok := a.SizeOf(big); !ok || got != size || size != 1<<20+16 {
+		t.Errorf("SizeOf(big) = %d, %v; want %d", got, ok, uint64(1<<20+16))
+	}
+	for addr, want := range map[uint64]uint64{before: 48, after: 16} {
+		if got, ok := a.SizeOf(addr); !ok || got != want {
+			t.Errorf("SizeOf(%#x) = %d, %v; want %d", addr, got, ok, want)
+		}
+	}
+	if got, err := a.Release(big); err != nil || got != size {
+		t.Fatalf("Release(big) = %d, %v", got, err)
+	}
+	if _, ok := a.SizeOf(big); ok {
+		t.Error("SizeOf a released allocation succeeded")
+	}
+	var spans [][2]uint64
+	a.ForEachLive(func(addr, size uint64) { spans = append(spans, [2]uint64{addr, size}) })
+	if want := [][2]uint64{{before, 48}, {after, 16}}; !slices.Equal(spans, want) {
+		t.Errorf("ForEachLive = %#x, want %#x in address order", spans, want)
+	}
+	must(t, a.CheckInvariants())
+}
+
+// TestCheckInvariantsRecountsPlanes: CheckInvariants catches live planes
+// that disagree with themselves or with the live byte count.
+func TestCheckInvariantsRecountsPlanes(t *testing.T) {
+	a := newAlloc(t)
+	p, _, _ := a.Malloc(256)
+	must(t, a.CheckInvariants())
+	a.live.Add(p+64, 16) // a span starting inside a live allocation
+	if err := a.CheckInvariants(); err == nil {
+		t.Error("a span nested in a live allocation passed CheckInvariants")
+	}
+
+	a = newAlloc(t)
+	_, _, _ = a.Malloc(256)
+	free, _, _ := a.Malloc(64)
+	must(t, a.Free(free))
+	a.live.Add(free, 64) // live and free at once, and not in liveSize
+	if err := a.CheckInvariants(); err == nil {
+		t.Error("a live span over a free chunk passed CheckInvariants")
 	}
 }
 

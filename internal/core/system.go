@@ -167,12 +167,16 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	q, err := quarantine.New(cfg.HeapBase, 0)
+	if err != nil {
+		return nil, err
+	}
 	root := cap.MustRoot(0, 1<<48)
 	s := &System{
 		cfg:    cfg,
 		mem:    m,
 		alloc:  a,
-		quar:   quarantine.New(),
+		quar:   q,
 		shadow: sm,
 		root:   root,
 	}
@@ -237,7 +241,7 @@ func (s *System) Malloc(size uint64) (cap.Capability, error) {
 	if err != nil {
 		return cap.Null, err
 	}
-	if err := s.growShadow(); err != nil {
+	if err := s.growHeapMaps(); err != nil {
 		return cap.Null, err
 	}
 	c, err := s.heapCapability().SetBoundsExact(addr, got)
@@ -267,9 +271,14 @@ func (s *System) heapCapability() cap.Capability {
 	return c
 }
 
-func (s *System) growShadow() error {
+// growHeapMaps extends the shadow map and the quarantine's planes, both at a
+// fixed transform from the heap, over the allocator's mapped region.
+func (s *System) growHeapMaps() error {
 	want := s.alloc.MappedBytes()
 	if s.shadow.Limit()-s.shadow.Base() < want {
+		if err := s.quar.Grow(want); err != nil {
+			return err
+		}
 		return s.shadow.Grow(want)
 	}
 	return nil

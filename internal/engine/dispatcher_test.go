@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -283,5 +284,34 @@ func TestDispatcherHealthRevival(t *testing.T) {
 	}
 	if st := d.Stats(); st.Remote != 1 || w.jobs.Load() != 1 {
 		t.Errorf("revived worker did not execute: %+v (worker saw %d)", st, w.jobs.Load())
+	}
+}
+
+// TestRemoteRunnerBoundsResponse: a worker whose 200 response is a valid
+// JobResponse padded past maxJobResponseBytes with an unknown field gets an
+// error, not a job result.
+func TestRemoteRunnerBoundsResponse(t *testing.T) {
+	spec := testSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := JobKey(spec, jobs[0], "")
+	pad := strings.Repeat("x", 2<<20)
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		body, _ := json.Marshal(struct {
+			JobResponse
+			Pad string `json:"pad"`
+		}{JobResponse{Key: key, Result: campaign.JobResult{Job: jobs[0]}}, pad})
+		rw.Write(body)
+	}))
+	defer ts.Close()
+
+	jr, err := NewRemoteRunner(ts.URL, "").RunJob(context.Background(), key, spec, jobs[0])
+	if err == nil {
+		t.Fatalf("a %d-byte response was accepted as job %d's result", len(pad), jr.Job.ID)
+	}
+	if !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("error %q does not name the bound", err)
 	}
 }

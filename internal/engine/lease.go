@@ -107,13 +107,22 @@ type leaseRunner struct {
 // Lookup implements campaign.JobCache.
 func (l *leaseRunner) Lookup(spec campaign.Spec, job campaign.Job) (campaign.JobResult, bool) {
 	l.m.jobKeys.Inc()
-	jr, err := l.store.Job(JobKey(spec, job, l.traceHash))
-	if err != nil {
+	jr, ok := l.storedJob(JobKey(spec, job, l.traceHash))
+	if !ok {
 		l.m.cacheMisses.Inc()
 		return campaign.JobResult{}, false
 	}
 	l.m.cacheHits.Inc()
 	return jr, true
+}
+
+// storedJob is the one read of a stored job result. A stored failure counts
+// as a miss, like no result at all: this engine never publishes one, but a
+// store written by an older engine may hold one, and serving it would fail
+// the job for good. The next execution's PublishJob overwrites it.
+func (l *leaseRunner) storedJob(key string) (campaign.JobResult, bool) {
+	jr, err := l.store.Job(key)
+	return jr, err == nil && jr.Error == ""
 }
 
 // RunJob implements campaign.JobRunner.
@@ -129,7 +138,7 @@ func (l *leaseRunner) RunJob(ctx context.Context, spec campaign.Spec, job campai
 
 	// Double-check under the lease: if the previous holder published
 	// before releasing (the protocol's write order), serve its result.
-	if jr, err := l.store.Job(key); err == nil {
+	if jr, ok := l.storedJob(key); ok {
 		_ = l.store.ReleaseJobLease(key, l.owner)
 		l.m.leaseServed.Inc()
 		return jr, nil
@@ -205,7 +214,7 @@ func (l *leaseRunner) acquire(ctx context.Context, key string) (campaign.JobResu
 		// landing between the checks below and the select still fires the
 		// channel.
 		wake := l.store.LeaseChanged()
-		if jr, jerr := l.store.Job(key); jerr == nil {
+		if jr, ok := l.storedJob(key); ok {
 			l.m.leaseServed.Inc()
 			return jr, false, nil
 		}

@@ -37,7 +37,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		submits:     r.Counter("cherivoke_engine_campaigns_submitted_total", "Campaigns accepted by Submit."),
 		active:      r.Gauge("cherivoke_engine_campaigns_active", "Submitted campaigns currently running."),
 		cacheHits:   r.Counter("cherivoke_engine_cache_hits_total", "Jobs served from the job-result store without execution."),
-		cacheMisses: r.Counter("cherivoke_engine_cache_misses_total", "Job-result store lookups that found nothing."),
+		cacheMisses: r.Counter("cherivoke_engine_cache_misses_total", "Job-result store lookups that found nothing, or a stored failure."),
 		jobKeys:     r.Counter("cherivoke_engine_jobkeys_total", "JobKey content-hash computations."),
 		leaseAcquired: r.Counter("cherivoke_engine_lease_acquired_total",
 			"Job leases acquired by this engine."),

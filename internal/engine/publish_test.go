@@ -80,6 +80,48 @@ func TestFailedJobIsNeverPublished(t *testing.T) {
 	}
 }
 
+// TestStoredFailureHeals seeds a job's key with a failed result, as a
+// shared engine that published failures left its store, and proves a
+// campaign executes the job instead of serving that failure: it ends done
+// with no cache hit, and the store then holds the successful result.
+func TestStoredFailureHeals(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) Store
+	}{
+		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
+		{"SharedSQLiteStore", func(t *testing.T) Store { return openTestSQLite(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := tc.store(t)
+			spec := testSpec()
+			jobs, err := spec.Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := JobKey(spec, jobs[0], "")
+			if err := store.PublishJob(key, "older-engine", campaign.JobResult{Job: jobs[0], Error: "x"}); err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(store, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := e.Submit(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := waitState(t, e, rec.ID)
+			if got.State != StateDone || got.CacheHits != 0 {
+				t.Errorf("campaign ended %q with %d cache hits, want %q with 0 (error %q)", got.State, got.CacheHits, StateDone, got.Error)
+			}
+			if jr, err := store.Job(key); err != nil || jr.Error != "" {
+				t.Errorf("stored result after the campaign: error field %q, read error %v; want a success", jr.Error, err)
+			}
+		})
+	}
+}
+
 // scrapeSamples renders reg and parses it back, as a /metrics scrape would.
 func scrapeSamples(t *testing.T, reg *obs.Registry) []obs.Sample {
 	t.Helper()

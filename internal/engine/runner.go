@@ -79,6 +79,11 @@ type JobResponse struct {
 	Result campaign.JobResult `json:"result"`
 }
 
+// maxJobResponseBytes bounds the body of a worker's job response, as the
+// worker bounds the request's at 1 MiB. A job result marshals to about
+// 3 KB, so a longer body is a faulty worker's, not a result.
+const maxJobResponseBytes = 1 << 20
+
 // RemoteRunner executes jobs on one worker process over its internal HTTP
 // job API, authenticating with a bearer token when one is configured.
 type RemoteRunner struct {
@@ -133,8 +138,15 @@ func (r *RemoteRunner) RunJob(ctx context.Context, key string, spec campaign.Spe
 		}
 		return campaign.JobResult{}, fmt.Errorf("engine: worker %s: status %d: %s", r.base, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxJobResponseBytes+1))
+	if err != nil {
+		return campaign.JobResult{}, fmt.Errorf("engine: worker %s: reading response: %w", r.base, err)
+	}
+	if len(raw) > maxJobResponseBytes {
+		return campaign.JobResult{}, fmt.Errorf("engine: worker %s: response exceeds %d bytes", r.base, maxJobResponseBytes)
+	}
 	var jres JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jres); err != nil {
+	if err := json.Unmarshal(raw, &jres); err != nil {
 		return campaign.JobResult{}, fmt.Errorf("engine: worker %s: decoding response: %w", r.base, err)
 	}
 	if jres.Key != key {

@@ -138,8 +138,11 @@ func BenchmarkStoreWriteContention(b *testing.B) {
 // BenchmarkSharedStoreFleet is the end-to-end number: two engines — two
 // coordinators in miniature — share one sqlite file and race one
 // campaign. jobs/sec is the fleet's aggregate completion rate;
-// fsyncs/job is the acceptance metric the fast path reduced ≥3x.
+// fsyncs/job is the acceptance metric the fast path reduced ≥3x. Both are
+// summed over every iteration's campaign and reported once, for the run.
 func BenchmarkSharedStoreFleet(b *testing.B) {
+	var jobsRun, fsyncs uint64
+	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s, err := engine.OpenSQLiteStore(filepath.Join(b.TempDir(), fmt.Sprintf("fleet%d.db", i)), b.Logf)
@@ -180,12 +183,16 @@ func BenchmarkSharedStoreFleet(b *testing.B) {
 		}
 		waitDone(b, ea, recA.ID)
 		waitDone(b, eb, recB.ID)
-		elapsed := time.Since(start)
+		elapsed += time.Since(start)
 		b.StopTimer()
-		b.ReportMetric(float64(len(jobs))/elapsed.Seconds(), "jobs/sec")
-		b.ReportMetric(float64(s.Fsyncs()-base)/float64(len(jobs)), "fsyncs/job")
+		jobsRun += uint64(len(jobs))
+		fsyncs += s.Fsyncs() - base
 		s.Close()
 		b.StartTimer()
+	}
+	if jobsRun > 0 {
+		b.ReportMetric(float64(jobsRun)/elapsed.Seconds(), "jobs/sec")
+		b.ReportMetric(float64(fsyncs)/float64(jobsRun), "fsyncs/job")
 	}
 }
 

@@ -35,7 +35,10 @@ func benchInsert(b *testing.B, liveSet int) {
 		live[i] = i
 	}
 	n := liveSet
-	q := New()
+	q, err := New(0x10000, heapBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		j := r.Intn(n)
@@ -59,7 +62,10 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	const n = 4096
 	b.Run("adjacent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buf := New()
+			buf, err := New(0x10000000, 1<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for j := uint64(0); j < n; j++ {
 				if err := buf.Insert(0x10000000+j*64, 64); err != nil {
 					b.Fatal(err)
@@ -74,7 +80,10 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	})
 	b.Run("scattered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buf := New()
+			buf, err := New(0x10000000, 1<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for j := uint64(0); j < n; j++ {
 				if err := buf.Insert(0x10000000+j*128, 64); err != nil {
 					b.Fatal(err)

@@ -6,15 +6,23 @@
 // Coalescing is the batching effect §6.1.1 credits for quarantine sometimes
 // *improving* performance: aggregated chunks mean far fewer internal frees
 // when the buffer is drained than the program issued.
+//
+// The chunks are a spanset over the heap region: two bit-planes indexed by
+// heap offset, one bit per 16-byte granule, marking the first and the last
+// granule of each chunk, at the same fixed transform from the heap as the
+// revocation shadow map (§3.2). A merge clears one boundary bit, and a drain
+// walks the planes, so chunks come out in address order with no sort.
 package quarantine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
-	"repro/internal/addrmap"
+	"repro/internal/spanset"
 )
+
+// granule is the alignment of every quarantined range: 16 bytes, the
+// allocation granule.
+const granule = spanset.Granule
 
 // Chunk is a quarantined address range [Addr, Addr+Size).
 type Chunk struct {
@@ -33,73 +41,81 @@ type Stats struct {
 	DrainedOut uint64 // chunks handed back across all drains
 }
 
-// Buffer is a quarantine buffer. It maintains chunks keyed by their start
-// and end addresses so insertion coalesces with both neighbours in O(1)
-// table work, mirroring dlmalloc's constant-time aggregation (§5.2).
+// Buffer is a quarantine buffer covering a heap region. Its chunks are
+// boundary bits in two planes over that region, so insertion coalesces with
+// both neighbours in O(1), mirroring dlmalloc's constant-time aggregation
+// (§5.2).
 type Buffer struct {
-	byStart addrmap.Map // chunk start -> size
-	byEnd   addrmap.Map // chunk exclusive end -> start
-	bytes   uint64
-	stats   Stats
+	spans spanset.Set
+	bytes uint64
+	stats Stats
 }
 
-// New returns an empty quarantine buffer.
-func New() *Buffer { return &Buffer{} }
+// New returns an empty quarantine buffer covering [base, base+size), the
+// layout of shadow.New: base and size must be granule-aligned, and Grow
+// extends the coverage as the heap grows.
+func New(base, size uint64) (*Buffer, error) {
+	if base%granule != 0 || size%granule != 0 || base+size < base {
+		return nil, fmt.Errorf("quarantine: region [%#x, +%#x) is not %d-byte aligned or wraps", base, size, granule)
+	}
+	b := &Buffer{spans: spanset.New(base)}
+	b.spans.Grow(base + size)
+	return b, nil
+}
+
+// Grow extends coverage to [base, base+newSize), preserving the chunks. The
+// base cannot move, and a size below the current one is a no-op.
+func (b *Buffer) Grow(newSize uint64) error {
+	base := b.spans.Base()
+	if newSize%granule != 0 || base+newSize < base {
+		return fmt.Errorf("quarantine: Grow(%#x) is not granule-aligned or wraps", newSize)
+	}
+	b.spans.Grow(base + newSize)
+	return nil
+}
 
 // Bytes returns the total quarantined bytes.
 func (b *Buffer) Bytes() uint64 { return b.bytes }
 
 // Len returns the number of (coalesced) chunks currently detained.
-func (b *Buffer) Len() int { return b.byStart.Len() }
+func (b *Buffer) Len() int { return b.spans.Len() }
 
 // Stats returns a snapshot of the activity counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 
 // Insert detains [addr, addr+size), coalescing with adjacent quarantined
 // chunks. It returns an error, and leaves the buffer unchanged, for an empty
-// or wrapping range and for one that starts where a quarantined chunk starts
-// or ends where one ends. Those are the only overlaps it detects: a range
+// range, for one that is not granule-aligned or not inside the covered
+// region, and for one that starts where a quarantined chunk starts or ends
+// where one ends. Those are the only overlaps it detects: after a range
 // strictly inside a chunk, such as Insert(0x1010, 0x10) into [0x1000,
-// +0x40), is accepted and its bytes are counted twice. core relies on
-// alloc.Release's ErrBadFree to stop double frees before they reach the
+// +0x40), or one that straddles a chunk's boundary, the buffer's contents
+// are unspecified. core never issues such a range, because alloc.Release
+// fails with ErrBadFree on a double or interior free before it reaches the
 // buffer.
 func (b *Buffer) Insert(addr, size uint64) error {
 	if size == 0 {
 		return fmt.Errorf("quarantine: zero-size insert at %#x", addr)
 	}
-	start, end := addr, addr+size
-	if end < start {
-		return fmt.Errorf("quarantine: range [%#x, +%#x) wraps", addr, size)
+	if !b.spans.Covers(addr, size) {
+		return fmt.Errorf("quarantine: [%#x, +%#x) is not granule-aligned inside [%#x, %#x)", addr, size, b.spans.Base(), b.spans.Limit())
 	}
-	if _, clash := b.byStart.Get(start); clash {
-		return fmt.Errorf("quarantine: overlapping insert at %#x", start)
+	if b.spans.StartsAt(addr) {
+		return fmt.Errorf("quarantine: overlapping insert at %#x", addr)
 	}
-	if _, clash := b.byEnd.Get(end); clash {
-		return fmt.Errorf("quarantine: overlapping insert ending at %#x", end)
+	if b.spans.EndsAt(addr + size) {
+		return fmt.Errorf("quarantine: overlapping insert ending at %#x", addr+size)
 	}
 	b.stats.Inserts++
-	// Merge with a chunk ending exactly at our start.
-	if left, ok := b.byEnd.Delete(start); ok {
-		b.byStart.Delete(left)
-		start = left
-		b.stats.Coalesces++
-	}
-	// Merge with a chunk starting exactly at our end.
-	if rsize, ok := b.byStart.Delete(end); ok {
-		b.byEnd.Delete(end + rsize)
-		end += rsize
-		b.stats.Coalesces++
-	}
-	b.byStart.Put(start, end-start)
-	b.byEnd.Put(end, start)
+	b.stats.Coalesces += uint64(b.spans.Join(addr, size))
 	b.bytes += size
 	return nil
 }
 
-// Contains reports whether addr lies within any quarantined chunk. It is
-// O(n) over chunks and intended for assertions and tests, not hot paths.
+// Contains reports whether addr lies within any quarantined chunk. It walks
+// every chunk and is intended for assertions and tests, not hot paths.
 func (b *Buffer) Contains(addr uint64) bool {
-	for start, size := range b.byStart.All() {
+	for start, size := range b.spans.All() {
 		if addr >= start && addr-start < size {
 			return true
 		}
@@ -111,20 +127,19 @@ func (b *Buffer) Contains(addr uint64) bool {
 // draining. The order is deterministic so that painting, recycling and every
 // downstream measurement are reproducible run-to-run.
 func (b *Buffer) Chunks() []Chunk {
-	out := make([]Chunk, 0, b.byStart.Len())
-	for start, size := range b.byStart.All() {
+	out := make([]Chunk, 0, b.spans.Len())
+	for start, size := range b.spans.All() {
 		out = append(out, Chunk{Addr: start, Size: size})
 	}
-	slices.SortFunc(out, func(x, y Chunk) int { return cmp.Compare(x.Addr, y.Addr) })
 	return out
 }
 
-// Drain empties the buffer, returning every coalesced chunk for the sweep to
-// paint and, afterwards, for the allocator to recycle.
+// Drain empties the buffer, returning every coalesced chunk in ascending
+// address order for the sweep to paint and, afterwards, for the allocator
+// to recycle.
 func (b *Buffer) Drain() []Chunk {
 	out := b.Chunks()
-	b.byStart.Clear()
-	b.byEnd.Clear()
+	b.spans.Clear()
 	b.bytes = 0
 	b.stats.Drains++
 	b.stats.DrainedOut += uint64(len(out))

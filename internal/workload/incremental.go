@@ -82,7 +82,7 @@ func (ir *IncrementalReplay) ApplyWindow(win []TraceEvent) error {
 			ir.stats.Plants++
 		case EvFree:
 			ir.stats.Frees++
-			ir.stats.FreedBytes += ir.st.caps[ev.Ref].Len()
+			ir.stats.FreedBytes += ir.st.caps.at(ev.Ref).Len()
 			// Sample the footprint after each free — the same points Run
 			// and RunStream sample — so peak measurements agree across
 			// every replay path regardless of windowing.

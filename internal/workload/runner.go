@@ -238,8 +238,10 @@ func MeasureDensity(m *mem.Memory) (pageDensity, lineDensity float64) {
 
 // liveSet tracks live allocations for the churn phase: FIFO order for
 // grouped lifetimes, with tombstoned random removal for interleaved ones.
+// Handles are numbered in the order added; those in [head, items.len())
+// may be live, and the blocks the head has passed are reused at the tail.
 type liveSet struct {
-	items    []handle
+	items    blockTable[handle]
 	head     int
 	count    int
 	ptrCount int // live pointer-bearing objects
@@ -254,15 +256,10 @@ type handle struct {
 }
 
 func (l *liveSet) add(h handle) {
-	l.items = append(l.items, h)
+	l.items.push(h)
 	l.count++
 	if h.caps {
 		l.ptrCount++
-	}
-	// Compact occasionally so memory does not grow without bound.
-	if l.head > 1<<16 && l.head > len(l.items)/2 {
-		l.items = append([]handle(nil), l.items[l.head:]...)
-		l.head = 0
 	}
 }
 
@@ -275,22 +272,23 @@ func (l *liveSet) take(r *rng, frag float64) (handle, bool) {
 	if r.float() < frag {
 		// Random pick: probe tombstoned slots.
 		for tries := 0; tries < 32; tries++ {
-			i := l.head + r.intn(len(l.items)-l.head)
-			if !l.items[i].dead {
-				l.items[i].dead = true
+			h := l.items.at(l.head + r.intn(l.items.len()-l.head))
+			if !h.dead {
+				h.dead = true
 				l.count--
-				if l.items[i].caps {
+				if h.caps {
 					l.ptrCount--
 				}
-				return l.items[i], true
+				return *h, true
 			}
 		}
 		// Dense tombstones: fall through to FIFO.
 	}
-	for l.head < len(l.items) {
-		h := l.items[l.head]
+	for l.head < l.items.len() {
+		h := *l.items.at(l.head)
 		l.head++
 		if !h.dead {
+			l.items.dropBelow(l.head)
 			l.count--
 			if h.caps {
 				l.ptrCount--
@@ -298,6 +296,7 @@ func (l *liveSet) take(r *rng, frag float64) (handle, bool) {
 			return h, true
 		}
 	}
+	l.items.dropBelow(l.head)
 	return handle{}, false
 }
 

@@ -167,6 +167,70 @@ func TestDirectModeRun(t *testing.T) {
 	}
 }
 
+// TestLiveSetMatchesSlice drives liveSet across many blocks, with the head
+// passing some and random picks landing in others, against a plain slice
+// with the same numbering: every take must return the same handle.
+func TestLiveSetMatchesSlice(t *testing.T) {
+	r, rr := newRNG(7), newRNG(7)
+	var l liveSet
+	var ref []handle // ref[head:] may be live, as in l
+	head, count := 0, 0
+	refTake := func(frag float64) (handle, bool) {
+		if count == 0 {
+			return handle{}, false
+		}
+		if rr.float() < frag {
+			for tries := 0; tries < 32; tries++ {
+				i := head + rr.intn(len(ref)-head)
+				if !ref[i].dead {
+					ref[i].dead = true
+					count--
+					return ref[i], true
+				}
+			}
+		}
+		for head < len(ref) {
+			h := ref[head]
+			head++
+			if !h.dead {
+				count--
+				return h, true
+			}
+		}
+		return handle{}, false
+	}
+	next := 0
+	for round := 0; round < 40; round++ {
+		// Alternate growth and shrinkage so the head passes blocks
+		// that are then reused at the tail.
+		adds, takes := 3*blockLen/2, blockLen
+		if round%2 == 1 {
+			adds, takes = blockLen/2, 2*blockLen
+		}
+		for range adds {
+			h := handle{addr: uint64(next) * 16, size: 16, idx: next, caps: next%3 == 0}
+			next++
+			l.add(h)
+			ref = append(ref, h)
+			count++
+		}
+		for i := range takes {
+			frag := float64(i%4) / 4
+			got, ok := l.take(r, frag)
+			want, wantOK := refTake(frag)
+			if got != want || ok != wantOK {
+				t.Fatalf("round %d take %d: got %+v, %v; want %+v, %v", round, i, got, ok, want, wantOK)
+			}
+		}
+		if l.count != count {
+			t.Fatalf("round %d: count %d, want %d", round, l.count, count)
+		}
+	}
+	if blocks := len(l.items.blocks) + len(l.items.spare); blocks > (len(ref)-head)/blockLen+4 {
+		t.Errorf("live set holds %d blocks for %d slots past the head", blocks, len(ref)-head)
+	}
+}
+
 func TestLiveSetTake(t *testing.T) {
 	r := newRNG(1)
 	var l liveSet

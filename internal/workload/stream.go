@@ -714,7 +714,7 @@ func RunStream(sys *core.System, src *StreamingSource, p Profile) (Result, error
 				res.Mallocs++
 			case EvFree:
 				res.Frees++
-				res.FreedBytes += st.caps[ev.Ref].Len()
+				res.FreedBytes += st.caps.at(ev.Ref).Len()
 				// Sample the footprint at the same points Run does
 				// (after each free), so peak measurements agree
 				// between generated and replayed runs.

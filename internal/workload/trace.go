@@ -50,7 +50,7 @@ type TraceEvent struct {
 // trace corruption and errors out. For traces too large to materialise,
 // use ReplayStream.
 func Replay(sys *core.System, tr *Trace) (int, error) {
-	st := replayState{caps: make([]cap.Capability, 0, len(tr.Events)/2)}
+	var st replayState
 	for i, ev := range tr.Events {
 		if err := st.apply(sys, i, ev); err != nil {
 			return i, err
@@ -62,10 +62,10 @@ func Replay(sys *core.System, tr *Trace) (int, error) {
 // replayState is the per-replay allocation table: events reference
 // allocations by birth order, so the table maps that index to the
 // capability the replay's own allocator returned, untagged once freed. It
-// grows with the number of mallocs (allocation metadata), while the event
-// stream itself needs no buffering beyond the caller's window.
+// grows in blocks with the number of mallocs (allocation metadata), while
+// the event stream itself needs no buffering beyond the caller's window.
 type replayState struct {
-	caps []cap.Capability
+	caps blockTable[cap.Capability]
 }
 
 // apply executes one trace event against sys; i is the event's position,
@@ -77,7 +77,7 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 		if err != nil {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
-		st.caps = append(st.caps, c)
+		st.caps.push(c)
 	case EvPlant:
 		c, err := st.live(i, ev.Ref)
 		if err != nil {
@@ -94,7 +94,7 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 		if err := sys.FreeAddr(c.Base()); err != nil {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
-		st.caps[ev.Ref] = c.ClearTag()
+		*st.caps.at(ev.Ref) = c.ClearTag()
 	default:
 		return fmt.Errorf("workload: replay event %d: unknown op %q", i, ev.Op)
 	}
@@ -105,10 +105,10 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 // allocated or already freed. Frees are tracked by ref, not by address:
 // after a direct free, a later malloc may reuse the address.
 func (st *replayState) live(i, ref int) (cap.Capability, error) {
-	if ref < 0 || ref >= len(st.caps) {
+	if ref < 0 || ref >= st.caps.len() {
 		return cap.Null, fmt.Errorf("workload: replay event %d: bad ref %d", i, ref)
 	}
-	if c := st.caps[ref]; c.Tag() {
+	if c := *st.caps.at(ref); c.Tag() {
 		return c, nil
 	}
 	return cap.Null, fmt.Errorf("workload: replay event %d: ref %d was already freed", i, ref)

@@ -39,8 +39,12 @@ func TestDensityMeasurement(t *testing.T) {
 func TestPageViewMatchesArchitecturalAccessors(t *testing.T) {
 	m, heap := newHeap(t, 2)
 	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)
-	if err := m.StoreCap(heap, heapBase+0x40, obj); err != nil {
-		t.Fatal(err)
+	// Granules 4, 70, 133 and 255: one in each tag word, on lines 1, 17, 33
+	// and 63.
+	for _, off := range []uint64{0x40, 0x460, 0x850, 0xff0} {
+		if err := m.StoreCap(heap, heapBase+off, obj); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, base := range []uint64{heapBase, heapBase + PageSize} {
 		before := m.Stats()
@@ -48,10 +52,10 @@ func TestPageViewMatchesArchitecturalAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var views []uint8
+		var words []uint64
 		var grans []cap.Capability
-		for line := uint(0); line < LinesPerPage; line++ {
-			views = append(views, v.LineTagMask(line))
+		for i := uint(0); i < GranulesPerPage/64; i++ {
+			words = append(words, v.TagWord(i))
 		}
 		for g := uint(0); g < GranulesPerPage; g++ {
 			lo, hi, tag := v.Granule(g)
@@ -61,28 +65,43 @@ func TestPageViewMatchesArchitecturalAccessors(t *testing.T) {
 		if m.Stats() != before {
 			t.Errorf("view reads mutated stats: %+v -> %+v", before, m.Stats())
 		}
+		capLines := 0
 		for line := uint(0); line < LinesPerPage; line++ {
+			word := words[line/(64/GranulesPerLine)]
+			want := uint8(word>>(line%(64/GranulesPerLine)*GranulesPerLine)) & (1<<GranulesPerLine - 1)
 			mask, err := m.CLoadTags(base + uint64(line)*LineSize)
-			if err != nil || mask != views[line] {
-				t.Errorf("page %#x line %d: view mask %#b, CLoadTags %#b, %v", base, line, views[line], mask, err)
+			if err != nil || mask != want {
+				t.Errorf("page %#x line %d: tag word mask %#b, CLoadTags %#b, %v", base, line, want, mask, err)
 			}
+			if mask != 0 {
+				capLines++
+			}
+		}
+		if v.CapLines() != capLines {
+			t.Errorf("page %#x: CapLines = %d, CLoadTags found %d lines", base, v.CapLines(), capLines)
 		}
 		for g := uint(0); g < GranulesPerPage; g++ {
 			c, err := m.RawLoadCap(base + uint64(g)*GranuleSize)
 			if err != nil || c != grans[g] {
 				t.Errorf("page %#x granule %d: view %v, RawLoadCap %v, %v", base, g, grans[g], c, err)
 			}
+			if bit := words[g/64]>>(g%64)&1 != 0; bit != c.Tag() {
+				t.Errorf("page %#x granule %d: tag word bit %v, tag %v", base, g, bit, c.Tag())
+			}
 		}
 	}
 	v, _ := m.PageView(heapBase)
-	if mask := v.LineTagMask(1); mask != 0b0001 {
-		t.Errorf("LineTagMask(1) = %#b, want 0b0001", mask)
+	want := []uint64{1 << 4, 1 << 6, 1 << 5, 1 << 63}
+	for i := range want {
+		if w := v.TagWord(uint(i)); w != want[i] {
+			t.Errorf("TagWord(%d) = %#x, want %#x", i, w, want[i])
+		}
 	}
 	if lo, hi, tag := v.Granule(4); !tag || cap.Decode(lo, hi, tag) != obj {
 		t.Errorf("Granule(4) = %v, want %v", cap.Decode(lo, hi, tag), obj)
 	}
-	if v.CapCount() != 1 {
-		t.Errorf("CapCount = %d, want 1", v.CapCount())
+	if v.CapCount() != 4 || v.CapLines() != 4 {
+		t.Errorf("CapCount = %d, CapLines = %d, want 4 and 4", v.CapCount(), v.CapLines())
 	}
 	// Alignment and mapping errors still apply.
 	if _, err := m.PageView(heapBase + 8); !errors.Is(err, ErrAlign) {

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"repro/internal/cap"
@@ -495,9 +496,9 @@ func (m *Memory) PageView(base uint64) (PageView, error) {
 	return PageView{p: p, words: m.words(p)}, nil
 }
 
-// LineTagMask returns the tag bits of line index line (0..LinesPerPage-1),
-// bit i for granule i of the line: what CLoadTags returns for that line.
-func (v PageView) LineTagMask(line uint) uint8 { return v.p.lineTagMask(line) }
+// TagWord returns tag word i (0..GranulesPerPage/64-1) of the page's tag
+// bitmap, bit j for granule 64i+j: the tags of 16 lines in one read.
+func (v PageView) TagWord(i uint) uint64 { return binary.LittleEndian.Uint64(v.p.tags[i*8:]) }
 
 // Granule returns the two data words and tag of granule index g
 // (0..GranulesPerPage-1).
@@ -511,6 +512,10 @@ func (v PageView) Granule(g uint) (lo, hi uint64, tag bool) {
 
 // CapCount returns the page's tagged-granule count.
 func (v PageView) CapCount() int { return int(v.p.capCount) }
+
+// CapLines returns the number of the page's lines holding a tagged granule:
+// the lines a CLoadTags sweep reads.
+func (v PageView) CapLines() int { return int(v.p.capLines) }
 
 // SetCapStoreInhibit sets or clears the capability-store-inhibit PTE bit of
 // the page containing addr.
@@ -591,25 +596,6 @@ func (m *Memory) LaunderCapDirty(base uint64) (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// PageCapCount returns the number of tagged granules in the page at base.
-func (m *Memory) PageCapCount(base uint64) (int, error) {
-	p, err := m.pageFor(base)
-	if err != nil {
-		return 0, err
-	}
-	return int(p.capCount), nil
-}
-
-// PageCapLines returns the number of cache lines holding at least one tagged
-// granule in the page at base (CLoadTags-granularity density, Figure 8).
-func (m *Memory) PageCapLines(base uint64) (int, error) {
-	p, err := m.pageFor(base)
-	if err != nil {
-		return 0, err
-	}
-	return int(p.capLines), nil
 }
 
 // Density returns the fraction of mapped pages containing at least one

@@ -357,12 +357,16 @@ func TestPageDensityCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := m.PageCapCount(heapBase); n != 4 {
-		t.Errorf("PageCapCount = %d, want 4", n)
+	v, err := m.PageView(heapBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := v.CapCount(); n != 4 {
+		t.Errorf("CapCount = %d, want 4", n)
 	}
 	// Lines: granules 0,1 share line 0; 128 is line 2; 1024 is line 16.
-	if n, _ := m.PageCapLines(heapBase); n != 3 {
-		t.Errorf("PageCapLines = %d, want 3", n)
+	if n := v.CapLines(); n != 3 {
+		t.Errorf("CapLines = %d, want 3", n)
 	}
 	if !m.CheckTagInvariant() {
 		t.Error("tag invariant violated")

@@ -74,7 +74,7 @@ var (
 // lineTagMask returns the GranulesPerLine tag bits of the line starting at
 // the given line index within the page, as a little-endian bit mask. With 4
 // granules per line the mask is one nibble of the tag bitmap, extracted in a
-// single shift — this sits on the sweep's innermost per-line path.
+// single shift — this sits on every tag transition (Memory.setTag).
 func (p *page) lineTagMask(line uint) uint8 {
 	return (p.tags[line>>1] >> ((line & 1) * GranulesPerLine)) & (1<<GranulesPerLine - 1)
 }

@@ -15,6 +15,15 @@
 //   - CLoadTags: within a swept page, lines whose tag probe returns zero are
 //     skipped without fetching data.
 //
+// The kernel never walks a page line by line. A page keeps its tagged
+// granule and tagged line counts on every tag transition, and they fix the
+// line counters in closed form: a full sweep reads every line, and a
+// CLoadTags sweep probes every line and reads exactly the tagged ones. The
+// tagged granules are found by bit-scanning the tag bitmap 64 granules at a
+// time, so only they are read and decoded for the shadow-map lookup. All of
+// a tag word's granules are loaded before any is decoded, so their cache
+// misses overlap instead of each waiting out the decode and lookup before.
+//
 // Sweep takes the simulated memory's mapped (or CapDirty-filtered) page
 // list, strictly ascending and duplicate-free, and partitions it in one pass
 // that also counts page runs and tag-line coverage windows. Partitioning

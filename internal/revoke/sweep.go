@@ -2,6 +2,7 @@ package revoke
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -330,52 +331,41 @@ func partitionByTagWindow(pages []uint64, shards int, dst [][]uint64) (parts [][
 	return parts, runs, windows
 }
 
-// sweepPage walks one page, accumulating into the shard-private stats and
-// revocation list. It takes one page-table lookup per page and then reads
-// tags and granules through the view. The loop skips straight over
-// capability-free pages and lines using the page's tag metadata: a page with
-// no tagged granules has closed-form counters, and a line whose tag mask is
-// zero can't contribute capabilities, so only tagged granules are decoded.
+// sweepPage sweeps one page into the shard-private stats and revocation
+// list, with one page-table lookup and no per-line walk (see the package
+// doc), revoking in ascending address order.
 func (s *Sweeper) sweepPage(base uint64, stats *Stats, revoked *[]uint64) error {
 	view, err := s.mem.PageView(base)
 	if err != nil {
 		return err
 	}
-	if view.CapCount() == 0 {
-		if s.cfg.UseCLoadTags {
-			stats.TagProbes += mem.LinesPerPage
-			stats.LinesSkipped += mem.LinesPerPage
-			return nil
-		}
-		stats.LinesSwept += mem.LinesPerPage
-		stats.BytesRead += mem.LinesPerPage * mem.LineSize
-		stats.WordsRead += mem.WordsPerPage
+	lines := uint64(mem.LinesPerPage)
+	if s.cfg.UseCLoadTags {
+		lines = uint64(view.CapLines())
+		stats.TagProbes += mem.LinesPerPage
+		stats.LinesSkipped += mem.LinesPerPage - lines
+	}
+	stats.LinesSwept += lines
+	stats.BytesRead += lines * mem.LineSize
+	stats.WordsRead += lines * (mem.LineSize / mem.WordSize)
+	caps := uint64(view.CapCount())
+	stats.CapsFound += caps
+	stats.ShadowLookups += caps
+	if caps == 0 {
 		return nil
 	}
-	for line := uint64(0); line < mem.LinesPerPage; line++ {
-		mask := view.LineTagMask(uint(line))
-		if s.cfg.UseCLoadTags {
-			stats.TagProbes++
-			if mask == 0 {
-				stats.LinesSkipped++
-				continue
-			}
+	var images [64][2]uint64
+	var bit [64]uint8
+	for i := uint(0); i < mem.GranulesPerPage/64; i++ {
+		n := 0
+		for w := view.TagWord(i); w != 0; w &= w - 1 {
+			bit[n] = uint8(bits.TrailingZeros64(w))
+			images[n][0], images[n][1], _ = view.Granule(i*64 + uint(bit[n]))
+			n++
 		}
-		stats.LinesSwept++
-		stats.BytesRead += mem.LineSize
-		stats.WordsRead += mem.LineSize / mem.WordSize
-		if mask == 0 {
-			continue // untagged line: nothing to find or revoke
-		}
-		for g := uint64(0); g < mem.GranulesPerLine; g++ {
-			if mask&(1<<g) == 0 {
-				continue
-			}
-			lo, hi, _ := view.Granule(uint(line*mem.GranulesPerLine + g))
-			stats.CapsFound++
-			stats.ShadowLookups++
-			if s.shadow.Revoked(cap.DecodeBase(lo, hi)) {
-				*revoked = append(*revoked, base+line*mem.LineSize+g*mem.GranuleSize)
+		for k, img := range images[:n] {
+			if s.shadow.Revoked(cap.DecodeBase(img[0], img[1])) {
+				*revoked = append(*revoked, base+uint64(i*64+uint(bit[k]))*mem.GranuleSize)
 			}
 		}
 	}

@@ -203,7 +203,10 @@ func replayTraffic(t *testing.T, f *fixture, cfg Config, mk func() *mem.Hierarch
 			}
 			for l := uint(0); l < mem.LinesPerPage; l++ {
 				line := base + uint64(l)*mem.LineSize
-				mask := view.LineTagMask(l)
+				mask, err := f.mem.CLoadTags(line)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if cfg.UseCLoadTags {
 					h.AccessTags(line)
 					if mask == 0 {

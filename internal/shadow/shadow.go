@@ -71,9 +71,10 @@ func (m *Map) SizeBytes() uint64 { return uint64(len(m.words)) * 8 }
 func (m *Map) Stats() Stats { return m.stats }
 
 // Grow extends coverage to [base, base+newSize), preserving painted state.
-// It supports heap growth; the base cannot move. The words grow by
-// amortized appends, so a heap that grows in small steps is not copied on
-// every step; SizeBytes counts only the words the coverage needs.
+// It supports heap growth; the base cannot move. When the words have to
+// move, their capacity at least doubles (append's growth for large slices,
+// about ×1.25, would copy a heap grown in small steps several times over);
+// SizeBytes counts only the words the coverage needs.
 func (m *Map) Grow(newSize uint64) error {
 	if newSize%Granule != 0 {
 		return fmt.Errorf("shadow: Grow(%#x) not granule-aligned", newSize)
@@ -81,9 +82,11 @@ func (m *Map) Grow(newSize uint64) error {
 	if m.base+newSize > m.limit {
 		m.limit = m.base + newSize
 	}
-	need := int((newSize/Granule + 63) / 64)
-	if more := need - len(m.words); more > 0 {
-		m.words = append(m.words, make([]uint64, more)...)
+	if need := int((newSize/Granule + 63) / 64); need > len(m.words) {
+		if need > cap(m.words) {
+			m.words = append(make([]uint64, 0, max(need, 2*cap(m.words))), m.words...)
+		}
+		m.words = m.words[:need] // words past the length were never written
 	}
 	return nil
 }

@@ -222,3 +222,40 @@ func TestQuickPaintCountInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGrowInSmallStepsDoubles grows a map from empty to 16 MiB in 256 KiB
+// steps, as the heap grows, painting a run in each new step. Every painted
+// granule must survive, SizeBytes must count only the covered words, and
+// the words may move only when their capacity doubles: 2 KiB to 128 KiB is
+// seven allocations, plus the Map itself. append's growth for large slices,
+// about ×1.25, took 12.
+func TestGrowInSmallStepsDoubles(t *testing.T) {
+	const step, size = 256 << 10, 16 << 20
+	var m *Map
+	allocs := testing.AllocsPerRun(1, func() {
+		m, _ = New(base, 0)
+		for n := uint64(step); n <= size; n += step {
+			if err := m.Grow(n); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Paint(base+n-step+48, 1<<10+16); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 1+7 {
+		t.Errorf("%.0f allocations growing to %d MiB, want at most 8", allocs, size>>20)
+	}
+	if m.SizeBytes() != size/BytesPerShadowByte {
+		t.Errorf("SizeBytes = %d, want %d", m.SizeBytes(), size/BytesPerShadowByte)
+	}
+	if got, want := m.Stats().PaintedGranules, uint64(size/step*(1<<10+16)/Granule); got != want {
+		t.Errorf("PaintedGranules = %d, want %d", got, want)
+	}
+	for n := uint64(step); n <= size; n += step {
+		lo, hi := base+n-step+48, base+n-step+48+1<<10+16
+		if !m.IsRevoked(lo) || !m.IsRevoked(hi-Granule) || m.IsRevoked(lo-Granule) || m.IsRevoked(hi) {
+			t.Errorf("paint of [%#x, %#x) not intact after growth", lo, hi)
+		}
+	}
+}

@@ -47,18 +47,27 @@ func (s *Set) Limit() uint64 { return s.limit }
 func (s *Set) Len() int { return s.n }
 
 // Grow extends coverage to [Base, limit); a limit at or below the current
-// one is a no-op. The planes grow by amortized appends, so a region that
-// grows in small steps is not copied on every step.
+// one is a no-op. A plane that has to move at least doubles its capacity, so
+// a region grown in small steps copies each word about once in all.
 func (s *Set) Grow(limit uint64) {
 	if limit <= s.limit {
 		return
 	}
 	s.limit = limit
 	words := int(((limit-s.base)/Granule + 63) / 64)
-	if more := words - len(s.first); more > 0 {
-		s.first = append(s.first, make([]uint64, more)...)
-		s.last = append(s.last, make([]uint64, more)...)
+	s.first = growPlane(s.first, words)
+	s.last = growPlane(s.last, words)
+}
+
+// growPlane returns p extended to n words. When p has to move, its capacity
+// at least doubles: append's growth for large slices, about ×1.25, would copy
+// a plane grown in small steps several times over. Words past a plane's
+// length are never written, so extending it in place exposes zeros.
+func growPlane(p []uint64, n int) []uint64 {
+	if n > cap(p) {
+		p = append(make([]uint64, 0, max(n, 2*cap(p))), p...)
 	}
+	return p[:max(n, len(p))]
 }
 
 // Covers reports whether [addr, addr+size) is granule-aligned and lies

@@ -29,8 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/livetrace"
-	"repro/internal/quarantine"
-	"repro/internal/revoke"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -163,21 +161,7 @@ func replayCmd(args []string) error {
 // replayStats replays path under the live-ingestion analysis configuration
 // and prints the accumulated StreamStats JSON.
 func replayStats(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	tr, err := workload.NewTraceReader(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	defer tr.Close()
-	sys, err := core.New(livetrace.AnalysisConfig())
-	if err != nil {
-		return err
-	}
-	st, err := workload.ReplayStreamStats(sys, workload.NewStreamingSource(tr, 0))
+	st, _, err := replayFile(path, livetrace.AnalysisConfig())
 	if err != nil {
 		return err
 	}
@@ -189,51 +173,49 @@ func replayStats(path string) error {
 	return nil
 }
 
-// replayCompare is the classic two-pass comparison.
+// replayCompare is the classic two-pass comparison: the live-ingestion
+// analysis configuration (the paper's CHERIvoke defaults) against the
+// direct-free baseline.
 func replayCompare(path string) error {
-	var hdr workload.TraceHeader
-	var events int
 	for i, mode := range []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"CHERIvoke", core.Config{
-			Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10},
-			Revoke: revoke.Config{Kernel: sim.KernelVector, UseCapDirty: true, Launder: true},
-		}},
+		{"CHERIvoke", livetrace.AnalysisConfig()},
 		{"direct-free", core.Config{DirectFree: true}},
 	} {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		tr, err := workload.NewTraceReader(f)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		sys, err := core.New(mode.cfg)
-		if err != nil {
-			tr.Close()
-			return err
-		}
-		src := workload.NewStreamingSource(tr, 0)
-		n, err := workload.ReplayStream(sys, src)
-		if cerr := tr.Close(); err == nil {
-			err = cerr
-		}
+		st, hdr, err := replayFile(path, mode.cfg)
 		if err != nil {
 			return fmt.Errorf("replaying under %s: %w", mode.name, err)
 		}
 		if i == 0 {
-			hdr, events = src.Header(), n
-			fmt.Printf("trace %q: %d events (seed %#x)\n", hdr.Name, events, hdr.Seed)
+			fmt.Printf("trace %q: %d events (seed %#x)\n", hdr.Name, st.Events, hdr.Seed)
 		}
-		st := sys.Stats()
 		fmt.Printf("  %-12s heap %6.2f MiB, %3d sweeps, %6d caps revoked, sweep time %8.3f ms\n",
-			mode.name, float64(sys.HeapBytes())/(1<<20), st.Sweeps, st.CapsRevoked, st.SweepSeconds*1e3)
+			mode.name, float64(st.HeapBytes)/(1<<20), st.Sweeps, st.CapsRevoked, st.SweepSeconds*1e3)
 	}
 	return nil
+}
+
+// replayFile streams the trace at path through a fresh system built from
+// cfg and returns the replay's StreamStats and the trace header.
+func replayFile(path string, cfg core.Config) (workload.StreamStats, workload.TraceHeader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return workload.StreamStats{}, workload.TraceHeader{}, err
+	}
+	tr, err := workload.NewTraceReader(f)
+	if err != nil {
+		f.Close()
+		return workload.StreamStats{}, workload.TraceHeader{}, err
+	}
+	defer tr.Close()
+	sys, err := core.New(cfg)
+	if err != nil {
+		return workload.StreamStats{}, workload.TraceHeader{}, err
+	}
+	st, err := workload.ReplayStreamStats(sys, workload.NewStreamingSource(tr, 0))
+	return st, tr.Header(), err
 }
 
 func newTab() *tabwriter.Writer {

@@ -69,11 +69,6 @@ func PaperVariant() Variant {
 	}
 }
 
-// DirectFreeVariant is the insecure direct-free baseline.
-func DirectFreeVariant() Variant {
-	return Variant{Name: "direct-free", DirectFree: true}
-}
-
 // Spec declares a campaign: the cartesian product of its axes becomes the
 // job list. Empty axes default to the paper's single-point defaults, so the
 // zero Spec is the full default CHERIvoke run over all 17 profiles.
@@ -102,8 +97,8 @@ type Spec struct {
 	// for Figure 10's DRAM-traffic accounting. Each job builds and owns its
 	// own hierarchy — hierarchies are runtime state and are never shared
 	// between jobs, so traffic-enabled campaigns parallelise freely and
-	// their artifacts stay byte-identical for any worker count and any
-	// sweep shard count (the sweep's traffic charge is shard-invariant).
+	// their artifacts stay byte-identical for any worker count. The sweep
+	// shard count prices sweep time only; the traffic charge ignores it.
 	Traffic string `json:"traffic,omitempty"`
 
 	// Baseline additionally runs, per job, a matched direct-free run
@@ -119,9 +114,9 @@ type Spec struct {
 	// ImageSweeps re-sweeps each job's final heap image once per listed
 	// configuration (Figure 7 measures the same image under each kernel).
 	// Laundering configurations mutate page CapDirty state and would
-	// perturb the sweeps after them, so Jobs rejects them here; the
-	// variant's own laundering config is fine (SweepImageSelf runs after
-	// all ImageSweeps).
+	// perturb the sweeps after them, so Jobs and every job run reject them
+	// here; the variant's own laundering config is fine (SweepImageSelf
+	// runs after all ImageSweeps).
 	ImageSweeps []revoke.Config `json:"image_sweeps,omitempty"`
 
 	// TraceRef, when set, replaces the workload generator: every job
@@ -210,6 +205,26 @@ type Job struct {
 // before its job list is allocated.
 const MaxJobs = 10000
 
+// checkSweeps rejects a variant or image-sweep revoke configuration that
+// revoke.Config.Validate refuses (a shard width outside [0, MaxShards] or an
+// unknown kernel), and a laundering image sweep (see Spec.ImageSweeps). Jobs
+// checks every variant; runJob checks the job it is handed again, because a
+// worker's job never passed through Jobs.
+func checkSweeps(v Variant, imageSweeps []revoke.Config) error {
+	if err := v.Revoke.Validate(); err != nil {
+		return fmt.Errorf("campaign: variant %q: %w", v.Name, err)
+	}
+	for i, cfg := range imageSweeps {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("campaign: image sweep %d: %w", i, err)
+		}
+		if cfg.Launder {
+			return fmt.Errorf("campaign: image sweep %d launders CapDirty state, which would perturb the sweeps after it", i)
+		}
+	}
+	return nil
+}
+
 // Jobs expands the spec into its deterministic job list. Axis order is
 // fixed: profile outermost, then variant, fraction, max-live, seed. A spec
 // whose axes multiply past MaxJobs is rejected before anything is
@@ -248,9 +263,9 @@ func (s Spec) Jobs() ([]Job, error) {
 			return nil, fmt.Errorf("campaign: non-positive quarantine fraction %v", f)
 		}
 	}
-	for i, cfg := range s.ImageSweeps {
-		if cfg.Launder {
-			return nil, fmt.Errorf("campaign: image sweep %d launders CapDirty state, which would perturb the sweeps after it", i)
+	for _, v := range s.Variants {
+		if err := checkSweeps(v, s.ImageSweeps); err != nil {
+			return nil, err
 		}
 	}
 	switch s.Traffic {

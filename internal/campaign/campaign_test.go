@@ -17,7 +17,7 @@ func quickSpec() Spec {
 	return Spec{
 		Name:           "quick",
 		Profiles:       []string{"povray", "hmmer"},
-		Variants:       []Variant{PaperVariant(), DirectFreeVariant()},
+		Variants:       []Variant{PaperVariant(), {Name: "direct-free", DirectFree: true}},
 		Fractions:      []float64{0.25, 0.5},
 		MaxLive:        []uint64{2 << 20},
 		MinSweeps:      1,
@@ -79,6 +79,34 @@ func TestJobsValidation(t *testing.T) {
 	}
 	if len(jobs) != 17 {
 		t.Errorf("zero spec expands to %d jobs, want 17 (all profiles)", len(jobs))
+	}
+}
+
+// TestSpecValidateRejectsSweepConfigs: a variant or image sweep whose shard
+// width lies outside [0, revoke.MaxShards], or whose kernel is none of sim's
+// three, is refused; the widest width and every kernel are accepted.
+func TestSpecValidateRejectsSweepConfigs(t *testing.T) {
+	for _, bad := range []revoke.Config{
+		{Shards: -1},
+		{Shards: revoke.MaxShards + 1},
+		{Kernel: sim.KernelVector + 1},
+		{Kernel: -1},
+	} {
+		variant := Spec{Profiles: []string{"povray"}, Variants: []Variant{{Name: "bad", Revoke: bad}}}
+		if err := variant.Validate(); err == nil {
+			t.Errorf("variant %+v accepted", bad)
+		}
+		image := Spec{Profiles: []string{"povray"}, ImageSweeps: []revoke.Config{bad}}
+		if err := image.Validate(); err == nil {
+			t.Errorf("image sweep %+v accepted", bad)
+		}
+	}
+	for _, k := range []sim.Kernel{sim.KernelSimple, sim.KernelUnrolled, sim.KernelVector} {
+		widest := revoke.Config{Kernel: k, Shards: revoke.MaxShards}
+		spec := Spec{Profiles: []string{"povray"}, Variants: []Variant{{Revoke: widest}}, ImageSweeps: []revoke.Config{widest}}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", widest, err)
+		}
 	}
 }
 
@@ -192,8 +220,14 @@ func TestRunResults(t *testing.T) {
 				j.Job.ID, j.ImageSweeps[1].BytesWritten, j.ImageSweeps[0].BytesWritten)
 		}
 	}
-	if got := len(res.JobsFor("povray")); got != 4 {
-		t.Errorf("JobsFor(povray) = %d rows, want 4", got)
+	povray := 0
+	for _, j := range res.Jobs {
+		if j.Job.Profile == "povray" {
+			povray++
+		}
+	}
+	if povray != 4 {
+		t.Errorf("%d povray rows, want 4", povray)
 	}
 }
 

@@ -129,6 +129,9 @@ func ExecuteJob(spec Spec, job Job, traces TraceOpener) JobResult {
 // or streamed from the spec's trace — and measures everything the
 // aggregations need. It shares no state with other jobs.
 func runJob(spec Spec, job Job, traces TraceOpener) JobResult {
+	if err := checkSweeps(job.Variant, spec.ImageSweeps); err != nil {
+		return failed(job, err)
+	}
 	if job.TraceRef != "" {
 		return runTraceJob(spec, job, traces)
 	}

@@ -124,17 +124,6 @@ func (r *Result) FirstError() error {
 	return nil
 }
 
-// JobsFor returns the results matching the given profile, in job order.
-func (r *Result) JobsFor(profile string) []JobResult {
-	var out []JobResult
-	for _, j := range r.Jobs {
-		if j.Job.Profile == profile {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Run expands spec and executes its jobs on a bounded worker pool. Each job
 // builds its own isolated system, so jobs parallelise freely; results are
 // collected by job ID, making the Result independent of Workers. Run stops

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/quarantine"
-	"repro/internal/revoke"
-	"repro/internal/shadow"
 	"repro/internal/sim"
 )
 
@@ -194,77 +190,6 @@ func TestHooksFire(t *testing.T) {
 	if len(reports) != 1 || reports[0].BytesRecycled != 4096 {
 		t.Errorf("OnRevoke reports: %+v", reports)
 	}
-}
-
-func TestPreSweepSnapshotPipeline(t *testing.T) {
-	// The §5.3 methodology end-to-end: snapshot memory at the
-	// quarantine-full point, restore it offline, sweep the restored
-	// image with an independently reconstructed shadow map, and get the
-	// same revocations the live system performed.
-	var dump bytes.Buffer
-	var chunks []quarantine.Chunk
-	cfg := Config{
-		NoAutoRevoke: true,
-		PreSweep: func(s *System) {
-			chunks = s.Quarantine().Chunks()
-			if err := s.Mem().WriteSnapshot(&dump); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	s := newSystem(t, cfg)
-	victim, _ := s.Malloc(64)
-	holder, _ := s.Malloc(64)
-	if err := s.Mem().StoreCap(holder, holder.Base(), victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Free(victim); err != nil {
-		t.Fatal(err)
-	}
-	liveRep, err := s.Revoke()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Offline: restore and sweep the dump.
-	restored, err := mem.ReadSnapshot(&dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := rebuildShadow(t, restored, chunks)
-	st, err := revoke.New(restored, sm, revoke.Config{UseCapDirty: true}).Sweep(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CapsRevoked != liveRep.Sweep.CapsRevoked {
-		t.Errorf("offline sweep revoked %d, live %d", st.CapsRevoked, liveRep.Sweep.CapsRevoked)
-	}
-	if tag, _ := restored.Tag(holder.Base()); tag {
-		t.Error("offline sweep missed the dangling capability")
-	}
-}
-
-// rebuildShadow reconstructs a revocation shadow map over a restored dump's
-// mapped span and paints the recorded quarantine chunks — the preprocessing
-// step of the paper's offline sweep measurement.
-func rebuildShadow(t *testing.T, m *mem.Memory, chunks []quarantine.Chunk) *shadow.Map {
-	t.Helper()
-	pages := m.AllPages()
-	if len(pages) == 0 {
-		t.Fatal("empty dump")
-	}
-	base := pages[0]
-	size := pages[len(pages)-1] + mem.PageSize - base
-	sm, err := shadow.New(base, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ch := range chunks {
-		if err := sm.Paint(ch.Addr, ch.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sm
 }
 
 func fpgaMachine() sim.Machine { return sim.CHERIFPGA() }

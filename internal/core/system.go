@@ -537,7 +537,8 @@ func (s *System) QuarantineBytes() uint64 { return s.quar.Bytes() }
 
 // MemoryFootprint returns the total simulated footprint CHERIvoke charges
 // against the program: mapped heap plus the shadow map (Figure 5b's
-// numerator).
+// numerator). Neither part ever shrinks, so the footprint is the run's
+// high-water mark so far.
 func (s *System) MemoryFootprint() uint64 {
 	return s.alloc.MappedBytes() + s.shadow.SizeBytes()
 }

@@ -38,7 +38,6 @@
 //     and the fleet shares one deduplicated job store.
 //
 // The engine deliberately excludes from the key everything that only
-// schedules work: worker counts, sweep-shard membership of the pool,
-// Spec.TraceWindow, and the spelling of a trace ref (a prefix and the full
+// schedules work: worker counts, Spec.TraceWindow, and the spelling of a trace ref (a prefix and the full
 // hash of the same trace share a key).
 package engine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/revoke"
-	"repro/internal/workload"
 )
 
 func testSpec(profiles ...string) campaign.Spec {
@@ -405,11 +405,7 @@ func TestExperimentsRunnerDedup(t *testing.T) {
 	opts.Workers = 2
 	opts.Runner = e
 
-	p, ok := workload.ByName("povray")
-	if !ok {
-		t.Fatal("povray profile missing")
-	}
-	first, err := experiments.Decompose(p, opts)
+	first, err := experiments.AblationAssists(opts, "povray")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,14 +413,14 @@ func TestExperimentsRunnerDedup(t *testing.T) {
 	if coldPuts == 0 {
 		t.Fatal("figure campaign bypassed the engine store")
 	}
-	second, err := experiments.Decompose(p, opts)
+	second, err := experiments.AblationAssists(opts, "povray")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.puts() != coldPuts {
 		t.Fatalf("second figure run executed jobs: %d puts after %d", cs.puts(), coldPuts)
 	}
-	if first != second {
+	if !slices.Equal(first, second) {
 		t.Fatalf("figure rows differ across cache: %+v vs %+v", first, second)
 	}
 }

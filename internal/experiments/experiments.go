@@ -155,15 +155,6 @@ func decompositionOf(jr campaign.JobResult) Decomposition {
 	}
 }
 
-// Decompose computes the Figure 6 bars for one profile.
-func Decompose(p workload.Profile, opts Options) (Decomposition, error) {
-	res, err := opts.run(opts.spec([]string{p.Name}))
-	if err != nil {
-		return Decomposition{}, err
-	}
-	return decompositionOf(res.Jobs[0]), nil
-}
-
 // Fig6 regenerates Figure 6: the overhead decomposition for ffmpeg plus the
 // SPEC subset at the default 25% heap overhead.
 func Fig6(opts Options) ([]Decomposition, error) {

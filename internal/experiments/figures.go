@@ -246,18 +246,18 @@ type Fig10Row struct {
 	TrafficOverheadPct float64
 }
 
-// fig10Shards is the sweep width Figure 10 runs at: the paper's §3.5
+// fig10Shards is the sweep width Figure 10 prices: the paper's §3.5
 // parallel sweep on the x86 part's four cores. The sweep's traffic charge
-// is shard-invariant, so the shard count changes wall-clock time only.
+// ignores the width, which changes priced sweep time only.
 const fig10Shards = 4
 
 // Fig10 regenerates Figure 10: the extra off-core traffic generated by
 // sweeping, relative to the application's own traffic over the same
-// simulated interval. The sweeps run sharded with the x86 cache-hierarchy
-// traffic model attached; each job owns its hierarchy and the off-core
-// bytes are measured on it (line fills, tag-table fills and revocation
-// write-backs, net of cache hits) rather than estimated from raw byte
-// counts.
+// simulated interval. The sweeps are priced at fig10Shards with the x86
+// cache-hierarchy traffic model attached; each job owns its hierarchy and
+// the off-core bytes are measured on it (line fills, tag-table fills and
+// revocation write-backs, net of cache hits) rather than estimated from raw
+// byte counts.
 func Fig10(opts Options) ([]Fig10Row, error) {
 	return fig10At(opts, fig10Shards)
 }

@@ -50,16 +50,12 @@ func recordEncoded(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr workload.Trace
-	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Record: &tr}); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: tr.Name, Seed: tr.Seed})
+	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: p.Name, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.WriteTrace(w, &tr); err != nil {
+	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Stream: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

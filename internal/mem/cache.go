@@ -25,8 +25,8 @@ type CacheStats struct {
 
 // Merge returns the event-wise sum of s and other. Merge is a commutative
 // monoid over CacheStats — associative, commutative, with the zero value as
-// identity — so counters summed per sweep, per shard or per job fold
-// together in any grouping without changing the total.
+// identity — so counters summed per sweep or per job fold together in any
+// grouping without changing the total.
 func (s CacheStats) Merge(other CacheStats) CacheStats {
 	return CacheStats{
 		Hits:       s.Hits + other.Hits,
@@ -227,10 +227,10 @@ func (h *Hierarchy) Access(addr uint64, write bool) int {
 // charges each line a sweep stores back (one holding a revocation, or every
 // swept line under the vector kernel): the store itself hits in L1 — the
 // line was examined immediately before — and its dirtied line is drained to
-// DRAM exactly once when the streaming sweep evicts it. Charging the drain directly, instead of setting dirty
-// bits and counting evictions, keeps write traffic independent of where each
-// shard's walk happens to end (lines still resident at the end of a walk
-// would otherwise never be counted).
+// DRAM exactly once when the streaming sweep evicts it. Charging the drain
+// directly, instead of setting dirty bits and counting evictions, keeps write
+// traffic independent of where the walk happens to end (lines still resident
+// at the end of a walk would otherwise never be counted).
 func (h *Hierarchy) WriteBack() {
 	h.stats.DRAMWriteBytes += LineSize
 	h.stats.OffCoreBytes += LineSize
@@ -264,9 +264,10 @@ func (h *Hierarchy) AccessTags(dataAddr uint64) bool {
 // choices. Each sweep starts cold, so warmth carried in from the
 // application between sweeps is not credited (the paper's pessimistic
 // Figure 10 accounting). A sweep reads each swept line once, so every read
-// misses at L1, L2 and the LLC and fills from DRAM, whatever the geometry. And a tag line is reused only by probes inside its own 8 KiB
-// window, which one shard walks contiguously, so it fills once and every
-// other probe hits. Stored lines are charged as WriteBack charges them.
+// misses at L1, L2 and the LLC and fills from DRAM, whatever the geometry.
+// And a tag line is reused only by probes inside its own 8 KiB window, which
+// the sweep walks contiguously, so it fills once and every other probe hits.
+// Stored lines are charged as WriteBack charges them.
 func (h *Hierarchy) ChargeSweep(lines, stores, probes, fills uint64) HierarchyStats {
 	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
 		c.stats.Misses += lines

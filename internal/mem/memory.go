@@ -40,8 +40,7 @@ type Stats struct {
 }
 
 // Memory is the simulated tagged memory. It is not safe for concurrent
-// mutation; the parallel sweeper shards read-only and applies revocations
-// through a lock owned by the revoker.
+// mutation; concurrent reads through PageView are safe.
 //
 // The page table is an address-ordered slice of disjoint regions, each a
 // run of consecutive page slots. An allocator heap is one region that Map
@@ -473,7 +472,7 @@ func (m *Memory) CLoadTags(addr uint64) (uint8, error) {
 // loop resolves the page-table lookup once per page and then reads tags and
 // granules through the view, with no lookup per line or granule. Reads
 // through a view have no architectural event accounting, so concurrent
-// sweep shards may take views of the same memory. Any Map or Unmap
+// readers may take views of the same memory. Any Map or Unmap
 // invalidates every view: extending a region can move its page slots. A
 // view must not outlive the sweep that took it, and mutating the memory
 // through other accessors while holding a view is the caller's concurrency
@@ -537,17 +536,11 @@ func (m *Memory) CapDirty(addr uint64) (bool, error) {
 	return p.capDirty, nil
 }
 
-// CapDirtyPages returns the ascending base addresses of all CapDirty pages —
-// the system API (akin to Windows' GetWriteWatch, footnote 4) a sweep uses
-// to restrict itself to pages that may contain capabilities.
-func (m *Memory) CapDirtyPages() []uint64 {
-	return m.AppendCapDirtyPages(nil)
-}
-
 // AppendCapDirtyPages appends the ascending base addresses of all CapDirty
-// pages to dst and returns it — CapDirtyPages for callers (the sweeper, the
-// campaign loop) that reuse one backing slice across sweeps instead of
-// allocating a page list per call.
+// pages to dst and returns it — the system API (akin to Windows'
+// GetWriteWatch, footnote 4) a sweep uses to restrict itself to pages that
+// may contain capabilities. The sweeper reuses one backing slice across
+// sweeps instead of allocating a page list per call.
 func (m *Memory) AppendCapDirtyPages(dst []uint64) []uint64 {
 	for _, r := range m.regions {
 		for i := range r.pages {
@@ -560,13 +553,8 @@ func (m *Memory) AppendCapDirtyPages(dst []uint64) []uint64 {
 }
 
 // PageCount returns the number of mapped pages, without materialising the
-// page list the way AllPages does.
+// page list the way AppendAllPages does.
 func (m *Memory) PageCount() uint64 { return uint64(m.mapped) }
-
-// AllPages returns the ascending base addresses of every mapped page.
-func (m *Memory) AllPages() []uint64 {
-	return m.AppendAllPages(nil)
-}
 
 // AppendAllPages appends the ascending base addresses of every mapped page
 // to dst and returns it, for callers reusing one backing slice across

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"slices"
@@ -266,8 +265,7 @@ func checkModel(t testing.TB, m *Memory, ref *refMemory, step int) {
 }
 
 // runModel applies the operations encoded in ops to a fresh Memory and to
-// the reference, checking them against each other after every operation and
-// a snapshot round trip at the end.
+// the reference, checking them against each other after every operation.
 func runModel(t testing.TB, ops []byte) {
 	t.Helper()
 	auth := cap.MustRoot(0, 1<<48)
@@ -283,21 +281,6 @@ func runModel(t testing.TB, ops []byte) {
 		}
 		checkModel(t, m, ref, i/opBytes)
 	}
-
-	var img bytes.Buffer
-	if err := m.WriteSnapshot(&img); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(&img)
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	ref.stats = Stats{}
-	for _, p := range ref.pages {
-		// A restored page gets words only if it holds a nonzero one.
-		p.touched = p.words != [WordsPerPage]uint64{}
-	}
-	checkModel(t, back, ref, len(ops)/opBytes)
 }
 
 // modelScenarios are operation streams for the page-table shapes the

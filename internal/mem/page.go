@@ -80,7 +80,7 @@ func (p *page) lineTagMask(line uint) uint8 {
 }
 
 // countTags recounts the set tag bits and the lines holding one from the
-// tag bitmap, for snapshot restore and invariant checks.
+// tag bitmap, for invariant checks.
 func (p *page) countTags() (granules, lines int) {
 	for _, b := range p.tags {
 		granules += bits.OnesCount8(b)

@@ -24,11 +24,15 @@
 // a tag word's granules are loaded before any is decoded, so their cache
 // misses overlap instead of each waiting out the decode and lookup before.
 //
-// Sweep takes the simulated memory's mapped (or CapDirty-filtered) page
-// list, strictly ascending and duplicate-free, and partitions it in one pass
-// that also counts page runs and tag-line coverage windows. Partitioning
-// deals whole windows to shards round-robin, so each window's tag
-// line fills once whichever shard walks it, and the merged statistics — DRAM
-// traffic included — are byte-identical for any shard count and for
-// streamed versus in-memory workload input alike.
+// Sweep walks the simulated memory's mapped (or CapDirty-filtered) page
+// list, strictly ascending and duplicate-free, once on the calling
+// goroutine. The same pass counts page runs and tag-line coverage windows
+// (each probed window fills its tag line once) and collects revocations in
+// address order. §3.5's parallel sweep ("pages to sweep can be distributed
+// between independent threads; the shared shadow map is read-only during the
+// sweep") changes no result, only wall-clock time, so Config.Shards is a
+// width that sim.Machine.SweepTime prices and the sweep never executes, as
+// core.Config.ConcurrentSweep is priced. Statistics, DRAM traffic included,
+// are therefore byte-identical for any shard count and for streamed versus
+// generated workload input alike.
 package revoke

@@ -103,7 +103,7 @@ func FuzzSweep(f *testing.F) {
 			if gotTagged := taggedGranules(t, m); !slices.Equal(gotTagged, tagged) {
 				t.Fatalf("sweep %d: tags left at %#x, want %#x", sweep, gotTagged, tagged)
 			}
-			if gotDirty := m.CapDirtyPages(); !slices.Equal(gotDirty, dirty) {
+			if gotDirty := m.AppendCapDirtyPages(nil); !slices.Equal(gotDirty, dirty) {
 				t.Fatalf("sweep %d: CapDirty pages %#x, want %#x", sweep, gotDirty, dirty)
 			}
 		}
@@ -229,7 +229,7 @@ func refSweep(t *testing.T, m *mem.Memory, sm *shadow.Map, cfg Config, ref *mem.
 			}
 		}
 	}
-	all := m.AllPages()
+	all := m.AppendAllPages(nil)
 	var swept []uint64
 	for _, base := range all {
 		if d, _ := m.CapDirty(base); d || !cfg.UseCapDirty {
@@ -308,7 +308,7 @@ func refSweep(t *testing.T, m *mem.Memory, sm *shadow.Map, cfg Config, ref *mem.
 			tagged = append(tagged, addr)
 		}
 	}
-	for _, base := range m.CapDirtyPages() {
+	for _, base := range m.AppendCapDirtyPages(nil) {
 		_, wasSwept := slices.BinarySearch(swept, base)
 		i, _ := slices.BinarySearch(tagged, base)
 		empty := i == len(tagged) || tagged[i] >= base+mem.PageSize
@@ -325,7 +325,7 @@ func refSweep(t *testing.T, m *mem.Memory, sm *shadow.Map, cfg Config, ref *mem.
 func taggedGranules(t *testing.T, m *mem.Memory) []uint64 {
 	t.Helper()
 	var tagged []uint64
-	for _, base := range m.AllPages() {
+	for _, base := range m.AppendAllPages(nil) {
 		for addr := base; addr < base+mem.PageSize; addr += mem.GranuleSize {
 			tag, err := m.Tag(addr)
 			if err != nil {

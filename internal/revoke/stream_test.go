@@ -1,15 +1,17 @@
-// Streamed-vs-in-memory sweep equality: the acceptance property of the
+// Streamed-vs-whole sweep equality: the acceptance property of the
 // streaming trace pipeline. A sweep driven by a trace streamed from the
 // binary codec in bounded windows must produce byte-identical revoke.Stats —
-// DRAM-traffic counters included — to the same trace replayed from memory,
-// at shard counts 1 and 4. The test lives in revoke's external test package
-// because the property is about the sweep statistics; the plumbing under
-// test spans workload (codec, windows) and core (sweep triggering).
+// DRAM-traffic counters included — to the same trace decoded whole and
+// applied in one window, at shard counts 1 and 4. The test lives in revoke's
+// external test package because the property is about the sweep statistics;
+// the plumbing under test spans workload (codec, windows) and core (sweep
+// triggering).
 package revoke_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 
@@ -21,8 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// recordTrace records one omnetpp run and returns it binary-encoded.
-func recordTrace(t *testing.T) (*workload.Trace, []byte) {
+// recordTrace records one omnetpp run through the binary codec and returns
+// the encoded bytes.
+func recordTrace(t *testing.T) []byte {
 	t.Helper()
 	p, ok := workload.ByName("omnetpp")
 	if !ok {
@@ -35,22 +38,38 @@ func recordTrace(t *testing.T) (*workload.Trace, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr workload.Trace
-	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Record: &tr}); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: tr.Name, Seed: tr.Seed})
+	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: p.Name, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.WriteTrace(w, &tr); err != nil {
+	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Stream: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return &tr, buf.Bytes()
+	return buf.Bytes()
+}
+
+// decodeAll decodes an encoded trace into one window holding every event.
+func decodeAll(t *testing.T, encoded []byte) []workload.TraceEvent {
+	t.Helper()
+	r, err := workload.NewTraceReader(bytes.NewReader(encoded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []workload.TraceEvent
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return events
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
 }
 
 // sweepStats extracts the per-sweep revoke.Stats from a replayed system.
@@ -64,7 +83,8 @@ func sweepStats(sys *core.System) []revoke.Stats {
 }
 
 func TestStreamedSweepStatsByteIdentical(t *testing.T) {
-	tr, encoded := recordTrace(t)
+	encoded := recordTrace(t)
+	events := decodeAll(t, encoded)
 	for _, shards := range []int{1, 4} {
 		cfg := func() core.Config {
 			return core.Config{
@@ -80,13 +100,13 @@ func TestStreamedSweepStatsByteIdentical(t *testing.T) {
 			}
 		}
 
-		// In-memory replay.
+		// The whole trace in one window.
 		sysMem, err := core.New(cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workload.Replay(sysMem, tr); err != nil {
-			t.Fatalf("shards=%d: in-memory replay: %v", shards, err)
+		if err := workload.NewIncrementalReplay(sysMem).ApplyWindow(events); err != nil {
+			t.Fatalf("shards=%d: whole replay: %v", shards, err)
 		}
 
 		// Streamed replay from the binary codec, with a window far
@@ -101,12 +121,12 @@ func TestStreamedSweepStatsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := workload.ReplayStream(sysStream, src)
+		st, err := workload.ReplayStreamStats(sysStream, src)
 		if err != nil {
 			t.Fatalf("shards=%d: streamed replay: %v", shards, err)
 		}
-		if n != len(tr.Events) {
-			t.Fatalf("shards=%d: streamed %d events, want %d", shards, n, len(tr.Events))
+		if st.Events != uint64(len(events)) {
+			t.Fatalf("shards=%d: streamed %d events, want %d", shards, st.Events, len(events))
 		}
 
 		memStats, streamStats := sweepStats(sysMem), sweepStats(sysStream)
@@ -114,7 +134,7 @@ func TestStreamedSweepStatsByteIdentical(t *testing.T) {
 			t.Fatalf("shards=%d: no sweeps fired; the comparison is vacuous", shards)
 		}
 		if !reflect.DeepEqual(memStats, streamStats) {
-			t.Fatalf("shards=%d: sweep stats diverge between in-memory and streamed replay", shards)
+			t.Fatalf("shards=%d: sweep stats diverge between whole and streamed replay", shards)
 		}
 		for i := range memStats {
 			if !memStats[i].TrafficReplayed {
@@ -138,10 +158,10 @@ func TestStreamedSweepStatsByteIdentical(t *testing.T) {
 }
 
 // TestStreamedSweepStatsShardInvariant goes one step further: the streamed
-// replay's merged sweep stats are identical across shard counts (the PR 2
-// invariant, now holding for streamed input).
+// replay's sweep stats are identical across shard counts, which only price
+// the sweep (TestShardCountInvariance, for streamed input).
 func TestStreamedSweepStatsShardInvariant(t *testing.T) {
-	_, encoded := recordTrace(t)
+	encoded := recordTrace(t)
 	var want []revoke.Stats
 	for _, shards := range []int{1, 4} {
 		reader, err := workload.NewTraceReader(bytes.NewReader(encoded))
@@ -161,7 +181,7 @@ func TestStreamedSweepStatsShardInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workload.ReplayStream(sys, workload.NewStreamingSource(reader, 512)); err != nil {
+		if _, err := workload.ReplayStreamStats(sys, workload.NewStreamingSource(reader, 512)); err != nil {
 			t.Fatal(err)
 		}
 		stats := sweepStats(sys)

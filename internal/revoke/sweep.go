@@ -3,8 +3,6 @@ package revoke
 import (
 	"fmt"
 	"math/bits"
-	"slices"
-	"sync"
 
 	"repro/internal/cap"
 	"repro/internal/mem"
@@ -25,7 +23,10 @@ type Config struct {
 	// (§3.4.1).
 	UseCLoadTags bool `json:"use_cload_tags,omitempty"`
 
-	// Shards is the parallel sweep width; 0 or 1 sweeps serially (§3.5).
+	// Shards is the parallel sweep width (§3.5) that Machine.SweepTime
+	// prices, 0 or 1 for one thread, at most MaxShards. The sweep itself
+	// always walks its pages once on the calling goroutine: its results
+	// do not depend on how the pages would be dealt to threads.
 	Shards int `json:"shards,omitempty"`
 
 	// Launder re-cleans CapDirty pages found capability-free (§3.4.2).
@@ -33,10 +34,26 @@ type Config struct {
 
 	// Hierarchy, when non-nil, is charged each sweep's DRAM traffic
 	// (Figure 10) through mem.Hierarchy.ChargeSweep, from counts the sweep
-	// makes anyway, so the totals are identical for any shard count. It is
-	// runtime state, not configuration data, and is excluded from
-	// serialised campaign specs.
+	// makes anyway. It is runtime state, not configuration data, and is
+	// excluded from serialised campaign specs.
 	Hierarchy *mem.Hierarchy `json:"-"`
+}
+
+// MaxShards bounds Config.Shards: the x86 machine's eight hardware threads
+// (sim.X86().Threads), past which Machine.SweepTime prices every width alike.
+const MaxShards = 8
+
+// Validate rejects a configuration the sweep cannot price: a negative
+// Shards or one above MaxShards, or a Kernel other than sim's three.
+func (c Config) Validate() error {
+	if c.Shards < 0 || c.Shards > MaxShards {
+		return fmt.Errorf("revoke: shards %d outside [0, %d]", c.Shards, MaxShards)
+	}
+	switch c.Kernel {
+	case sim.KernelSimple, sim.KernelUnrolled, sim.KernelVector:
+		return nil
+	}
+	return fmt.Errorf("revoke: unknown kernel %d", int(c.Kernel))
 }
 
 // Stats is the event-count summary of one sweep.
@@ -60,8 +77,8 @@ type Stats struct {
 
 	// Traffic is the DRAM/off-core traffic this sweep charged to the
 	// attached cache hierarchy (Figure 10). TrafficReplayed marks that a
-	// hierarchy was attached and charged, serial or sharded; it is true
-	// exactly when Config.Hierarchy was set.
+	// hierarchy was attached and charged; it is true exactly when
+	// Config.Hierarchy was set.
 	TrafficReplayed bool               `json:"traffic_replayed,omitempty"`
 	Traffic         mem.HierarchyStats `json:"traffic,omitzero"`
 }
@@ -119,27 +136,18 @@ type Sweeper struct {
 	shadow *shadow.Map
 	cfg    Config
 
-	// The flat slices a sweep walks are kept across sweeps: the page
-	// list, the shard partition, the per-shard and merged revocation
-	// lists. Campaigns sweep thousands of times over stable page-set
-	// sizes, so after the first sweep these reach steady state and the
-	// per-sweep allocation count stops scaling with heap size.
-	pageBuf      []uint64
-	partsBuf     [][]uint64
-	shardRevoked [][]uint64
-	revokedBuf   []uint64
+	// The page list a sweep walks and the revocations it finds are kept
+	// across sweeps. Campaigns sweep thousands of times over stable
+	// page-set sizes, so after the first sweep these reach steady state and
+	// the per-sweep allocation count stops scaling with heap size.
+	pageBuf    []uint64
+	revokedBuf []uint64
 }
 
 // New returns a sweeper over m guided by the shadow map sm.
 func New(m *mem.Memory, sm *shadow.Map, cfg Config) *Sweeper {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	return &Sweeper{mem: m, shadow: sm, cfg: cfg}
 }
-
-// Config returns the sweeper's configuration.
-func (s *Sweeper) Config() Config { return s.cfg }
 
 // Sweep revokes all capabilities whose base lies in painted shadow-map
 // granules, covering every mapped page (or only CapDirty pages) and the
@@ -163,25 +171,36 @@ func (s *Sweeper) Sweep(regs []cap.Capability) (Stats, error) {
 	}
 
 	// Both page lists are strictly ascending and duplicate-free, which
-	// PageRuns and the closed-form traffic charge rely on.
+	// PageRuns, the window count and the closed-form traffic charge rely
+	// on, and which leaves the revocations in ascending address order.
 	if s.cfg.UseCapDirty {
 		s.pageBuf = s.mem.AppendCapDirtyPages(s.pageBuf[:0])
 	} else {
 		s.pageBuf = s.mem.AppendAllPages(s.pageBuf[:0])
 	}
-	parts, runs, windows := partitionByTagWindow(s.pageBuf, s.cfg.Shards, s.partsBuf)
-	s.partsBuf = parts
 	stats.PagesTotal = s.mem.PageCount()
 	stats.PagesSwept = uint64(len(s.pageBuf))
 	stats.PagesSkipped = stats.PagesTotal - stats.PagesSwept
-	stats.PageRuns = runs
 
-	revoked, err := s.sweepSharded(parts, &stats)
-	if err != nil {
-		return stats, err
+	revoked := s.revokedBuf[:0]
+	var windows uint64 // tag-line coverage windows holding a swept page
+	window, prev := ^uint64(0), ^uint64(0)
+	for i, base := range s.pageBuf {
+		if i == 0 || base != prev+mem.PageSize {
+			stats.PageRuns++
+		}
+		prev = base
+		if w := base / mem.TagLineCoverage; w != window {
+			window = w
+			windows++
+		}
+		if err := s.sweepPage(base, &stats, &revoked); err != nil {
+			return stats, err
+		}
 	}
+	s.revokedBuf = revoked
 
-	// Apply revocations: clear tags. The list is sorted, so the lines
+	// Apply revocations: clear tags. The list is ascending, so the lines
 	// holding a revocation are counted as runs of one line address.
 	var linesRevoked uint64
 	prevLine := ^uint64(0)
@@ -227,113 +246,9 @@ func (s *Sweeper) Sweep(regs []cap.Capability) (Stats, error) {
 	return stats, nil
 }
 
-// shardResult is one shard's private view of the sweep: its event counts
-// and the revocations it discovered.
-type shardResult struct {
-	stats   Stats
-	revoked []uint64
-	err     error
-}
-
-// sweepSharded walks the partitioned page lists with cfg.Shards workers
-// (§3.5: "pages to sweep can be distributed between independent threads;
-// the shared shadow map is read-only during the sweep") and merges the
-// per-shard results in shard-index order. One shard runs inline; more run
-// as goroutines, each reading memory and the shadow map concurrently.
-// Revocations are applied serially by the caller.
-func (s *Sweeper) sweepSharded(parts [][]uint64, stats *Stats) ([]uint64, error) {
-	shards := len(parts)
-	results := make([]shardResult, shards)
-	for len(s.shardRevoked) < shards {
-		s.shardRevoked = append(s.shardRevoked, nil)
-	}
-	for i := range results {
-		results[i].revoked = s.shardRevoked[i][:0]
-	}
-
-	runShard := func(i int) {
-		r := &results[i]
-		for _, base := range parts[i] {
-			if err := s.sweepPage(base, &r.stats, &r.revoked); err != nil {
-				r.err = err
-				return
-			}
-		}
-	}
-	if shards == 1 {
-		runShard(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runShard(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	// Merge, ordered by shard index. Every merge step is commutative and
-	// associative, so the order is a convention, not a correctness
-	// requirement — but fixing it keeps the walk canonical.
-	revoked := s.revokedBuf[:0]
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		stats.Add(results[i].stats)
-		revoked = append(revoked, results[i].revoked...)
-		s.shardRevoked[i] = results[i].revoked // keep any growth for reuse
-	}
-	s.revokedBuf = revoked
-	// Canonical ascending apply order, independent of the partitioning.
-	slices.Sort(revoked)
-	return revoked, nil
-}
-
-// partitionByTagWindow splits an ascending page list into shards by
-// assigning whole tag-line coverage windows (mem.TagLineCoverage bytes, 2
-// pages) round-robin by window index, reusing dst's backing arrays
-// (truncated, grown to shards slots as needed) so a sweeper that partitions
-// every sweep stops allocating once the shapes stabilise. It also counts the
-// pages' maximal contiguous runs and the distinct windows. Keeping a
-// window's pages together, and walked contiguously by one shard, is what
-// lets a window's CLoadTags probes fill its tag line exactly once.
-func partitionByTagWindow(pages []uint64, shards int, dst [][]uint64) (parts [][]uint64, runs, windows uint64) {
-	if shards < 1 {
-		shards = 1
-	}
-	parts = dst
-	if len(parts) > shards {
-		parts = parts[:shards]
-	}
-	for len(parts) < shards {
-		parts = append(parts, nil)
-	}
-	for i := range parts {
-		parts[i] = parts[i][:0]
-	}
-	window := ^uint64(0)
-	prev := ^uint64(0)
-	for i, p := range pages {
-		if w := p / mem.TagLineCoverage; w != window {
-			window = w
-			windows++
-		}
-		idx := (windows - 1) % uint64(shards)
-		parts[idx] = append(parts[idx], p)
-		if i == 0 || p != prev+mem.PageSize {
-			runs++
-		}
-		prev = p
-	}
-	return parts, runs, windows
-}
-
-// sweepPage sweeps one page into the shard-private stats and revocation
-// list, with one page-table lookup and no per-line walk (see the package
-// doc), revoking in ascending address order.
+// sweepPage sweeps one page into stats and the revocation list, with one
+// page-table lookup and no per-line walk (see the package doc), revoking in
+// ascending address order.
 func (s *Sweeper) sweepPage(base uint64, stats *Stats, revoked *[]uint64) error {
 	view, err := s.mem.PageView(base)
 	if err != nil {

@@ -219,62 +219,6 @@ func TestVectorKernelWritesAllLines(t *testing.T) {
 	}
 }
 
-func TestParallelSweepMatchesSerial(t *testing.T) {
-	build := func() (*fixture, []uint64) {
-		f := &fixture{}
-		m := mem.New()
-		if err := m.Map(heapBase, heapSize); err != nil {
-			t.Fatal(err)
-		}
-		sm, _ := shadow.New(heapBase, heapSize)
-		root := cap.MustRoot(0, 1<<48)
-		heap, _ := root.SetBoundsExact(heapBase, heapSize)
-		f.mem, f.shadow, f.heap = m, sm, heap
-		r := rand.New(rand.NewSource(42))
-		var capLocs []uint64
-		for i := 0; i < 300; i++ {
-			at := heapBase + uint64(r.Intn(int(heapSize/16)))*16
-			objAddr := heapBase + uint64(r.Intn(int(heapSize/64)))*64
-			obj, err := heap.SetBoundsExact(objAddr, 64)
-			if err != nil {
-				continue
-			}
-			if err := m.RawStoreCap(at, obj); err != nil {
-				t.Fatal(err)
-			}
-			capLocs = append(capLocs, at)
-		}
-		for i := 0; i < 40; i++ {
-			off := uint64(r.Intn(int(heapSize/64))) * 64
-			if err := sm.Paint(heapBase+off, 64); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f, capLocs
-	}
-
-	serial, locs := build()
-	parallel, _ := build()
-	s1, err := New(serial.mem, serial.shadow, Config{Shards: 1}).Sweep(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := New(parallel.mem, parallel.shadow, Config{Shards: 4}).Sweep(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.CapsRevoked != s4.CapsRevoked || s1.CapsFound != s4.CapsFound {
-		t.Fatalf("serial %d/%d vs parallel %d/%d", s1.CapsFound, s1.CapsRevoked, s4.CapsFound, s4.CapsRevoked)
-	}
-	for _, at := range locs {
-		t1, _ := serial.mem.Tag(at)
-		t2, _ := parallel.mem.Tag(at)
-		if t1 != t2 {
-			t.Fatalf("tag divergence at %#x: serial=%v parallel=%v", at, t1, t2)
-		}
-	}
-}
-
 func TestQuickSweepExactness(t *testing.T) {
 	// The sweep must revoke exactly the capabilities whose base granule
 	// is painted: no false negatives (missed dangling pointers = security
@@ -343,27 +287,45 @@ func TestQuickSweepExactness(t *testing.T) {
 	}
 }
 
-func TestPartitionCountsRuns(t *testing.T) {
-	p := mem.PageSize
+// TestSweepCountsRunsAndTagWindows checks the counts one walk of the page
+// list makes: PageRuns, the maximal runs of contiguous swept pages, and the
+// tag-line fills a CLoadTags sweep charges, one per 8 KiB coverage window
+// holding a swept page. Each case plants a capability on the listed pages,
+// so a CapDirty sweep walks exactly them, holes included.
+func TestSweepCountsRunsAndTagWindows(t *testing.T) {
 	cases := []struct {
-		pages         []uint64
+		pages         []uint64 // page indices from heapBase
 		runs, windows uint64
 	}{
 		{nil, 0, 0},
 		{[]uint64{0}, 1, 1},
-		{[]uint64{0, uint64(p)}, 1, 1},
-		{[]uint64{0, uint64(2 * p)}, 2, 2},
-		{[]uint64{0, uint64(p), uint64(3 * p), uint64(4 * p), uint64(10 * p)}, 3, 4},
+		{[]uint64{0, 1}, 1, 1},
+		{[]uint64{1, 2}, 1, 2},
+		{[]uint64{0, 2}, 2, 2},
+		{[]uint64{0, 1, 3, 4, 10}, 3, 4},
+		{[]uint64{2, 3, 5, 6, 7, 15}, 3, 4},
 	}
 	for _, c := range cases {
-		for _, shards := range []int{1, 3} {
-			_, runs, windows := partitionByTagWindow(c.pages, shards, nil)
-			if runs != c.runs {
-				t.Errorf("partition(%v, %d) runs = %d, want %d", c.pages, shards, runs, c.runs)
-			}
-			if windows != c.windows {
-				t.Errorf("partition(%v, %d) windows = %d, want %d", c.pages, shards, windows, c.windows)
-			}
+		f := newFixture(t)
+		for _, p := range c.pages {
+			f.plant(t, heapBase+p*mem.PageSize+0x40, heapBase)
+		}
+		h := mem.NewX86Hierarchy()
+		st, err := New(f.mem, f.shadow, Config{UseCapDirty: true, UseCLoadTags: true, Hierarchy: h}).Sweep(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PagesSwept != uint64(len(c.pages)) {
+			t.Fatalf("pages %v: swept %d pages", c.pages, st.PagesSwept)
+		}
+		if st.PageRuns != c.runs {
+			t.Errorf("pages %v: PageRuns = %d, want %d", c.pages, st.PageRuns, c.runs)
+		}
+		if fills := st.Traffic.TagDRAMReads / mem.LineSize; fills != c.windows {
+			t.Errorf("pages %v: %d tag-line fills, want %d", c.pages, fills, c.windows)
+		}
+		if st.TagProbes != uint64(len(c.pages))*mem.LinesPerPage {
+			t.Errorf("pages %v: %d tag probes, want %d", c.pages, st.TagProbes, uint64(len(c.pages))*mem.LinesPerPage)
 		}
 	}
 }

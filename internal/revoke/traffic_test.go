@@ -54,10 +54,10 @@ func TestHierarchyTrafficAccounting(t *testing.T) {
 	}
 }
 
-// TestParallelSweepReplaysHierarchy checks that a sharded sweep with a
-// hierarchy attached charges its traffic and says so via the explicit
-// TrafficReplayed marker, and that the per-sweep Stats.Traffic delta matches
-// what landed in the hierarchy.
+// TestParallelSweepReplaysHierarchy checks that a sweep priced at four
+// shards with a hierarchy attached charges its traffic and says so via the
+// explicit TrafficReplayed marker, and that the per-sweep Stats.Traffic
+// delta matches what landed in the hierarchy.
 func TestParallelSweepReplaysHierarchy(t *testing.T) {
 	f := newFixture(t)
 	f.plant(t, heapBase+0x40, heapBase+0x2000)
@@ -68,10 +68,10 @@ func TestParallelSweepReplaysHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !stats.TrafficReplayed {
-		t.Error("TrafficReplayed marker not set for sharded sweep with hierarchy")
+		t.Error("TrafficReplayed marker not set for a sweep with a hierarchy")
 	}
 	if got := h.Stats(); got.DRAMReadBytes == 0 {
-		t.Errorf("sharded sweep left the hierarchy untouched: %+v", got)
+		t.Errorf("sweep left the hierarchy untouched: %+v", got)
 	}
 	if stats.Traffic != h.Stats() {
 		t.Errorf("per-sweep traffic %+v != hierarchy stats %+v (single sweep into a cold hierarchy)",
@@ -178,56 +178,48 @@ func (g *gappyHeap) plant(t *testing.T) {
 }
 
 // replayTraffic walks the sweep that cfg is about to make of f through the
-// line-by-line LRU model: one cold hierarchy per shard of the tag-window
-// partition, a CLoadTags probe per line, a read per line not skipped, and a
-// write-back per line the sweep stores. It returns the per-level counters
-// and traffic summed over the shards. Call it before the sweep: the sweep
-// clears the tags it revokes.
+// line-by-line LRU model: one cold hierarchy over the whole page list, a
+// CLoadTags probe per line, a read per line not skipped, and a write-back per
+// line the sweep stores. It returns the per-level counters and traffic. Call
+// it before the sweep: the sweep clears the tags it revokes.
 func replayTraffic(t *testing.T, f *fixture, cfg Config, mk func() *mem.Hierarchy) ([]mem.LevelStats, mem.HierarchyStats) {
 	t.Helper()
 	var pages []uint64
 	if cfg.UseCapDirty {
-		pages = f.mem.CapDirtyPages()
+		pages = f.mem.AppendCapDirtyPages(nil)
 	} else {
-		pages = f.mem.AllPages()
+		pages = f.mem.AppendAllPages(nil)
 	}
-	parts, _, _ := partitionByTagWindow(pages, cfg.Shards, nil)
-	var levels []mem.LevelStats
-	var traffic mem.HierarchyStats
-	for _, part := range parts {
-		h := mk()
-		for _, base := range part {
-			view, err := f.mem.PageView(base)
+	h := mk()
+	for _, base := range pages {
+		view, err := f.mem.PageView(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := uint(0); l < mem.LinesPerPage; l++ {
+			line := base + uint64(l)*mem.LineSize
+			mask, err := f.mem.CLoadTags(line)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for l := uint(0); l < mem.LinesPerPage; l++ {
-				line := base + uint64(l)*mem.LineSize
-				mask, err := f.mem.CLoadTags(line)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cfg.UseCLoadTags {
-					h.AccessTags(line)
-					if mask == 0 {
-						continue
-					}
-				}
-				h.Access(line, false)
-				store := cfg.Kernel == sim.KernelVector
-				for g := uint(0); g < mem.GranulesPerLine; g++ {
-					lo, hi, tag := view.Granule(l*mem.GranulesPerLine + g)
-					store = store || tag && f.shadow.Revoked(cap.DecodeBase(lo, hi))
-				}
-				if store {
-					h.WriteBack()
+			if cfg.UseCLoadTags {
+				h.AccessTags(line)
+				if mask == 0 {
+					continue
 				}
 			}
+			h.Access(line, false)
+			store := cfg.Kernel == sim.KernelVector
+			for g := uint(0); g < mem.GranulesPerLine; g++ {
+				lo, hi, tag := view.Granule(l*mem.GranulesPerLine + g)
+				store = store || tag && f.shadow.Revoked(cap.DecodeBase(lo, hi))
+			}
+			if store {
+				h.WriteBack()
+			}
 		}
-		levels = mergeLevels(levels, h.Levels())
-		traffic = traffic.Merge(h.Stats())
 	}
-	return levels, traffic
+	return h.Levels(), h.Stats()
 }
 
 func mergeLevels(sum, add []mem.LevelStats) []mem.LevelStats {
@@ -242,10 +234,10 @@ func mergeLevels(sum, add []mem.LevelStats) []mem.LevelStats {
 
 // TestClosedFormTrafficMatchesReplay pins the closed-form traffic charge
 // (mem.Hierarchy.ChargeSweep) to the line-by-line LRU model it replaced:
-// for every geometry, assist, kernel and shard count, three sweeps of a
-// gappy heap into one hierarchy leave the same per-level counters and
-// traffic totals as replaying them, and each sweep's Stats.Traffic equals
-// its replayed delta.
+// for every geometry, assist and kernel, on five seeded gappy heaps, three
+// sweeps into one hierarchy leave the same per-level counters and traffic
+// totals as replaying them, and each sweep's Stats.Traffic equals its
+// replayed delta.
 func TestClosedFormTrafficMatchesReplay(t *testing.T) {
 	geometries := []struct {
 		name string
@@ -254,17 +246,16 @@ func TestClosedFormTrafficMatchesReplay(t *testing.T) {
 	for _, geo := range geometries {
 		for _, kernel := range []sim.Kernel{sim.KernelSimple, sim.KernelVector} {
 			for assists := 0; assists < 4; assists++ {
-				for _, shards := range []int{1, 2, 3, 4, 7} {
+				for _, seed := range []int64{1, 2, 3, 4, 7} {
 					cfg := Config{
 						Kernel:       kernel,
 						UseCapDirty:  assists&1 != 0,
 						UseCLoadTags: assists&2 != 0,
-						Shards:       shards,
 						Hierarchy:    geo.mk(),
 					}
-					name := fmt.Sprintf("%s/kernel=%d/capdirty=%v/cloadtags=%v/shards=%d",
-						geo.name, kernel, cfg.UseCapDirty, cfg.UseCLoadTags, shards)
-					g := newGappyHeap(t, int64(shards))
+					name := fmt.Sprintf("%s/kernel=%d/capdirty=%v/cloadtags=%v/seed=%d",
+						geo.name, kernel, cfg.UseCapDirty, cfg.UseCLoadTags, seed)
+					g := newGappyHeap(t, seed)
 					s := New(g.mem, g.shadow, cfg)
 					var wantLevels []mem.LevelStats
 					var want mem.HierarchyStats

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/engine"
+	"repro/internal/revoke"
+	"repro/internal/sim"
 )
 
 // newWorker starts a worker-mode server and returns its base URL.
@@ -257,5 +260,54 @@ func TestInternalJobsKeyMismatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("mismatched key: %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestInternalJobsRejectsBadSweepConfigs: a worker checks the job it is
+// handed, which never passed through Spec.Jobs. A variant one shard past
+// revoke.MaxShards, an image sweep with an unknown kernel and a laundering
+// image sweep each come back as a failed job instead of running.
+func TestInternalJobsRejectsBadSweepConfigs(t *testing.T) {
+	worker := newWorker(t, "")
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*campaign.Spec, *campaign.Job)
+	}{
+		{"wide variant", "shards", func(_ *campaign.Spec, j *campaign.Job) { j.Variant.Revoke.Shards = revoke.MaxShards + 1 }},
+		{"unknown image kernel", "kernel", func(s *campaign.Spec, _ *campaign.Job) {
+			s.ImageSweeps = []revoke.Config{{Kernel: sim.KernelVector + 1}}
+		}},
+		{"laundering image sweep", "launders", func(s *campaign.Spec, _ *campaign.Job) {
+			s.ImageSweeps = []revoke.Config{{UseCapDirty: true, Launder: true}}
+		}},
+	} {
+		spec := distSpec()
+		jobs, err := spec.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := jobs[0]
+		tc.edit(&spec, &job)
+		body, err := json.Marshal(engine.JobRequest{Key: engine.JobKey(spec, job, ""), Spec: spec, Job: job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(worker.URL+"/internal/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got engine.JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(got.Result.Error, tc.want) {
+			t.Errorf("%s: status %d, job error %q; want a failed job naming %q",
+				tc.name, resp.StatusCode, got.Result.Error, tc.want)
+		}
+		if got.Result.Mallocs != 0 {
+			t.Errorf("%s: the rejected job ran: %d mallocs", tc.name, got.Result.Mallocs)
+		}
 	}
 }

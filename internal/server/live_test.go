@@ -53,22 +53,30 @@ func recordLiveTrace(t *testing.T) ([]byte, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr workload.Trace
-	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Record: &tr}); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: tr.Name, Seed: tr.Seed})
+	w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: p.Name, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.WriteTrace(w, &tr); err != nil {
+	if _, err := workload.Run(sys, p, workload.Options{Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Stream: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), len(tr.Events)
+	r, err := workload.NewTraceReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for ; ; events++ {
+		if _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes(), events
 }
 
 // followLiveSSE consumes one live session's event stream to its terminal

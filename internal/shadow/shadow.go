@@ -190,8 +190,8 @@ func (m *Map) IsRevoked(addr uint64) bool {
 	return m.Revoked(addr)
 }
 
-// Revoked is IsRevoked without the lookup accounting: a pure read that
-// concurrent sweep shards may issue (the sweeper keeps its own counters).
+// Revoked is IsRevoked without the lookup accounting: a pure read for the
+// sweep kernel, which keeps its own counters.
 func (m *Map) Revoked(addr uint64) bool {
 	if addr < m.base || addr >= m.limit {
 		return false

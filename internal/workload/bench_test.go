@@ -10,34 +10,6 @@ import (
 	"repro/internal/quarantine"
 )
 
-// BenchmarkTraceRecordReplay measures trace capture and replay of an
-// omnetpp run.
-func BenchmarkTraceRecordReplay(b *testing.B) {
-	p, _ := ByName("omnetpp")
-	var tr Trace
-	sys, err := core.New(core.Config{Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := Run(sys, p, Options{
-		MinSweeps: 1, MaxLiveBytes: 2 << 20, Record: &tr,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replaySys, err := core.New(core.Config{Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := Replay(replaySys, &tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n), "events/op")
-	}
-}
-
 // BenchmarkBinaryTraceDecode measures the CVTR binary decode hot loop in
 // isolation: one reader, built outside the timer over loopingRecords, so
 // each iteration is one Next and allocs/op is exactly the per-record decode
@@ -67,7 +39,7 @@ func BenchmarkBinaryTraceDecode(b *testing.B) {
 		body = binary.AppendUvarint(body, uint64(len(payload)))
 		body = append(body, payload...)
 	}
-	r, err := NewBinaryTraceReader(&loopingRecords{header: header, body: body})
+	r, err := NewTraceReader(&loopingRecords{header: header, body: body})
 	if err != nil {
 		b.Fatal(err)
 	}

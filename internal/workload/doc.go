@@ -28,18 +28,20 @@
 // # Traces and streaming
 //
 // A run's exact event sequence (malloc / plant / free, referencing
-// allocations by birth order) can be captured two ways: materialised into a
-// Trace (Options.Record) or streamed through a TraceWriter as it is
+// allocations by birth order) is streamed through a TraceWriter as it is
 // generated (Options.Stream). Two versioned on-wire encodings exist — a
 // compact binary format and NDJSON, specified in docs/TRACE_FORMAT.md —
 // and NewTraceReader sniffs which one a stream holds, rejecting anything
 // else.
 //
-// Replays are symmetric: Replay executes a materialised Trace, while
-// StreamingSource + ReplayStream / RunStream execute a streamed trace in
-// fixed-size event windows, so the peak event buffer is the window size no
-// matter how large the trace. Both paths apply the identical event
-// sequence, so the sweeps they trigger produce byte-identical revoke.Stats.
+// Every replay takes one path: a StreamingSource hands a streamed trace out
+// in fixed-size event windows, so the peak event buffer is the window size
+// no matter how large the trace, and IncrementalReplay applies them.
+// ReplayStreamStats drains a source into its StreamStats, RunStream adds
+// Run's measurements on top, and the live firehose applies windows as they
+// arrive. A replay applies exactly the recorded event sequence, so the
+// sweeps it triggers produce revoke.Stats byte-identical to the recording
+// run's.
 //
 // Store is the content-addressed on-disk trace store behind the server's
 // /traces endpoints and campaign TraceRef resolution.

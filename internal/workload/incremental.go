@@ -7,18 +7,18 @@ import (
 	"repro/internal/revoke"
 )
 
-// Incremental streamed replay. ReplayStream drains a whole source before any
-// numbers come out; live ingestion needs the numbers *while* the stream is
-// still arriving. IncrementalReplay is the seam: it applies one window at a
-// time and keeps a StreamStats snapshot that is exact after every window —
-// not an estimate — because each accumulation step (per-event census
-// counters, per-sweep revoke.Stats folds in report order, end-state
-// snapshots from the system) is independent of where the window boundaries
-// fall. Folding a trace through windows of 1, DefaultWindow, or any other
-// size therefore yields byte-identical final StreamStats
-// (TestIncrementalReplayWindowInvariance), which is what lets a live
-// session's accumulated stats be reconciled against a post-hoc replay of the
-// spooled bytes byte-for-byte.
+// Incremental streamed replay, the one path every trace replays through: a
+// campaign's trace job (RunStream), `cherivoke replay`, and the live
+// firehose, which needs the numbers *while* the stream is still arriving.
+// IncrementalReplay applies one window at a time and keeps a StreamStats
+// snapshot that is exact after every window — not an estimate — because
+// each accumulation step (per-event census counters, per-sweep revoke.Stats
+// folds in report order, end-state snapshots from the system) is independent
+// of where the window boundaries fall. Folding a trace through windows of 1,
+// DefaultWindow, or any other size therefore yields byte-identical final
+// StreamStats (TestIncrementalReplayWindowInvariance), which is what lets a
+// live session's accumulated stats be reconciled against a post-hoc replay
+// of the spooled bytes byte-for-byte.
 
 // StreamStats is the exact accumulated state of a streamed replay after
 // some prefix of the trace. Counters count the applied events; the sweep
@@ -50,7 +50,7 @@ type StreamStats struct {
 
 // IncrementalReplay applies a streamed trace to a system window by window,
 // maintaining an exact StreamStats between windows. It is the engine under
-// ReplayStream and the live firehose's analyzer. Not safe for concurrent
+// ReplayStreamStats and RunStream and the live firehose's analyzer. Not safe for concurrent
 // use; Stats returns a copy, so the caller may publish snapshots freely.
 type IncrementalReplay struct {
 	sys     *core.System
@@ -83,12 +83,6 @@ func (ir *IncrementalReplay) ApplyWindow(win []TraceEvent) error {
 		case EvFree:
 			ir.stats.Frees++
 			ir.stats.FreedBytes += ir.st.caps.at(ev.Ref).Len()
-			// Sample the footprint after each free — the same points Run
-			// and RunStream sample — so peak measurements agree across
-			// every replay path regardless of windowing.
-			if fp := ir.sys.MemoryFootprint(); fp > ir.stats.PeakFootprint {
-				ir.stats.PeakFootprint = fp
-			}
 		}
 	}
 	ir.absorb()
@@ -111,9 +105,9 @@ func (ir *IncrementalReplay) absorb() {
 	ir.stats.HeapBytes = ir.sys.HeapBytes()
 	ir.stats.LiveBytes = ir.sys.LiveBytes()
 	ir.stats.QuarantineBytes = ir.sys.QuarantineBytes()
-	if fp := ir.sys.MemoryFootprint(); fp > ir.stats.PeakFootprint {
-		ir.stats.PeakFootprint = fp
-	}
+	// The footprint never shrinks, so its value now is the peak: the
+	// same figure Run reports for the run that recorded the trace.
+	ir.stats.PeakFootprint = ir.sys.MemoryFootprint()
 }
 
 // Stats returns the accumulated snapshot: exact for the events applied so

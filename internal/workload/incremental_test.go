@@ -2,11 +2,11 @@
 // behind the live firehose's reconciliation guarantee. Folding a recorded
 // trace through IncrementalReplay with window sizes 1, DefaultWindow and
 // 4×DefaultWindow must produce byte-identical final StreamStats, and those
-// stats must reconcile exactly with the in-memory Run that recorded the
+// stats must reconcile exactly with the generated Run that recorded the
 // trace — census counters, freed bytes, peak footprint, folded sweep stats
-// and the simulated-time decomposition alike. This extends the PR 3
-// streamed-vs-in-memory suite (internal/revoke/stream_test.go) from
-// per-sweep revoke.Stats to the full incremental accumulator.
+// and the simulated-time decomposition alike. This extends the
+// streamed-sweep suite (internal/revoke/stream_test.go) from per-sweep
+// revoke.Stats to the full incremental accumulator.
 package workload_test
 
 import (
@@ -38,25 +38,22 @@ func TestIncrementalReplayWindowInvariance(t *testing.T) {
 				t.Fatalf("unknown profile %s", name)
 			}
 
-			// Recording run: the in-memory reference every windowed
+			// Recording run: the generated reference every windowed
 			// replay must reconcile with.
 			sysRec, err := core.New(incrCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tr workload.Trace
+			var buf bytes.Buffer
+			bw, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: p.Name, Seed: 23})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &countingWriter{TraceWriter: bw}
 			res, err := workload.Run(sysRec, p, workload.Options{
-				Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Record: &tr,
+				Seed: 23, MaxLiveBytes: 2 << 20, MinSweeps: 2, Stream: w,
 			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			w, err := workload.NewBinaryTraceWriter(&buf, workload.TraceHeader{Name: tr.Name, Seed: tr.Seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := workload.WriteTrace(w, &tr); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {
@@ -81,7 +78,7 @@ func TestIncrementalReplayWindowInvariance(t *testing.T) {
 				if stats.Sweeps < 2 {
 					t.Fatalf("window=%d: only %d sweeps fired; the comparison is vacuous", window, stats.Sweeps)
 				}
-				reconcileWithRun(t, window, stats, res, sysRec, &tr)
+				reconcileWithRun(t, window, stats, res, sysRec, w.events)
 
 				got, err := json.Marshal(stats)
 				if err != nil {
@@ -99,12 +96,24 @@ func TestIncrementalReplayWindowInvariance(t *testing.T) {
 	}
 }
 
+// countingWriter counts the events a run streams through it.
+type countingWriter struct {
+	workload.TraceWriter
+	events uint64
+}
+
+func (w *countingWriter) WriteEvent(ev workload.TraceEvent) error {
+	w.events++
+	return w.TraceWriter.WriteEvent(ev)
+}
+
 // reconcileWithRun asserts a windowed replay's StreamStats against the
-// recording run: every field the two paths both measure must agree exactly.
-func reconcileWithRun(t *testing.T, window int, stats workload.StreamStats, res workload.Result, sysRec *core.System, tr *workload.Trace) {
+// recording run, which streamed events events: every field the two paths
+// both measure must agree exactly.
+func reconcileWithRun(t *testing.T, window int, stats workload.StreamStats, res workload.Result, sysRec *core.System, events uint64) {
 	t.Helper()
-	if stats.Events != uint64(len(tr.Events)) {
-		t.Fatalf("window=%d: replayed %d events, trace has %d", window, stats.Events, len(tr.Events))
+	if stats.Events != events {
+		t.Fatalf("window=%d: replayed %d events, trace has %d", window, stats.Events, events)
 	}
 	if stats.Mallocs != res.Mallocs || stats.Frees != res.Frees || stats.FreedBytes != res.FreedBytes {
 		t.Fatalf("window=%d: census diverges: got %d/%d/%d mallocs/frees/freed, want %d/%d/%d",

@@ -28,15 +28,11 @@ type Options struct {
 	// pairs) so zero-sweep configurations terminate.
 	MaxEvents int
 
-	// Record, when non-nil, accumulates the run's exact event sequence
-	// for later Replay or serialisation.
-	Record *Trace
-
-	// Stream, when non-nil, receives the run's events as they are
-	// generated — the generator-to-stream adapter. Unlike Record, nothing
-	// is materialised: `trace record` pipes arbitrarily long runs through
-	// a codec with constant memory. The caller creates the writer (and
-	// its header) and closes it after Run returns.
+	// Stream, when non-nil, receives the run's exact event sequence as it
+	// is generated — the generator-to-stream adapter. Nothing is
+	// materialised: `trace record` pipes arbitrarily long runs through a
+	// codec with constant memory. The caller creates the writer (and its
+	// header) and closes it after Run returns.
 	Stream TraceWriter
 }
 
@@ -80,7 +76,9 @@ type Result struct {
 	CacheEffectSeconds float64
 
 	// PeakFootprint is the high-water simulated memory footprint (heap +
-	// shadow map for CHERIvoke; heap only for the direct baseline).
+	// shadow map for CHERIvoke; heap only for the direct baseline). The
+	// footprint never shrinks (core.System.MemoryFootprint), so it is the
+	// footprint at the end of the run.
 	PeakFootprint uint64
 
 	// Scale is simulated-live-heap ÷ profile reference heap.
@@ -132,11 +130,7 @@ func Run(sys *core.System, p Profile, opts Options) (Result, error) {
 	res.Scale = Scale(p, opts)
 
 	g := newPlanter(p, r)
-	rec := &recorder{tr: opts.Record, w: opts.Stream}
-	if opts.Record != nil {
-		opts.Record.Name = p.Name
-		opts.Record.Seed = opts.Seed
-	}
+	rec := &recorder{w: opts.Stream}
 
 	// Build-up phase: reach the steady-state live heap. A dead Stream
 	// sink (e.g. a closed pipe) aborts the loops promptly — there is no
@@ -170,14 +164,9 @@ func Run(sys *core.System, p Profile, opts Options) (Result, error) {
 			}
 			res.Frees++
 			res.FreedBytes += h.size
-			if fp := sys.MemoryFootprint(); fp > res.PeakFootprint {
-				res.PeakFootprint = fp
-			}
 		}
 	}
-	if fp := sys.MemoryFootprint(); fp > res.PeakFootprint {
-		res.PeakFootprint = fp
-	}
+	res.PeakFootprint = sys.MemoryFootprint()
 	if rec.err != nil {
 		return res, fmt.Errorf("workload: streaming trace events: %w", rec.err)
 	}

@@ -12,11 +12,11 @@ import (
 	"repro/internal/core"
 )
 
-// Streaming trace pipeline. The materialised Trace caps trace size at RAM;
-// the TraceReader/TraceWriter interfaces below stream events one at a time
-// through a versioned codec (binary or NDJSON — see docs/TRACE_FORMAT.md),
-// and StreamingSource feeds replays in fixed-size event windows so a
-// multi-GiB trace drives a system with a bounded event buffer.
+// Streaming trace pipeline. The TraceReader/TraceWriter interfaces below
+// stream events one at a time through a versioned codec (binary or NDJSON —
+// see docs/TRACE_FORMAT.md), and StreamingSource feeds replays in
+// fixed-size event windows so a multi-GiB trace drives a system with a
+// bounded event buffer.
 
 // TraceVersion is the current on-wire trace format version, shared by the
 // binary and NDJSON encodings.
@@ -234,16 +234,8 @@ type BinaryTraceReader struct {
 	payload [maxEventPayload]byte
 }
 
-// NewBinaryTraceReader parses the binary header from r and returns a reader
-// positioned at the first event.
-func NewBinaryTraceReader(r io.Reader) (*BinaryTraceReader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return newBinaryTraceReader(br, closerOf(r))
-}
-
+// newBinaryTraceReader parses the binary header from br, which NewTraceReader
+// has sniffed, and returns a reader positioned at the first event.
 func newBinaryTraceReader(br *bufio.Reader, c io.Closer) (*BinaryTraceReader, error) {
 	magic := make([]byte, len(TraceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -579,34 +571,6 @@ func NewTraceReader(r io.Reader) (TraceReader, error) {
 	}, nil
 }
 
-// WriteTrace streams a materialised trace through w. The caller still owns
-// w's Close.
-func WriteTrace(w TraceWriter, tr *Trace) error {
-	for i, ev := range tr.Events {
-		if err := w.WriteEvent(ev); err != nil {
-			return fmt.Errorf("workload: writing event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadAllTrace materialises a streamed trace, for tools and tests that need
-// the whole event list.
-func ReadAllTrace(r TraceReader) (*Trace, error) {
-	hdr := r.Header()
-	tr := &Trace{Name: hdr.Name, Seed: hdr.Seed}
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Bounded-window source and streamed replay.
 
@@ -614,7 +578,7 @@ func ReadAllTrace(r TraceReader) (*Trace, error) {
 // single reusable buffer: the peak number of events held in memory is the
 // window size, independent of trace length. This is what lets multi-GiB
 // spooled traces drive revocation sweeps and campaign jobs without
-// materialising a Trace.
+// materialising their events.
 type StreamingSource struct {
 	r   TraceReader
 	buf []TraceEvent
@@ -670,64 +634,29 @@ func (s *StreamingSource) NextWindow() ([]TraceEvent, error) {
 // Close closes the underlying reader.
 func (s *StreamingSource) Close() error { return s.r.Close() }
 
-// ReplayStream executes a streamed trace against sys window by window,
-// returning the number of events applied. It is Replay for sources too
-// large (or too live) to materialise. The replay runs through the
-// IncrementalReplay accumulator, so the event application order — and
-// therefore every sweep the replay triggers — is identical to the live
-// firehose's window-at-a-time path.
-func ReplayStream(sys *core.System, src *StreamingSource) (int, error) {
-	stats, err := ReplayStreamStats(sys, src)
-	return int(stats.Events), err
-}
-
-// RunStream replays a streamed trace against sys and measures it the way
-// Run measures a generated workload, using p for the timing metadata the
-// trace itself does not carry (free rate, cache-reuse factor). Callers
-// resolve p from the stream header's benchmark name (ByName) or supply an
-// explicit profile for controlled comparisons; a zero Profile yields the
-// nominal timing window.
+// RunStream replays a streamed trace against sys through ReplayStreamStats
+// and measures it the way Run measures a generated workload, using p for the
+// timing metadata the trace itself does not carry (free rate, cache-reuse
+// factor). Callers resolve p from the stream header's benchmark name
+// (ByName) or supply an explicit profile for controlled comparisons; a zero
+// Profile yields the nominal timing window.
 //
 // The replay applies exactly the recorded event sequence, so the sweeps it
 // triggers — and their revoke.Stats, DRAM-traffic counters included — are
-// byte-identical to an in-memory Replay of the same trace against the same
+// byte-identical to the run that recorded the trace, against the same
 // configuration.
 func RunStream(sys *core.System, src *StreamingSource, p Profile) (Result, error) {
-	res := Result{Profile: p}
-	var st replayState
-	n := 0
-	for {
-		win, err := src.NextWindow()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		for _, ev := range win {
-			if err := st.apply(sys, n, ev); err != nil {
-				return res, err
-			}
-			n++
-			switch ev.Op {
-			case EvMalloc:
-				res.Mallocs++
-			case EvFree:
-				res.Frees++
-				res.FreedBytes += st.caps.at(ev.Ref).Len()
-				// Sample the footprint at the same points Run does
-				// (after each free), so peak measurements agree
-				// between generated and replayed runs.
-				if fp := sys.MemoryFootprint(); fp > res.PeakFootprint {
-					res.PeakFootprint = fp
-				}
-			}
-		}
+	st, err := ReplayStreamStats(sys, src)
+	if err != nil {
+		return Result{Profile: p}, err
 	}
-	if fp := sys.MemoryFootprint(); fp > res.PeakFootprint {
-		res.PeakFootprint = fp
+	res := Result{
+		Profile:       p,
+		Mallocs:       st.Mallocs,
+		Frees:         st.Frees,
+		FreedBytes:    st.FreedBytes,
+		PeakFootprint: sys.MemoryFootprint(),
 	}
-
 	// Scale is derived from the end-state live heap because the recording
 	// run's MaxLiveBytes is not part of the trace; everything else is the
 	// exact measurement Run performs.

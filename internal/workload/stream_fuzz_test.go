@@ -20,13 +20,12 @@ import (
 func FuzzBinaryTraceDecode(f *testing.F) {
 	// Seed corpus: valid traces of both flavours plus targeted mutations.
 	for seed := int64(1); seed <= 3; seed++ {
-		tr := syntheticTrace(seed, int(seed)*50)
 		var buf bytes.Buffer
-		w, err := NewBinaryTraceWriter(&buf, TraceHeader{Name: tr.Name, Seed: tr.Seed})
+		w, err := NewBinaryTraceWriter(&buf, syntheticHeader(seed))
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := WriteTrace(w, tr); err != nil {
+		if err := writeEvents(w, syntheticTrace(seed, int(seed)*50)); err != nil {
 			f.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -53,7 +52,7 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteTrace(w, syntheticTrace(4, 50)); err != nil {
+	if err := writeEvents(w, syntheticTrace(4, 50)); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -81,21 +80,21 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 		// past maxTraceName (each invalid UTF-8 byte becomes a 3-byte
 		// U+FFFD), neither of which the binary encoding can hold. The
 		// re-encode property only applies to encodable traces.
-		if len(first.Name) > maxTraceName {
+		if len(first.hdr.Name) > maxTraceName {
 			return
 		}
-		for _, ev := range first.Events {
+		for _, ev := range first.events {
 			if ev.Ref < 0 {
 				return
 			}
 		}
 		// Re-encode and decode again: must be the same events.
 		var buf bytes.Buffer
-		w, err := NewBinaryTraceWriter(&buf, TraceHeader{Name: first.Name, Seed: first.Seed})
+		w, err := NewBinaryTraceWriter(&buf, first.hdr)
 		if err != nil {
 			t.Fatalf("re-encoding decoded trace: %v", err)
 		}
-		if err := WriteTrace(w, first); err != nil {
+		if err := writeEvents(w, first.events); err != nil {
 			t.Fatalf("re-encoding decoded trace: %v", err)
 		}
 		if err := w.Close(); err != nil {
@@ -111,26 +110,31 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 	})
 }
 
+// decoded is one fuzz input's decode result: the header and every event.
+type decoded struct {
+	hdr    TraceHeader
+	events []TraceEvent
+}
+
 // fuzzDecode drains one sniffed stream with a sanity cap on event count (a
 // fuzz input of n bytes cannot encode more than n records; the cap guards
 // against a decoder bug looping without consuming input).
-func fuzzDecode(data []byte) (*Trace, error) {
+func fuzzDecode(data []byte) (*decoded, error) {
 	r, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	hdr := r.Header()
-	tr := &Trace{Name: hdr.Name, Seed: hdr.Seed}
+	d := &decoded{hdr: r.Header()}
 	for i := 0; i <= len(data); i++ {
 		ev, err := r.Next()
 		if err == io.EOF {
-			return tr, nil
+			return d, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		tr.Events = append(tr.Events, ev)
+		d.events = append(d.events, ev)
 	}
 	panic("decoder yielded more events than input bytes")
 }

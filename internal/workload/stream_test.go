@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -12,41 +13,68 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
-
-	"repro/internal/core"
-	"repro/internal/revoke"
 )
 
-// syntheticTrace builds a deterministic pseudo-random trace exercising the
-// codec edge cases: zero sizes and offsets, ref 0, large sizes, all ops.
-func syntheticTrace(seed int64, n int) *Trace {
+// syntheticTrace builds a deterministic pseudo-random event list exercising
+// the codec edge cases: zero sizes and offsets, ref 0, large sizes, all ops.
+func syntheticTrace(seed int64, n int) []TraceEvent {
 	r := rand.New(rand.NewSource(seed))
-	tr := &Trace{Name: "synthetic", Seed: uint64(seed)}
+	var events []TraceEvent
 	mallocs := 0
 	for i := 0; i < n; i++ {
 		switch {
 		case mallocs == 0 || r.Intn(3) == 0:
 			size := uint64(r.Intn(1 << 22)) // includes 0
-			tr.Events = append(tr.Events, TraceEvent{Op: EvMalloc, Size: size})
+			events = append(events, TraceEvent{Op: EvMalloc, Size: size})
 			mallocs++
 		case r.Intn(2) == 0:
-			tr.Events = append(tr.Events, TraceEvent{Op: EvPlant, Ref: r.Intn(mallocs), Size: uint64(r.Intn(1 << 12))})
+			events = append(events, TraceEvent{Op: EvPlant, Ref: r.Intn(mallocs), Size: uint64(r.Intn(1 << 12))})
 		default:
-			tr.Events = append(tr.Events, TraceEvent{Op: EvFree, Ref: r.Intn(mallocs)})
+			events = append(events, TraceEvent{Op: EvFree, Ref: r.Intn(mallocs)})
 		}
 	}
-	return tr
+	return events
 }
 
-// encode runs tr through a TraceWriter constructor over a buffer.
-func encode(t *testing.T, tr *Trace, newWriter func(io.Writer, TraceHeader) (TraceWriter, error)) []byte {
+// syntheticHeader is the header syntheticTrace(seed, n) is encoded under.
+func syntheticHeader(seed int64) TraceHeader {
+	return TraceHeader{Version: TraceVersion, Name: "synthetic", Seed: uint64(seed)}
+}
+
+// writeEvents streams events through w; the caller still owns w's Close.
+func writeEvents(w TraceWriter, events []TraceEvent) error {
+	for i, ev := range events {
+		if err := w.WriteEvent(ev); err != nil {
+			return fmt.Errorf("writing event %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// readEvents drains r into an event list.
+func readEvents(r TraceReader) ([]TraceEvent, error) {
+	var events []TraceEvent
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return events, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
+	}
+}
+
+// encode runs events through a TraceWriter constructor over a buffer.
+func encode(t *testing.T, hdr TraceHeader, events []TraceEvent, newWriter func(io.Writer, TraceHeader) (TraceWriter, error)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := newWriter(&buf, TraceHeader{Name: tr.Name, Seed: tr.Seed})
+	w, err := newWriter(&buf, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTrace(w, tr); err != nil {
+	if err := writeEvents(w, events); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -62,9 +90,8 @@ func ndjsonWriter(w io.Writer, hdr TraceHeader) (TraceWriter, error) {
 	return NewNDJSONTraceWriter(w, hdr)
 }
 
-// decode sniffs and materialises an encoded trace, checking the reported
-// format.
-func decode(t *testing.T, data []byte, wantFormat string) *Trace {
+// decode sniffs and drains an encoded trace, checking the reported format.
+func decode(t *testing.T, data []byte, wantFormat string) (TraceHeader, []TraceEvent) {
 	t.Helper()
 	r, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
@@ -73,14 +100,14 @@ func decode(t *testing.T, data []byte, wantFormat string) *Trace {
 	if r.Format() != wantFormat {
 		t.Fatalf("sniffed format %q, want %q", r.Format(), wantFormat)
 	}
-	out, err := ReadAllTrace(r)
+	events, err := readEvents(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return r.Header(), events
 }
 
 // TestCodecRoundTrip is the encode→decode = identity property, over both
@@ -95,15 +122,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, c := range codecs {
 		for seed := int64(1); seed <= 8; seed++ {
-			tr := syntheticTrace(seed, int(seed-1)*700) // 0, 700, ... events
-			got := decode(t, encode(t, tr, c.newWriter), c.format)
-			if got.Name != tr.Name || got.Seed != tr.Seed {
-				t.Fatalf("%s seed %d: header (%q, %d), want (%q, %d)", c.format, seed, got.Name, got.Seed, tr.Name, tr.Seed)
+			hdr, events := syntheticHeader(seed), syntheticTrace(seed, int(seed-1)*700) // 0, 700, ... events
+			gotHdr, got := decode(t, encode(t, hdr, events, c.newWriter), c.format)
+			if gotHdr != hdr {
+				t.Fatalf("%s seed %d: header %+v, want %+v", c.format, seed, gotHdr, hdr)
 			}
-			if len(got.Events) != len(tr.Events) {
-				t.Fatalf("%s seed %d: %d events, want %d", c.format, seed, len(got.Events), len(tr.Events))
+			if len(got) != len(events) {
+				t.Fatalf("%s seed %d: %d events, want %d", c.format, seed, len(got), len(events))
 			}
-			if len(tr.Events) > 0 && !reflect.DeepEqual(got.Events, tr.Events) {
+			if len(events) > 0 && !reflect.DeepEqual(got, events) {
 				t.Fatalf("%s seed %d: events diverge after round trip", c.format, seed)
 			}
 		}
@@ -113,13 +140,13 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestCodecRoundTripRecorded round-trips a real recorded run, whose event
 // mix (multi-page plants, FIFO/random frees) a synthetic trace may miss.
 func TestCodecRoundTripRecorded(t *testing.T) {
-	tr, _ := recordedRun(t)
+	hdr, events, _ := recordedRun(t)
 	for _, c := range []struct {
 		format    string
 		newWriter func(io.Writer, TraceHeader) (TraceWriter, error)
 	}{{FormatBinary, binaryWriter}, {FormatNDJSON, ndjsonWriter}} {
-		got := decode(t, encode(t, tr, c.newWriter), c.format)
-		if !reflect.DeepEqual(got, tr) {
+		gotHdr, got := decode(t, encode(t, hdr, events, c.newWriter), c.format)
+		if gotHdr != hdr || !reflect.DeepEqual(got, events) {
 			t.Fatalf("%s: recorded trace diverges after round trip", c.format)
 		}
 	}
@@ -197,8 +224,7 @@ func TestTraceReaderBoundsSniff(t *testing.T) {
 // (missing end record), a wrong end-record count, oversized payloads, and a
 // bad magic.
 func TestBinaryDecoderRejectsCorruption(t *testing.T) {
-	tr := syntheticTrace(4, 100)
-	data := encode(t, tr, binaryWriter)
+	data := encode(t, syntheticHeader(4), syntheticTrace(4, 100), binaryWriter)
 
 	drain := func(data []byte) error {
 		r, err := NewTraceReader(bytes.NewReader(data))
@@ -248,11 +274,11 @@ func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 func findFirstEvent(t *testing.T, data []byte) int {
 	t.Helper()
 	r := bytes.NewReader(data)
-	if _, err := NewBinaryTraceReader(r); err != nil {
+	if _, err := NewTraceReader(r); err != nil {
 		t.Fatal(err)
 	}
-	// NewBinaryTraceReader wraps r in a bufio.Reader, so r.Len() cannot
-	// tell us the header length; re-derive it by parsing manually.
+	// NewTraceReader wraps r in a bufio.Reader, so r.Len() cannot tell us
+	// the header length; re-derive it by parsing manually.
 	off := len(TraceMagic)
 	for i := 0; i < 2; i++ { // version, seed
 		_, n := binary.Uvarint(data[off:])
@@ -283,13 +309,13 @@ func TestBinaryDecoderSkipsUnknownOps(t *testing.T) {
 	rec(EvFree, binary.AppendUvarint(nil, 0)...)
 	rec(opEnd, binary.AppendUvarint(nil, 3)...) // 3 records, skipped one included
 
-	got := decode(t, data, FormatBinary)
+	hdr, got := decode(t, data, FormatBinary)
 	want := []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvFree, Ref: 0}}
-	if !reflect.DeepEqual(got.Events, want) {
-		t.Fatalf("events %+v, want %+v", got.Events, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events %+v, want %+v", got, want)
 	}
-	if got.Name != "fwd" || got.Seed != 7 {
-		t.Fatalf("header (%q, %d), want (fwd, 7)", got.Name, got.Seed)
+	if hdr.Name != "fwd" || hdr.Seed != 7 {
+		t.Fatalf("header (%q, %d), want (fwd, 7)", hdr.Name, hdr.Seed)
 	}
 }
 
@@ -298,8 +324,8 @@ func TestBinaryDecoderSkipsUnknownOps(t *testing.T) {
 // capacity, regardless of trace length.
 func TestStreamingSourceBoundsBuffer(t *testing.T) {
 	const window = 64
-	tr := syntheticTrace(5, 10*window+17) // many windows + a short tail
-	r, err := NewTraceReader(bytes.NewReader(encode(t, tr, binaryWriter)))
+	events := syntheticTrace(5, 10*window+17) // many windows + a short tail
+	r, err := NewTraceReader(bytes.NewReader(encode(t, syntheticHeader(5), events, binaryWriter)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +349,14 @@ func TestStreamingSourceBoundsBuffer(t *testing.T) {
 			t.Fatalf("window capacity %d, want exactly %d (single reused buffer)", cap(win), window)
 		}
 		for i := range win {
-			if !reflect.DeepEqual(win[i], tr.Events[total]) {
+			if !reflect.DeepEqual(win[i], events[total]) {
 				t.Fatalf("event %d diverges", total)
 			}
 			total++
 		}
 	}
-	if total != len(tr.Events) {
-		t.Fatalf("streamed %d events, want %d", total, len(tr.Events))
+	if total != len(events) {
+		t.Fatalf("streamed %d events, want %d", total, len(events))
 	}
 }
 
@@ -341,17 +367,17 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := syntheticTrace(6, 500)
-	data := encode(t, tr, binaryWriter)
+	hdr, events := syntheticHeader(6), syntheticTrace(6, 500)
+	data := encode(t, hdr, events, binaryWriter)
 
 	info, err := store.Put(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hash == "" || info.Size != int64(len(data)) || info.Events != int64(len(tr.Events)) {
+	if info.Hash == "" || info.Size != int64(len(data)) || info.Events != int64(len(events)) {
 		t.Fatalf("put info %+v", info)
 	}
-	if info.Format != FormatBinary || info.Name != tr.Name || info.Seed != tr.Seed {
+	if info.Format != FormatBinary || info.Name != hdr.Name || info.Seed != hdr.Seed {
 		t.Fatalf("put metadata %+v", info)
 	}
 
@@ -378,12 +404,13 @@ func TestStoreRoundTrip(t *testing.T) {
 		if hash != info.Hash {
 			t.Fatalf("open %q resolved %s, want %s", ref, hash, info.Hash)
 		}
-		got, err := ReadAllTrace(r)
+		got, err := readEvents(r)
 		if err != nil {
 			t.Fatal(err)
 		}
+		gotHdr := r.Header()
 		r.Close()
-		if !reflect.DeepEqual(got, tr) {
+		if gotHdr != hdr || !reflect.DeepEqual(got, events) {
 			t.Fatalf("stored trace diverges via ref %q", ref)
 		}
 		st, err := store.Stat(ref)
@@ -440,8 +467,7 @@ func TestStoreStatWithoutSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := syntheticTrace(7, 120)
-	info, err := store.Put(bytes.NewReader(encode(t, tr, binaryWriter)))
+	info, err := store.Put(bytes.NewReader(encode(t, syntheticHeader(7), syntheticTrace(7, 120), binaryWriter)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,30 +480,6 @@ func TestStoreStatWithoutSidecar(t *testing.T) {
 	}
 	if st.Events != info.Events || st.Name != info.Name || st.Size != info.Size {
 		t.Fatalf("rescanned stat %+v, want %+v", st, info)
-	}
-}
-
-// TestStreamedRecordMatchesMaterialised runs the generator once with both
-// sinks attached: the streamed events must be exactly the materialised
-// ones.
-func TestStreamedRecordMatchesMaterialised(t *testing.T) {
-	p, _ := ByName("omnetpp")
-	sys := traceSystem(t, core.Config{Revoke: revoke.Config{UseCapDirty: true}})
-	var buf bytes.Buffer
-	w, err := NewBinaryTraceWriter(&buf, TraceHeader{Name: p.Name, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr Trace
-	if _, err := Run(sys, p, Options{Seed: 11, MinSweeps: 2, MaxLiveBytes: 2 << 20, Record: &tr, Stream: w}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := decode(t, buf.Bytes(), FormatBinary)
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("streamed record diverges from materialised record")
 	}
 }
 
@@ -555,9 +557,9 @@ func TestWriteEventValidatesBeforeEncoding(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := decode(t, buf.Bytes(), FormatBinary)
-	if len(got.Events) != 1 {
-		t.Fatalf("stream holds %d events after rejected writes, want 1", len(got.Events))
+	_, got := decode(t, buf.Bytes(), FormatBinary)
+	if len(got) != 1 {
+		t.Fatalf("stream holds %d events after rejected writes, want 1", len(got))
 	}
 }
 
@@ -565,8 +567,7 @@ func TestWriteEventValidatesBeforeEncoding(t *testing.T) {
 // returning that error — a retry that resynchronises on garbage bytes would
 // hand corrupt data to the replay as events.
 func TestBinaryReaderStickyError(t *testing.T) {
-	tr := &Trace{Name: "sticky", Seed: 1, Events: []TraceEvent{{Op: EvMalloc, Size: 64}}}
-	full := encode(t, tr, binaryWriter)
+	full := encode(t, TraceHeader{Name: "sticky", Seed: 1}, []TraceEvent{{Op: EvMalloc, Size: 64}}, binaryWriter)
 	corrupt := append([]byte(nil), full[:len(full)-2]...) // cut into the end record
 
 	r, err := NewTraceReader(bytes.NewReader(corrupt))
@@ -593,8 +594,7 @@ func TestBinaryReaderStickyError(t *testing.T) {
 // the reader's post-error state and could read the corrupt tail as a clean
 // empty window (io.EOF with nothing buffered).
 func TestStreamingSourceCorruptTail(t *testing.T) {
-	tr := syntheticTrace(3, 5)
-	full := encode(t, tr, binaryWriter)
+	full := encode(t, syntheticHeader(3), syntheticTrace(3, 5), binaryWriter)
 	corrupt := append([]byte(nil), full[:len(full)-2]...) // cut into the end record
 
 	r, err := NewTraceReader(bytes.NewReader(corrupt))
@@ -621,8 +621,7 @@ func TestStreamingSourceCorruptTail(t *testing.T) {
 // TestStreamingSourceEOFSticky: exhaustion is terminal too — callers that
 // over-read past io.EOF keep getting io.EOF, never a re-read.
 func TestStreamingSourceEOFSticky(t *testing.T) {
-	tr := syntheticTrace(4, 3)
-	r, err := NewTraceReader(bytes.NewReader(encode(t, tr, binaryWriter)))
+	r, err := NewTraceReader(bytes.NewReader(encode(t, syntheticHeader(4), syntheticTrace(4, 3), binaryWriter)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +671,7 @@ func TestBinaryNextZeroAlloc(t *testing.T) {
 	body := append([]byte{EvMalloc}, binary.AppendUvarint(nil, uint64(len(payload)))...)
 	body = append(body, payload...)
 
-	r, err := NewBinaryTraceReader(&loopingRecords{header: header, body: body})
+	r, err := NewTraceReader(&loopingRecords{header: header, body: body})
 	if err != nil {
 		t.Fatal(err)
 	}

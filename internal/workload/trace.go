@@ -7,25 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// Trace is a recorded allocation trace: the exact sequence of mallocs,
-// capability plants and frees a workload run performed, in executable form.
-// Traces serve two purposes:
-//
-//   - artifacts: a run can be serialised (WriteTrace, in the binary or
-//     NDJSON encoding) and replayed elsewhere, reproducing the workload
-//     independent of the generator's code;
-//   - controlled comparisons: the *same* trace can be replayed against
-//     differently-configured systems (CHERIvoke vs direct-free vs typed
-//     reuse), eliminating generator divergence from the comparison.
-//
-// Events reference allocations by birth order, so a trace is
-// position-independent: replaying against any allocator layout works.
-type Trace struct {
-	Name   string
-	Seed   uint64
-	Events []TraceEvent
-}
-
 // Event opcodes.
 const (
 	// EvMalloc allocates Size bytes; the allocation's index is the count
@@ -38,25 +19,14 @@ const (
 	EvFree = byte('f')
 )
 
-// TraceEvent is one step of a trace.
+// TraceEvent is one step of a recorded allocation trace, the exact sequence
+// of mallocs, capability plants and frees a workload run performed. Events
+// reference allocations by birth order, so a trace is position-independent:
+// it replays against any allocator layout.
 type TraceEvent struct {
 	Op   byte
 	Size uint64 // malloc size, or plant offset
 	Ref  int    // allocation index for plant/free
-}
-
-// Replay executes the trace against sys and returns the number of events
-// applied. A free of, or a plant through, an already-freed allocation is
-// trace corruption and errors out. For traces too large to materialise,
-// use ReplayStream.
-func Replay(sys *core.System, tr *Trace) (int, error) {
-	var st replayState
-	for i, ev := range tr.Events {
-		if err := st.apply(sys, i, ev); err != nil {
-			return i, err
-		}
-	}
-	return len(tr.Events), nil
 }
 
 // replayState is the per-replay allocation table: events reference
@@ -115,29 +85,24 @@ func (st *replayState) live(i, ref int) (cap.Capability, error) {
 }
 
 // recorder is the generator-to-stream adapter: it forwards the run's exact
-// event sequence to a materialised Trace (Options.Record), a streaming
-// TraceWriter (Options.Stream), or both. Nil-safe; an inactive recorder
-// hands out index -1 and drops everything.
+// event sequence to a streaming TraceWriter (Options.Stream). Nil-safe; an
+// inactive recorder hands out index -1 and drops everything.
 type recorder struct {
-	tr   *Trace
 	w    TraceWriter
 	next int   // next allocation index
 	err  error // first stream-write failure, surfaced by Run
 }
 
-// active reports whether any sink is attached.
+// active reports whether a sink is attached.
 func (r *recorder) active() bool {
-	return r != nil && (r.tr != nil || r.w != nil)
+	return r != nil && r.w != nil
 }
 
-// emit forwards one event to the attached sinks. Stream-write errors are
-// latched (the generator loop has no natural bail-out point per plant) and
-// checked by Run after the run completes.
+// emit forwards one event to the sink. Stream-write errors are latched (the
+// generator loop has no natural bail-out point per plant) and checked by Run
+// after the run completes.
 func (r *recorder) emit(ev TraceEvent) {
-	if r.tr != nil {
-		r.tr.Events = append(r.tr.Events, ev)
-	}
-	if r.w != nil && r.err == nil {
+	if r.err == nil {
 		r.err = r.w.WriteEvent(ev)
 	}
 }

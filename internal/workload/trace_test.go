@@ -25,25 +25,43 @@ func traceSystem(t *testing.T, cfg core.Config) *core.System {
 	return sys
 }
 
-func recordedRun(t *testing.T) (*Trace, Result) {
+// recordedRun records an omnetpp run through Options.Stream and returns the
+// decoded trace and the run's result.
+func recordedRun(t *testing.T) (TraceHeader, []TraceEvent, Result) {
 	t.Helper()
 	p, _ := ByName("omnetpp")
 	sys := traceSystem(t, core.Config{Revoke: revoke.Config{UseCapDirty: true}})
-	var tr Trace
-	res, err := Run(sys, p, Options{Seed: 11, MinSweeps: 2, MaxLiveBytes: 2 << 20, Record: &tr})
+	var buf bytes.Buffer
+	w, err := NewBinaryTraceWriter(&buf, TraceHeader{Name: p.Name, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &tr, res
+	res, err := Run(sys, p, Options{Seed: 11, MinSweeps: 2, MaxLiveBytes: 2 << 20, Stream: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, events := decode(t, buf.Bytes(), FormatBinary)
+	return hdr, events, res
+}
+
+// replay applies events to sys in one window, the way a replay of a trace
+// held whole runs, and returns the number of events applied.
+func replay(sys *core.System, events []TraceEvent) (int, error) {
+	ir := NewIncrementalReplay(sys)
+	err := ir.ApplyWindow(events)
+	return int(ir.Stats().Events), err
 }
 
 func TestRecordCapturesRun(t *testing.T) {
-	tr, res := recordedRun(t)
-	if tr.Name != "omnetpp" || tr.Seed != 11 {
-		t.Errorf("trace header: %q seed %d", tr.Name, tr.Seed)
+	hdr, events, res := recordedRun(t)
+	if hdr.Name != "omnetpp" || hdr.Seed != 11 {
+		t.Errorf("trace header: %q seed %d", hdr.Name, hdr.Seed)
 	}
 	var mallocs, frees, plants int
-	for _, ev := range tr.Events {
+	for _, ev := range events {
 		switch ev.Op {
 		case EvMalloc:
 			mallocs++
@@ -65,10 +83,10 @@ func TestRecordCapturesRun(t *testing.T) {
 }
 
 func TestReplayReproducesRun(t *testing.T) {
-	tr, res := recordedRun(t)
+	_, events, res := recordedRun(t)
 	sys := traceSystem(t, core.Config{Revoke: revoke.Config{UseCapDirty: true}})
-	if _, err := Replay(sys, tr); err != nil {
-		t.Fatalf("Replay: %v", err)
+	if _, err := replay(sys, events); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 	// An identically-configured system replaying the trace reaches the
 	// same end state: same sweep count, same heap geometry, same stats.
@@ -87,10 +105,10 @@ func TestReplayReproducesRun(t *testing.T) {
 func TestReplayAcrossConfigurations(t *testing.T) {
 	// The same trace runs under the insecure allocator and under typed
 	// reuse — the controlled comparison Figure 5b's normalisation needs.
-	tr, _ := recordedRun(t)
+	_, events, _ := recordedRun(t)
 
 	direct := traceSystem(t, core.Config{DirectFree: true})
-	if _, err := Replay(direct, tr); err != nil {
+	if _, err := replay(direct, events); err != nil {
 		t.Fatalf("direct replay: %v", err)
 	}
 	if direct.Stats().Sweeps != 0 {
@@ -98,7 +116,7 @@ func TestReplayAcrossConfigurations(t *testing.T) {
 	}
 
 	typed := traceSystem(t, core.Config{DirectFree: true, Alloc: alloc.Options{TypedReuse: true}})
-	if _, err := Replay(typed, tr); err != nil {
+	if _, err := replay(typed, events); err != nil {
 		t.Fatalf("typed replay: %v", err)
 	}
 	// Typed reuse cannot be more compact than the classic allocator.
@@ -109,14 +127,14 @@ func TestReplayAcrossConfigurations(t *testing.T) {
 
 func TestReplayRejectsCorruptTraces(t *testing.T) {
 	sys := traceSystem(t, core.Config{})
-	bad := []*Trace{
-		{Events: []TraceEvent{{Op: EvFree, Ref: 0}}},                                                 // free before malloc
-		{Events: []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvPlant, Ref: 5}}},                      // wild ref
-		{Events: []TraceEvent{{Op: 'z'}}},                                                            // unknown op
-		{Events: []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvFree, Ref: 0}, {Op: EvFree, Ref: 0}}}, // double free
+	bad := [][]TraceEvent{
+		{{Op: EvFree, Ref: 0}},                            // free before malloc
+		{{Op: EvMalloc, Size: 64}, {Op: EvPlant, Ref: 5}}, // wild ref
+		{{Op: 'z'}}, // unknown op
+		{{Op: EvMalloc, Size: 64}, {Op: EvFree, Ref: 0}, {Op: EvFree, Ref: 0}}, // double free
 	}
-	for i, tr := range bad {
-		if _, err := Replay(sys, tr); err == nil {
+	for i, events := range bad {
+		if _, err := replay(sys, events); err == nil {
 			t.Errorf("corrupt trace %d accepted", i)
 		}
 	}
@@ -124,8 +142,9 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 
 // TestReplayRejectsFreedRefAfterReuse: on a direct-free system the second
 // malloc reuses the first one's address, so an address check alone would
-// let a second free of ref 0 release ref 1's object. Every replay path
-// must reject it, and a plant through a freed ref, at that event.
+// let a second free of ref 0 release ref 1's object. A replay must reject
+// it, and a plant through a freed ref, at that event, whether the trace is
+// applied in one window or streamed in windows of two.
 func TestReplayRejectsFreedRefAfterReuse(t *testing.T) {
 	reuse := []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvFree, Ref: 0}, {Op: EvMalloc, Size: 64}}
 	for _, tc := range []struct {
@@ -135,19 +154,19 @@ func TestReplayRejectsFreedRefAfterReuse(t *testing.T) {
 		{"double free", TraceEvent{Op: EvFree, Ref: 0}},
 		{"plant after free", TraceEvent{Op: EvPlant, Ref: 0}},
 	} {
-		tr := &Trace{Events: append(append([]TraceEvent(nil), reuse...), tc.last)}
+		events := append(append([]TraceEvent(nil), reuse...), tc.last)
 		for _, cfg := range []core.Config{{DirectFree: true}, {}} {
-			n, err := Replay(traceSystem(t, cfg), tr)
+			n, err := replay(traceSystem(t, cfg), events)
 			if n != 3 || err == nil || !strings.Contains(err.Error(), "ref 0 was already freed") {
-				t.Errorf("%s (DirectFree=%v): Replay = %d, %v; want event 3 rejected as a freed ref",
+				t.Errorf("%s (DirectFree=%v): replay = %d, %v; want event 3 rejected as a freed ref",
 					tc.name, cfg.DirectFree, n, err)
 			}
-			r, err := NewTraceReader(bytes.NewReader(encode(t, tr, binaryWriter)))
+			r, err := NewTraceReader(bytes.NewReader(encode(t, TraceHeader{}, events, binaryWriter)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReplayStream(traceSystem(t, cfg), NewStreamingSource(r, 2)); err == nil {
-				t.Errorf("%s (DirectFree=%v): ReplayStream accepted it", tc.name, cfg.DirectFree)
+			if _, err := ReplayStreamStats(traceSystem(t, cfg), NewStreamingSource(r, 2)); err == nil {
+				t.Errorf("%s (DirectFree=%v): streamed replay accepted it", tc.name, cfg.DirectFree)
 			}
 		}
 	}
@@ -157,9 +176,8 @@ func TestReplayRejectsOversizedMalloc(t *testing.T) {
 	// A trace malloc too large for any heap fails its event instead of
 	// wrapping to a small allocation.
 	sys := traceSystem(t, core.Config{})
-	tr := &Trace{Events: []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvMalloc, Size: math.MaxUint64}}}
-	n, err := Replay(sys, tr)
+	n, err := replay(sys, []TraceEvent{{Op: EvMalloc, Size: 64}, {Op: EvMalloc, Size: math.MaxUint64}})
 	if n != 1 || !errors.Is(err, alloc.ErrOOM) {
-		t.Errorf("Replay = %d, %v; want event 1 failing with alloc.ErrOOM", n, err)
+		t.Errorf("replay = %d, %v; want event 1 failing with alloc.ErrOOM", n, err)
 	}
 }

@@ -52,8 +52,8 @@ func buildSeededHeap(t testing.TB, seed int64, pages int) *fixture {
 	return &fixture{mem: m, shadow: sm, heap: heap}
 }
 
-// shardConfigs is the table of sweep configurations the invariance test
-// covers: every work-elimination assist on and off, plus the unconditionally
+// shardConfigs is the table of sweep configurations the invariance tests
+// cover: every work-elimination assist on and off, plus the unconditionally
 // storing vector kernel (whose line write-backs are also charged).
 var shardConfigs = []struct {
 	name string
@@ -112,6 +112,35 @@ func TestShardCountInvariance(t *testing.T) {
 							seed, shards, len(got.tags), len(want.tags))
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestSerialShardedTrafficEquivalence compares the charged traffic of a
+// 1-wide sweep with that of an 8-wide sweep of the identical heap. The
+// width only prices the sweep (sim.Machine.SweepTime), so the two must
+// agree exactly: every sweep starts cold and walks one ascending page list.
+func TestSerialShardedTrafficEquivalence(t *testing.T) {
+	for _, tc := range shardConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(shards int) mem.HierarchyStats {
+				f := buildSeededHeap(t, 7, 64)
+				h := mem.NewX86Hierarchy()
+				cfg := tc.cfg
+				cfg.Shards = shards
+				cfg.Hierarchy = h
+				if _, err := New(f.mem, f.shadow, cfg).Sweep(nil); err != nil {
+					t.Fatal(err)
+				}
+				return h.Stats()
+			}
+			serial, sharded := run(1), run(8)
+			if serial.DRAMReadBytes == 0 {
+				t.Fatal("serial sweep charged no DRAM reads; the comparison is empty")
+			}
+			if serial != sharded {
+				t.Errorf("serial %+v vs sharded %+v", serial, sharded)
 			}
 		})
 	}

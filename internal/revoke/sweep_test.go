@@ -219,6 +219,65 @@ func TestVectorKernelWritesAllLines(t *testing.T) {
 	}
 }
 
+// TestParallelSweepMatchesSerial checks that the priced sweep width leaves
+// the sweep's work unchanged: a 1-wide and a 4-wide sweep of the same heap
+// find and revoke the same capabilities and leave the same tags.
+func TestParallelSweepMatchesSerial(t *testing.T) {
+	build := func() (*fixture, []uint64) {
+		f := &fixture{}
+		m := mem.New()
+		if err := m.Map(heapBase, heapSize); err != nil {
+			t.Fatal(err)
+		}
+		sm, _ := shadow.New(heapBase, heapSize)
+		root := cap.MustRoot(0, 1<<48)
+		heap, _ := root.SetBoundsExact(heapBase, heapSize)
+		f.mem, f.shadow, f.heap = m, sm, heap
+		r := rand.New(rand.NewSource(42))
+		var capLocs []uint64
+		for i := 0; i < 300; i++ {
+			at := heapBase + uint64(r.Intn(int(heapSize/16)))*16
+			objAddr := heapBase + uint64(r.Intn(int(heapSize/64)))*64
+			obj, err := heap.SetBoundsExact(objAddr, 64)
+			if err != nil {
+				continue
+			}
+			if err := m.RawStoreCap(at, obj); err != nil {
+				t.Fatal(err)
+			}
+			capLocs = append(capLocs, at)
+		}
+		for i := 0; i < 40; i++ {
+			off := uint64(r.Intn(int(heapSize/64))) * 64
+			if err := sm.Paint(heapBase+off, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f, capLocs
+	}
+
+	serial, locs := build()
+	parallel, _ := build()
+	s1, err := New(serial.mem, serial.shadow, Config{Shards: 1}).Sweep(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s4, err := New(parallel.mem, parallel.shadow, Config{Shards: 4}).Sweep(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.CapsRevoked != s4.CapsRevoked || s1.CapsFound != s4.CapsFound {
+		t.Fatalf("serial %d/%d vs parallel %d/%d", s1.CapsFound, s1.CapsRevoked, s4.CapsFound, s4.CapsRevoked)
+	}
+	for _, at := range locs {
+		t1, _ := serial.mem.Tag(at)
+		t2, _ := parallel.mem.Tag(at)
+		if t1 != t2 {
+			t.Fatalf("tag divergence at %#x: serial=%v parallel=%v", at, t1, t2)
+		}
+	}
+}
+
 func TestQuickSweepExactness(t *testing.T) {
 	// The sweep must revoke exactly the capabilities whose base granule
 	// is painted: no false negatives (missed dangling pointers = security

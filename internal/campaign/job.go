@@ -326,14 +326,20 @@ func runBaseline(jr *JobResult, p workload.Profile, job Job) error {
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
-	jr.BaselinePeakFootprint = res.PeakFootprint
+	jr.setBaseline(res.PeakFootprint)
+	return nil
+}
+
+// setBaseline records the direct-free run's peak footprint and the memory
+// overhead it normalises: the job's peak over the baseline's, never below 1.
+func (jr *JobResult) setBaseline(peak uint64) {
+	jr.BaselinePeakFootprint = peak
 	jr.MemoryOverhead = 1.0
-	if res.PeakFootprint > 0 && jr.PeakFootprint > 0 {
-		if over := float64(jr.PeakFootprint) / float64(res.PeakFootprint); over > 1 {
+	if peak > 0 && jr.PeakFootprint > 0 {
+		if over := float64(jr.PeakFootprint) / float64(peak); over > 1 {
 			jr.MemoryOverhead = over
 		}
 	}
-	return nil
 }
 
 // runTraceBaseline is runBaseline for trace jobs: the identical event
@@ -354,12 +360,6 @@ func runTraceBaseline(jr *JobResult, spec Spec, job Job, traces TraceOpener) err
 	if err != nil {
 		return fmt.Errorf("baseline replay: %w", err)
 	}
-	jr.BaselinePeakFootprint = res.PeakFootprint
-	jr.MemoryOverhead = 1.0
-	if res.PeakFootprint > 0 && jr.PeakFootprint > 0 {
-		if over := float64(jr.PeakFootprint) / float64(res.PeakFootprint); over > 1 {
-			jr.MemoryOverhead = over
-		}
-	}
+	jr.setBaseline(res.PeakFootprint)
 	return nil
 }

@@ -28,11 +28,6 @@ type DispatcherOptions struct {
 	// flooded.
 	InFlight int
 
-	// ProbeInterval is how often workers marked down are re-probed via
-	// their health endpoint (0 = 3s). A worker that answers again
-	// rejoins the rotation.
-	ProbeInterval time.Duration
-
 	// Logf receives dispatch diagnostics (worker down, job reassigned,
 	// local fallback). Nil uses the standard logger.
 	Logf func(format string, args ...any)
@@ -60,8 +55,8 @@ type DispatcherOptions struct {
 //     locally — bounded to GOMAXPROCS, independent of the fleet-sized
 //     pool width — so a campaign always completes without oversubscribing
 //     the coordinator;
-//   - down workers are re-probed on ProbeInterval and rejoin when their
-//     health endpoint answers.
+//   - down workers are re-probed every probeInterval and rejoin when
+//     their health endpoint answers.
 //
 // Results are unaffected by any of this: workers execute
 // campaign.ExecuteJob on the same inputs, so where a job ran is invisible
@@ -74,7 +69,6 @@ type Dispatcher struct {
 	// fleet must not translate into Capacity concurrent local
 	// simulations.
 	localSlots chan struct{}
-	probe      time.Duration
 	logf       func(format string, args ...any)
 	m          dispatchMetrics
 
@@ -153,10 +147,6 @@ func NewDispatcher(workers []*RemoteRunner, opts DispatcherOptions) *Dispatcher 
 	if inflight <= 0 {
 		inflight = 4
 	}
-	probe := opts.ProbeInterval
-	if probe <= 0 {
-		probe = 3 * time.Second
-	}
 	local := opts.Local
 	if local == nil {
 		local = &LocalRunner{}
@@ -168,7 +158,6 @@ func NewDispatcher(workers []*RemoteRunner, opts DispatcherOptions) *Dispatcher 
 	d := &Dispatcher{
 		local:      local,
 		localSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		probe:      probe,
 		logf:       logf,
 		m:          newDispatchMetrics(opts.Metrics),
 		stop:       make(chan struct{}),
@@ -347,9 +336,13 @@ func (d *Dispatcher) runLocal(ctx context.Context, key string, spec campaign.Spe
 	return d.local.RunJob(ctx, key, spec, job)
 }
 
+// probeInterval is how often workers marked down are re-probed via their
+// health endpoint.
+const probeInterval = 3 * time.Second
+
 // healthLoop re-probes down workers until Close.
 func (d *Dispatcher) healthLoop() {
-	t := time.NewTicker(d.probe)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -4,15 +4,18 @@
 //
 //   - Store: persistence for submitted campaigns, their finished Result
 //     artifacts, and individual JobResults keyed by content hash, plus the
-//     job-lease primitives concurrent engines coordinate through. MemStore
-//     keeps everything in process memory; SQLiteStore appends every record
-//     to one crash-safe log file that any number of processes may share
-//     (OpenStore("sqlite:PATH")), or that a serving process owns
-//     exclusively as a state directory (OpenStateDir). The engine reads
-//     sharing off the store: only a SQLiteStore without the owner lock is
-//     shared. An exclusive engine recovers on open: campaigns that were
-//     running when the process died are finalised from their stored result
-//     or marked failed.
+//     job-lease primitives concurrent engines coordinate through. Every
+//     method but Close is written once, in a record layer that keeps the
+//     tables, runs each write as a transaction against a view of them, and
+//     times every operation. Its two backends supply only a write and a
+//     catch-up read: MemStore keeps the tables in process memory;
+//     SQLiteStore appends every record to one crash-safe log file that any
+//     number of processes may share (OpenStore("sqlite:PATH")), or that a
+//     serving process owns exclusively as a state directory
+//     (OpenStateDir). The engine reads sharing off the store: only a
+//     SQLiteStore without the owner lock is shared. An exclusive engine
+//     recovers on open: campaigns that were running when the process died
+//     are finalised from their stored result or marked failed.
 //
 //   - Engine: the execution front. Every job is keyed by JobKey — a SHA-256
 //     over the canonical serialisation of everything that determines its

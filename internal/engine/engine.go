@@ -136,10 +136,10 @@ type Event struct {
 // re-execution.
 func New(store Store, opts Options) (*Engine, error) {
 	shared := sharedStore(store)
-	if s, ok := store.(*SQLiteStore); ok {
+	// Both built-in backends time their own operations (records).
+	if s, ok := store.(interface{ instrument(*obs.Registry) }); ok {
 		s.instrument(opts.Metrics)
 	}
-	store = instrumentStore(store, opts.Metrics)
 	recs, err := store.Campaigns()
 	if err != nil {
 		return nil, err

@@ -1,16 +1,6 @@
 package engine
 
-import (
-	"errors"
-	"time"
-
-	"repro/internal/campaign"
-	"repro/internal/obs"
-)
-
-// storeOpBuckets bound the store-latency histograms: local-disk and
-// in-memory operations, 100µs up to ~1.6s.
-var storeOpBuckets = obs.ExpBuckets(0.0001, 2, 14)
+import "repro/internal/obs"
 
 // engineMetrics holds the engine's instruments; the zero value is the
 // disabled form (obs instruments no-op on nil receivers).
@@ -91,142 +81,3 @@ func newDispatchMetrics(r *obs.Registry) dispatchMetrics {
 			"Health probes of down workers, by result (revived, still_down).", "result"),
 	}
 }
-
-// timedStore decorates a Store with per-operation latency histograms and
-// error counters. It is pure observation: every call forwards unchanged.
-type timedStore struct {
-	inner Store
-	ops   *obs.HistogramVec
-	errs  *obs.CounterVec
-}
-
-// instrumentStore wraps s with latency/error instruments registered on r;
-// a nil registry returns s untouched, so the uninstrumented path does not
-// even pay the wall-clock reads.
-func instrumentStore(s Store, r *obs.Registry) Store {
-	if r == nil {
-		return s
-	}
-	return &timedStore{
-		inner: s,
-		ops: r.HistogramVec("cherivoke_engine_store_seconds",
-			"Latency of job/result/campaign store operations.", storeOpBuckets, "op"),
-		errs: r.CounterVec("cherivoke_engine_store_errors_total",
-			"Store operations that returned an error (ErrNotFound excluded for lookups).", "op"),
-	}
-}
-
-// observe records one finished store operation. notFound suppresses the
-// error counter: a missed lookup is the cache working, not the store
-// failing.
-func (t *timedStore) observe(op string, start time.Time, err error, notFound bool) {
-	t.ops.With(op).Observe(time.Since(start).Seconds())
-	if err != nil && !notFound {
-		t.errs.With(op).Inc()
-	}
-}
-
-// PutCampaign implements Store.
-func (t *timedStore) PutCampaign(c Campaign) error {
-	start := time.Now()
-	err := t.inner.PutCampaign(c)
-	t.observe("put_campaign", start, err, false)
-	return err
-}
-
-// CreateCampaign implements Store. A lost creation race is the CAS working,
-// not the store failing, so ErrConflict stays out of the error counter.
-func (t *timedStore) CreateCampaign(c Campaign) error {
-	start := time.Now()
-	err := t.inner.CreateCampaign(c)
-	t.observe("create_campaign", start, err, errors.Is(err, ErrConflict))
-	return err
-}
-
-// Campaign implements Store.
-func (t *timedStore) Campaign(id string) (Campaign, error) {
-	start := time.Now()
-	c, err := t.inner.Campaign(id)
-	t.observe("get_campaign", start, err, errors.Is(err, ErrNotFound))
-	return c, err
-}
-
-// AcquireJobLease implements Store. A held lease is the protocol working,
-// not the store failing, so ErrLeaseHeld stays out of the error counter.
-func (t *timedStore) AcquireJobLease(key, owner string, ttl time.Duration) error {
-	start := time.Now()
-	err := t.inner.AcquireJobLease(key, owner, ttl)
-	t.observe("acquire_lease", start, err, errors.Is(err, ErrLeaseHeld))
-	return err
-}
-
-// ReleaseJobLease implements Store.
-func (t *timedStore) ReleaseJobLease(key, owner string) error {
-	start := time.Now()
-	err := t.inner.ReleaseJobLease(key, owner)
-	t.observe("release_lease", start, err, false)
-	return err
-}
-
-// Campaigns implements Store.
-func (t *timedStore) Campaigns() ([]Campaign, error) {
-	start := time.Now()
-	recs, err := t.inner.Campaigns()
-	t.observe("list_campaigns", start, err, false)
-	return recs, err
-}
-
-// PutResult implements Store.
-func (t *timedStore) PutResult(id string, res *campaign.Result) error {
-	start := time.Now()
-	err := t.inner.PutResult(id, res)
-	t.observe("put_result", start, err, false)
-	return err
-}
-
-// Result implements Store.
-func (t *timedStore) Result(id string) (*campaign.Result, error) {
-	start := time.Now()
-	res, err := t.inner.Result(id)
-	t.observe("get_result", start, err, errors.Is(err, ErrNotFound))
-	return res, err
-}
-
-// Job implements Store.
-func (t *timedStore) Job(key string) (campaign.JobResult, error) {
-	start := time.Now()
-	jr, err := t.inner.Job(key)
-	t.observe("get_job", start, err, errors.Is(err, ErrNotFound))
-	return jr, err
-}
-
-// MaxSeq implements Store.
-func (t *timedStore) MaxSeq() (int, error) {
-	start := time.Now()
-	n, err := t.inner.MaxSeq()
-	t.observe("max_seq", start, err, false)
-	return n, err
-}
-
-// PeekJobLease implements Store.
-func (t *timedStore) PeekJobLease(key string) (string, bool, error) {
-	start := time.Now()
-	owner, held, err := t.inner.PeekJobLease(key)
-	t.observe("peek_lease", start, err, false)
-	return owner, held, err
-}
-
-// LeaseChanged implements Store, forwarding: arming a channel is not a
-// store operation worth timing.
-func (t *timedStore) LeaseChanged() <-chan struct{} { return t.inner.LeaseChanged() }
-
-// PublishJob implements Store.
-func (t *timedStore) PublishJob(key, owner string, jr campaign.JobResult) error {
-	start := time.Now()
-	err := t.inner.PublishJob(key, owner, jr)
-	t.observe("publish_job", start, err, false)
-	return err
-}
-
-// Close implements Store, forwarding.
-func (t *timedStore) Close() error { return t.inner.Close() }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -136,11 +138,11 @@ func scrapeSamples(t *testing.T, reg *obs.Registry) []obs.Sample {
 	return samples
 }
 
-// storeOps sums cherivoke_engine_store_seconds_count per op label.
-func storeOps(samples []obs.Sample) map[string]float64 {
+// perOp sums the samples named name per op label.
+func perOp(samples []obs.Sample, name string) map[string]float64 {
 	ops := map[string]float64{}
 	for _, s := range samples {
-		if s.Name == "cherivoke_engine_store_seconds_count" {
+		if s.Name == name {
 			ops[s.Labels["op"]] += s.Value
 		}
 	}
@@ -150,17 +152,19 @@ func storeOps(samples []obs.Sample) map[string]float64 {
 // TestColdJobStoreWork counts the store work of a 4-job cold campaign on
 // one engine: two key hashes per job (the pool's lookup and the lease
 // runner), two job reads (the lookup and the double-check under the lease),
-// one lease acquire and one publish per job, and at most 8 fsyncs from
-// open — the same on a shared store and an owner-locked state directory.
-// An exclusive store takes the leases too, but lease records cost no fsync.
+// one lease acquire and one publish per job — the same in memory, on a
+// shared store and on an owner-locked state directory — and, on the log,
+// at most 8 fsyncs from open. An exclusive store takes the leases too, but
+// lease records cost no fsync.
 func TestColdJobStoreWork(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		open   func(t *testing.T) *SQLiteStore
+		open   func(t *testing.T) Store
 		shared bool
 	}{
-		{"SharedSQLite", openTestSQLite, true},
-		{"OwnedStateDir", func(t *testing.T) *SQLiteStore {
+		{"MemStore", func(*testing.T) Store { return NewMemStore() }, false},
+		{"SharedSQLite", func(t *testing.T) Store { return openTestSQLite(t) }, true},
+		{"OwnedStateDir", func(t *testing.T) Store {
 			s, err := OpenStateDir(t.TempDir(), true, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -192,16 +196,83 @@ func TestColdJobStoreWork(t *testing.T) {
 			if got := obs.Sum(samples, "cherivoke_engine_jobkeys_total"); got != 8 {
 				t.Errorf("jobkeys = %v, want 8", got)
 			}
-			ops := storeOps(samples)
+			ops := perOp(samples, "cherivoke_engine_store_seconds_count")
 			for op, want := range map[string]float64{"get_job": 8, "put_job": 0, "publish_job": 4, "acquire_lease": 4} {
 				if ops[op] != want {
 					t.Errorf("store op %s ran %v times, want %v", op, ops[op], want)
 				}
 			}
-			if got := s.Fsyncs(); got > 8 {
-				t.Errorf("%d fsyncs since open, want at most 8", got)
+			if s, ok := s.(*SQLiteStore); ok && s.Fsyncs() > 8 {
+				t.Errorf("%d fsyncs since open, want at most 8", s.Fsyncs())
 			}
 		})
+	}
+}
+
+// TestStoreErrorCounterExclusions pins which store errors
+// cherivoke_engine_store_errors_total counts, on both backends: a lost
+// CreateCampaign race, a refused lease and a missed lookup are the
+// protocols working and add nothing, while an invalid record name adds
+// exactly one, under its op. Every operation is timed either way.
+func TestStoreErrorCounterExclusions(t *testing.T) {
+	key := testJobKey(900)
+	for _, backend := range []struct {
+		name string
+		open func(t *testing.T) Store
+	}{
+		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
+		{"SQLiteStore", func(t *testing.T) Store { return openTestSQLite(t) }},
+	} {
+		for _, tc := range []struct {
+			name    string
+			op      string
+			do      func(s Store) error
+			wantErr error // nil: any error
+			errs    float64
+		}{
+			{"LostCAS", "create_campaign", func(s Store) error {
+				if err := s.CreateCampaign(Campaign{ID: "c000001", Seq: 1}); err != nil {
+					return err
+				}
+				return s.CreateCampaign(Campaign{ID: "c000001", Seq: 1})
+			}, ErrConflict, 0},
+			{"HeldLease", "acquire_lease", func(s Store) error {
+				if err := s.AcquireJobLease(key, "holder", time.Minute); err != nil {
+					return err
+				}
+				return s.AcquireJobLease(key, "thief", time.Minute)
+			}, ErrLeaseHeld, 0},
+			{"MissedLookup", "get_job", func(s Store) error { _, err := s.Job(key); return err }, ErrNotFound, 0},
+			{"InvalidPutCampaign", "put_campaign", func(s Store) error { return s.PutCampaign(Campaign{ID: "../evil"}) }, nil, 1},
+			{"InvalidCreateCampaign", "create_campaign", func(s Store) error { return s.CreateCampaign(Campaign{ID: "UPPER"}) }, nil, 1},
+			{"InvalidPutResult", "put_result", func(s Store) error { return s.PutResult("a.b", &campaign.Result{}) }, nil, 1},
+			{"InvalidPublishJob", "publish_job", func(s Store) error { return s.PublishJob("a/b", "owner", campaign.JobResult{}) }, nil, 1},
+			{"InvalidAcquireLease", "acquire_lease", func(s Store) error { return s.AcquireJobLease("", "owner", time.Minute) }, nil, 1},
+			{"InvalidReleaseLease", "release_lease", func(s Store) error { return s.ReleaseJobLease("white space", "owner") }, nil, 1},
+			{"InvalidPeekLease", "peek_lease", func(s Store) error { _, _, err := s.PeekJobLease("../evil"); return err }, nil, 1},
+		} {
+			t.Run(backend.name+"/"+tc.name, func(t *testing.T) {
+				s := backend.open(t)
+				reg := obs.NewRegistry()
+				if _, err := New(s, Options{Metrics: reg}); err != nil {
+					t.Fatal(err)
+				}
+				err := tc.do(s)
+				if err == nil || (tc.wantErr != nil && !errors.Is(err, tc.wantErr)) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				samples := scrapeSamples(t, reg)
+				if got := obs.Sum(samples, "cherivoke_engine_store_errors_total"); got != tc.errs {
+					t.Errorf("store errors = %v in all, want %v", got, tc.errs)
+				}
+				if got := perOp(samples, "cherivoke_engine_store_errors_total")[tc.op]; got != tc.errs {
+					t.Errorf("store errors under op %s = %v, want %v", tc.op, got, tc.errs)
+				}
+				if got := perOp(samples, "cherivoke_engine_store_seconds_count")[tc.op]; got < 1 {
+					t.Errorf("op %s was not timed", tc.op)
+				}
+			})
+		}
 	}
 }
 

@@ -1,20 +1,15 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"log"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -51,44 +46,40 @@ const (
 // tests can exercise the bound without 64 MiB records.
 var sqliteMaxRecord uint64 = 64 << 20
 
-// SQLiteStore is the shared single-file Store. Every handle — in this
-// process or another — keeps an in-memory table of the log's latest state
-// and catches up by scanning the log's unread tail before each operation,
-// under a shared or exclusive advisory lock on the file (reads skip even
-// that when a stat shows the file unmoved since the last scan). Mutations
-// are group-committed: concurrent transactions queue, and a leader drains
-// the queue under one exclusive lock, appends every staged record with one
-// WriteAt, and fsyncs once for the whole batch — callers are acknowledged
-// only after that fsync, so an acknowledged write is durable and a torn one
-// is rolled back (truncated by the next writer), never served. The single
-// exception is a batch of nothing but lease records, which commits without
-// the fsync: lease durability is worthless (a crash losing a lease is the
-// TTL-steal path working as designed) and sibling processes read the page
-// cache, not the platter. The log is
-// append-only and is not compacted; for the record volumes the engine
-// writes (one campaign record per state transition, one result, one record
-// per job) growth is modest, and a fresh file starts a new log.
+// SQLiteStore is the shared single-file Store: the record layer (records)
+// over a log. Every handle — in this process or another — keeps the
+// layer's tables at the log's latest state and catches up by scanning the
+// log's unread tail before each operation, under a shared or exclusive
+// advisory lock on the file (reads skip even that when a stat shows the
+// file unmoved since the last scan). Mutations are group-committed:
+// concurrent transactions queue, and a leader drains the queue under one
+// exclusive lock, appends every staged record with one WriteAt, and fsyncs
+// once for the whole batch — callers are acknowledged only after that
+// fsync, so an acknowledged write is durable and a torn one is rolled back
+// (truncated by the next writer), never served. The single exception is a
+// batch of nothing but lease records, which commits without the fsync:
+// lease durability is worthless (a crash losing a lease is the TTL-steal
+// path working as designed) and sibling processes read the page cache, not
+// the platter. The log is append-only and is not compacted; for the record
+// volumes the engine writes (one campaign record per state transition, one
+// result, one record per job) growth is modest, and a fresh file starts a
+// new log.
 type SQLiteStore struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	logf func(format string, args ...any)
+	records // the tables, and mu, which also guards the log state below
+
+	f *os.File
 
 	// ownerLock is the state directory's exclusive advisory lock when the
 	// store was opened as its single owner (OpenStateDir); Close drops it.
 	ownerLock *os.File
 
-	// scanned is the log offset up to which tables below reflect the file.
+	// scanned is the log offset up to which the tables reflect the file.
 	scanned int64
 	// statSize is the file size at which the last scan ended on a record
 	// boundary, the torn record's start when it stopped at a torn tail. A
 	// read whose stat matches it skips the flock/scan round-trip entirely
 	// (the log below statSize is immutable).
-	statSize  int64
-	campaigns map[string][]byte
-	results   map[string][]byte
-	jobs      map[string][]byte
-	leases    map[string]lease
+	statSize int64
 
 	// qmu guards the group-commit queue. Transactions enqueue here; the
 	// first enqueuer becomes the leader and commits batches until the
@@ -98,10 +89,6 @@ type SQLiteStore struct {
 	leading bool
 	closed  bool
 
-	// signal wakes in-process lease waiters when a batch changed a lease
-	// or published a job record.
-	signal leaseSignal
-
 	// fsyncs counts fsync(2) calls over the store's lifetime — the cost
 	// the group committer exists to collapse. Always maintained;
 	// fsyncCtr/batchSize mirror it into a registry once instrumented.
@@ -109,7 +96,7 @@ type SQLiteStore struct {
 	rescans    atomic.Uint64 // reads that had to take the flock and re-scan
 	fsyncCtr   *obs.Counter
 	batchSize  *obs.Histogram
-	cleanReads *obs.Counter // reads served on readView's one-fstat path
+	cleanReads *obs.Counter // reads served on refresh's one-fstat path
 
 	// syncHook, when set (tests only), replaces the fsync so commit
 	// failures can be injected between staging and acknowledgement.
@@ -125,98 +112,6 @@ type storeTxn struct {
 	done chan struct{}
 }
 
-// txnView is the state one batched transaction reads and stages against:
-// the durable tables plus every record staged by earlier transactions in
-// the same batch. Staging appends the encoded record to the batch buffer
-// and records it in the overlay, so later transactions in a batch observe
-// earlier ones exactly as a later reader of the log will — fold order is
-// append order.
-type txnView struct {
-	s   *SQLiteStore
-	buf []byte
-
-	campaigns map[string][]byte
-	results   map[string][]byte
-	jobs      map[string][]byte
-	leases    map[string]lease // zero Owner = staged release tombstone
-	touched   bool             // a lease or job record was staged; waiters care
-	// needSync marks a batch holding data records (campaigns, results,
-	// jobs), whose acknowledgement promises durability. A lease-only batch
-	// skips the fsync: leases are coordination state, visible to sibling
-	// processes through the page cache the instant WriteAt returns, and a
-	// machine crash that loses them merely triggers the TTL-steal path the
-	// protocol already defines — durability buys nothing there but an
-	// fsync per acquire, renew, and release.
-	needSync bool
-}
-
-// campaign reads id through the overlay.
-func (v *txnView) campaign(id string) ([]byte, bool) {
-	if b, ok := v.campaigns[id]; ok {
-		return b, true
-	}
-	b, ok := v.s.campaigns[id]
-	return b, ok
-}
-
-// job reads key through the overlay.
-func (v *txnView) job(key string) ([]byte, bool) {
-	if b, ok := v.jobs[key]; ok {
-		return b, true
-	}
-	b, ok := v.s.jobs[key]
-	return b, ok
-}
-
-// lease reads key's lease through the overlay; a staged tombstone reads as
-// absent.
-func (v *txnView) lease(key string) (lease, bool) {
-	if l, ok := v.leases[key]; ok {
-		if l.Owner == "" {
-			return lease{}, false
-		}
-		return l, true
-	}
-	l, ok := v.s.leases[key]
-	return l, ok
-}
-
-// stage appends one record to the batch and, for data records, the
-// overlay. It refuses a key or value longer than sqliteMaxRecord before
-// appending anything: every reader would take it for a torn tail.
-func (v *txnView) stage(kind byte, key string, val []byte) error {
-	if uint64(len(key)) > sqliteMaxRecord || uint64(len(val)) > sqliteMaxRecord {
-		return fmt.Errorf("engine: %d-byte record %q exceeds the store's %d-byte record bound", len(val), key, sqliteMaxRecord)
-	}
-	v.buf = appendRecord(v.buf, kind, key, val)
-	switch kind {
-	case recCampaign:
-		v.campaigns[key] = val
-	case recResult:
-		v.results[key] = val
-	case recJob:
-		v.jobs[key] = val
-		v.touched = true
-	}
-	v.needSync = v.needSync || kind != recLease
-	return nil
-}
-
-// stageLease appends one lease record; a zero-Owner lease is the release
-// tombstone.
-func (v *txnView) stageLease(key string, l lease) error {
-	b, err := json.Marshal(l)
-	if err != nil {
-		return err
-	}
-	if err := v.stage(recLease, key, b); err != nil {
-		return err
-	}
-	v.leases[key] = l
-	v.touched = true
-	return nil
-}
-
 // OpenSQLiteStore opens (creating if needed) the shared single-file store
 // at path. logf receives corruption warnings; nil means the standard
 // logger.
@@ -228,15 +123,8 @@ func OpenSQLiteStore(path string, logf func(format string, args ...any)) (*SQLit
 	if err != nil {
 		return nil, fmt.Errorf("engine: opening store file: %w", err)
 	}
-	s := &SQLiteStore{
-		f:         f,
-		path:      path,
-		logf:      logf,
-		campaigns: map[string][]byte{},
-		results:   map[string][]byte{},
-		jobs:      map[string][]byte{},
-		leases:    map[string]lease{},
-	}
+	s := &SQLiteStore{f: f}
+	s.init(s, path, logf)
 	if err := s.initHeader(); err != nil {
 		f.Close()
 		return nil, err
@@ -253,13 +141,15 @@ func (s *SQLiteStore) Path() string { return s.path }
 // divides it by executed jobs.
 func (s *SQLiteStore) Fsyncs() uint64 { return s.fsyncs.Load() }
 
-// instrument registers the group committer's fsync and batch-size meters
-// and the clean-read counter on r; engine.New calls it before first use. A
-// nil registry leaves them disabled.
+// instrument registers the record layer's instruments, the group
+// committer's fsync and batch-size meters and the clean-read counter on r;
+// engine.New calls it before first use. A nil registry leaves them
+// disabled.
 func (s *SQLiteStore) instrument(r *obs.Registry) {
 	if r == nil {
 		return
 	}
+	s.records.instrument(r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fsyncCtr = r.Counter("cherivoke_store_fsyncs_total",
@@ -348,31 +238,6 @@ func appendRecord(dst []byte, kind byte, key string, val []byte) []byte {
 	dst = append(dst, val...)
 	sum := crc32.Checksum(dst[start:], crc32.MakeTable(crc32.Castagnoli))
 	return binary.LittleEndian.AppendUint32(dst, sum)
-}
-
-// apply folds one decoded record into the in-memory tables.
-func (s *SQLiteStore) apply(kind byte, key string, val []byte) {
-	switch kind {
-	case recCampaign:
-		s.campaigns[key] = append([]byte(nil), val...)
-	case recResult:
-		s.results[key] = append([]byte(nil), val...)
-	case recJob:
-		s.jobs[key] = append([]byte(nil), val...)
-	case recLease:
-		var l lease
-		if err := json.Unmarshal(val, &l); err != nil {
-			s.logf("engine: skipping corrupted lease record for %q: %v", key, err)
-			return
-		}
-		if l.Owner == "" {
-			delete(s.leases, key)
-		} else {
-			s.leases[key] = l
-		}
-	default:
-		s.logf("engine: skipping record of unknown kind %d", kind)
-	}
 }
 
 // catchUp scans the log from s.scanned to EOF, folding every complete,
@@ -494,23 +359,21 @@ func readUvarint(br *countingByteReader, sum io.Writer) (uint64, error) {
 	return 0, fmt.Errorf("engine: uvarint overflow")
 }
 
-// readView runs fn over the in-memory tables, first catching them up with
-// the log. The clean fast path is one fstat: when the file size matches the
-// last scan's, nothing was appended — the log below that offset is
-// immutable (appends only grow the file; truncation only removes torn
-// bytes past every validated record boundary), so the tables are current
-// and the flock/scan round-trip is skipped. A torn tail observed under the
-// shared lock is not folded in; reads rescan it until a writer truncates it.
-func (s *SQLiteStore) readView(fn func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// refresh implements txnLog, catching the tables up with the log. The clean
+// fast path is one fstat: when the file size matches the last scan's,
+// nothing was appended — the log below that offset is immutable (appends
+// only grow the file; truncation only removes torn bytes past every
+// validated record boundary), so the tables are current and the flock/scan
+// round-trip is skipped. A torn tail observed under the shared lock is not
+// folded in; reads rescan it until a writer truncates it.
+func (s *SQLiteStore) refresh() error {
 	st, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrStore, s.path, err)
 	}
 	if st.Size() == s.statSize {
 		s.cleanReads.Inc()
-		return fn()
+		return nil
 	}
 	s.rescans.Add(1)
 	if err := flockShared(s.f); err != nil {
@@ -520,18 +383,18 @@ func (s *SQLiteStore) readView(fn func() error) error {
 	if _, _, err := s.catchUp(); err != nil {
 		return fmt.Errorf("%w: reading %s: %v", ErrStore, s.path, err)
 	}
-	return fn()
+	return nil
 }
 
-// writeTxn queues run for the group committer and blocks until the batch
-// holding it is durable. The first transaction to find no leader becomes
-// one: it drains the queue in batches — each batch one exclusive lock, one
-// WriteAt, one fsync — until the queue is empty, committing transactions
-// that arrived while it worked along the way. run sees the tables current
-// (plus the batch overlay) under the exclusive file lock, so
-// read-modify-write sequences (conditional create, lease acquire) are
-// atomic across processes.
-func (s *SQLiteStore) writeTxn(run func(v *txnView) error) error {
+// write implements txnLog: it queues run for the group committer and blocks
+// until the batch holding it is durable. The first transaction to find no
+// leader becomes one: it drains the queue in batches — each batch one
+// exclusive lock, one WriteAt, one fsync — until the queue is empty,
+// committing transactions that arrived while it worked along the way. run
+// sees the tables current (through the batch's view) under the exclusive
+// file lock, so read-modify-write sequences (conditional create, lease
+// acquire) are atomic across processes.
+func (s *SQLiteStore) write(run func(v *txnView) error) error {
 	t := &storeTxn{run: run, done: make(chan struct{})}
 	s.qmu.Lock()
 	if s.closed {
@@ -563,25 +426,17 @@ func (s *SQLiteStore) writeTxn(run func(v *txnView) error) error {
 
 // commitBatch runs one batch of queued transactions under a single
 // exclusive-lock window and makes their staged records durable with a
-// single fsync (elided entirely for lease-only batches, whose records
-// need visibility, not durability — see txnView.needSync). Per-transaction failures (a lost CAS, a held lease) stage
-// nothing and fail only their own caller; a batch write or sync failure
-// fails every caller and discards the whole overlay — the tables keep the
-// last durable state, so no caller is ever acknowledged before its bytes
-// are synced. (Bytes a failed batch left behind may still be folded in by
-// a later scan — error-then-visible is allowed, ack-before-durable is
-// not.)
+// single fsync (none for a batch of lease records alone). Per-transaction
+// failures (a lost CAS, a held lease) stage nothing and fail only their own
+// caller; a batch write or sync failure fails every caller and discards the
+// whole view — the tables keep the last durable state, so no caller is ever
+// acknowledged before its bytes are synced. (Bytes a failed batch left
+// behind may still be folded in by a later scan — error-then-visible is
+// allowed, ack-before-durable is not.)
 func (s *SQLiteStore) commitBatch(batch []*storeTxn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	v := &txnView{
-		s:         s,
-		campaigns: map[string][]byte{},
-		results:   map[string][]byte{},
-		jobs:      map[string][]byte{},
-		leases:    map[string]lease{},
-	}
 	err := func() error {
 		if err := flockExclusive(s.f); err != nil {
 			return fmt.Errorf("%w: locking %s: %v", ErrStore, s.path, err)
@@ -598,281 +453,47 @@ func (s *SQLiteStore) commitBatch(batch []*storeTxn) {
 			}
 			s.statSize = tornAt
 		}
+		v := s.view()
 		for _, t := range batch {
 			t.err = t.run(v)
 		}
-		if len(v.buf) == 0 {
+		// A batch of lease records alone skips the fsync. Leases are
+		// coordination state, visible to sibling processes through the page
+		// cache the instant WriteAt returns, and a machine crash that loses
+		// them merely triggers the TTL-steal path the protocol already
+		// defines — durability buys nothing there but an fsync per acquire,
+		// renew, and release. The next data batch's fsync makes them durable
+		// incidentally.
+		var buf []byte
+		durable := false
+		for _, rec := range v.staged {
+			buf = appendRecord(buf, rec.kind, rec.key, rec.val)
+			durable = durable || rec.kind != recLease
+		}
+		if len(buf) == 0 {
 			return nil
 		}
-		if _, err := s.f.WriteAt(v.buf, s.scanned); err != nil {
+		if _, err := s.f.WriteAt(buf, s.scanned); err != nil {
 			return fmt.Errorf("%w: appending to %s: %v", ErrStore, s.path, err)
 		}
-		// Lease-only batches skip the fsync — see txnView.needSync. Their
-		// records are already visible to every sibling process (page
-		// cache), and the next data batch's fsync makes them durable
-		// incidentally.
-		if v.needSync {
+		if durable {
 			if err := s.sync(); err != nil {
 				return fmt.Errorf("%w: syncing %s: %v", ErrStore, s.path, err)
 			}
 		}
-		// Durable: fold the overlay into the tables. Only now — acks
-		// follow durability, never precede it.
-		for id, b := range v.campaigns {
-			s.campaigns[id] = b
-		}
-		for id, b := range v.results {
-			s.results[id] = b
-		}
-		for key, b := range v.jobs {
-			s.jobs[key] = b
-		}
-		for key, l := range v.leases {
-			if l.Owner == "" {
-				delete(s.leases, key)
-			} else {
-				s.leases[key] = l
-			}
-		}
-		s.scanned += int64(len(v.buf))
+		// Durable: fold the view into the tables. Only now — acks follow
+		// durability, never precede it.
+		s.fold(v)
+		s.scanned += int64(len(buf))
 		s.statSize = s.scanned
 		s.batchSize.Observe(float64(len(batch)))
 		return nil
 	}()
 
-	if err != nil {
-		for _, t := range batch {
-			if t.err == nil {
-				t.err = err
-			}
-		}
-	} else if v.touched {
-		s.signal.broadcast()
-	}
 	for _, t := range batch {
+		if err != nil && t.err == nil {
+			t.err = err
+		}
 		close(t.done)
 	}
-}
-
-// putRecord validates, marshals, and appends one record.
-func (s *SQLiteStore) putRecord(kind byte, key string, v any) error {
-	if !validRecordName(key) {
-		return fmt.Errorf("engine: invalid record name %q", key)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return s.writeTxn(func(view *txnView) error { return view.stage(kind, key, b) })
-}
-
-// getRecord reads the latest value for (table, key) into v.
-func (s *SQLiteStore) getRecord(table func() map[string][]byte, key string, v any) error {
-	var raw []byte
-	err := s.readView(func() error {
-		b, ok := table()[key]
-		if !ok {
-			return ErrNotFound
-		}
-		raw = append([]byte(nil), b...)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		s.logf("engine: skipping corrupted record %q in %s: %v", key, s.path, err)
-		return ErrNotFound
-	}
-	return nil
-}
-
-// PutCampaign implements Store.
-func (s *SQLiteStore) PutCampaign(c Campaign) error {
-	return s.putRecord(recCampaign, c.ID, c)
-}
-
-// CreateCampaign implements Store: the existence check and the append run
-// under one exclusive file lock (reading through the batch overlay, so a
-// creation earlier in the same batch is visible), and creators racing from
-// different processes serialise on the file — exactly one wins.
-func (s *SQLiteStore) CreateCampaign(c Campaign) error {
-	if !validRecordName(c.ID) {
-		return fmt.Errorf("engine: invalid record name %q", c.ID)
-	}
-	b, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	return s.writeTxn(func(v *txnView) error {
-		if _, ok := v.campaign(c.ID); ok {
-			return fmt.Errorf("%w: campaign %s already exists", ErrConflict, c.ID)
-		}
-		return v.stage(recCampaign, c.ID, b)
-	})
-}
-
-// Campaign implements Store.
-func (s *SQLiteStore) Campaign(id string) (Campaign, error) {
-	var c Campaign
-	if err := s.getRecord(func() map[string][]byte { return s.campaigns }, id, &c); err != nil {
-		return Campaign{}, err
-	}
-	return c, nil
-}
-
-// Campaigns implements Store.
-func (s *SQLiteStore) Campaigns() ([]Campaign, error) {
-	var encoded [][]byte
-	err := s.readView(func() error {
-		for _, b := range s.campaigns {
-			encoded = append(encoded, append([]byte(nil), b...))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Campaign, 0, len(encoded))
-	for _, b := range encoded {
-		var c Campaign
-		if err := json.Unmarshal(b, &c); err != nil {
-			s.logf("engine: skipping corrupted campaign record in %s: %v", s.path, err)
-			continue
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
-}
-
-// PutResult implements Store.
-func (s *SQLiteStore) PutResult(id string, res *campaign.Result) error {
-	return s.putRecord(recResult, id, res)
-}
-
-// Result implements Store.
-func (s *SQLiteStore) Result(id string) (*campaign.Result, error) {
-	var res campaign.Result
-	if err := s.getRecord(func() map[string][]byte { return s.results }, id, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Job implements Store.
-func (s *SQLiteStore) Job(key string) (campaign.JobResult, error) {
-	var jr campaign.JobResult
-	if err := s.getRecord(func() map[string][]byte { return s.jobs }, key, &jr); err != nil {
-		return campaign.JobResult{}, err
-	}
-	return jr, nil
-}
-
-// AcquireJobLease implements Store: the liveness check and the lease append
-// run under one exclusive file lock (through the batch overlay, so an
-// acquire earlier in the same batch blocks a later one), and stealers
-// racing from different processes serialise — exactly one wins. A refused
-// acquire stages nothing: it costs no append and no fsync.
-func (s *SQLiteStore) AcquireJobLease(key, owner string, ttl time.Duration) error {
-	if err := checkLeaseArgs(key, owner, ttl); err != nil {
-		return err
-	}
-	return s.writeTxn(func(v *txnView) error {
-		now := time.Now()
-		if cur, ok := v.lease(key); ok && cur.live(now) && cur.Owner != owner {
-			return fmt.Errorf("%w: job %.12s leased by %s", ErrLeaseHeld, key, cur.Owner)
-		}
-		return v.stageLease(key, lease{Owner: owner, Expires: now.Add(ttl).UnixNano()})
-	})
-}
-
-// ReleaseJobLease implements Store: a lease record with an empty owner is
-// the release tombstone.
-func (s *SQLiteStore) ReleaseJobLease(key, owner string) error {
-	if !validRecordName(key) {
-		return fmt.Errorf("engine: invalid lease key %q", key)
-	}
-	return s.writeTxn(func(v *txnView) error {
-		cur, ok := v.lease(key)
-		if !ok || cur.Owner != owner {
-			return nil
-		}
-		return v.stageLease(key, lease{})
-	})
-}
-
-// PeekJobLease implements Store: a read-only view of key's lease. A
-// blocked waiter polls this instead of AcquireJobLease, so waiting costs a
-// table read (usually one fstat — see readView) rather than an exclusive
-// lock per poll.
-func (s *SQLiteStore) PeekJobLease(key string) (string, bool, error) {
-	if !validRecordName(key) {
-		return "", false, fmt.Errorf("engine: invalid lease key %q", key)
-	}
-	var owner string
-	var held bool
-	err := s.readView(func() error {
-		if l, ok := s.leases[key]; ok && l.live(time.Now()) {
-			owner, held = l.Owner, true
-		}
-		return nil
-	})
-	return owner, held, err
-}
-
-// LeaseChanged implements Store.
-func (s *SQLiteStore) LeaseChanged() <-chan struct{} { return s.signal.wait() }
-
-// PublishJob implements Store: the job record and the lease release
-// fold into one transaction — one append, one fsync (shared with the rest
-// of the batch), and no observable state in which the lease is released
-// but the result unpublished. Job records are content-addressed, so
-// republishing bytes the log already holds appends no job record.
-func (s *SQLiteStore) PublishJob(key, owner string, jr campaign.JobResult) error {
-	if !validRecordName(key) {
-		return fmt.Errorf("engine: invalid record name %q", key)
-	}
-	if owner == "" {
-		return fmt.Errorf("engine: lease owner must be non-empty")
-	}
-	b, err := json.Marshal(jr)
-	if err != nil {
-		return err
-	}
-	return s.writeTxn(func(v *txnView) error {
-		if cur, ok := v.job(key); !ok || !bytes.Equal(cur, b) {
-			if err := v.stage(recJob, key, b); err != nil {
-				return err
-			}
-		}
-		if cur, ok := v.lease(key); ok && cur.Owner == owner {
-			return v.stageLease(key, lease{})
-		}
-		return nil
-	})
-}
-
-// MaxSeq implements Store. Unreadable record *content* cannot hide a
-// sequence here — the key survives even when the value doesn't parse — so
-// keys of campaigns and results are the whole evidence.
-func (s *SQLiteStore) MaxSeq() (int, error) {
-	max := 0
-	err := s.readView(func() error {
-		for id := range s.campaigns {
-			if seq, ok := seqFromID(id); ok && seq > max {
-				max = seq
-			}
-		}
-		for id := range s.results {
-			if seq, ok := seqFromID(id); ok && seq > max {
-				max = seq
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return max, nil
 }

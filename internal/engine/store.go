@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"log"
 	"sync"
 	"time"
 
@@ -42,10 +41,11 @@ var ErrLeaseHeld = errors.New("engine: lease held")
 // writers safe: CreateCampaign (a conditional put keyed on the campaign ID,
 // so two coordinators can never mint the same ID) and job leases (so two
 // engines racing the same job key execute it at most once between them).
-// MemStore honours the contract within one process; SQLiteStore extends it
-// across processes sharing one file. The conformance contract is
-// executable: storetest.Run exercises every method against any backend, and
-// every backend in the tree must pass it.
+// Both built-in backends implement every method but Close through one
+// record layer (records), which honours the contract within one process;
+// SQLiteStore's log extends it across processes sharing one file. The
+// conformance contract is executable: storetest.Run exercises every method
+// against any backend, and every backend in the tree must pass it.
 type Store interface {
 	// PutCampaign writes (or overwrites) one campaign record.
 	PutCampaign(c Campaign) error
@@ -169,8 +169,7 @@ func validRecordName(name string) bool {
 	return true
 }
 
-// checkLeaseArgs validates the caller-supplied lease parameters shared by
-// every backend's AcquireJobLease.
+// checkLeaseArgs validates AcquireJobLease's caller-supplied parameters.
 func checkLeaseArgs(key, owner string, ttl time.Duration) error {
 	if !validRecordName(key) {
 		return fmt.Errorf("engine: invalid lease key %q", key)
@@ -204,213 +203,33 @@ func seqFromID(id string) (int, bool) {
 }
 
 // MemStore is the in-memory Store: nothing survives the process, exactly
-// like the pre-engine server registry. Records are kept as their JSON
-// encodings so that a cache hit goes through the same serialisation
-// round-trip a SQLiteStore hit does — MemStore-backed tests prove the same
-// byte-identity the persistent store serves.
-type MemStore struct {
-	mu        sync.RWMutex
-	campaigns map[string][]byte
-	results   map[string][]byte
-	jobs      map[string][]byte
-	leases    map[string]lease
-	signal    leaseSignal
-}
+// like the pre-engine server registry. It is the record layer behind its
+// mutex, with a write folding its view into the tables at once, so a cache
+// hit takes the same JSON round-trip a SQLiteStore hit does and
+// MemStore-backed tests prove the byte-identity the persistent store serves.
+type MemStore struct{ records }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		campaigns: map[string][]byte{},
-		results:   map[string][]byte{},
-		jobs:      map[string][]byte{},
-		leases:    map[string]lease{},
-	}
+	s := &MemStore{}
+	s.init(s, "memory", log.Printf)
+	return s
 }
 
-func (s *MemStore) put(m map[string][]byte, key string, v any) error {
-	if !validRecordName(key) {
-		return fmt.Errorf("engine: invalid record name %q", key)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	m[key] = b
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *MemStore) get(m map[string][]byte, key string, v any) error {
-	s.mu.RLock()
-	b, ok := m[key]
-	s.mu.RUnlock()
-	if !ok {
-		return ErrNotFound
-	}
-	return json.Unmarshal(b, v)
-}
-
-// PutCampaign implements Store.
-func (s *MemStore) PutCampaign(c Campaign) error { return s.put(s.campaigns, c.ID, c) }
-
-// CreateCampaign implements Store: the existence check and the write are
-// one critical section, so concurrent creators of the same ID serialise and
-// exactly one wins.
-func (s *MemStore) CreateCampaign(c Campaign) error {
-	if !validRecordName(c.ID) {
-		return fmt.Errorf("engine: invalid record name %q", c.ID)
-	}
-	b, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
+// write implements txnLog: the view folds into the tables at once.
+func (s *MemStore) write(run func(v *txnView) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.campaigns[c.ID]; ok {
-		return fmt.Errorf("%w: campaign %s already exists", ErrConflict, c.ID)
-	}
-	s.campaigns[c.ID] = b
-	return nil
-}
-
-// Campaign implements Store.
-func (s *MemStore) Campaign(id string) (Campaign, error) {
-	var c Campaign
-	if err := s.get(s.campaigns, id, &c); err != nil {
-		return Campaign{}, err
-	}
-	return c, nil
-}
-
-// AcquireJobLease implements Store.
-func (s *MemStore) AcquireJobLease(key, owner string, ttl time.Duration) error {
-	if err := checkLeaseArgs(key, owner, ttl); err != nil {
+	v := s.view()
+	if err := run(v); err != nil {
 		return err
 	}
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.leases[key]; ok && cur.live(now) && cur.Owner != owner {
-		return fmt.Errorf("%w: job %.12s leased by %s", ErrLeaseHeld, key, cur.Owner)
-	}
-	s.leases[key] = lease{Owner: owner, Expires: now.Add(ttl).UnixNano()}
+	s.fold(v)
 	return nil
 }
 
-// ReleaseJobLease implements Store.
-func (s *MemStore) ReleaseJobLease(key, owner string) error {
-	s.mu.Lock()
-	if cur, ok := s.leases[key]; ok && cur.Owner == owner {
-		delete(s.leases, key)
-	}
-	s.mu.Unlock()
-	s.signal.broadcast()
-	return nil
-}
-
-// PeekJobLease implements Store.
-func (s *MemStore) PeekJobLease(key string) (string, bool, error) {
-	if !validRecordName(key) {
-		return "", false, fmt.Errorf("engine: invalid lease key %q", key)
-	}
-	s.mu.RLock()
-	cur, ok := s.leases[key]
-	s.mu.RUnlock()
-	if ok && cur.live(time.Now()) {
-		return cur.Owner, true, nil
-	}
-	return "", false, nil
-}
-
-// LeaseChanged implements Store.
-func (s *MemStore) LeaseChanged() <-chan struct{} { return s.signal.wait() }
-
-// PublishJob implements Store: the job write and the lease release are one
-// critical section, so a waiter that observes the lease gone also observes
-// the result present.
-func (s *MemStore) PublishJob(key, owner string, jr campaign.JobResult) error {
-	if !validRecordName(key) {
-		return fmt.Errorf("engine: invalid record name %q", key)
-	}
-	if owner == "" {
-		return errors.New("engine: lease owner must be non-empty")
-	}
-	b, err := json.Marshal(jr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.jobs[key] = b
-	if cur, ok := s.leases[key]; ok && cur.Owner == owner {
-		delete(s.leases, key)
-	}
-	s.mu.Unlock()
-	s.signal.broadcast()
-	return nil
-}
-
-// Campaigns implements Store.
-func (s *MemStore) Campaigns() ([]Campaign, error) {
-	s.mu.RLock()
-	encoded := make([][]byte, 0, len(s.campaigns))
-	for _, b := range s.campaigns {
-		encoded = append(encoded, b)
-	}
-	s.mu.RUnlock()
-	out := make([]Campaign, 0, len(encoded))
-	for _, b := range encoded {
-		var c Campaign
-		if err := json.Unmarshal(b, &c); err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
-}
-
-// PutResult implements Store.
-func (s *MemStore) PutResult(id string, res *campaign.Result) error {
-	return s.put(s.results, id, res)
-}
-
-// Result implements Store.
-func (s *MemStore) Result(id string) (*campaign.Result, error) {
-	var res campaign.Result
-	if err := s.get(s.results, id, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Job implements Store.
-func (s *MemStore) Job(key string) (campaign.JobResult, error) {
-	var jr campaign.JobResult
-	if err := s.get(s.jobs, key, &jr); err != nil {
-		return campaign.JobResult{}, err
-	}
-	return jr, nil
-}
-
-// MaxSeq implements Store. MemStore records cannot corrupt, so the record
-// and result keys are the whole evidence.
-func (s *MemStore) MaxSeq() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	max := 0
-	for id := range s.campaigns {
-		if seq, ok := seqFromID(id); ok && seq > max {
-			max = seq
-		}
-	}
-	for id := range s.results {
-		if seq, ok := seqFromID(id); ok && seq > max {
-			max = seq
-		}
-	}
-	return max, nil
-}
+// refresh implements txnLog: the tables are the whole store.
+func (s *MemStore) refresh() error { return nil }
 
 // Close implements Store; a MemStore holds nothing to release.
 func (s *MemStore) Close() error { return nil }

@@ -45,7 +45,7 @@ func Run(t *testing.T, open func(t *testing.T) engine.Store) {
 
 // RunShared exercises the cross-handle contract: open must return two
 // independent handles onto the same underlying store (two opens of one
-// file, two engines' decorators over one backend). Records acknowledged
+// file). Records acknowledged
 // through either handle must be served — byte-identical — through the
 // other, and the lease protocol must exclude across handles exactly as it
 // does within one.

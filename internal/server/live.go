@@ -30,8 +30,6 @@ func (s *Server) liveManager() (*livetrace.Manager, error) {
 		}
 		s.live.mgr = livetrace.NewManager(livetrace.Config{
 			Store:       store,
-			Window:      s.opts.LiveWindow,
-			Pending:     s.opts.LivePending,
 			IdleTimeout: s.opts.LiveIdleTimeout,
 			Metrics:     s.reg,
 		})

@@ -63,24 +63,9 @@ type Options struct {
 	// (0 = 4).
 	WorkerInFlight int
 
-	// HealthInterval is the re-probe period for workers marked down
-	// (0 = 3s).
-	HealthInterval time.Duration
-
 	// Pprof mounts net/http/pprof under /debug/pprof. Off by default:
 	// profiling endpoints expose heap contents and must be opted into.
 	Pprof bool
-
-	// LiveWindow is the default StreamingSource window, in events, for live
-	// trace sessions (0 = workload.DefaultWindow). Clients may override it
-	// per stream with POST /live?window=N.
-	LiveWindow int
-
-	// LivePending bounds the decoded windows queued between a live
-	// session's socket reader and its analyzer (0 = livetrace's default).
-	// When the queue is full the reader stops draining the connection —
-	// backpressure, never loss.
-	LivePending int
 
 	// LiveIdleTimeout fails a live session whose connection delivers no
 	// bytes for this long (0 = livetrace's default; negative disables).
@@ -152,10 +137,9 @@ func New(opts Options) (*Server, error) {
 		}
 		dlog := obs.Logger("dispatch")
 		s.dispatcher = engine.NewDispatcher(remotes, engine.DispatcherOptions{
-			Local:         &engine.LocalRunner{Traces: lazyTraces{s}},
-			InFlight:      opts.WorkerInFlight,
-			ProbeInterval: opts.HealthInterval,
-			Metrics:       s.reg,
+			Local:    &engine.LocalRunner{Traces: lazyTraces{s}},
+			InFlight: opts.WorkerInFlight,
+			Metrics:  s.reg,
 			Logf: func(format string, args ...any) {
 				dlog.Info(fmt.Sprintf(format, args...))
 			},

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/campaign"
@@ -91,7 +93,19 @@ func serveCmd(args []string) error {
 	if len(urls) > 0 {
 		fmt.Printf("  coordinating %d workers: %s\n", len(urls), strings.Join(urls, ", "))
 	}
-	return srv.ListenAndServe()
+	// SIGINT and SIGTERM stop the listener and return, so the deferred
+	// svc.Close runs: it closes the store and removes a temporary trace
+	// directory.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		srv.Close()
+	}()
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 func authMode(token string) string {
@@ -135,11 +149,11 @@ func workerList(flagList, fromFile string) ([]string, error) {
 // paper-default CHERIvoke configuration. With -trace, every job replays the
 // given trace stream ('-' spools stdin to disk first, so `trace record |
 // campaign -trace -` never materialises the event sequence in memory).
-// With -statedir DIR, jobs are resolved through the persistent job-result
-// store DIR/state.cvk, exactly as -store sqlite:DIR/state.cvk would:
-// results computed by any earlier run (or by a server sharing the
-// directory) are served from the store, and artifacts are byte-identical
-// either way.
+// Jobs are resolved through an engine over an in-memory store; with
+// -statedir DIR, over the persistent job-result store DIR/state.cvk,
+// exactly as -store sqlite:DIR/state.cvk would: results computed by any
+// earlier run (or by a server sharing the directory) are served from the
+// store, and artifacts are byte-identical either way.
 func campaignCmd(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS); never changes results")
@@ -194,9 +208,9 @@ func campaignCmd(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := campaign.RunOptions{Workers: *workers, Traces: traces}
+	var onProgress func(campaign.Progress)
 	if !*quiet {
-		opts.OnProgress = func(p campaign.Progress) {
+		onProgress = func(p campaign.Progress) {
 			status := fmt.Sprintf("runtime %.3f", p.Runtime)
 			if p.Error != "" {
 				status = "ERROR " + p.Error
@@ -207,37 +221,29 @@ func campaignCmd(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "campaign: %d jobs\n", len(jobs))
 	start := time.Now()
-	var res *campaign.Result
-	var stats engine.ResolveStats
-	if *storeSpec != "" || *stateDir != "" {
-		var store engine.Store
-		var serr error
-		if *storeSpec != "" {
-			store, serr = engine.OpenStore(*storeSpec, nil)
-		} else {
-			store, serr = engine.OpenStateDir(*stateDir, false, nil)
-		}
-		if serr != nil {
-			return serr
-		}
-		defer store.Close()
-		// The CLI opens a state directory without its owner lock, so the
-		// engine treats it as shared: the CLI is a secondary consumer and
-		// must not declare a serving process's live campaigns interrupted,
-		// and the lease protocol lets a CLI run and a fleet resolve the
-		// same spec concurrently without duplicating a single job.
-		eng, serr := engine.New(store, engine.Options{})
-		if serr != nil {
-			return serr
-		}
-		res, stats, err = eng.Resolve(ctx, spec, engine.ResolveOptions{
-			Workers:    *workers,
-			Traces:     traces,
-			OnProgress: opts.OnProgress,
-		})
-	} else {
-		res, err = campaign.Run(ctx, spec, opts)
+	var store engine.Store
+	switch {
+	case *storeSpec != "":
+		store, err = engine.OpenStore(*storeSpec, nil)
+	case *stateDir != "":
+		store, err = engine.OpenStateDir(*stateDir, false, nil)
+	default:
+		store = engine.NewMemStore()
 	}
+	if err != nil {
+		return err
+	}
+	defer store.Close()
+	// The CLI opens a state directory without its owner lock, so the
+	// engine treats it as shared: the CLI is a secondary consumer and
+	// must not declare a serving process's live campaigns interrupted,
+	// and the lease protocol lets a CLI run and a fleet resolve the
+	// same spec concurrently without duplicating a single job.
+	eng, err := engine.New(store, engine.Options{Traces: traces})
+	if err != nil {
+		return err
+	}
+	res, stats, err := eng.Resolve(ctx, spec, engine.ResolveOptions{Workers: *workers, OnProgress: onProgress})
 	if err != nil {
 		return err
 	}

@@ -115,14 +115,10 @@ type Allocator struct {
 	stats    Stats
 }
 
-// New returns an allocator managing a heap that starts at base (which must
-// be page-aligned) in m and grows upward as needed.
-func New(m *mem.Memory, base uint64) (*Allocator, error) {
-	return NewWithOptions(m, base, Options{})
-}
-
-// NewWithOptions is New with explicit policy options.
-func NewWithOptions(m *mem.Memory, base uint64, opt Options) (*Allocator, error) {
+// New returns an allocator with policy options opt, managing a heap that
+// starts at base (which must be page-aligned) in m and grows upward as
+// needed.
+func New(m *mem.Memory, base uint64, opt Options) (*Allocator, error) {
 	if base%mem.PageSize != 0 {
 		return nil, fmt.Errorf("alloc: heap base %#x not page-aligned", base)
 	}

@@ -15,7 +15,7 @@ const heapBase = uint64(0x10000000)
 
 func newAlloc(t *testing.T) *Allocator {
 	t.Helper()
-	a, err := New(mem.New(), heapBase)
+	a, err := New(mem.New(), heapBase, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMallocRejectsSizesBeyondHeapCap(t *testing.T) {
 
 func TestMallocMapsSimulatedPages(t *testing.T) {
 	m := mem.New()
-	a, err := New(m, heapBase)
+	a, err := New(m, heapBase, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestQuickMallocFreeChurn(t *testing.T) {
 	// never hand out overlapping chunks.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, err := New(mem.New(), heapBase)
+		a, err := New(mem.New(), heapBase, Options{})
 		if err != nil {
 			return false
 		}
@@ -359,7 +359,7 @@ func TestQuickDrainCycle(t *testing.T) {
 	// where everything is reusable (no leak of address space).
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, err := New(mem.New(), heapBase)
+		a, err := New(mem.New(), heapBase, Options{})
 		if err != nil {
 			return false
 		}

@@ -37,7 +37,7 @@ func BenchmarkMallocGrow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		if i%liveSet == 0 {
-			if a, err = New(mem.New(), heapBase); err != nil {
+			if a, err = New(mem.New(), heapBase, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +76,7 @@ func benchRequests(liveSet int) []benchRequest {
 
 func benchChurn(b *testing.B, liveSet int, quarantine bool) {
 	reqs := benchRequests(liveSet)
-	a, err := New(mem.New(), heapBase)
+	a, err := New(mem.New(), heapBase, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

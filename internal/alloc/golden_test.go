@@ -30,7 +30,7 @@ func TestAllocatorChoicesGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			a, err := NewWithOptions(mem.New(), heapBase, c.opt)
+			a, err := New(mem.New(), heapBase, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,7 @@ import (
 
 func newTyped(t *testing.T) *Allocator {
 	t.Helper()
-	a, err := NewWithOptions(mem.New(), heapBase, Options{TypedReuse: true})
+	a, err := New(mem.New(), heapBase, Options{TypedReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

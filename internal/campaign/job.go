@@ -79,10 +79,6 @@ type TrafficReport struct {
 	Levels []mem.LevelStats `json:"levels"`
 }
 
-// Runtime returns the job's normalised execution time (the full CHERIvoke
-// overhead bar).
-func (r JobResult) Runtime() float64 { return r.PlusSweep }
-
 // failed returns a JobResult carrying only the error.
 func failed(job Job, err error) JobResult {
 	return JobResult{Job: job, Error: err.Error()}

@@ -2,16 +2,9 @@ package cap
 
 import "fmt"
 
-// OTypeUnsealed is the object type of an ordinary, unsealed capability.
-const OTypeUnsealed uint32 = 0x7F
-
-// MaxOType is the largest encodable object type (7 bits in the metadata
-// word, with OTypeUnsealed reserved).
-const MaxOType uint32 = 0x7E
-
 // Capability is an architectural CHERI capability value: a 64-bit address
-// plus protected metadata (bounds, permissions, object type) and a validity
-// tag. The zero value is the untagged null capability.
+// plus protected metadata (bounds and permissions) and a validity tag. The
+// zero value is the untagged null capability.
 //
 // Capability is a value type; all derivations return new values, mirroring
 // register-to-register capability instructions. Every constructor and method
@@ -26,7 +19,6 @@ type Capability struct {
 	top   uint64
 	enc   boundsEncoding
 	perms Perm
-	otype uint32
 	tag   bool
 }
 
@@ -49,7 +41,6 @@ func Root(base, top uint64) (Capability, error) {
 		top:   top,
 		enc:   enc,
 		perms: PermAll,
-		otype: OTypeUnsealed,
 		tag:   true,
 	}, nil
 }
@@ -83,13 +74,6 @@ func (c Capability) Len() uint64 { return c.top - c.base }
 // Perms returns the permission set.
 func (c Capability) Perms() Perm { return c.perms }
 
-// OType returns the object type; OTypeUnsealed for ordinary capabilities.
-func (c Capability) OType() uint32 { return c.otype }
-
-// Sealed reports whether the capability is sealed (immutable and
-// non-dereferenceable until unsealed).
-func (c Capability) Sealed() bool { return c.otype != OTypeUnsealed }
-
 // InBounds reports whether an access of size bytes at addr lies entirely
 // within the capability's bounds.
 func (c Capability) InBounds(addr, size uint64) bool {
@@ -111,10 +95,6 @@ func (c Capability) ClearTag() Capability {
 // region, the bounds can no longer be reconstructed and the result's tag is
 // cleared, as in CHERI-Concentrate hardware.
 func (c Capability) SetAddr(addr uint64) Capability {
-	if c.Sealed() {
-		// Arithmetic on sealed capabilities invalidates them.
-		c.tag = false
-	}
 	c.addr = addr
 	if c.tag && !representable(c.enc, c.base, c.top, addr) {
 		c.tag = false
@@ -137,9 +117,6 @@ func (c Capability) Inc(delta int64) Capability {
 func (c Capability) SetBounds(base, length uint64) (Capability, error) {
 	if !c.tag {
 		return Null, fmt.Errorf("cap: SetBounds: %w", ErrTagCleared)
-	}
-	if c.Sealed() {
-		return Null, fmt.Errorf("cap: SetBounds: %w", ErrSealed)
 	}
 	top := base + length
 	if top < base {
@@ -185,46 +162,6 @@ func (c Capability) ClearPerms(bits Perm) Capability {
 	return c
 }
 
-// Seal returns c sealed with the object type named by the address of auth,
-// which must carry PermSeal and have otype in bounds. Sealed capabilities
-// are immutable and non-dereferenceable.
-func (c Capability) Seal(auth Capability) (Capability, error) {
-	if !c.tag || !auth.tag {
-		return Null, fmt.Errorf("cap: Seal: %w", ErrTagCleared)
-	}
-	if c.Sealed() {
-		return Null, fmt.Errorf("cap: Seal: already sealed: %w", ErrSealed)
-	}
-	if !auth.perms.Has(PermSeal) {
-		return Null, fmt.Errorf("cap: Seal: authority lacks PermSeal: %w", ErrPermission)
-	}
-	ot := uint32(auth.addr)
-	if !auth.InBounds(auth.addr, 1) || ot > MaxOType {
-		return Null, fmt.Errorf("cap: Seal: otype %d: %w", ot, ErrBounds)
-	}
-	c.otype = ot
-	return c, nil
-}
-
-// Unseal returns c unsealed, authorised by auth bearing PermUnseal with
-// address equal to c's object type.
-func (c Capability) Unseal(auth Capability) (Capability, error) {
-	if !c.tag || !auth.tag {
-		return Null, fmt.Errorf("cap: Unseal: %w", ErrTagCleared)
-	}
-	if !c.Sealed() {
-		return Null, fmt.Errorf("cap: Unseal: not sealed: %w", ErrSealed)
-	}
-	if !auth.perms.Has(PermUnseal) {
-		return Null, fmt.Errorf("cap: Unseal: authority lacks PermUnseal: %w", ErrPermission)
-	}
-	if uint32(auth.addr) != c.otype || !auth.InBounds(auth.addr, 1) {
-		return Null, fmt.Errorf("cap: Unseal: otype mismatch: %w", ErrPermission)
-	}
-	c.otype = OTypeUnsealed
-	return c, nil
-}
-
 // CheckAccess validates an access of size bytes at addr requiring the given
 // permissions, returning nil or an *AccessError wrapping the sentinel cause.
 func (c Capability) CheckAccess(op string, addr, size uint64, need Perm) error {
@@ -234,8 +171,6 @@ func (c Capability) CheckAccess(op string, addr, size uint64, need Perm) error {
 	switch {
 	case !c.tag:
 		return fail(ErrTagCleared)
-	case c.Sealed():
-		return fail(ErrSealed)
 	case !c.perms.Has(need):
 		return fail(ErrPermission)
 	case !c.InBounds(addr, size):
@@ -251,9 +186,5 @@ func (c Capability) String() string {
 	if c.tag {
 		t = 1
 	}
-	s := fmt.Sprintf("%#x [%#x,%#x) %v t=%d", c.addr, c.base, c.top, c.perms, t)
-	if c.Sealed() {
-		s += fmt.Sprintf(" sealed(%d)", c.otype)
-	}
-	return s
+	return fmt.Sprintf("%#x [%#x,%#x) %v t=%d", c.addr, c.base, c.top, c.perms, t)
 }

@@ -78,18 +78,10 @@ func TestSetBoundsExactRejectsRounding(t *testing.T) {
 	}
 }
 
-func TestSetBoundsUntaggedAndSealed(t *testing.T) {
+func TestSetBoundsUntagged(t *testing.T) {
 	root := mustRoot(t)
 	if _, err := root.ClearTag().SetBounds(0, 16); !errors.Is(err, ErrTagCleared) {
 		t.Errorf("untagged SetBounds: got %v", err)
-	}
-	sealer, _ := root.SetBounds(1, 8)
-	sealed, err := root.Seal(sealer)
-	if err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if _, err := sealed.SetBounds(0, 16); !errors.Is(err, ErrSealed) {
-		t.Errorf("sealed SetBounds: got %v", err)
 	}
 }
 
@@ -142,44 +134,6 @@ func TestClearPermsMonotonic(t *testing.T) {
 	}
 	if err := ro.CheckAccess("load", 0x100, 8, PermLoad); err != nil {
 		t.Errorf("load via read-only: %v", err)
-	}
-}
-
-func TestSealUnsealRoundTrip(t *testing.T) {
-	root := mustRoot(t)
-	sealer, _ := root.SetBounds(5, 1)
-	obj, _ := root.SetBounds(0x40000, 256)
-	sealed, err := obj.Seal(sealer)
-	if err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if !sealed.Sealed() || sealed.OType() != 5 {
-		t.Fatalf("sealed: %v", sealed)
-	}
-	if err := sealed.CheckAccess("load", 0x40000, 8, PermLoad); !errors.Is(err, ErrSealed) {
-		t.Errorf("deref sealed: got %v, want ErrSealed", err)
-	}
-	unsealed, err := sealed.Unseal(sealer)
-	if err != nil {
-		t.Fatalf("Unseal: %v", err)
-	}
-	if unsealed.Sealed() {
-		t.Error("unsealed capability still sealed")
-	}
-	// Wrong otype authority must fail.
-	other, _ := root.SetBounds(6, 1)
-	if _, err := sealed.Unseal(other); !errors.Is(err, ErrPermission) {
-		t.Errorf("unseal with wrong otype: got %v", err)
-	}
-}
-
-func TestSealRequiresPermission(t *testing.T) {
-	root := mustRoot(t)
-	noSeal := root.ClearPerms(PermSeal)
-	sealerNoPerm, _ := noSeal.SetBounds(5, 1)
-	obj, _ := root.SetBounds(0x40000, 256)
-	if _, err := obj.Seal(sealerNoPerm); !errors.Is(err, ErrPermission) {
-		t.Errorf("seal without PermSeal: got %v", err)
 	}
 }
 

@@ -13,8 +13,8 @@
 //     heap capability always lies within its original allocation.
 //
 // The in-memory format is 128 bits (16 bytes): a 64-bit address word and a
-// 64-bit metadata word holding permissions, an object type and compressed
-// bounds, mirroring Figure 2 of the paper. Bounds are compressed with a
+// 64-bit metadata word holding permissions and compressed bounds, mirroring
+// Figure 2 of the paper. Bounds are compressed with a
 // CHERI-Concentrate-style floating-point encoding implemented in this file.
 package cap
 

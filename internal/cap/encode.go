@@ -6,8 +6,7 @@ package cap
 //
 //	hi[45:0]   compressed bounds (E:6 | B:20 | T:20)
 //	hi[55:46]  permissions (10 defined bits; the paper's field is 15 wide)
-//	hi[62:56]  object type (7 bits, 0x7F = unsealed)
-//	hi[63]     reserved
+//	hi[63:56]  reserved
 //
 // The validity tag is not part of the 128-bit image: it lives in the tagged
 // memory's out-of-band tag storage (internal/mem), exactly as in hardware,
@@ -18,18 +17,13 @@ const (
 	permsShift = boundsBits
 	permsBits  = 10
 	permsMask  = (uint64(1) << permsBits) - 1
-	otypeShift = permsShift + permsBits
-	otypeBits  = 7
-	otypeMask  = (uint64(1) << otypeBits) - 1
 )
 
 // Encode packs the capability into its two-word memory image. The validity
 // tag is returned by Tag and must be stored out of band.
 func (c Capability) Encode() (lo, hi uint64) {
 	lo = c.addr
-	hi = uint64(c.enc)&boundsMask |
-		(uint64(c.perms)&permsMask)<<permsShift |
-		(uint64(c.otype)&otypeMask)<<otypeShift
+	hi = uint64(c.enc)&boundsMask | (uint64(c.perms)&permsMask)<<permsShift
 	return lo, hi
 }
 
@@ -45,7 +39,6 @@ func Decode(lo, hi uint64, tag bool) Capability {
 		top:   top,
 		enc:   enc,
 		perms: Perm(hi >> permsShift & permsMask),
-		otype: uint32(hi >> otypeShift & otypeMask),
 		tag:   tag,
 	}
 }

@@ -13,10 +13,6 @@ var (
 	// can never again be used to reference memory.
 	ErrTagCleared = errors.New("cap: capability tag is cleared")
 
-	// ErrSealed reports a memory access or mutation through a sealed
-	// capability.
-	ErrSealed = errors.New("cap: capability is sealed")
-
 	// ErrBounds reports an access outside the capability's [base, top).
 	ErrBounds = errors.New("cap: access outside capability bounds")
 

@@ -22,9 +22,7 @@ func TestQuickDecodeArbitraryImageTotal(t *testing.T) {
 		_ = c.String()
 		// Re-encoding preserves the address and every defined field.
 		lo2, hi2 := c.Encode()
-		const usedBits = boundsMask |
-			permsMask<<permsShift |
-			otypeMask<<otypeShift
+		const usedBits = boundsMask | permsMask<<permsShift
 		return lo2 == lo && hi2 == hi&usedBits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

@@ -32,12 +32,10 @@ const (
 	// PermStoreLocalCap allows storing non-global capabilities.
 	PermStoreLocalCap
 
-	// PermSeal allows sealing other capabilities with this one's otype
-	// range.
+	// PermSeal and PermUnseal authorise sealing and unsealing in the
+	// CHERI ISA. This model does not seal capabilities; the bits keep
+	// their architectural positions, and allocators clear them.
 	PermSeal
-
-	// PermUnseal allows unsealing capabilities sealed within this one's
-	// otype range.
 	PermUnseal
 
 	// PermSystemRegs allows access to privileged system registers.

@@ -10,7 +10,7 @@ import (
 
 func TestConcurrentSweepChargesContentionOnly(t *testing.T) {
 	run := func(concurrent bool) (Stats, Report) {
-		s := newSystem(t, Config{NoAutoRevoke: true, ConcurrentSweep: concurrent})
+		s := newSystem(t, Config{Policy: neverDrain, ConcurrentSweep: concurrent})
 		for i := 0; i < 64; i++ {
 			c, err := s.Malloc(4096)
 			if err != nil {
@@ -47,7 +47,7 @@ func TestConcurrentSweepChargesContentionOnly(t *testing.T) {
 }
 
 func TestConcurrentSweepStillRevokes(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true, ConcurrentSweep: true})
+	s := newSystem(t, Config{Policy: neverDrain, ConcurrentSweep: true})
 	c, _ := s.Malloc(64)
 	s.AddRoot(&c)
 	if err := s.Free(c); err != nil {
@@ -64,7 +64,7 @@ func TestConcurrentSweepStillRevokes(t *testing.T) {
 func TestConcurrentSweepSingleCoreFallsBack(t *testing.T) {
 	// The FPGA machine has one core: concurrency is impossible, so the
 	// full sweep is charged to the main thread.
-	cfg := Config{NoAutoRevoke: true, ConcurrentSweep: true}
+	cfg := Config{Policy: neverDrain, ConcurrentSweep: true}
 	cfg.Machine = fpgaMachine()
 	s := newSystem(t, cfg)
 	c, _ := s.Malloc(4096)
@@ -82,7 +82,7 @@ func TestConcurrentSweepSingleCoreFallsBack(t *testing.T) {
 }
 
 func TestUnmapLargeRetiresPages(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true, UnmapLarge: true})
+	s := newSystem(t, Config{Policy: neverDrain, UnmapLarge: true})
 	// A page-aligned multi-page allocation is retired entirely on free.
 	c, err := s.Malloc(4 * mem.PageSize)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestUnmapLargeRetiresPages(t *testing.T) {
 }
 
 func TestUnmapLargeQuarantinesSlack(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true, UnmapLarge: true})
+	s := newSystem(t, Config{Policy: neverDrain, UnmapLarge: true})
 	// Misalign the heap so the next chunk straddles page boundaries.
 	if _, err := s.Malloc(48); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestUnmapLargeQuarantinesSlack(t *testing.T) {
 }
 
 func TestUnmapLargeSmallFreesUnaffected(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true, UnmapLarge: true})
+	s := newSystem(t, Config{Policy: neverDrain, UnmapLarge: true})
 	c, _ := s.Malloc(64)
 	if err := s.Free(c); err != nil {
 		t.Fatal(err)
@@ -172,9 +172,9 @@ func TestHooksFire(t *testing.T) {
 	var preQuarantine uint64
 	var reports []Report
 	cfg := Config{
-		NoAutoRevoke: true,
-		PreSweep:     func(s *System) { preQuarantine = s.QuarantineBytes() },
-		OnRevoke:     func(r Report) { reports = append(reports, r) },
+		Policy:   neverDrain,
+		PreSweep: func(s *System) { preQuarantine = s.QuarantineBytes() },
+		OnRevoke: func(r Report) { reports = append(reports, r) },
 	}
 	s := newSystem(t, cfg)
 	c, _ := s.Malloc(4096)

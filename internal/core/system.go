@@ -69,10 +69,6 @@ type Config struct {
 	// baseline configuration used for normalisation.
 	DirectFree bool
 
-	// NoAutoRevoke disables the automatic drain trigger; callers drive
-	// Revoke manually (used by experiments that sweep at fixed points).
-	NoAutoRevoke bool
-
 	// ConcurrentSweep models §3.5: the sweep runs on spare cores
 	// alongside the application instead of pausing it. The sweep itself
 	// is still performed atomically at the drain point (the simulation
@@ -159,7 +155,7 @@ func New(cfg Config) (*System, error) {
 		cfg.Machine = sim.X86()
 	}
 	m := mem.New()
-	a, err := alloc.NewWithOptions(m, cfg.HeapBase, cfg.Alloc)
+	a, err := alloc.New(m, cfg.HeapBase, cfg.Alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +325,7 @@ func (s *System) FreeAddr(addr uint64) error {
 			return fmt.Errorf("core: quarantining [%#x,+%#x): %w", r[0], r[1], err)
 		}
 	}
-	if !s.cfg.NoAutoRevoke && s.cfg.Policy.ShouldDrain(s.quar.Bytes(), s.alloc.LiveBytes()) {
+	if s.cfg.Policy.ShouldDrain(s.quar.Bytes(), s.alloc.LiveBytes()) {
 		_, err := s.Revoke()
 		return err
 	}

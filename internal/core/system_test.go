@@ -14,6 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
+// neverDrain never triggers a sweep, for tests that call Revoke at fixed
+// points.
+var neverDrain = quarantine.Policy{MinBytes: math.MaxUint64}
+
 func newSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
 	s, err := New(cfg)
@@ -86,7 +90,7 @@ func TestMallocLargeIsRepresentable(t *testing.T) {
 }
 
 func TestFreeQuarantinesInsteadOfRecycling(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	c, _ := s.Malloc(64)
 	if err := s.Free(c); err != nil {
 		t.Fatal(err)
@@ -102,7 +106,7 @@ func TestFreeQuarantinesInsteadOfRecycling(t *testing.T) {
 }
 
 func TestFreeValidation(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	c, _ := s.Malloc(64)
 	if err := s.Free(c.ClearTag()); !errors.Is(err, ErrInvalidFree) {
 		t.Errorf("free of untagged capability: got %v", err)
@@ -123,7 +127,7 @@ func TestFreeValidation(t *testing.T) {
 }
 
 func TestUseAfterFreeTrapsAfterRevocation(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	c, _ := s.Malloc(64)
 	s.AddRoot(&c)
 	if err := s.Free(c); err != nil {
@@ -152,7 +156,7 @@ func TestUseAfterFreeTrapsAfterRevocation(t *testing.T) {
 
 func TestRevocationSweepsHeapCopies(t *testing.T) {
 	// A dangling pointer stored INSIDE the heap must also be revoked.
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	victim, _ := s.Malloc(64)
 	holder, _ := s.Malloc(64)
 	s.AddRoot(&holder)
@@ -175,7 +179,7 @@ func TestRevocationSweepsHeapCopies(t *testing.T) {
 }
 
 func TestRevokeRecyclesQuarantine(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	c, _ := s.Malloc(64)
 	base := c.Base()
 	if err := s.Free(c); err != nil {
@@ -244,7 +248,7 @@ func TestDirectFreeModeRecyclesImmediately(t *testing.T) {
 }
 
 func TestStatsDecomposition(t *testing.T) {
-	s := newSystem(t, Config{NoAutoRevoke: true})
+	s := newSystem(t, Config{Policy: neverDrain})
 	for i := 0; i < 50; i++ {
 		c, err := s.Malloc(256)
 		if err != nil {
@@ -292,7 +296,7 @@ func TestRevokeWithHardwareAssists(t *testing.T) {
 		{UseCapDirty: true, UseCLoadTags: true, Shards: 4},
 		{Kernel: sim.KernelVector, UseCapDirty: true},
 	} {
-		s := newSystem(t, Config{NoAutoRevoke: true, Revoke: cfg})
+		s := newSystem(t, Config{Policy: neverDrain, Revoke: cfg})
 		victim, _ := s.Malloc(64)
 		holder, _ := s.Malloc(64)
 		s.AddRoot(&holder)

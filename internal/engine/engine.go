@@ -67,8 +67,8 @@ type Options struct {
 	// that do not specify one (0 = GOMAXPROCS).
 	Workers int
 
-	// Traces resolves Spec.TraceRef for submitted campaigns (nil when
-	// the deployment has no trace store).
+	// Traces resolves Spec.TraceRef for submitted and resolved campaigns
+	// (nil when the deployment has no trace store).
 	Traces campaign.TraceOpener
 
 	// Runner, when set, executes the jobs the job-result store cannot
@@ -292,7 +292,7 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 	start := time.Now()
 	lg.Info("campaign started", "name", spec.Name, "jobs", jobs, "workers", workers)
 
-	leased := e.jobRunner(traceHash, e.opts.Traces)
+	leased := e.jobRunner(traceHash)
 	res, err := campaign.Run(ctx, spec, campaign.RunOptions{
 		Workers:    workers,
 		Traces:     e.opts.Traces,
@@ -445,23 +445,19 @@ func (e *Engine) Result(id string) (*campaign.Result, error) {
 	return e.store.Result(id)
 }
 
-// LookupJob returns the job result stored under key, if any — the worker
-// read-through seam: a worker consults its store before executing, so a
-// job a sibling already finished anywhere in the fleet is served, not
-// recomputed.
-func (e *Engine) LookupJob(key string) (campaign.JobResult, bool) {
-	jr, err := e.store.Job(key)
-	if err != nil {
-		return campaign.JobResult{}, false
+// ServeJob answers a job the worker API was handed under its content key
+// with the result stored there, so a job a sibling already finished
+// anywhere in the fleet is served, not recomputed; served reports that
+// case. Otherwise it returns run's result, published under key. It reads
+// and writes by the lease runner's rules: a stored failure is a miss
+// (storedJob), and a failed job is not published (publishJob).
+func (e *Engine) ServeJob(key string, run func() campaign.JobResult) (jr campaign.JobResult, served bool) {
+	if jr, ok := storedJob(e.store, key); ok {
+		return jr, true
 	}
-	return jr, true
-}
-
-// SaveJob publishes a job the worker API executed under its content key —
-// the one write path every job result takes (see publishJob), so a failed
-// job is not saved and a failed write only costs a future recomputation.
-func (e *Engine) SaveJob(key string, jr campaign.JobResult) {
+	jr = run()
 	publishJob(e.store, key, e.owner, jr)
+	return jr, false
 }
 
 // Cancel requests cancellation of a running campaign; it reports whether
@@ -504,12 +500,13 @@ func (e *Engine) Subscribe(id string) (ch <-chan Event, unsubscribe func(), live
 
 // jobRunner builds the campaign pool's cache and runner for one campaign: a
 // job the store cannot serve runs under the store's job-lease protocol, on
-// the engine's configured Runner or, without one, in process against
-// traces. The campaign's resolved trace hash is pinned into every job's key.
-func (e *Engine) jobRunner(traceHash string, traces campaign.TraceOpener) *leaseRunner {
+// the engine's configured Runner or, without one, in process against the
+// engine's trace opener. The campaign's resolved trace hash is pinned into
+// every job's key.
+func (e *Engine) jobRunner(traceHash string) *leaseRunner {
 	inner := e.opts.Runner
 	if inner == nil {
-		inner = &LocalRunner{Traces: traces, executed: e.metrics.poolExec}
+		inner = &LocalRunner{Traces: e.opts.Traces, executed: e.metrics.poolExec}
 	}
 	return &leaseRunner{inner: inner, store: e.store, owner: e.owner, ttl: e.opts.LeaseTTL, traceHash: traceHash, m: &e.metrics}
 }
@@ -518,8 +515,6 @@ func (e *Engine) jobRunner(traceHash string, traces campaign.TraceOpener) *lease
 type ResolveOptions struct {
 	// Workers bounds the pool (0 = the engine default).
 	Workers int
-	// Traces overrides the engine's trace opener (nil = the engine's).
-	Traces campaign.TraceOpener
 	// OnProgress, when set, receives each job-completion event.
 	OnProgress func(campaign.Progress)
 }
@@ -535,17 +530,13 @@ type ResolveStats struct {
 
 // Resolve runs spec synchronously through the job-result store without
 // registering a campaign: every job is served from the store when its key
-// is present and executed (and published) when it is not. The figure endpoints
-// and the CLI's -statedir path use it — overlapping sweeps share results
-// with each other and with submitted campaigns.
+// is present and executed (and published) when it is not. The figure
+// endpoints and the CLI's campaign command use it — overlapping sweeps share
+// results with each other and with submitted campaigns.
 func (e *Engine) Resolve(ctx context.Context, spec campaign.Spec, opts ResolveOptions) (*campaign.Result, ResolveStats, error) {
-	traces := opts.Traces
-	if traces == nil {
-		traces = e.opts.Traces
-	}
 	var traceHash string
 	if spec.TraceRef != "" {
-		th, err := resolveTraceHash(traces, spec.TraceRef)
+		th, err := resolveTraceHash(e.opts.Traces, spec.TraceRef)
 		if err != nil {
 			return nil, ResolveStats{}, err
 		}
@@ -559,10 +550,10 @@ func (e *Engine) Resolve(ctx context.Context, spec campaign.Spec, opts ResolveOp
 	// OnProgress calls are serialised by the pool and complete before Run
 	// returns, so stats needs no locking of its own.
 	var stats ResolveStats
-	leased := e.jobRunner(traceHash, traces)
+	leased := e.jobRunner(traceHash)
 	res, err := campaign.Run(ctx, spec, campaign.RunOptions{
 		Workers: workers,
-		Traces:  traces,
+		Traces:  e.opts.Traces,
 		Cache:   leased,
 		Runner:  leased,
 		Metrics: e.opts.Metrics,

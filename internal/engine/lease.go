@@ -73,11 +73,12 @@ func leaseOwnerID() string {
 // leaseRunner is the campaign pool's JobCache and JobRunner on every
 // engine: the pool looks each job up in the store through it, and each
 // miss runs here under the store's job-lease protocol, on the engine's
-// inner Runner (the dispatcher, or local execution). It is the one place
-// job results are written, and only successful ones: a job-level failure
-// may be transient, and a published one would be served from then on. The
-// argument that execution is at-most-once across every engine sharing the
-// store, after the pool's lookup missed:
+// inner Runner (the dispatcher, or local execution). With a worker's
+// Engine.ServeJob, it is the one place job results are written, and only
+// successful ones: a job-level failure may be transient, and a published
+// one would be served from then on. The argument that execution is
+// at-most-once across every engine sharing the store, after the pool's
+// lookup missed:
 //
 //  1. A job only executes while its executor holds the lease, and the lease
 //     admits one live owner at a time.
@@ -107,7 +108,7 @@ type leaseRunner struct {
 // Lookup implements campaign.JobCache.
 func (l *leaseRunner) Lookup(spec campaign.Spec, job campaign.Job) (campaign.JobResult, bool) {
 	l.m.jobKeys.Inc()
-	jr, ok := l.storedJob(JobKey(spec, job, l.traceHash))
+	jr, ok := storedJob(l.store, JobKey(spec, job, l.traceHash))
 	if !ok {
 		l.m.cacheMisses.Inc()
 		return campaign.JobResult{}, false
@@ -120,8 +121,8 @@ func (l *leaseRunner) Lookup(spec campaign.Spec, job campaign.Job) (campaign.Job
 // as a miss, like no result at all: this engine never publishes one, but a
 // store written by an older engine may hold one, and serving it would fail
 // the job for good. The next execution's PublishJob overwrites it.
-func (l *leaseRunner) storedJob(key string) (campaign.JobResult, bool) {
-	jr, err := l.store.Job(key)
+func storedJob(store Store, key string) (campaign.JobResult, bool) {
+	jr, err := store.Job(key)
 	return jr, err == nil && jr.Error == ""
 }
 
@@ -138,7 +139,7 @@ func (l *leaseRunner) RunJob(ctx context.Context, spec campaign.Spec, job campai
 
 	// Double-check under the lease: if the previous holder published
 	// before releasing (the protocol's write order), serve its result.
-	if jr, ok := l.storedJob(key); ok {
+	if jr, ok := storedJob(l.store, key); ok {
 		_ = l.store.ReleaseJobLease(key, l.owner)
 		l.m.leaseServed.Inc()
 		return jr, nil
@@ -214,7 +215,7 @@ func (l *leaseRunner) acquire(ctx context.Context, key string) (campaign.JobResu
 		// landing between the checks below and the select still fires the
 		// channel.
 		wake := l.store.LeaseChanged()
-		if jr, ok := l.storedJob(key); ok {
+		if jr, ok := storedJob(l.store, key); ok {
 			l.m.leaseServed.Inc()
 			return jr, false, nil
 		}

@@ -307,17 +307,16 @@ func recordTrace(t *testing.T) (*workload.Store, string) {
 }
 
 // TestResolveExecutesWithItsTraceOpener pins the `campaign -statedir DIR
-// -trace FILE` shape: an engine built without a trace opener resolves a
-// trace-driven spec against the opener Resolve is given, for execution as
-// well as for the key.
+// -trace FILE` shape: an engine built with a trace opener resolves a
+// trace-driven spec against it, for execution as well as for the key.
 func TestResolveExecutesWithItsTraceOpener(t *testing.T) {
 	traces, hash := recordTrace(t)
-	e, err := New(openTestSQLite(t), Options{})
+	e, err := New(openTestSQLite(t), Options{Traces: traces})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := campaign.Spec{TraceRef: hash, MaxLive: []uint64{1 << 20}}
-	res, stats, err := e.Resolve(context.Background(), spec, ResolveOptions{Workers: 1, Traces: traces})
+	res, stats, err := e.Resolve(context.Background(), spec, ResolveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func (r *records) instrument(reg *obs.Registry) {
 	r.ops = reg.HistogramVec("cherivoke_engine_store_seconds",
 		"Latency of job/result/campaign store operations.", storeOpBuckets, "op")
 	r.errs = reg.CounterVec("cherivoke_engine_store_errors_total",
-		"Store operations that returned an error (ErrNotFound excluded for lookups).", "op")
+		"Store operations that returned an error (a missed lookup, a lost CreateCampaign race and a refused lease excluded).", "op")
 }
 
 // observe records one finished store operation. A missed lookup, a lost

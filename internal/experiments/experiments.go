@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5–§6). Each experiment has one constructor returning the rows
-// or series the paper reports; cmd/cherivoke prints them and bench_test.go
-// wraps them in testing.B benchmarks.
+// or series the paper reports; cmd/cherivoke prints them, and the
+// benchmark's figures workload (bench/figures.go) times them.
 //
 // All experiments are deterministic: seeded workload generation, simulated
 // timing, no wall clocks. The parameter sweeps behind each figure are

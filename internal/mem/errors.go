@@ -14,11 +14,6 @@ var (
 	// capabilities 16-byte, CLoadTags line-aligned, mappings page-aligned).
 	ErrAlign = errors.New("mem: misaligned access")
 
-	// ErrCapStoreInhibit reports a capability store to a page whose PTE
-	// carries the capability-store-inhibit bit (footnote 3 of the paper),
-	// e.g. direct file mappings that cannot hold tags.
-	ErrCapStoreInhibit = errors.New("mem: capability store inhibited on page")
-
 	// ErrOverlap reports a mapping that overlaps an existing one.
 	ErrOverlap = errors.New("mem: mapping overlaps existing pages")
 

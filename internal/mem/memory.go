@@ -1,12 +1,12 @@
 // Package mem implements the tagged-memory substrate of the simulated CHERI
 // machine: a sparse, page-granular 48-bit virtual address space in which
 // every 16-byte granule carries a 1-bit capability tag, plus the page-table
-// metadata (CapDirty, capability-store-inhibit) and the CLoadTags probe that
-// CHERIvoke's hardware assists are built on (§3.4 of the paper).
+// CapDirty flag and the CLoadTags probe that CHERIvoke's hardware assists
+// are built on (§3.4 of the paper).
 //
 // All capability-authorised accessors take the authorising cap.Capability
-// and enforce its tag, seal, permission and bounds checks; Raw accessors
-// bypass checks and model the trusted allocator/kernel view.
+// and enforce its tag, permission and bounds checks; Raw accessors bypass
+// checks and model the trusted allocator/kernel view.
 package mem
 
 import (
@@ -397,8 +397,7 @@ func (m *Memory) RawLoadCap(addr uint64) (cap.Capability, error) {
 }
 
 // RawStoreCap stores a capability image and tag without authority checks,
-// still honouring the page's capability-store-inhibit bit and maintaining
-// CapDirty.
+// still maintaining CapDirty.
 func (m *Memory) RawStoreCap(addr uint64, c cap.Capability) error {
 	if addr%GranuleSize != 0 {
 		return faultf(ErrAlign, "mem: RawStoreCap(%#x)", addr)
@@ -406,9 +405,6 @@ func (m *Memory) RawStoreCap(addr uint64, c cap.Capability) error {
 	p, err := m.pageFor(addr)
 	if err != nil {
 		return err
-	}
-	if c.Tag() && p.capStoreInhibit {
-		return faultf(ErrCapStoreInhibit, "mem: RawStoreCap(%#x)", addr)
 	}
 	w := addr % PageSize / WordSize
 	lo, hi := c.Encode()
@@ -515,17 +511,6 @@ func (v PageView) CapCount() int { return int(v.p.capCount) }
 // CapLines returns the number of the page's lines holding a tagged granule:
 // the lines a CLoadTags sweep reads.
 func (v PageView) CapLines() int { return int(v.p.capLines) }
-
-// SetCapStoreInhibit sets or clears the capability-store-inhibit PTE bit of
-// the page containing addr.
-func (m *Memory) SetCapStoreInhibit(addr uint64, v bool) error {
-	p, err := m.pageFor(addr)
-	if err != nil {
-		return err
-	}
-	p.capStoreInhibit = v
-	return nil
-}
 
 // CapDirty reports the PTE CapDirty flag of the page containing addr.
 func (m *Memory) CapDirty(addr uint64) (bool, error) {

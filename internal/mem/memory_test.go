@@ -241,21 +241,6 @@ func TestStoreCapPermissions(t *testing.T) {
 	}
 }
 
-func TestCapStoreInhibit(t *testing.T) {
-	m, heap := newHeap(t, 1)
-	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)
-	if err := m.SetCapStoreInhibit(heapBase, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StoreCap(heap, heapBase, obj); !errors.Is(err, ErrCapStoreInhibit) {
-		t.Errorf("inhibited StoreCap: got %v", err)
-	}
-	// Untagged stores remain fine.
-	if err := m.StoreCap(heap, heapBase, obj.ClearTag()); err != nil {
-		t.Errorf("untagged store to inhibited page: %v", err)
-	}
-}
-
 func TestClearTagRevokes(t *testing.T) {
 	m, heap := newHeap(t, 1)
 	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)

@@ -29,7 +29,6 @@ const (
 	opStoreCap
 	opClearTag
 	opLaunder
-	opInhibit
 	opMapOutside
 	numOps
 )
@@ -40,7 +39,6 @@ type refPage struct {
 	tags    [GranulesPerPage]bool
 	touched bool // took a nonzero store since it was mapped
 	dirty   bool
-	inhibit bool
 }
 
 // refMemory is the reference memory: pages keyed by base address, and the
@@ -81,9 +79,6 @@ func (r *refMemory) storeCap(addr uint64, c cap.Capability) error {
 	p := r.pages[addr&^(PageSize-1)]
 	if p == nil {
 		return ErrUnmapped
-	}
-	if c.Tag() && p.inhibit {
-		return ErrCapStoreInhibit
 	}
 	lo, hi := c.Encode()
 	w := addr % PageSize / WordSize
@@ -158,14 +153,6 @@ func applyOp(m *Memory, ref *refMemory, op []byte, auth, obj cap.Capability) (go
 		if wantCleaned {
 			p.dirty = false
 		}
-		return err, nil
-	case opInhibit:
-		err := m.SetCapStoreInhibit(base, arg&1 != 0)
-		p := ref.pages[base]
-		if p == nil {
-			return err, ErrUnmapped
-		}
-		p.inhibit = arg&1 != 0
 		return err, nil
 	default: // opMapOutside: every one of these ranges must be refused
 		ranges := [...][2]uint64{
@@ -316,13 +303,13 @@ var modelScenarios = map[string][]byte{
 		opStoreCap, 2, 17, 2, opStoreWord, 3, 5, 1, opStoreWord, 3, 5, 0,
 		opStoreCap, 0, 1, 0, opClearTag, 0, 1, 0, opLaunder, 0, 0, 0,
 	},
-	// Tags set, cleared by data stores and by ClearTag, pages laundered,
-	// and tagged stores refused under capability-store-inhibit.
+	// Tags set, cleared by data stores, by untagged stores and by
+	// ClearTag, and pages laundered.
 	"tags-and-launder": {
 		opMap, 0, 0, 2, opStoreCap, 0, 0, 0, opStoreCap, 0, 1, 0, opStoreCap, 0, 4, 0,
 		opLaunder, 0, 0, 0, opStoreWord, 0, 1, 2, opClearTag, 0, 0, 0, opClearTag, 0, 4, 0,
-		opLaunder, 0, 0, 0, opInhibit, 1, 0, 1, opStoreCap, 1, 0, 0, opStoreCap, 1, 0, 1,
-		opInhibit, 1, 0, 0, opStoreCap, 1, 0, 0, opUnmap, 0, 0, 0, opLaunder, 1, 0, 0,
+		opLaunder, 0, 0, 0, opStoreCap, 1, 0, 0, opStoreCap, 1, 0, 1,
+		opStoreCap, 1, 0, 0, opUnmap, 0, 0, 0, opLaunder, 1, 0, 0,
 	},
 	// Ranges outside the 48-bit address space.
 	"outside": {

@@ -54,10 +54,6 @@ type page struct {
 	// store to the page, cleared only when a sweep finds the page
 	// capability-free.
 	capDirty bool
-
-	// capStoreInhibit is the capability-store-inhibit PTE bit: tagged
-	// stores trap instead of setting capDirty.
-	capStoreInhibit bool
 }
 
 func (p *page) tagAt(granule uint) bool {

@@ -68,8 +68,7 @@ type family struct {
 	help    string
 	kind    string
 	labels  []string
-	buckets []float64      // histograms only
-	fn      func() float64 // gauge funcs only
+	buckets []float64 // histograms only
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -295,19 +294,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.get(name, help, KindGauge, labels, nil)}
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape time
-// — for values that already exist elsewhere (queue lengths, map sizes) and
-// would otherwise need shadow bookkeeping.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.get(name, help, KindGauge, nil, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
-}
-
 // Histogram returns the unlabelled histogram called name with the given
 // bucket boundaries (sorted ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -355,7 +341,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // write serialises one family.
 func (f *family) write(b *strings.Builder) {
 	f.mu.Lock()
-	fn := f.fn
 	ss := make([]*series, 0, len(f.series))
 	for _, s := range f.series {
 		ss = append(ss, s)
@@ -367,10 +352,6 @@ func (f *family) write(b *strings.Builder) {
 
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
-	if fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(fn()))
-		return
-	}
 	for _, s := range ss {
 		switch f.kind {
 		case KindCounter:

@@ -116,7 +116,6 @@ func TestNilRegistryIsFreeAndSafe(t *testing.T) {
 	r.Gauge("g", "h").Set(1)
 	r.Gauge("g", "h").Dec()
 	r.GaugeVec("gv", "h", "l").With("v").Add(2)
-	r.GaugeFunc("gf", "h", func() float64 { return 1 })
 	r.Histogram("h", "h", DefBuckets).Observe(1)
 	r.HistogramVec("hv", "h", DefBuckets, "l").With("v").Observe(1)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -150,19 +149,6 @@ func TestGetOrCreateAndMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestGaugeFuncCollectedAtScrape(t *testing.T) {
-	r := NewRegistry()
-	v := 1.0
-	r.GaugeFunc("test_fn", "live value", func() float64 { return v })
-	if out := render(t, r); !strings.Contains(out, "test_fn 1\n") {
-		t.Fatalf("gauge func not rendered: %s", out)
-	}
-	v = 42
-	if out := render(t, r); !strings.Contains(out, "test_fn 42\n") {
-		t.Fatalf("gauge func not re-collected: %s", out)
 	}
 }
 

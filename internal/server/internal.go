@@ -47,12 +47,7 @@ func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 	var traces campaign.TraceOpener
 	var traceHash string
 	if req.Job.TraceRef != "" {
-		store, err := s.traceStore()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		tr, hash, err := store.OpenTrace(req.Job.TraceRef)
+		tr, hash, err := s.traces.OpenTrace(req.Job.TraceRef)
 		if err != nil {
 			// The coordinator resolved this ref against its own store;
 			// this worker simply does not hold the trace. 404 sends
@@ -62,11 +57,16 @@ func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tr.Close()
-		traces, traceHash = store, hash
+		traces, traceHash = s.traces, hash
 	}
 	if key := engine.JobKey(req.Spec, req.Job, traceHash); key != req.Key {
 		httpError(w, http.StatusConflict, fmt.Sprintf("job key mismatch: coordinator sent %.12s, this worker computes %.12s (diverging trace bytes or version skew)", req.Key, key))
 		return
+	}
+	run := func() campaign.JobResult {
+		jr := campaign.ExecuteJob(req.Spec, req.Job, traces)
+		s.metrics.internal.Inc()
+		return jr
 	}
 	// Read-through: a worker with a persistent store consults it before
 	// executing. Over a shared backend the store holds every sibling's
@@ -74,17 +74,14 @@ func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 	// matter which worker each coordinator routes it to. Results are
 	// deterministic and keyed by content hash, so a served result is
 	// byte-identical to a computed one.
+	var jr campaign.JobResult
 	if s.hasStore {
-		if jr, ok := s.engine.LookupJob(req.Key); ok {
+		var served bool
+		if jr, served = s.engine.ServeJob(req.Key, run); served {
 			s.metrics.readthrough.Inc()
-			writeJSON(w, http.StatusOK, engine.JobResponse{Key: req.Key, Result: jr})
-			return
 		}
-	}
-	jr := campaign.ExecuteJob(req.Spec, req.Job, traces)
-	s.metrics.internal.Inc()
-	if s.hasStore {
-		s.engine.SaveJob(req.Key, jr)
+	} else {
+		jr = run()
 	}
 	writeJSON(w, http.StatusOK, engine.JobResponse{Key: req.Key, Result: jr})
 }

@@ -2,58 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
-	"sync"
-
-	"repro/internal/livetrace"
 )
-
-// liveState is the lazily created live-session manager behind the /live
-// endpoints, mirroring traceStoreState: the manager (and the trace store it
-// files into) exists only once the first live request arrives.
-type liveState struct {
-	once sync.Once
-	mgr  *livetrace.Manager
-	err  error
-}
-
-// liveManager returns the server's live-session manager, creating it over
-// the trace store on first use.
-func (s *Server) liveManager() (*livetrace.Manager, error) {
-	s.live.once.Do(func() {
-		store, err := s.traceStore()
-		if err != nil {
-			s.live.err = err
-			return
-		}
-		s.live.mgr = livetrace.NewManager(livetrace.Config{
-			Store:       store,
-			IdleTimeout: s.opts.LiveIdleTimeout,
-			Metrics:     s.reg,
-		})
-	})
-	if s.live.err != nil {
-		return nil, s.live.err
-	}
-	if s.live.mgr == nil {
-		// Close settled the once without creating a manager.
-		return nil, errors.New("live ingestion unavailable: server closing")
-	}
-	return s.live.mgr, nil
-}
-
-// closeLive tears down the live manager if one was created. Settling the
-// once first makes the shutdown race-free: either a concurrent first
-// request finished creating the manager (and we close it), or creation is
-// foreclosed and later requests get a clean error.
-func (s *Server) closeLive() {
-	s.live.once.Do(func() {})
-	if s.live.mgr != nil {
-		s.live.mgr.Close()
-	}
-}
 
 // handleLiveIngest implements POST /live: the request body is an indefinite
 // binary/NDJSON trace stream, replayed in bounded windows as it arrives.
@@ -64,20 +15,16 @@ func (s *Server) closeLive() {
 // written when the stream ends. Clients judge success by .state == "done",
 // not the status code, which is committed long before the outcome is known.
 func (s *Server) handleLiveIngest(w http.ResponseWriter, r *http.Request) {
-	mgr, err := s.liveManager()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	window := 0
 	if q := r.URL.Query().Get("window"); q != "" {
+		var err error
 		window, err = strconv.Atoi(q)
 		if err != nil || window <= 0 {
 			httpError(w, http.StatusBadRequest, "window must be a positive integer")
 			return
 		}
 	}
-	sess, err := mgr.Begin(window)
+	sess, err := s.live.Begin(window)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -112,22 +59,12 @@ func (s *Server) handleLiveIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleLiveList implements GET /live.
 func (s *Server) handleLiveList(w http.ResponseWriter, _ *http.Request) {
-	mgr, err := s.liveManager()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, mgr.List())
+	writeJSON(w, http.StatusOK, s.live.List())
 }
 
 // handleLiveInfo implements GET /live/{id}.
 func (s *Server) handleLiveInfo(w http.ResponseWriter, r *http.Request) {
-	mgr, err := s.liveManager()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	sess, ok := mgr.Get(r.PathValue("id"))
+	sess, ok := s.live.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown live session")
 		return
@@ -141,12 +78,7 @@ func (s *Server) handleLiveInfo(w http.ResponseWriter, r *http.Request) {
 // and a final "info" event on the terminal transition — every stream ends
 // with one, mirroring the campaign SSE contract.
 func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
-	mgr, err := s.liveManager()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	sess, ok := mgr.Get(r.PathValue("id"))
+	sess, ok := s.live.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown live session")
 		return

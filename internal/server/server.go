@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/engine"
+	"repro/internal/livetrace"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -21,8 +23,9 @@ type Options struct {
 	Workers int
 
 	// TraceDir roots the content-addressed trace store behind the
-	// /traces endpoints. Empty means a temporary directory created on
-	// first use (uploads survive for the process lifetime only).
+	// /traces and /live endpoints; New creates it if missing. Empty means
+	// a temporary directory that New creates and Close removes (uploads
+	// survive for the server's lifetime only).
 	TraceDir string
 
 	// StateDir roots the engine's persistent state (campaign records,
@@ -78,8 +81,9 @@ type Options struct {
 // engine and its Store.
 type Server struct {
 	opts       Options
-	traces     traceStoreState
-	live       liveState
+	traces     *workload.Store
+	traceTmp   string // the temporary trace directory Close removes; empty with TraceDir
+	live       *livetrace.Manager
 	engine     *engine.Engine
 	store      engine.Store       // the engine's store, retained for Close
 	hasStore   bool               // a persistent (non-mem) store backs the engine
@@ -103,25 +107,37 @@ const (
 // served, and resubmitted specs are answered from the job-result store
 // without re-executing anything. Options.Store generalises this to the
 // shared backend — several coordinators and workers over one sqlite: file
-// form a fleet computing every job at most once.
+// form a fleet computing every job at most once. New fails when it cannot
+// create the trace directory.
 func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, reg: obs.NewRegistry()}
 	s.metrics = newServerMetrics(s.reg)
+	dir := opts.TraceDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "cherivoke-traces-")
+		if err != nil {
+			return nil, fmt.Errorf("server: creating trace directory: %w", err)
+		}
+		dir, s.traceTmp = tmp, tmp
+	}
+	traces, err := workload.NewStore(dir)
+	if err != nil {
+		s.removeTraceTmp()
+		return nil, err
+	}
+	s.traces = traces
 	var store engine.Store
 	switch {
 	case opts.Store != "":
-		var err error
-		if store, err = engine.OpenStore(opts.Store, nil); err != nil {
-			return nil, err
-		}
+		store, err = engine.OpenStore(opts.Store, nil)
 	case opts.StateDir != "":
-		sd, err := engine.OpenStateDir(opts.StateDir, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		store = sd
+		store, err = engine.OpenStateDir(opts.StateDir, true, nil)
 	default:
 		store = engine.NewMemStore()
+	}
+	if err != nil {
+		s.removeTraceTmp()
+		return nil, err
 	}
 	s.store = store
 	_, inMemory := store.(*engine.MemStore)
@@ -129,7 +145,7 @@ func New(opts Options) (*Server, error) {
 	// The engine reads sharing off the store: a sqlite: store has live
 	// peers, whose running campaigns this process's open must not finalise
 	// as interrupted, while the owner-locked state directory recovers.
-	engOpts := engine.Options{Workers: opts.Workers, Traces: lazyTraces{s}, Metrics: s.reg}
+	engOpts := engine.Options{Workers: opts.Workers, Traces: traces, Metrics: s.reg}
 	if len(opts.WorkerURLs) > 0 {
 		remotes := make([]*engine.RemoteRunner, len(opts.WorkerURLs))
 		for i, url := range opts.WorkerURLs {
@@ -137,7 +153,7 @@ func New(opts Options) (*Server, error) {
 		}
 		dlog := obs.Logger("dispatch")
 		s.dispatcher = engine.NewDispatcher(remotes, engine.DispatcherOptions{
-			Local:    &engine.LocalRunner{Traces: lazyTraces{s}},
+			Local:    &engine.LocalRunner{Traces: traces},
 			InFlight: opts.WorkerInFlight,
 			Metrics:  s.reg,
 			Logf: func(format string, args ...any) {
@@ -158,35 +174,36 @@ func New(opts Options) (*Server, error) {
 			s.dispatcher.Close()
 		}
 		store.Close()
+		s.removeTraceTmp()
 		return nil, err
 	}
 	s.engine = eng
+	s.live = livetrace.NewManager(livetrace.Config{
+		Store:       traces,
+		IdleTimeout: opts.LiveIdleTimeout,
+		Metrics:     s.reg,
+	})
 	return s, nil
 }
 
 // Close releases the server's background resources: live trace sessions
 // (torn down and waited for), the coordinator's worker health-probe loop,
-// and the store's file handle and state-directory lock where it has them.
-// Other in-flight requests are unaffected.
+// the store's file handle and state-directory lock where it has them, and
+// the temporary trace directory. Other in-flight requests are unaffected.
 func (s *Server) Close() {
-	s.closeLive()
+	s.live.Close()
 	if s.dispatcher != nil {
 		s.dispatcher.Close()
 	}
 	s.store.Close()
+	s.removeTraceTmp()
 }
 
-// lazyTraces resolves trace refs through the server's lazily created trace
-// store, so the engine can be built before the store's first use.
-type lazyTraces struct{ s *Server }
-
-// OpenTrace implements campaign.TraceOpener.
-func (l lazyTraces) OpenTrace(ref string) (workload.TraceReader, string, error) {
-	store, err := l.s.traceStore()
-	if err != nil {
-		return nil, "", err
+// removeTraceTmp deletes the temporary trace directory, if New made one.
+func (s *Server) removeTraceTmp() {
+	if s.traceTmp != "" {
+		_ = os.RemoveAll(s.traceTmp) // a leftover temporary directory harms nothing
 	}
-	return store.OpenTrace(ref)
 }
 
 // Metrics returns the server's metrics registry — the one every layer
@@ -313,15 +330,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
-	}
-	if req.Spec.TraceRef != "" {
-		// Creating the trace store can fail for reasons that are the
-		// server's fault, not the request's; distinguish them before
-		// the engine folds ref resolution into submission validation.
-		if _, err := s.traceStore(); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
 	}
 	rec, err := s.engine.Submit(req.Spec, req.Workers)
 	if err != nil {

@@ -14,7 +14,8 @@ import (
 	"repro/internal/engine"
 )
 
-// newTestServer builds a Server over opts and serves it from httptest.
+// newTestServer builds a Server over opts and serves it from httptest; both
+// close when the test ends.
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
 	s, err := New(opts)
@@ -22,7 +23,10 @@ func newTestServer(t *testing.T, opts Options) *httptest.Server {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 	return ts
 }
 

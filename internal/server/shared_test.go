@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -83,6 +84,41 @@ func TestWorkerReadThroughSharedStore(t *testing.T) {
 	}
 	if got := obs.Sum(s2, "cherivoke_worker_readthrough_hits_total"); got != 1 {
 		t.Errorf("worker 2 read-through hits = %v, want 1 (sibling's result not visible)", got)
+	}
+}
+
+// TestWorkerStoredFailureHeals pins that a worker reads its store by the
+// lease runner's rule: a failed result stored under the job's key (left by
+// an older engine) is a miss, so the worker executes the job and stores the
+// success over it instead of answering with the failure for good.
+func TestWorkerStoredFailureHeals(t *testing.T) {
+	const token = "heal-token"
+	path := "sqlite:" + filepath.Join(t.TempDir(), "store.db")
+	spec := distSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := engine.JobKey(spec, jobs[0], "")
+	seed, err := engine.OpenStore(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	if err := seed.PublishJob(key, "older-engine", campaign.JobResult{Job: jobs[0], Error: "x"}); err != nil {
+		t.Fatal(err)
+	}
+
+	w := newTestServer(t, Options{Workers: 1, Worker: true, AuthToken: token, Store: path})
+	resp := postJob(t, w, token, engine.JobRequest{Key: key, Spec: spec, Job: jobs[0]})
+	if resp.Result.Error != "" {
+		t.Fatalf("worker answered error=%q", resp.Result.Error)
+	}
+	if got := obs.Sum(scrape(t, w.URL), obs.MetricJobsExecuted); got != 1 {
+		t.Errorf("worker executed %v jobs, want 1", got)
+	}
+	if stored, err := seed.Job(key); err != nil || stored.Error != "" {
+		t.Errorf("stored result after the execution: error=%q, %v; want a success", stored.Error, err)
 	}
 }
 

@@ -3,7 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,6 +16,33 @@ import (
 	"repro/internal/quarantine"
 	"repro/internal/workload"
 )
+
+// TestTraceDirLifetime pins where the trace store lives: without TraceDir,
+// New makes a temporary directory and Close removes it; a TraceDir that
+// cannot be made fails New.
+func TestTraceDirLifetime(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := s.traces.Dir()
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("temporary trace directory after New: %v", err)
+	}
+	s.Close()
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("temporary trace directory after Close: %v, want it removed", err)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Options{TraceDir: filepath.Join(file, "traces")}); err == nil {
+		s.Close()
+		t.Error("New succeeded with a trace directory under a regular file")
+	}
+}
 
 // recordTestTrace records a small omnetpp run binary-encoded, using the
 // same workload options as a testSpec-shaped campaign job.

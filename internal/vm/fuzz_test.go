@@ -60,7 +60,7 @@ func TestQuickRandomProgramsNeverPanic(t *testing.T) {
 func TestQuickRandomProgramsSweepClean(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		sys, err := core.New(core.Config{NoAutoRevoke: true})
+		sys, err := core.New(core.Config{Policy: neverDrain})
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cap"
@@ -9,6 +10,10 @@ import (
 	"repro/internal/mem"
 	"repro/internal/quarantine"
 )
+
+// neverDrain never triggers a sweep, for tests that call Revoke at fixed
+// points.
+var neverDrain = quarantine.Policy{MinBytes: math.MaxUint64}
 
 func newVM(t *testing.T, cfg core.Config) (*Machine, *core.System) {
 	t.Helper()
@@ -101,7 +106,7 @@ func TestUseAfterFreeSucceedsInsecurely(t *testing.T) {
 func TestRegisterFileIsSwept(t *testing.T) {
 	// A stale capability sitting in ANY register is revoked: the
 	// machine's register file is part of the sweep roots.
-	m, _ := newVM(t, core.Config{NoAutoRevoke: true})
+	m, _ := newVM(t, core.Config{Policy: neverDrain})
 	prog := []Instr{
 		{Op: OpMalloc, Cd: 5, Imm: 64},
 		{Op: OpMovC, Cd: 6, Ca: 5},
@@ -124,7 +129,7 @@ func TestRegisterFileIsSwept(t *testing.T) {
 func TestHeapPointerChaseIsSwept(t *testing.T) {
 	// A linked structure: node A holds a capability to node B; freeing B
 	// and revoking must untag the pointer INSIDE A, so the chase traps.
-	m, _ := newVM(t, core.Config{NoAutoRevoke: true})
+	m, _ := newVM(t, core.Config{Policy: neverDrain})
 	prog := []Instr{
 		{Op: OpMalloc, Cd: 1, Imm: 64}, // A
 		{Op: OpMalloc, Cd: 2, Imm: 64}, // B
@@ -163,7 +168,7 @@ func TestForgeryIsImpossible(t *testing.T) {
 }
 
 func TestDoubleFreeTraps(t *testing.T) {
-	m, _ := newVM(t, core.Config{NoAutoRevoke: true})
+	m, _ := newVM(t, core.Config{Policy: neverDrain})
 	prog := []Instr{
 		{Op: OpMalloc, Cd: 1, Imm: 64},
 		{Op: OpFree, Ca: 1},
@@ -253,7 +258,7 @@ func TestSetBoundsInProgram(t *testing.T) {
 func TestUnmapLargeFaultsInProgram(t *testing.T) {
 	// With page-granularity unmapping, a dangling access to a large
 	// freed object faults immediately — no sweep needed.
-	m, _ := newVM(t, core.Config{NoAutoRevoke: true, UnmapLarge: true})
+	m, _ := newVM(t, core.Config{Policy: neverDrain, UnmapLarge: true})
 	prog := []Instr{
 		{Op: OpMalloc, Cd: 1, Imm: 4 * mem.PageSize},
 		{Op: OpMovC, Cd: 2, Ca: 1},

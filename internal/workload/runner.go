@@ -208,7 +208,7 @@ func finishMeasurement(sys *core.System, p Profile, res *Result) {
 		res.MeasuredPageDensity /= float64(len(reports))
 		res.MeasuredLineDensity /= float64(len(reports))
 	} else {
-		res.MeasuredPageDensity, res.MeasuredLineDensity = MeasureDensity(sys.Mem())
+		res.MeasuredPageDensity, res.MeasuredLineDensity = sys.Mem().Density()
 	}
 
 	machine := sys.Machine()
@@ -216,13 +216,6 @@ func finishMeasurement(sys *core.System, p Profile, res *Result) {
 		res.CacheEffectSeconds += float64(rep.SharedLines) * p.CacheReuse * machine.LLCMissPenalty
 	}
 	res.Sys = sys
-}
-
-// MeasureDensity returns the heap's current page- and line-granularity
-// capability densities (Table 2, Figure 8a). It is mem.Memory.Density,
-// re-exported where workload consumers look for it.
-func MeasureDensity(m *mem.Memory) (pageDensity, lineDensity float64) {
-	return m.Density()
 }
 
 // liveSet tracks live allocations for the churn phase: FIFO order for

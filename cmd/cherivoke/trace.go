@@ -11,9 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/quarantine"
-	"repro/internal/revoke"
-	"repro/internal/sim"
+	"repro/internal/livetrace"
 	"repro/internal/workload"
 )
 
@@ -90,10 +88,7 @@ func traceRecordCmd(args []string) error {
 		w = f
 	}
 
-	sys, err := core.New(core.Config{
-		Policy: quarantine.Policy{Fraction: opts.Fraction, MinBytes: 64 << 10},
-		Revoke: revoke.Config{Kernel: sim.KernelVector, UseCapDirty: true, Launder: true},
-	})
+	sys, err := core.New(livetrace.AnalysisConfig())
 	if err != nil {
 		return err
 	}

@@ -16,11 +16,14 @@ const (
 	DefaultQuarantineMinBytes = uint64(64 << 10)
 )
 
-// Traffic model names for Spec.Traffic: which cache hierarchy each job
-// builds for DRAM-traffic accounting. Empty disables the accounting.
+// Traffic model names for Spec.Traffic: which machine each job's
+// DRAM-traffic report names. Empty disables the accounting. Every sweep is
+// charged from cold caches (mem.Hierarchy.ChargeSweep), which ignores cache
+// geometry, so the two models count the same traffic and differ only in
+// the report's model label (TestTrafficModelsDifferOnlyInLabel).
 const (
-	TrafficX86   = "x86"   // Table 1's x86 hierarchy (8 MiB LLC)
-	TrafficCHERI = "cheri" // the FPGA prototype's hierarchy (256 KiB LLC)
+	TrafficX86   = "x86"   // the paper's x86-64 system
+	TrafficCHERI = "cheri" // the CHERI FPGA prototype
 )
 
 // TraceProfile is the profile-axis sentinel used by trace-driven campaigns:

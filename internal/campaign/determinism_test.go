@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -122,6 +123,53 @@ func TestTrafficShardInvarianceArtifacts(t *testing.T) {
 		}
 		if len(jr.Traffic.Levels) != 4 {
 			t.Errorf("job %d: %d hierarchy levels, want 4", jr.Job.ID, len(jr.Traffic.Levels))
+		}
+	}
+}
+
+// TestTrafficModelsDifferOnlyInLabel names the cold-cache approximation:
+// every sweep is charged from cold caches (mem.Hierarchy.ChargeSweep), so the
+// charge ignores cache geometry and the x86 and cheri models count the same
+// traffic at every level, under the same level names. Only the model label
+// differs. The tags variant makes the tag-cache row nonzero.
+func TestTrafficModelsDifferOnlyInLabel(t *testing.T) {
+	tags := Variant{Name: "tags", Revoke: revoke.Config{UseCapDirty: true, UseCLoadTags: true}}
+	spec := Spec{
+		Profiles:  []string{"xalancbmk"},
+		Variants:  []Variant{PaperVariant(), tags},
+		MaxLive:   []uint64{1 << 20},
+		MinSweeps: 2,
+	}
+	spec.Traffic = TrafficX86
+	_, _, x86 := runArtifacts(t, spec, 2)
+	spec.Traffic = TrafficCHERI
+	_, _, cheri := runArtifacts(t, spec, 2)
+	for i, a := range x86.Jobs {
+		b := cheri.Jobs[i]
+		if a.Traffic == nil || b.Traffic == nil || a.Traffic.Model != TrafficX86 || b.Traffic.Model != TrafficCHERI {
+			t.Fatalf("job %d traffic reports %+v and %+v", i, a.Traffic, b.Traffic)
+		}
+		if a.Traffic.HierarchyStats != b.Traffic.HierarchyStats {
+			t.Errorf("job %d traffic: x86 %+v, cheri %+v", i, a.Traffic.HierarchyStats, b.Traffic.HierarchyStats)
+		}
+		if !slices.Equal(a.Traffic.Levels, b.Traffic.Levels) {
+			t.Errorf("job %d levels: x86 %+v, cheri %+v", i, a.Traffic.Levels, b.Traffic.Levels)
+		}
+		if a.Traffic.OffCoreBytes == 0 || a.Traffic.Levels[0].Misses == 0 {
+			t.Errorf("job %d (%s): zero data traffic in %+v", i, a.Job.Variant.Name, a.Traffic)
+		}
+		if tag := a.Traffic.Levels[3]; a.Job.Variant.Name == tags.Name && tag.Misses == 0 {
+			t.Errorf("job %d: zero tag-cache row %+v under CLoadTags", i, tag)
+		}
+		// Beyond the model names, the two results are the same bytes.
+		ta, tb := *a.Traffic, *b.Traffic
+		ta.Model, tb.Model = "", ""
+		a.Traffic, b.Traffic = &ta, &tb
+		a.Job.Traffic, b.Job.Traffic = "", ""
+		ja, _ := json.Marshal(a)
+		jb, _ := json.Marshal(b)
+		if !bytes.Equal(ja, jb) {
+			t.Errorf("job %d results differ beyond the model label:\n%.1500s\nvs\n%.1500s", i, ja, jb)
 		}
 	}
 }

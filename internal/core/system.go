@@ -45,10 +45,6 @@ const DefaultHeapBase = uint64(0x10000000)
 
 // Config configures a CHERIvoke system.
 type Config struct {
-	// HeapBase is the simulated heap's base address (DefaultHeapBase if
-	// zero; must be page-aligned).
-	HeapBase uint64
-
 	// Policy is the quarantine drain policy; quarantine.DefaultPolicy
 	// (25% of the live heap, the paper's default) if zero.
 	Policy quarantine.Policy
@@ -145,9 +141,6 @@ type Stats struct {
 
 // New builds a CHERIvoke system from cfg.
 func New(cfg Config) (*System, error) {
-	if cfg.HeapBase == 0 {
-		cfg.HeapBase = DefaultHeapBase
-	}
 	if cfg.Policy == (quarantine.Policy{}) {
 		cfg.Policy = quarantine.DefaultPolicy
 	}
@@ -155,15 +148,15 @@ func New(cfg Config) (*System, error) {
 		cfg.Machine = sim.X86()
 	}
 	m := mem.New()
-	a, err := alloc.New(m, cfg.HeapBase, cfg.Alloc)
+	a, err := alloc.New(m, DefaultHeapBase, cfg.Alloc)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := shadow.New(cfg.HeapBase, 0)
+	sm, err := shadow.New(DefaultHeapBase, 0)
 	if err != nil {
 		return nil, err
 	}
-	q, err := quarantine.New(cfg.HeapBase, 0)
+	q, err := quarantine.New(DefaultHeapBase, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +250,7 @@ func (s *System) heapCapability() cap.Capability {
 	if s.heapCap.Tag() && s.heapCap.Len() >= heapLen {
 		return s.heapCap
 	}
-	c, err := s.root.SetBounds(s.cfg.HeapBase, heapLen)
+	c, err := s.root.SetBounds(DefaultHeapBase, heapLen)
 	if err != nil {
 		// The heap base is page-aligned and lengths are padded, so
 		// this cannot fail; growing past it is a programming error.

@@ -16,11 +16,11 @@ import (
 // DispatcherOptions tunes a Dispatcher. The zero value of every field is
 // usable.
 type DispatcherOptions struct {
-	// Local executes jobs in-process when no worker can (every worker
-	// down or failing). Nil builds a LocalRunner with no trace opener —
-	// deployments that replay traces should supply one wired to their
-	// trace store.
-	Local Runner
+	// Traces resolves trace refs for the jobs the dispatcher executes
+	// in-process when no worker can (every worker down or failing). Nil
+	// fails such trace jobs; deployments that replay traces wire it to
+	// their trace store.
+	Traces campaign.TraceOpener
 
 	// InFlight bounds concurrently dispatched jobs per worker
 	// (0 = 4). Together with the campaign pool width it is the
@@ -63,7 +63,7 @@ type DispatcherOptions struct {
 // in the artifacts.
 type Dispatcher struct {
 	workers []*dispatchWorker
-	local   Runner
+	local   *LocalRunner
 	// localSlots bounds concurrent fallback executions: the pool width is
 	// sized for the fleet (Capacity), not for this machine, so a down
 	// fleet must not translate into Capacity concurrent local
@@ -147,16 +147,12 @@ func NewDispatcher(workers []*RemoteRunner, opts DispatcherOptions) *Dispatcher 
 	if inflight <= 0 {
 		inflight = 4
 	}
-	local := opts.Local
-	if local == nil {
-		local = &LocalRunner{}
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = log.Printf
 	}
 	d := &Dispatcher{
-		local:      local,
+		local:      &LocalRunner{Traces: opts.Traces},
 		localSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		logf:       logf,
 		m:          newDispatchMetrics(opts.Metrics),

@@ -126,6 +126,13 @@ func (r *RemoteRunner) RunJob(ctx context.Context, key string, spec campaign.Spe
 	if r.token != "" {
 		req.Header.Set("Authorization", "Bearer "+r.token)
 	}
+	// Correlation IDs let the worker's logs join the coordinator's.
+	if id := obs.RequestID(ctx); id != "" {
+		req.Header.Set("X-Request-Id", id)
+	}
+	if id := obs.CampaignID(ctx); id != "" {
+		req.Header.Set("X-Campaign-Id", id)
+	}
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return campaign.JobResult{}, fmt.Errorf("engine: worker %s: %w", r.base, err)

@@ -117,12 +117,13 @@ func Extensions(opts Options) ([]ExtensionRow, error) {
 		v      campaign.Variant
 		safety string
 	}
+	paper := campaign.PaperVariant().Revoke
 	sweeping := []extVariant{
-		{campaign.Variant{Name: "CHERIvoke (stop-the-world)", Revoke: paperRevokeConfig()},
+		{campaign.Variant{Name: "CHERIvoke (stop-the-world)", Revoke: paper},
 			"full heap temporal safety"},
-		{campaign.Variant{Name: "CHERIvoke + concurrent sweep", Revoke: paperRevokeConfig(), ConcurrentSweep: true},
+		{campaign.Variant{Name: "CHERIvoke + concurrent sweep", Revoke: paper, ConcurrentSweep: true},
 			"full heap temporal safety"},
-		{campaign.Variant{Name: "CHERIvoke + unmap large frees", Revoke: paperRevokeConfig(), UnmapLarge: true},
+		{campaign.Variant{Name: "CHERIvoke + unmap large frees", Revoke: paper, UnmapLarge: true},
 			"full heap temporal safety"},
 	}
 	direct := []extVariant{

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/campaign"
-	"repro/internal/revoke"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -70,17 +69,6 @@ func Default() Options {
 // Quick returns reduced-scale options for tests.
 func Quick() Options {
 	return Options{Seed: 0xC0FFEE, MaxLiveBytes: 4 << 20, MinSweeps: 2, Fraction: 0.25}
-}
-
-// paperRevokeConfig is the sweep configuration the paper's x86 evaluation
-// models (§5.3): PTE CapDirty page elimination, AVX2 kernel, no CLoadTags
-// ("our performance numbers are a pessimistic estimation").
-func paperRevokeConfig() revoke.Config {
-	return revoke.Config{
-		Kernel:      sim.KernelVector,
-		UseCapDirty: true,
-		Launder:     true,
-	}
 }
 
 // spec builds the figure experiments' standard campaign over the given

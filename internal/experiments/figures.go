@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cap"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/revoke"
 	"repro/internal/shadow"
@@ -132,7 +133,7 @@ func Fig8b(opts Options) ([]Fig8bPoint, error) {
 // pageAssist, line-granularity otherwise), sweeps it with and without the
 // assist, and returns the normalised time.
 func assistRatio(d float64, pages int, pageAssist, lineAssist bool, machine sim.Machine, kernel sim.Kernel, seed uint64) (float64, error) {
-	base := core0Base
+	base := core.DefaultHeapBase
 	m := mem.New()
 	if err := m.Map(base, uint64(pages)*mem.PageSize); err != nil {
 		return 0, err
@@ -200,8 +201,6 @@ func assistRatio(d float64, pages int, pageAssist, lineAssist bool, machine sim.
 	}
 	return assistT / baseT, nil
 }
-
-const core0Base = uint64(0x10000000)
 
 // Fig9Row is one quarantine-size point of Figure 9.
 type Fig9Row struct {

@@ -28,10 +28,9 @@ package livetrace
 import (
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/quarantine"
-	"repro/internal/revoke"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -42,8 +41,8 @@ import (
 // post-hoc replay of the same trace.
 func AnalysisConfig() core.Config {
 	return core.Config{
-		Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10},
-		Revoke: revoke.Config{Kernel: sim.KernelVector, UseCapDirty: true, Launder: true},
+		Policy: quarantine.Policy{Fraction: campaign.DefaultFraction, MinBytes: campaign.DefaultQuarantineMinBytes},
+		Revoke: campaign.PaperVariant().Revoke,
 	}
 }
 

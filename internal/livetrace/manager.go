@@ -30,11 +30,6 @@ type Config struct {
 	// its directory so the final rename is same-filesystem.
 	Store *workload.Store
 
-	// Window is the default StreamingSource window in events
-	// (0 = workload.DefaultWindow). Sessions may override it per stream,
-	// clamped to MaxWindow.
-	Window int
-
 	// Pending is the ring depth in windows (0 = DefaultPending).
 	Pending int
 
@@ -70,12 +65,6 @@ type Manager struct {
 
 // NewManager returns a Manager over cfg.Store.
 func NewManager(cfg Config) *Manager {
-	if cfg.Window <= 0 {
-		cfg.Window = workload.DefaultWindow
-	}
-	if cfg.Window > MaxWindow {
-		cfg.Window = MaxWindow
-	}
 	if cfg.Pending <= 0 {
 		cfg.Pending = DefaultPending
 	}
@@ -92,12 +81,12 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Begin registers a new session. window overrides the manager's default
-// StreamingSource window when positive (clamped to MaxWindow). The caller
-// must then drive the session with Run exactly once.
+// Begin registers a new session whose StreamingSource window is window
+// events (workload.DefaultWindow when not positive, clamped to MaxWindow).
+// The caller must then drive the session with Run exactly once.
 func (m *Manager) Begin(window int) (*Session, error) {
 	if window <= 0 {
-		window = m.cfg.Window
+		window = workload.DefaultWindow
 	}
 	if window > MaxWindow {
 		window = MaxWindow

@@ -41,7 +41,6 @@ type Session struct {
 	windows    uint64
 	events     uint64
 	stalls     uint64
-	stats      workload.StreamStats
 	traceHash  string
 	reconciled bool
 	finalStats *workload.StreamStats
@@ -323,7 +322,6 @@ func (s *Session) publish(stats workload.StreamStats, events int) {
 	s.mu.Lock()
 	s.windows++
 	s.events += uint64(events)
-	s.stats = stats
 	frame := Frame{
 		Seq:     s.windows,
 		Windows: s.windows,

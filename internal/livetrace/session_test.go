@@ -92,8 +92,8 @@ func assertNoSpools(t *testing.T, store *workload.Store) {
 func TestLiveSessionReconciles(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	m, store := newTestManager(t, Config{Window: 256})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{})
+	sess, err := m.Begin(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestLiveSessionReconciles(t *testing.T) {
 func TestLiveSessionCorruptTail(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	m, store := newTestManager(t, Config{Window: 64})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{})
+	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestLiveSessionRejectsLegacyJSON(t *testing.T) {
 func TestLiveSessionMidStreamDisconnect(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	m, store := newTestManager(t, Config{Window: 64})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{})
+	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestLiveSessionBackpressureStall(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
 	gate := make(chan struct{})
-	m, store := newTestManager(t, Config{Window: 64, Pending: 2, analyzerGate: gate})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{Pending: 2, analyzerGate: gate})
+	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestLiveSessionManagerShutdownMidStream(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
 	gate := make(chan struct{}) // never released: the stream cannot finish
-	m, store := newTestManager(t, Config{Window: 64, Pending: 2, analyzerGate: gate})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{Pending: 2, analyzerGate: gate})
+	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +310,8 @@ func TestLiveSessionManagerShutdownMidStream(t *testing.T) {
 func TestLiveSessionIdleTimeout(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	m, store := newTestManager(t, Config{Window: 64, IdleTimeout: 30 * time.Millisecond})
-	sess, err := m.Begin(0)
+	m, store := newTestManager(t, Config{IdleTimeout: 30 * time.Millisecond})
+	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}

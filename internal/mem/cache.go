@@ -1,20 +1,13 @@
 package mem
 
-// Set-associative LRU cache model used to account DRAM traffic for the
-// revocation sweep (Figure 10) and to model the tag cache that CLoadTags
-// probes terminate in (§2.2, §3.4.1). The model tracks hits, misses and
-// write-backs; it stores no data — correctness always comes from Memory,
-// timing and traffic from this overlay. A sweep is charged in closed form
-// (Hierarchy.ChargeSweep); Access, AccessTags and WriteBack are the
-// line-by-line reference model that closed form is tested against.
+import "slices"
 
-// CacheConfig describes one cache level.
-type CacheConfig struct {
-	Name     string
-	Size     uint64 // total capacity in bytes
-	LineSize uint64 // line size in bytes
-	Ways     int    // associativity
-}
+// Off-core traffic accounting for the revocation sweep (Figure 10),
+// including the tag cache that CLoadTags probes terminate in (§2.2,
+// §3.4.1). Each sweep starts with cold caches (the paper's pessimistic
+// Figure 10 accounting) and reads every swept line once, so a sweep is
+// charged in closed form (Hierarchy.ChargeSweep) and the charge ignores
+// cache geometry. It stores no data — correctness always comes from Memory.
 
 // CacheStats counts the events at one cache level.
 type CacheStats struct {
@@ -33,81 +26,6 @@ func (s CacheStats) Merge(other CacheStats) CacheStats {
 		Misses:     s.Misses + other.Misses,
 		WriteBacks: s.WriteBacks + other.WriteBacks,
 	}
-}
-
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
-// Cache is a single set-associative, write-back, write-allocate LRU cache.
-// Its line metadata is allocated on the first Access, so a cache that is
-// only charged in closed form is just its counters.
-type Cache struct {
-	cfg   CacheConfig
-	sets  [][]cacheLine
-	clock uint64
-	stats CacheStats
-}
-
-// NewCache returns a cache with the given geometry. Size must be a multiple
-// of LineSize*Ways.
-func NewCache(cfg CacheConfig) *Cache { return &Cache{cfg: cfg} }
-
-// Config returns the cache's geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
-// Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Reset invalidates all lines and zeroes counters.
-func (c *Cache) Reset() { *c = Cache{cfg: c.cfg} }
-
-// Access touches the line containing addr, allocating it on miss. It returns
-// (hit, writeBack): writeBack is true when the allocation evicted a dirty
-// line.
-func (c *Cache) Access(addr uint64, write bool) (hit, writeBack bool) {
-	if c.sets == nil {
-		nSets := max(int(c.cfg.Size/c.cfg.LineSize/uint64(c.cfg.Ways)), 1)
-		c.sets = make([][]cacheLine, nSets)
-		for i := range c.sets {
-			c.sets[i] = make([]cacheLine, c.cfg.Ways)
-		}
-	}
-	c.clock++
-	lineAddr := addr / c.cfg.LineSize
-	set := c.sets[lineAddr%uint64(len(c.sets))]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == lineAddr {
-			l.lru = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.stats.Hits++
-			return true, false
-		}
-	}
-	// Prefer an invalid way, else the least-recently-used one.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	c.stats.Misses++
-	writeBack = set[victim].valid && set[victim].dirty
-	if writeBack {
-		c.stats.WriteBacks++
-	}
-	set[victim] = cacheLine{tag: lineAddr, valid: true, dirty: write, lru: c.clock}
-	return false, writeBack
 }
 
 // HierarchyStats aggregates traffic through a cache hierarchy.
@@ -129,15 +47,17 @@ func (s HierarchyStats) Merge(other HierarchyStats) HierarchyStats {
 	}
 }
 
-// Hierarchy is the three-level data-cache hierarchy of Table 1's x86 system
-// plus the CHERI tag cache. Accesses walk L1→L2→LLC; misses at the LLC fill
-// from DRAM.
+// LevelStats is one cache level's counters, labelled for artifacts.
+type LevelStats struct {
+	Name string `json:"name"`
+	CacheStats
+}
+
+// Hierarchy counts sweep traffic through three data-cache levels (L1D, L2,
+// LLC) and the CHERI tag cache (Tag$), plus the traffic totals.
 type Hierarchy struct {
-	L1, L2, LLC *Cache
-	// TagCache caches the hierarchical tag table. One tag-table line
-	// covers TagLineCoverage bytes of data memory.
-	TagCache *Cache
-	stats    HierarchyStats
+	levels [4]LevelStats // L1D, L2, LLC, Tag$
+	stats  HierarchyStats
 }
 
 // TagLineCoverage is the span of data memory covered by one tag-cache line:
@@ -145,113 +65,23 @@ type Hierarchy struct {
 // 8 KiB of data.
 const TagLineCoverage = LineSize * 8 * GranuleSize
 
-// NewX86Hierarchy returns the cache hierarchy of the paper's x86-64 system
-// (Table 1: 8 MiB LLC), with conventional L1/L2 sizes for that part and a
-// 32 KiB tag cache as in the CHERI prototypes (§2.2).
+// NewX86Hierarchy returns a hierarchy for the paper's x86-64 system. The
+// charge ignores geometry, so it counts exactly what NewCHERIHierarchy's
+// does; the two differ only in the model a campaign reports.
 func NewX86Hierarchy() *Hierarchy {
-	return &Hierarchy{
-		L1:       NewCache(CacheConfig{Name: "L1D", Size: 32 << 10, LineSize: LineSize, Ways: 8}),
-		L2:       NewCache(CacheConfig{Name: "L2", Size: 256 << 10, LineSize: LineSize, Ways: 8}),
-		LLC:      NewCache(CacheConfig{Name: "LLC", Size: 8 << 20, LineSize: LineSize, Ways: 16}),
-		TagCache: NewCache(CacheConfig{Name: "Tag$", Size: 32 << 10, LineSize: LineSize, Ways: 4}),
-	}
+	return &Hierarchy{levels: [4]LevelStats{{Name: "L1D"}, {Name: "L2"}, {Name: "LLC"}, {Name: "Tag$"}}}
 }
 
-// NewCHERIHierarchy returns the FPGA prototype's hierarchy (Table 1: 256 KiB
-// LLC, single level below L1).
-func NewCHERIHierarchy() *Hierarchy {
-	return &Hierarchy{
-		L1:       NewCache(CacheConfig{Name: "L1D", Size: 16 << 10, LineSize: LineSize, Ways: 2}),
-		L2:       NewCache(CacheConfig{Name: "L2", Size: 64 << 10, LineSize: LineSize, Ways: 4}),
-		LLC:      NewCache(CacheConfig{Name: "LLC", Size: 256 << 10, LineSize: LineSize, Ways: 8}),
-		TagCache: NewCache(CacheConfig{Name: "Tag$", Size: 32 << 10, LineSize: LineSize, Ways: 4}),
-	}
-}
+// NewCHERIHierarchy returns a hierarchy for the FPGA prototype; see
+// NewX86Hierarchy.
+func NewCHERIHierarchy() *Hierarchy { return NewX86Hierarchy() }
 
 // Stats returns the hierarchy's aggregate traffic counters.
 func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
 
-// LevelStats is one cache level's counters, labelled for artifacts.
-type LevelStats struct {
-	Name string `json:"name"`
-	CacheStats
-}
-
-// Levels returns every level's counters in walk order (L1, L2, LLC, then the
-// tag cache when present).
-func (h *Hierarchy) Levels() []LevelStats {
-	out := []LevelStats{
-		{Name: h.L1.cfg.Name, CacheStats: h.L1.stats},
-		{Name: h.L2.cfg.Name, CacheStats: h.L2.stats},
-		{Name: h.LLC.cfg.Name, CacheStats: h.LLC.stats},
-	}
-	if h.TagCache != nil {
-		out = append(out, LevelStats{Name: h.TagCache.cfg.Name, CacheStats: h.TagCache.stats})
-	}
-	return out
-}
-
-// Reset clears all levels and counters.
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.L2.Reset()
-	h.LLC.Reset()
-	if h.TagCache != nil {
-		h.TagCache.Reset()
-	}
-	h.stats = HierarchyStats{}
-}
-
-// Access models a data access walking the hierarchy. It returns the level
-// that hit: 1, 2, 3, or 4 for DRAM.
-func (h *Hierarchy) Access(addr uint64, write bool) int {
-	if hit, _ := h.L1.Access(addr, write); hit {
-		return 1
-	}
-	if hit, _ := h.L2.Access(addr, write); hit {
-		return 2
-	}
-	h.stats.OffCoreBytes += LineSize
-	hit, wb := h.LLC.Access(addr, write)
-	if wb {
-		h.stats.DRAMWriteBytes += LineSize
-	}
-	if hit {
-		return 3
-	}
-	h.stats.DRAMReadBytes += LineSize
-	return 4
-}
-
-// WriteBack charges the DRAM drain of one stored line, as the sweep model
-// charges each line a sweep stores back (one holding a revocation, or every
-// swept line under the vector kernel): the store itself hits in L1 — the
-// line was examined immediately before — and its dirtied line is drained to
-// DRAM exactly once when the streaming sweep evicts it. Charging the drain
-// directly, instead of setting dirty bits and counting evictions, keeps write
-// traffic independent of where the walk happens to end (lines still resident
-// at the end of a walk would otherwise never be counted).
-func (h *Hierarchy) WriteBack() {
-	h.stats.DRAMWriteBytes += LineSize
-	h.stats.OffCoreBytes += LineSize
-}
-
-// AccessTags models a CLoadTags probe: it consults only the tag cache,
-// filling one tag-table line from DRAM on miss. It returns true if the probe
-// hit in the tag cache.
-func (h *Hierarchy) AccessTags(dataAddr uint64) bool {
-	if h.TagCache == nil {
-		return false
-	}
-	tagAddr := dataAddr / TagLineCoverage * LineSize
-	hit, _ := h.TagCache.Access(tagAddr, false)
-	if !hit {
-		h.stats.TagDRAMReads += LineSize
-		h.stats.DRAMReadBytes += LineSize
-		h.stats.OffCoreBytes += LineSize
-	}
-	return hit
-}
+// Levels returns every level's counters in walk order: L1D, L2, LLC, then
+// the tag cache.
+func (h *Hierarchy) Levels() []LevelStats { return slices.Clone(h.levels[:]) }
 
 // ChargeSweep charges one revocation sweep to the hierarchy in closed form
 // and returns the traffic it added (a sweep's Stats.Traffic). The counts
@@ -259,25 +89,22 @@ func (h *Hierarchy) AccessTags(dataAddr uint64) bool {
 // stored back, probes its CLoadTags probes and fills the distinct tag-table
 // lines those probes touched.
 //
-// The result equals walking the same sweep through Access, AccessTags and
-// WriteBack on a cold hierarchy, because the sweep model makes three
-// choices. Each sweep starts cold, so warmth carried in from the
-// application between sweeps is not credited (the paper's pessimistic
-// Figure 10 accounting). A sweep reads each swept line once, so every read
-// misses at L1, L2 and the LLC and fills from DRAM, whatever the geometry.
-// And a tag line is reused only by probes inside its own 8 KiB window, which
-// the sweep walks contiguously, so it fills once and every other probe hits.
-// Stored lines are charged as WriteBack charges them.
+// The closed form rests on three choices of the sweep model. Each sweep
+// starts cold, so warmth carried in from the application between sweeps is
+// not credited (the paper's pessimistic Figure 10 accounting). A sweep
+// reads each swept line once, so every read misses at L1, L2 and the LLC
+// and fills from DRAM, whatever the geometry. And a tag line is reused only
+// by probes inside its own 8 KiB window, which the sweep walks
+// contiguously, so it fills once and every other probe hits. Each stored
+// line is drained to DRAM exactly once, off-core, when the streaming sweep
+// evicts it.
 func (h *Hierarchy) ChargeSweep(lines, stores, probes, fills uint64) HierarchyStats {
-	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
-		c.stats.Misses += lines
+	for i := range 3 { // L1D, L2, LLC
+		h.levels[i].Misses += lines
 	}
-	if h.TagCache == nil {
-		fills = 0 // AccessTags charges nothing without a tag cache
-	} else {
-		h.TagCache.stats.Misses += fills
-		h.TagCache.stats.Hits += probes - fills
-	}
+	tag := &h.levels[3]
+	tag.Misses += fills
+	tag.Hits += probes - fills
 	d := HierarchyStats{
 		DRAMReadBytes:  (lines + fills) * LineSize,
 		DRAMWriteBytes: stores * LineSize,

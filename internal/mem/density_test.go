@@ -112,27 +112,6 @@ func TestPageViewMatchesArchitecturalAccessors(t *testing.T) {
 	}
 }
 
-func TestHierarchyVariantsAndReset(t *testing.T) {
-	for _, h := range []*Hierarchy{NewX86Hierarchy(), NewCHERIHierarchy()} {
-		if h.L1.Config().Size == 0 || h.LLC.Config().Size <= h.L2.Config().Size {
-			t.Errorf("%s hierarchy geometry: L1 %d L2 %d LLC %d", h.LLC.Config().Name,
-				h.L1.Config().Size, h.L2.Config().Size, h.LLC.Config().Size)
-		}
-		h.Access(0x1000, true)
-		h.AccessTags(0x1000)
-		if h.Stats().DRAMReadBytes == 0 {
-			t.Error("no traffic recorded")
-		}
-		h.Reset()
-		if h.Stats() != (HierarchyStats{}) {
-			t.Errorf("stats after reset: %+v", h.Stats())
-		}
-		if lvl := h.Access(0x1000, false); lvl != 4 {
-			t.Errorf("line survived hierarchy reset (hit level %d)", lvl)
-		}
-	}
-}
-
 func TestStoreWordPermissionDenied(t *testing.T) {
 	m, heap := newHeap(t, 1)
 	ro := heap.ClearPerms(cap.PermStore)

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -64,55 +63,5 @@ func TestHierarchyStatsMergeAlgebra(t *testing.T) {
 	}
 	if err := quick.Check(law, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestChargeSweepMatchesReference charges a cold streaming sweep in closed
-// form and walks the same sweep through AccessTags, Access and WriteBack on
-// a cold hierarchy of each geometry, and of one without a tag cache: three
-// 8 KiB windows probed line by line, every other line read, every fifth
-// read stored back.
-func TestChargeSweepMatchesReference(t *testing.T) {
-	noTagCache := func() *Hierarchy {
-		h := NewCHERIHierarchy()
-		h.TagCache = nil
-		return h
-	}
-	for name, mk := range map[string]func() *Hierarchy{
-		"x86": NewX86Hierarchy, "cheri": NewCHERIHierarchy, "no-tag-cache": noTagCache,
-	} {
-		ref, closed := mk(), mk()
-		var lines, stores, probes uint64
-		for addr := uint64(0); addr < 3*TagLineCoverage; addr += LineSize {
-			ref.AccessTags(addr)
-			probes++
-			if addr/LineSize%2 == 0 {
-				continue
-			}
-			ref.Access(addr, false)
-			lines++
-			if lines%5 == 0 {
-				ref.WriteBack()
-				stores++
-			}
-		}
-		d := closed.ChargeSweep(lines, stores, probes, 3)
-		if d != ref.Stats() || closed.Stats() != ref.Stats() {
-			t.Errorf("%s: closed form %+v (delta %+v), reference %+v",
-				name, closed.Stats(), d, ref.Stats())
-		}
-		if got, want := closed.Levels(), ref.Levels(); !slices.Equal(got, want) {
-			t.Errorf("%s levels: closed form %+v, reference %+v", name, got, want)
-		}
-	}
-}
-
-func TestHierarchyWriteBack(t *testing.T) {
-	h := NewX86Hierarchy()
-	h.WriteBack()
-	h.WriteBack()
-	want := HierarchyStats{DRAMWriteBytes: 2 * LineSize, OffCoreBytes: 2 * LineSize}
-	if h.Stats() != want {
-		t.Errorf("stats after two write-backs: %+v, want %+v", h.Stats(), want)
 	}
 }

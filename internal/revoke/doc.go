@@ -6,8 +6,8 @@
 // The sweep is functional — tags really are cleared on the simulated memory
 // — and simultaneously produces the event counts (words examined, lines
 // fetched, probes issued, page runs entered) that internal/sim prices into
-// simulated seconds, and from which the cache hierarchy model charges the
-// DRAM traffic of Figure 10 in closed form (mem.Hierarchy.ChargeSweep).
+// simulated seconds, and from which mem.Hierarchy.ChargeSweep charges the
+// DRAM traffic of Figure 10 in closed form.
 //
 // Work-elimination levels (§3.4):
 //   - PTE CapDirty: only pages whose page-table entry records a capability

@@ -64,8 +64,9 @@ func statusClass(code int) string {
 //     ServeMux pattern, not the raw path, so /campaigns/{id} is one series
 //     however many campaigns exist);
 //   - each request is logged structurally (method, route, status, duration,
-//     request ID) — probe endpoints (/healthz, /metrics) log at Debug so a
-//     scraper does not flood the log.
+//     request ID, and the campaign ID a coordinator sends a worker as
+//     X-Campaign-Id) — probe endpoints (/healthz, /metrics) log at Debug so
+//     a scraper does not flood the log.
 func (s *Server) observe(next http.Handler) http.Handler {
 	lg := obs.Logger("http")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -97,13 +98,17 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		if r.URL.Path == "/healthz" || r.URL.Path == "/metrics" {
 			level = lg.Debug
 		}
-		level("request",
+		attrs := []any{
 			"method", r.Method,
 			"route", route,
 			"path", r.URL.Path,
 			"status", status,
-			"duration_ms", float64(elapsed.Microseconds())/1000,
+			"duration_ms", float64(elapsed.Microseconds()) / 1000,
 			"request_id", id,
-		)
+		}
+		if campaign := r.Header.Get("X-Campaign-Id"); campaign != "" {
+			attrs = append(attrs, "campaign_id", campaign)
+		}
+		level("request", attrs...)
 	})
 }

@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"log/slog"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -165,6 +170,63 @@ func TestRequestIDMiddleware(t *testing.T) {
 	if got := resp.Header.Get("X-Request-Id"); got == "" {
 		t.Error("no request ID generated for ID-less request")
 	}
+}
+
+// lockedBuffer is a log sink that handler goroutines may write while the
+// test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestWorkerLogsCorrelationIDs checks the coordinator→worker hop: a job
+// that a RemoteRunner sends under a request ID and a campaign ID is logged
+// by the worker's request line with both, so worker logs join coordinator
+// logs.
+func TestWorkerLogsCorrelationIDs(t *testing.T) {
+	var logs lockedBuffer
+	obs.SetLogger(slog.New(slog.NewJSONHandler(&logs, nil)))
+	t.Cleanup(func() { obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))) })
+	worker := newTestServer(t, Options{Workers: 1, Worker: true})
+
+	spec := distSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.WithCampaignID(obs.WithRequestID(context.Background(), "req-hop"), "c000042")
+	if _, err := engine.NewRemoteRunner(worker.URL, "").RunJob(ctx, engine.JobKey(spec, jobs[0], ""), spec, jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	worker.Close() // waits for the handler, which logs after it responds
+
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec struct {
+			Msg, Route string
+			RequestID  string `json:"request_id"`
+			CampaignID string `json:"campaign_id"`
+		}
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Msg != "request" || rec.Route != "POST /internal/jobs" {
+			continue
+		}
+		if rec.RequestID != "req-hop" || rec.CampaignID != "c000042" {
+			t.Errorf("worker logged request_id %q and campaign_id %q, want req-hop and c000042", rec.RequestID, rec.CampaignID)
+		}
+		return
+	}
+	t.Fatalf("no POST /internal/jobs request line in the worker's log:\n%s", logs.String())
 }
 
 // TestHTTPRequestMetrics checks that requests are counted under their route

@@ -153,7 +153,7 @@ func New(opts Options) (*Server, error) {
 		}
 		dlog := obs.Logger("dispatch")
 		s.dispatcher = engine.NewDispatcher(remotes, engine.DispatcherOptions{
-			Local:    &engine.LocalRunner{Traces: traces},
+			Traces:   traces,
 			InFlight: opts.WorkerInFlight,
 			Metrics:  s.reg,
 			Logf: func(format string, args ...any) {

@@ -206,8 +206,11 @@ func resolveTraceHash(traces campaign.TraceOpener, ref string) (string, error) {
 // Submit validates spec, persists a new campaign record, and starts its run
 // on a background goroutine. The returned record is the initial (running)
 // snapshot. Validation failures — a bad spec, an unresolvable trace ref —
-// are the caller's to report; nothing is persisted for them.
-func (e *Engine) Submit(spec campaign.Spec, workers int) (Campaign, error) {
+// are the caller's to report; nothing is persisted for them. The run's
+// context keeps ctx's values, such as the submitting request's ID, which
+// a RemoteRunner forwards with every job; ctx's cancellation does not end
+// the run, Cancel does.
+func (e *Engine) Submit(ctx context.Context, spec campaign.Spec, workers int) (Campaign, error) {
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return Campaign{}, err
@@ -263,7 +266,7 @@ func (e *Engine) Submit(spec campaign.Spec, workers int) (Campaign, error) {
 		}
 		e.mu.Unlock()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	r := &run{rec: rec, cancel: cancel, subs: map[chan Event]struct{}{}}
 	e.mu.Lock()
 	e.runs[rec.ID] = r

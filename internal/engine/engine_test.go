@@ -210,7 +210,7 @@ func TestSubmitRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := e1.Submit(testSpec(), 2)
+	rec, err := e1.Submit(context.Background(), testSpec(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestSubmitRestartRecovery(t *testing.T) {
 	}
 
 	// Resubmission: same spec, fresh process — everything from the store.
-	rec2, err := e2.Submit(testSpec(), 2)
+	rec2, err := e2.Submit(context.Background(), testSpec(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 		t.Error("failed record has no finished time")
 	}
 	// The ID sequence resumes past the recovered records.
-	rec, err := e2.Submit(spec, 1)
+	rec, err := e2.Submit(context.Background(), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestSharedOpenLeavesRunningRecords(t *testing.T) {
 		t.Fatalf("running record rewritten on disk: %+v", recs)
 	}
 	// The sequence still fences past the live record.
-	rec, err := e.Submit(testSpec(), 1)
+	rec, err := e.Submit(context.Background(), testSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

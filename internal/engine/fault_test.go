@@ -82,14 +82,14 @@ func TestSubmitSurfacesStoreFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := e.Submit(testSpec(), 1); !errors.Is(err, ErrStore) {
+	if _, err := e.Submit(context.Background(), testSpec(), 1); !errors.Is(err, ErrStore) {
 		t.Fatalf("Submit over a broken store: err = %v, want ErrStore", err)
 	}
 	if got := e.List(); len(got) != 0 {
 		t.Errorf("failed submission is listed: %v", got)
 	}
 	// The disk recovered; the engine must too, with a fresh ID.
-	rec, err := e.Submit(testSpec(), 1)
+	rec, err := e.Submit(context.Background(), testSpec(), 1)
 	if err != nil {
 		t.Fatalf("Submit after recovery: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestSubmitConflictIsNotAFailure(t *testing.T) {
 	e.mu.Lock()
 	e.seq = 0
 	e.mu.Unlock()
-	rec, err := e.Submit(testSpec(), 1)
+	rec, err := e.Submit(context.Background(), testSpec(), 1)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestFailedJobPutDoesNotFailTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec, err := e.Submit(testSpec(), 1)
+	rec, err := e.Submit(context.Background(), testSpec(), 1)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

@@ -393,7 +393,7 @@ func TestEngineFsyncsPerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := s.Fsyncs()
-	rec, err := e.Submit(spec, 2)
+	rec, err := e.Submit(context.Background(), spec, 2)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

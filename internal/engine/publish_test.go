@@ -60,14 +60,14 @@ func TestFailedJobIsNeverPublished(t *testing.T) {
 			if e.shared != tc.shared {
 				t.Fatalf("engine shared = %v, want %v", e.shared, tc.shared)
 			}
-			rec, err := e.Submit(testSpec(), 1)
+			rec, err := e.Submit(context.Background(), testSpec(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if first := waitState(t, e, rec.ID); first.State != StateFailed {
 				t.Fatalf("first run ended %q, want %q", first.State, StateFailed)
 			}
-			rec, err = e.Submit(testSpec(), 1)
+			rec, err = e.Submit(context.Background(), testSpec(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestStoredFailureHeals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := e.Submit(spec, 1)
+			rec, err := e.Submit(context.Background(), spec, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestColdJobStoreWork(t *testing.T) {
 			}
 			spec := testSpec()
 			spec.Seeds = []uint64{1, 2, 3, 4}
-			rec, err := e.Submit(spec, 2)
+			rec, err := e.Submit(context.Background(), spec, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

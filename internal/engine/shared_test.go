@@ -56,7 +56,7 @@ func TestSharedEnginesExecuteEachJobOnce(t *testing.T) {
 			wg.Add(1)
 			go func(i int, e *Engine) {
 				defer wg.Done()
-				rec, err := e.Submit(spec, 2)
+				rec, err := e.Submit(context.Background(), spec, 2)
 				if err != nil {
 					t.Errorf("Submit on engine %d: %v", i, err)
 					return

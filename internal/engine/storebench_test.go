@@ -5,6 +5,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -173,11 +174,11 @@ func BenchmarkSharedStoreFleet(b *testing.B) {
 		base := s.Fsyncs()
 		b.StartTimer()
 		start := time.Now()
-		recA, err := ea.Submit(spec, 2)
+		recA, err := ea.Submit(context.Background(), spec, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		recB, err := eb.Submit(spec, 2)
+		recB, err := eb.Submit(context.Background(), spec, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,9 +18,10 @@ func BenchmarkMap(b *testing.B) {
 }
 
 // BenchmarkFirstStore times the first StoreCap into each page of a fresh
-// 64-page grow quantum, the store that gives a page its words, and reports
-// ns per page; allocs/op counts the host objects the 64 stores cost. The
-// New and Map of each quantum are not timed.
+// 64-page grow quantum, the store that gives a page its line table and the
+// line its words, and reports ns per page; allocs/op counts the host
+// objects the 64 stores cost. The New and Map of each quantum are not
+// timed.
 func BenchmarkFirstStore(b *testing.B) {
 	const pages = 64
 	heap, err := cap.MustRoot(0, 1<<48).SetBoundsExact(heapBase, pages*PageSize)

@@ -19,12 +19,41 @@ import (
 // addrLimit is the top of the 48-bit virtual address space.
 const addrLimit = 1 << 48
 
-// wordsBlockPages is how many pages' words one host allocation holds: a
-// page takes its words from the last block on its first nonzero store.
-const wordsBlockPages = 64
+// Host storage for simulated memory's words comes in blocks: a page's or a
+// line's first nonzero store takes the next slot of the last block and
+// allocates only when that block is full. Larger blocks allocate less often
+// but leave a larger unused tail in every small Memory, such as a campaign
+// job's 1 MiB heap.
+const (
+	// tableBlockPages is how many pages' line tables one block holds: 64
+	// tables of 256 B, 16 KiB, one allocator grow quantum of pages.
+	tableBlockPages = 64
 
-// wordsBlock holds the words of wordsBlockPages pages.
-type wordsBlock [wordsBlockPages][WordsPerPage]uint64
+	// lineBlockLines is how many lines one block holds: 512 lines of 64 B,
+	// 32 KiB, the largest block Go's allocator still serves from a size
+	// class rather than as a large object with a span of its own.
+	lineBlockLines = 512
+)
+
+// lineTable maps each line of a page to the index of its words among the
+// Memory's lines, or to 0, the zero line, while the line has had no nonzero
+// store. It holds indices, not pointers, so blocks of tables are not
+// scanned by the garbage collector.
+type lineTable [LinesPerPage]uint32
+
+// line holds the words of one cache line, granule by granule.
+type line [GranulesPerLine][granuleWords]uint64
+
+// granuleWords and lineWords are the words in a granule and in a line.
+const (
+	granuleWords = GranuleSize / WordSize
+	lineWords    = LineSize / WordSize
+)
+
+type (
+	tableBlock [tableBlockPages]lineTable
+	lineBlock  [lineBlockLines]line
+)
 
 // Stats counts architectural memory events. Counters are cumulative; callers
 // snapshot and subtract to measure an interval.
@@ -45,19 +74,25 @@ type Stats struct {
 // The page table is an address-ordered slice of disjoint regions, each a
 // run of consecutive page slots. An allocator heap is one region that Map
 // extends as the heap grows, a page lookup is a binary search over the
-// regions, and page lists come out in address order with no sort. A slot
-// costs under 64 bytes until the page's first nonzero store, which gives it
-// 4 KiB of words from the Memory's blocks of wordsBlockPages pages; an
-// untouched page reads as zero. The page, cap-page and cap-line counts
-// behind Density change with every tag transition, Map and Unmap.
+// regions, and page lists come out in address order with no sort.
+//
+// Words are stored per written cache line, since capabilities are sparse at
+// line granularity (Table 2). A page slot is 40 bytes. The page's first
+// nonzero store gives it a 256 B line table, and a line's first nonzero
+// store gives that line 64 B; an unwritten line, and so an unwritten page,
+// reads as zero. A fully written page costs 4 KiB + 256 B. The page,
+// cap-page and cap-line counts behind Density change with every tag
+// transition, Map and Unmap.
 type Memory struct {
-	regions  []region
-	blocks   []*wordsBlock // word slot i is blocks[i/wordsBlockPages][i%wordsBlockPages]
-	slots    uint32        // word slots handed out
-	mapped   int           // mapped pages
-	capPages int           // mapped pages holding a tag
-	capLines int           // lines of mapped pages holding a tag
-	stats    Stats
+	regions    []region
+	tables     []*tableBlock // line table i is tables[i/tableBlockPages][i%tableBlockPages]
+	lines      []*lineBlock  // line i is lines[i/lineBlockLines][i%lineBlockLines]
+	tablesUsed uint32        // line tables handed out
+	linesUsed  uint32        // lines handed out
+	mapped     int           // mapped pages
+	capPages   int           // mapped pages holding a tag
+	capLines   int           // lines of mapped pages holding a tag
+	stats      Stats
 }
 
 // region is a run of mapped pages: pages[i] is the page at base+i*PageSize.
@@ -68,8 +103,12 @@ type region struct {
 
 func (r *region) end() uint64 { return r.base + uint64(len(r.pages))*PageSize }
 
-// New returns an empty memory with no mappings.
-func New() *Memory { return &Memory{} }
+// New returns an empty memory with no mappings. Its first table and line
+// blocks are the shared zero blocks; a capacity of 1 makes the first append
+// to either list copy it rather than write into the shared array.
+func New() *Memory {
+	return &Memory{tables: zeroTables[:1:1], lines: zeroLines[:1:1]}
+}
 
 // Stats returns a snapshot of the cumulative event counters.
 func (m *Memory) Stats() Stats { return m.stats }
@@ -134,8 +173,8 @@ func (m *Memory) Map(addr, size uint64) error {
 
 // Unmap removes the pages covering [addr, addr+size), which must be
 // page-aligned and inside the 48-bit address space. Unmapped holes in the
-// range are ignored, matching munmap semantics. An unmapped page's words
-// are not reused; they are freed with the Memory.
+// range are ignored, matching munmap semantics. An unmapped page's line
+// table and lines are not reused; they are freed with the Memory.
 func (m *Memory) Unmap(addr, size uint64) error {
 	end, err := pageRange("Unmap", addr, size)
 	if err != nil {
@@ -200,46 +239,69 @@ func (m *Memory) pageFor(addr uint64) (*page, error) {
 	return nil, faultf(ErrUnmapped, "mem: access at %#x", addr)
 }
 
-// words returns p's words, or nil while p is untouched.
-func (m *Memory) words(p *page) *[WordsPerPage]uint64 {
-	if p.words == 0 {
-		return nil
-	}
-	i := p.words - 1
-	return &m.blocks[i/wordsBlockPages][i%wordsBlockPages]
+// Every Memory's first table block and first line block are shared and
+// never written: table 0, the table of every unwritten page, names line 0
+// for each of its lines, and line 0 reads as zero. Tables and lines are
+// handed out from the second block on, so reads need no branch for an
+// unwritten page or line.
+var (
+	zeroTables = []*tableBlock{new(tableBlock)}
+	zeroLines  = []*lineBlock{new(lineBlock)}
+)
+
+// table returns p's line table.
+func (m *Memory) table(p *page) *lineTable {
+	return &m.tables[p.table/tableBlockPages][p.table%tableBlockPages]
+}
+
+// lineAt returns the words of the line a line-table slot i names.
+func (m *Memory) lineAt(i uint32) *line {
+	return &m.lines[i/lineBlockLines][i%lineBlockLines]
 }
 
 // word returns word w of p.
 func (m *Memory) word(p *page, w uint64) uint64 {
-	if ws := m.words(p); ws != nil {
-		return ws[w]
-	}
-	return 0
+	return m.lineAt(m.table(p)[w/lineWords])[w/granuleWords%GranulesPerLine][w%granuleWords]
 }
 
-// setWord stores val in word w of p. A zero store leaves an untouched page
-// untouched.
+// granule returns the two words of granule g of the page whose line table
+// is t.
+func (m *Memory) granule(t *lineTable, g uint) (lo, hi uint64) {
+	words := &m.lineAt(t[g/GranulesPerLine])[g%GranulesPerLine]
+	return words[0], words[1]
+}
+
+// setWord stores val in word w of p. A zero store leaves an unwritten line
+// unwritten.
 func (m *Memory) setWord(p *page, w, val uint64) {
-	ws := m.words(p)
-	if ws == nil {
+	i := m.table(p)[w/lineWords]
+	if i == 0 {
 		if val == 0 {
 			return
 		}
-		ws = m.newWords(p)
+		i = m.newLine(p, uint(w/lineWords))
 	}
-	ws[w] = val
+	m.lineAt(i)[w/granuleWords%GranulesPerLine][w%granuleWords] = val
 }
 
-// newWords gives the untouched page p the next free word slot, allocating
-// a block when the last one is full, and returns its words.
-func (m *Memory) newWords(p *page) *[WordsPerPage]uint64 {
-	i := m.slots
-	if i%wordsBlockPages == 0 {
-		m.blocks = append(m.blocks, new(wordsBlock))
+// newLine gives the unwritten line l of p the next free line, and p the
+// next free line table if it has none, allocating a block when the last one
+// is full, and returns the line's index.
+func (m *Memory) newLine(p *page, l uint) uint32 {
+	if p.table == 0 {
+		p.table = tableBlockPages + m.tablesUsed
+		m.tablesUsed++
+		if int(p.table/tableBlockPages) == len(m.tables) {
+			m.tables = append(m.tables, new(tableBlock))
+		}
 	}
-	m.slots++
-	p.words = i + 1
-	return &m.blocks[i/wordsBlockPages][i%wordsBlockPages]
+	i := lineBlockLines + m.linesUsed
+	m.linesUsed++
+	if int(i/lineBlockLines) == len(m.lines) {
+		m.lines = append(m.lines, new(lineBlock))
+	}
+	m.table(p)[l] = i
+	return i
 }
 
 // setTag sets the tag of granule g of p to v, keeping the page's and the
@@ -319,7 +381,6 @@ func (m *Memory) LoadCap(auth cap.Capability, addr uint64) (cap.Capability, erro
 	if err != nil {
 		return cap.Null, err
 	}
-	w := addr % PageSize / WordSize
 	g := uint(addr % PageSize / GranuleSize)
 	tag := p.tagAt(g)
 	if tag && !auth.Perms().Has(cap.PermLoadCap) {
@@ -328,7 +389,8 @@ func (m *Memory) LoadCap(auth cap.Capability, addr uint64) (cap.Capability, erro
 		tag = false
 	}
 	m.stats.CapLoads++
-	return cap.Decode(m.word(p, w), m.word(p, w+1), tag), nil
+	lo, hi := m.granule(m.table(p), g)
+	return cap.Decode(lo, hi, tag), nil
 }
 
 // StoreCap performs a capability-checked 16-byte capability store. Storing a
@@ -392,8 +454,9 @@ func (m *Memory) RawLoadCap(addr uint64) (cap.Capability, error) {
 	if err != nil {
 		return cap.Null, err
 	}
-	w := addr % PageSize / WordSize
-	return cap.Decode(m.word(p, w), m.word(p, w+1), p.tagAt(uint(addr%PageSize/GranuleSize))), nil
+	g := uint(addr % PageSize / GranuleSize)
+	lo, hi := m.granule(m.table(p), g)
+	return cap.Decode(lo, hi, p.tagAt(g)), nil
 }
 
 // RawStoreCap stores a capability image and tag without authority checks,
@@ -468,14 +531,18 @@ func (m *Memory) CLoadTags(addr uint64) (uint8, error) {
 // loop resolves the page-table lookup once per page and then reads tags and
 // granules through the view, with no lookup per line or granule. Reads
 // through a view have no architectural event accounting, so concurrent
-// readers may take views of the same memory. Any Map or Unmap
-// invalidates every view: extending a region can move its page slots. A
-// view must not outlive the sweep that took it, and mutating the memory
-// through other accessors while holding a view is the caller's concurrency
-// problem.
+// readers may take views of the same memory. A view holds the page's line
+// table and finds each line's words through the Memory as it reads them,
+// so it stays valid while stores give the page lines and the Memory blocks;
+// a view taken while the page was unwritten reads zeros until it is taken
+// again. Any Map or Unmap invalidates every view: extending a region can
+// move its page slots. A view must not outlive the sweep that took it, and
+// mutating the memory through other accessors while holding a view is the
+// caller's concurrency problem.
 type PageView struct {
+	m     *Memory
 	p     *page
-	words *[WordsPerPage]uint64 // nil while the page is untouched
+	table *lineTable
 }
 
 // PageView returns a view of the mapped page at base (which must be
@@ -488,7 +555,7 @@ func (m *Memory) PageView(base uint64) (PageView, error) {
 	if err != nil {
 		return PageView{}, err
 	}
-	return PageView{p: p, words: m.words(p)}, nil
+	return PageView{m: m, p: p, table: m.table(p)}, nil
 }
 
 // TagWord returns tag word i (0..GranulesPerPage/64-1) of the page's tag
@@ -498,10 +565,7 @@ func (v PageView) TagWord(i uint) uint64 { return binary.LittleEndian.Uint64(v.p
 // Granule returns the two data words and tag of granule index g
 // (0..GranulesPerPage-1).
 func (v PageView) Granule(g uint) (lo, hi uint64, tag bool) {
-	if v.words != nil {
-		w := g * (GranuleSize / WordSize)
-		lo, hi = v.words[w], v.words[w+1]
-	}
+	lo, hi = v.m.granule(v.table, g)
 	return lo, hi, v.p.tagAt(g)
 }
 

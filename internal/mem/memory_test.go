@@ -3,8 +3,11 @@ package mem
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cap"
 )
@@ -259,6 +262,118 @@ func TestClearTagRevokes(t *testing.T) {
 	wantLo, _ := obj.Encode()
 	if lo != wantLo {
 		t.Error("ClearTag corrupted data")
+	}
+}
+
+// TestRevokedDataReadsBack revokes a capability in every line of a page and
+// reads each granule back through every accessor: only the tag is gone,
+// both words survive.
+func TestRevokedDataReadsBack(t *testing.T) {
+	m, heap := newHeap(t, 1)
+	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)
+	for l := uint64(0); l < LinesPerPage; l++ {
+		addr := heapBase + l*LineSize + l%GranulesPerLine*GranuleSize
+		c := obj.SetAddr(heapBase + 0x100 + l%64)
+		if err := m.StoreCap(heap, addr, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ClearTag(addr); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := c.Encode()
+		if got, _ := m.LoadCap(heap, addr); got != c.ClearTag() {
+			t.Fatalf("line %d: LoadCap after revocation = %v, want %v", l, got, c.ClearTag())
+		}
+		if got, _ := m.RawLoadCap(addr); got != c.ClearTag() {
+			t.Fatalf("line %d: RawLoadCap after revocation = %v, want %v", l, got, c.ClearTag())
+		}
+		w0, _ := m.RawLoadWord(addr)
+		w1, _ := m.RawLoadWord(addr + WordSize)
+		if w0 != lo || w1 != hi {
+			t.Fatalf("line %d: words %#x %#x after revocation, want %#x %#x", l, w0, w1, lo, hi)
+		}
+		v, _ := m.PageView(heapBase)
+		if vlo, vhi, tag := v.Granule(uint(addr % PageSize / GranuleSize)); vlo != lo || vhi != hi || tag {
+			t.Fatalf("line %d: view reads %#x %#x %v after revocation, want %#x %#x false", l, vlo, vhi, tag, lo, hi)
+		}
+	}
+}
+
+// TestFirstStoreHostCost bounds the host memory one capability store into
+// each page of a 4096-page heap allocates: a line table and one line per
+// page, plus at most one block of each kind left partly unused.
+func TestFirstStoreHostCost(t *testing.T) {
+	const pages = 4096
+	m, heap := newHeap(t, pages)
+	obj, _ := heap.SetBoundsExact(heapBase+0x100, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := uint64(0); p < pages; p++ {
+		if err := m.StoreCap(heap, heapBase+p*PageSize+0x40, obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	limit := pages*(unsafe.Sizeof(lineTable{})+unsafe.Sizeof(line{})) +
+		unsafe.Sizeof(tableBlock{}) + unsafe.Sizeof(lineBlock{})
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit) {
+		t.Errorf("one StoreCap into each of %d pages allocated %d B, want at most %d", pages, got, limit)
+	}
+	if !m.CheckTagInvariant() {
+		t.Error("tag invariant violated")
+	}
+}
+
+// TestPageViewSeesLinePoolGrowth takes a view of a written page, then
+// stores enough lines elsewhere to add line blocks, and a new line into the
+// viewed page: the view reads it.
+func TestPageViewSeesLinePoolGrowth(t *testing.T) {
+	const pages = 2 * lineBlockLines / LinesPerPage
+	m, heap := newHeap(t, pages+1)
+	if err := m.StoreWord(heap, heapBase, 1); err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.PageView(heapBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(m.lines)
+	for a := heapBase + PageSize; a < heapBase+(pages+1)*PageSize; a += LineSize {
+		if err := m.StoreWord(heap, a, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.StoreWord(heap, heapBase+PageSize-GranuleSize, 0xfeed); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.lines) < blocks+2 {
+		t.Fatalf("line blocks grew from %d to %d, want at least two more", blocks, len(m.lines))
+	}
+	if lo, _, _ := v.Granule(GranulesPerPage - 1); lo != 0xfeed {
+		t.Errorf("view reads %#x from a line written after it was taken, want 0xfeed", lo)
+	}
+	if lo, _, _ := v.Granule(0); lo != 1 {
+		t.Errorf("view reads %#x from the page's first line, want 1", lo)
+	}
+}
+
+// TestPageSlotLayout pins a page slot at 40 bytes with no pointer for the
+// garbage collector to scan: a heap maps one slot per page.
+func TestPageSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(page{}); n != 40 {
+		t.Errorf("page slot is %d bytes, want 40", n)
+	}
+	typ := reflect.TypeOf(page{})
+	for i := range typ.NumField() {
+		f := typ.Field(i).Type
+		if f.Kind() == reflect.Array {
+			f = f.Elem()
+		}
+		switch f.Kind() {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Bool:
+		default:
+			t.Errorf("page field %s holds a %s", typ.Field(i).Name, f.Kind())
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 type refPage struct {
 	words   [WordsPerPage]uint64
 	tags    [GranulesPerPage]bool
-	touched bool // took a nonzero store since it was mapped
+	written [LinesPerPage]bool // the line took a nonzero store since the page was mapped
 	dirty   bool
 }
 
@@ -70,7 +70,8 @@ func (r *refMemory) storeWord(addr, val uint64) error {
 		r.stats.TagsClear++
 	}
 	p.words[addr%PageSize/WordSize] = val
-	p.touched = p.touched || val != 0
+	l := addr % PageSize / LineSize
+	p.written[l] = p.written[l] || val != 0
 	r.stats.StoreWords++
 	return nil
 }
@@ -83,7 +84,8 @@ func (r *refMemory) storeCap(addr uint64, c cap.Capability) error {
 	lo, hi := c.Encode()
 	w := addr % PageSize / WordSize
 	p.words[w], p.words[w+1] = lo, hi
-	p.touched = p.touched || lo|hi != 0
+	l := addr % PageSize / LineSize
+	p.written[l] = p.written[l] || lo|hi != 0
 	g := addr % PageSize / GranuleSize
 	switch {
 	case c.Tag() && !p.tags[g]:
@@ -232,8 +234,13 @@ func checkModel(t testing.TB, m *Memory, ref *refMemory, step int) {
 		if err != nil {
 			t.Fatalf("step %d: page %#x: %v", step, base, err)
 		}
-		if touched := v.words != nil; touched != rp.touched {
-			t.Fatalf("step %d: page %#x has words %v, reference touched %v", step, base, touched, rp.touched)
+		if table, written := v.p.table != 0, slices.Contains(rp.written[:], true); table != written {
+			t.Fatalf("step %d: page %#x has a line table %v, reference written %v", step, base, table, written)
+		}
+		for l := uint(0); l < LinesPerPage; l++ {
+			if has := m.table(v.p)[l] != 0; has != rp.written[l] {
+				t.Fatalf("step %d: page %#x line %d has words %v, reference written %v", step, base, l, has, rp.written[l])
+			}
 		}
 		for g := uint(0); g < GranulesPerPage; g++ {
 			lo, hi, tag := v.Granule(g)
@@ -296,11 +303,14 @@ var modelScenarios = map[string][]byte{
 		opStoreCap, 4, 0, 0, opMap, 1, 0, 0, opStoreCap, 1, 1, 0, opUnmap, 0, 0, 5,
 		opUnmap, 6, 0, 5, opMap, 0, 0, 5,
 	},
-	// Zero stores and null capability images leave pages untouched, until
-	// a nonzero store gives a page its words.
+	// Zero stores and null capability images leave lines unwritten, until
+	// a nonzero store gives a line its words (and its page a line table).
+	// A zero store to an unwritten line of a written page leaves the line
+	// unwritten.
 	"zero-stores": {
 		opMap, 0, 0, 3, opStoreWord, 0, 0, 0, opStoreWord, 1, 200, 4,
 		opStoreCap, 2, 17, 2, opStoreWord, 3, 5, 1, opStoreWord, 3, 5, 0,
+		opStoreWord, 3, 40, 0, opStoreCap, 3, 41, 2, opStoreWord, 3, 40, 1,
 		opStoreCap, 0, 1, 0, opClearTag, 0, 1, 0, opLaunder, 0, 0, 0,
 	},
 	// Tags set, cleared by data stores, by untagged stores and by

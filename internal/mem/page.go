@@ -32,16 +32,17 @@ const (
 	LinesPerPage = PageSize / LineSize
 )
 
-// page is one mapped 4 KiB frame: data words plus the out-of-band tag bits
-// hardware keeps in its hierarchical tag table, and the page-table metadata
+// page is one mapped 4 KiB frame: the index of its line table, which finds
+// the words of its written lines, plus the out-of-band tag bits hardware
+// keeps in its hierarchical tag table, and the page-table metadata
 // CHERIvoke's hardware assists consume.
 type page struct {
-	// words is 1 + the index of the page's words among the Memory's word
-	// slots, or 0 until the page's first nonzero store: every word of an
-	// untouched page reads as zero (Memory.setWord). An index, not a
+	// table is the index of the page's line table among the Memory's
+	// line tables, or 0, the shared table of unwritten lines, until the
+	// page's first nonzero store (Memory.setWord). An index, not a
 	// pointer, keeps page slots free of pointers for the garbage
 	// collector to scan.
-	words uint32
+	table uint32
 	tags  [GranulesPerPage / 8]uint8
 
 	// capCount and capLines count the set tag bits and the lines holding

@@ -2,7 +2,6 @@ package server
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -38,9 +37,7 @@ func (s *Server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
 // and make the coordinator reassign it.
 func (s *Server) handleInternalJob(w http.ResponseWriter, r *http.Request) {
 	var req engine.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job request: %v", err))
 		return
 	}

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +15,9 @@ import (
 )
 
 // FuzzInternalJobs feeds a worker's POST /internal/jobs raw bodies. Whatever
-// the bytes, the worker must not panic and must answer 200, 400, 404 or 409,
-// and a 200 must decode as a JobResponse that echoes the request's key. The
+// the bytes, the worker must not panic and must answer 200, 400, 404 or 409.
+// A 200 must answer a body that is one JSON value with nothing after it,
+// and must decode as a JobResponse that echoes the request's key. The
 // key binds every field that changes a result, so a mutated body that still
 // runs runs the small seed job.
 func FuzzInternalJobs(f *testing.F) {
@@ -44,6 +47,7 @@ func FuzzInternalJobs(f *testing.F) {
 	f.Add(body(strings.Repeat("0", 64), jobs[0]))
 	f.Add(body("", wide))
 	f.Add(body("", traced))
+	f.Add(append(slices.Clip(valid), "garbage{{{"...))
 
 	s, err := New(Options{Workers: 1, Worker: true})
 	if err != nil {
@@ -62,8 +66,12 @@ func FuzzInternalJobs(f *testing.F) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 		var req engine.JobRequest
-		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+		reqDec := json.NewDecoder(bytes.NewReader(raw))
+		if err := reqDec.Decode(&req); err != nil {
 			t.Fatalf("accepted a body that does not decode: %v", err)
+		}
+		if err := reqDec.Decode(new(json.RawMessage)); err != io.EOF {
+			t.Fatalf("accepted a body with data after its JSON value")
 		}
 		var resp engine.JobResponse
 		dec := json.NewDecoder(rec.Body)

@@ -212,21 +212,70 @@ func TestWorkerLogsCorrelationIDs(t *testing.T) {
 	}
 	worker.Close() // waits for the handler, which logs after it responds
 
-	for _, line := range strings.Split(logs.String(), "\n") {
+	requestID, campaignID := workerJobLogIDs(t, logs.String())
+	if requestID != "req-hop" || campaignID != "c000042" {
+		t.Errorf("worker logged request_id %q and campaign_id %q, want req-hop and c000042", requestID, campaignID)
+	}
+}
+
+// workerJobLogIDs returns the request and campaign IDs of the first POST
+// /internal/jobs request line in a JSON log.
+func workerJobLogIDs(t *testing.T, logs string) (requestID, campaignID string) {
+	t.Helper()
+	for _, line := range strings.Split(logs, "\n") {
 		var rec struct {
 			Msg, Route string
 			RequestID  string `json:"request_id"`
 			CampaignID string `json:"campaign_id"`
 		}
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Msg != "request" || rec.Route != "POST /internal/jobs" {
-			continue
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "request" && rec.Route == "POST /internal/jobs" {
+			return rec.RequestID, rec.CampaignID
 		}
-		if rec.RequestID != "req-hop" || rec.CampaignID != "c000042" {
-			t.Errorf("worker logged request_id %q and campaign_id %q, want req-hop and c000042", rec.RequestID, rec.CampaignID)
-		}
-		return
 	}
-	t.Fatalf("no POST /internal/jobs request line in the worker's log:\n%s", logs.String())
+	t.Fatalf("no POST /internal/jobs request line in the log:\n%s", logs)
+	return "", ""
+}
+
+// TestSubmitRequestIDReachesWorker checks the whole fleet path: a campaign
+// submitted under an X-Request-Id runs its jobs under that ID, so the
+// worker's request line for each job carries the submitting request's ID.
+func TestSubmitRequestIDReachesWorker(t *testing.T) {
+	var logs lockedBuffer
+	obs.SetLogger(slog.New(slog.NewJSONHandler(&logs, nil)))
+	t.Cleanup(func() { obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))) })
+	worker := newWorker(t, "")
+	coord := newTestServer(t, Options{Workers: 1, WorkerURLs: []string{worker.URL}})
+
+	spec := distSpec()
+	spec.Profiles = spec.Profiles[:1]
+	body, err := json.Marshal(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, coord.URL+"/campaigns", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "submit-req-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	if st := waitDone(t, coord, sub.ID); st.State != StateDone {
+		t.Fatalf("campaign ended %s: %s", st.State, st.Error)
+	}
+	worker.Close() // waits for the handler, which logs after it responds
+
+	requestID, campaignID := workerJobLogIDs(t, logs.String())
+	if requestID != "submit-req-1" || campaignID != sub.ID {
+		t.Errorf("worker logged request_id %q and campaign_id %q, want submit-req-1 and %s", requestID, campaignID, sub.ID)
+	}
 }
 
 // TestHTTPRequestMetrics checks that requests are counted under their route

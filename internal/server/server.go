@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -323,15 +324,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // KiB; a larger body is refused with 400 before it is buffered.
 const maxRequestBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+// decodeBody decodes r's body, at most maxRequestBytes, into v. Unknown
+// fields are refused, and so is anything but white space after the value.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
-	rec, err := s.engine.Submit(req.Spec, req.Workers)
+	rec, err := s.engine.Submit(r.Context(), req.Spec, req.Workers)
 	if err != nil {
 		// A store that cannot persist the record is the server's fault;
 		// everything else (bad spec, unknown trace ref) is the

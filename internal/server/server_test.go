@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +185,54 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: %d", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsTrailingData: POST /campaigns and a worker's POST
+// /internal/jobs take exactly one JSON value. A valid body followed by
+// anything but white space is refused with 400 and runs nothing; a valid
+// body followed by a newline is accepted.
+func TestServerRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	worker := newWorker(t, "")
+	spec := campaign.Spec{Profiles: []string{"povray"}, MaxLive: []uint64{1 << 20}, MinSweeps: 1, MaxEvents: 1000}
+	submission, err := json.Marshal(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobRequest, err := json.Marshal(engine.JobRequest{Key: engine.JobKey(spec, jobs[0], ""), Spec: spec, Job: jobs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(body []byte, tail string) []byte { return append(slices.Clip(body), tail...) }
+	for _, tc := range []struct {
+		name, url string
+		body      []byte
+		want      int
+	}{
+		{"submission+garbage", ts.URL + "/campaigns", with(submission, "garbage{{{"), http.StatusBadRequest},
+		{"submission+value", ts.URL + "/campaigns", with(submission, string(submission)), http.StatusBadRequest},
+		{"job request+garbage", worker.URL + "/internal/jobs", with(jobRequest, "garbage{{{"), http.StatusBadRequest},
+		{"job request+value", worker.URL + "/internal/jobs", with(jobRequest, "{}"), http.StatusBadRequest},
+		{"job request+newline", worker.URL + "/internal/jobs", with(jobRequest, "\n"), http.StatusOK},
+		{"submission+newline", ts.URL + "/campaigns", with(submission, "\n"), http.StatusAccepted},
+	} {
+		resp, err := http.Post(tc.url, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	var list []Status
+	if code := getJSON(t, ts.URL+"/campaigns", &list); code != http.StatusOK || len(list) != 1 {
+		t.Errorf("want only the newline-terminated submission listed: %d, %d entries", code, len(list))
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/revoke"
 	"repro/internal/sim"
@@ -152,6 +153,9 @@ func (s Spec) withDefaults() Spec {
 	}
 	if len(s.Variants) == 0 {
 		s.Variants = []Variant{PaperVariant()}
+	} else {
+		// s shares the caller's array: name the clone's variants.
+		s.Variants = slices.Clone(s.Variants)
 	}
 	for i := range s.Variants {
 		if s.Variants[i].Name == "" {

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/revoke"
@@ -61,6 +62,39 @@ func TestJobsExpansionOrder(t *testing.T) {
 	if jobs[0].Seed != DefaultSeed || jobs[0].QuarantineMinBytes != DefaultQuarantineMinBytes {
 		t.Errorf("defaults not applied: %+v", jobs[0])
 	}
+}
+
+// TestJobsLeavesCallerSpec checks that expanding a spec names its unnamed
+// variants in the expansion only: the caller's variant keeps its empty name.
+func TestJobsLeavesCallerSpec(t *testing.T) {
+	spec := Spec{Profiles: []string{"povray"}, Variants: []Variant{{}}}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].Variant.Name != "variant0" {
+		t.Errorf("job variant named %q, want variant0", jobs[0].Variant.Name)
+	}
+	if spec.Variants[0].Name != "" {
+		t.Errorf("Jobs renamed the caller's variant to %q", spec.Variants[0].Name)
+	}
+}
+
+// TestJobsConcurrentExpansion expands one spec from two goroutines; under
+// -race it fails if expansion writes into the shared spec.
+func TestJobsConcurrentExpansion(t *testing.T) {
+	spec := Spec{Profiles: []string{"povray", "hmmer"}, Variants: []Variant{{}, {DirectFree: true}}}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := spec.Validate(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestJobsValidation(t *testing.T) {

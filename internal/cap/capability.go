@@ -6,6 +6,11 @@ import "fmt"
 // plus protected metadata (bounds and permissions) and a validity tag. The
 // zero value is the untagged null capability.
 //
+// It holds the two words of its memory image (Figure 2 of the paper) with
+// the tag in the metadata word's reserved bit 63, beside the decoded bounds.
+// Four words and four fields is the largest struct Go's compiler keeps in
+// registers (TestCapabilityLayout), so derivations copy no memory.
+//
 // Capability is a value type; all derivations return new values, mirroring
 // register-to-register capability instructions. Every constructor and method
 // preserves the two architectural invariants CHERIvoke relies on:
@@ -14,12 +19,10 @@ import "fmt"
 //   - provenance: a tagged value can only be produced from another tagged
 //     value (ultimately from a Root capability).
 type Capability struct {
-	addr  uint64
-	base  uint64
-	top   uint64
-	enc   boundsEncoding
-	perms Perm
-	tag   bool
+	addr uint64
+	base uint64
+	top  uint64
+	meta uint64 // the image's metadata word (see encode.go), tag in bit 63
 }
 
 // Null is the canonical untagged null capability, the result of revocation:
@@ -36,12 +39,10 @@ func Root(base, top uint64) (Capability, error) {
 		return Null, fmt.Errorf("cap: root bounds [%#x, %#x): %w", base, top, ErrNotRepresentable)
 	}
 	return Capability{
-		addr:  base,
-		base:  base,
-		top:   top,
-		enc:   enc,
-		perms: PermAll,
-		tag:   true,
+		addr: base,
+		base: base,
+		top:  top,
+		meta: uint64(enc) | uint64(PermAll)<<permsShift | tagBit,
 	}, nil
 }
 
@@ -57,7 +58,7 @@ func MustRoot(base, top uint64) Capability {
 
 // Tag reports whether the capability's validity tag is set. An untagged
 // capability is plain data and authorises nothing.
-func (c Capability) Tag() bool { return c.tag }
+func (c Capability) Tag() bool { return c.meta&tagBit != 0 }
 
 // Addr returns the capability's current address (cursor).
 func (c Capability) Addr() uint64 { return c.addr }
@@ -72,7 +73,7 @@ func (c Capability) Top() uint64 { return c.top }
 func (c Capability) Len() uint64 { return c.top - c.base }
 
 // Perms returns the permission set.
-func (c Capability) Perms() Perm { return c.perms }
+func (c Capability) Perms() Perm { return Perm(c.meta >> permsShift & permsMask) }
 
 // InBounds reports whether an access of size bytes at addr lies entirely
 // within the capability's bounds.
@@ -86,7 +87,7 @@ func (c Capability) InBounds(addr, size uint64) bool {
 // ClearTag returns the capability with its validity tag cleared — the effect
 // of revocation, or of a non-capability write over a capability word.
 func (c Capability) ClearTag() Capability {
-	c.tag = false
+	c.meta &^= tagBit
 	return c
 }
 
@@ -96,8 +97,8 @@ func (c Capability) ClearTag() Capability {
 // cleared, as in CHERI-Concentrate hardware.
 func (c Capability) SetAddr(addr uint64) Capability {
 	c.addr = addr
-	if c.tag && !representable(c.enc, c.base, c.top, addr) {
-		c.tag = false
+	if c.Tag() && !representable(boundsEncoding(c.meta&boundsMask), c.base, c.top, addr) {
+		c.meta &^= tagBit
 	}
 	return c
 }
@@ -115,7 +116,7 @@ func (c Capability) Inc(delta int64) Capability {
 // parent's bounds. Allocators avoid rounding entirely by aligning and
 // padding with RepresentableAlignmentMask and RepresentableLength.
 func (c Capability) SetBounds(base, length uint64) (Capability, error) {
-	if !c.tag {
+	if !c.Tag() {
 		return Null, fmt.Errorf("cap: SetBounds: %w", ErrTagCleared)
 	}
 	top := base + length
@@ -138,7 +139,7 @@ func (c Capability) SetBounds(base, length uint64) (Capability, error) {
 	c.addr = base
 	c.base = nb
 	c.top = nt
-	c.enc = enc
+	c.meta = c.meta&^boundsMask | uint64(enc)
 	return c, nil
 }
 
@@ -158,7 +159,7 @@ func (c Capability) SetBoundsExact(base, length uint64) (Capability, error) {
 // ClearPerms derives a capability with the given permission bits removed.
 // Removing bits is the only permitted permission change.
 func (c Capability) ClearPerms(bits Perm) Capability {
-	c.perms = c.perms.Clear(bits)
+	c.meta &^= uint64(bits&PermAll) << permsShift
 	return c
 }
 
@@ -169,9 +170,9 @@ func (c Capability) CheckAccess(op string, addr, size uint64, need Perm) error {
 		return &AccessError{Op: op, Addr: addr, Size: size, Cap: c, Err: err}
 	}
 	switch {
-	case !c.tag:
+	case !c.Tag():
 		return fail(ErrTagCleared)
-	case !c.perms.Has(need):
+	case !c.Perms().Has(need):
 		return fail(ErrPermission)
 	case !c.InBounds(addr, size):
 		return fail(ErrBounds)
@@ -182,9 +183,5 @@ func (c Capability) CheckAccess(op string, addr, size uint64, need Perm) error {
 // String renders the capability for diagnostics, e.g.
 // "0x10020 [0x10000,0x10040) GRWrwl t=1".
 func (c Capability) String() string {
-	t := 0
-	if c.tag {
-		t = 1
-	}
-	return fmt.Sprintf("%#x [%#x,%#x) %v t=%d", c.addr, c.base, c.top, c.perms, t)
+	return fmt.Sprintf("%#x [%#x,%#x) %v t=%d", c.addr, c.base, c.top, c.Perms(), c.meta>>63)
 }

@@ -3,8 +3,10 @@ package cap
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustRoot(t *testing.T) Capability {
@@ -274,5 +276,57 @@ func TestPermString(t *testing.T) {
 	}
 	if s := (PermGlobal | PermLoad | PermStore).String(); s != "GRW" {
 		t.Errorf("GRW perms = %q", s)
+	}
+}
+
+// TestCapabilityLayout pins a Capability at four fields and 32 bytes. Go's
+// compiler keeps a struct in registers only when it has at most four fields
+// (ssa.MaxStruct) and at most four words (ssa.CanSSA), so a fifth field or
+// word would send every derivation's copy through the stack.
+func TestCapabilityLayout(t *testing.T) {
+	if n := reflect.TypeOf(Capability{}).NumField(); n != 4 {
+		t.Errorf("Capability has %d fields, want 4", n)
+	}
+	if n := unsafe.Sizeof(Capability{}); n != 32 {
+		t.Errorf("Capability is %d bytes, want 32", n)
+	}
+}
+
+// TestDecodeBaseMatchesDecodeBounds checks the base-only decode against
+// decodeBounds over arbitrary images, at every value of the 6-bit exponent
+// field, the ones past MaxExponent included.
+func TestDecodeBaseMatchesDecodeBounds(t *testing.T) {
+	const expMask = uint64(0x3F) << (2 * MantissaWidth)
+	f := func(lo, hi uint64) bool {
+		for e := uint64(0); e < 64; e++ {
+			h := hi&^expMask | e<<(2*MantissaWidth)
+			want, _ := decodeBounds(boundsEncoding(h&boundsMask), lo)
+			if got := DecodeBase(lo, h); got != want {
+				t.Logf("DecodeBase(%#x, %#x) = %#x, decodeBounds base %#x", lo, h, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTagNeverReachesTheImage checks that the tag a value carries in its
+// metadata word's reserved bit is never encoded, and that an image's
+// reserved bits never decode into a tag.
+func TestTagNeverReachesTheImage(t *testing.T) {
+	root := mustRoot(t)
+	obj, _ := root.SetBounds(0x10000, 64)
+	if _, hi := obj.Encode(); hi>>56 != 0 {
+		t.Errorf("tagged capability encodes reserved bits %#x", hi>>56)
+	}
+	lo, hi := obj.Encode()
+	if Decode(lo, hi|0xFF<<56, false).Tag() {
+		t.Error("reserved bits of an image decoded as a tag")
+	}
+	if got := Decode(lo, hi|0xFF<<56, true); got != obj {
+		t.Errorf("image with reserved bits set decodes to %v, want %v", got, obj)
 	}
 }

@@ -56,10 +56,6 @@ const PermData = PermGlobal | PermLoad | PermStore | PermLoadCap | PermStoreCap 
 // Has reports whether every bit in want is present in p.
 func (p Perm) Has(want Perm) bool { return p&want == want }
 
-// Clear returns p with the given bits removed. Clearing is the only
-// permission derivation the architecture allows.
-func (p Perm) Clear(bits Perm) Perm { return p &^ bits }
-
 var permNames = []struct {
 	bit  Perm
 	name string

@@ -30,8 +30,9 @@ const (
 	tableBlockPages = 64
 
 	// lineBlockLines is how many lines one block holds: 512 lines of 64 B,
-	// 32 KiB, the largest block Go's allocator still serves from a size
-	// class rather than as a large object with a span of its own.
+	// 32 KiB. Go 1.24's allocator serves any object over 32,760 B
+	// (maxSmallSize less mallocHeaderSize) as a large object with a span
+	// of its own, so every line block is one.
 	lineBlockLines = 512
 )
 

@@ -109,3 +109,25 @@ func BenchmarkIncrementalReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
+
+// BenchmarkSizeDraw measures the generator's allocation-size draw in
+// ns/draw: each iteration draws one size from a planter of every profile
+// with a size spread, in turn.
+func BenchmarkSizeDraw(b *testing.B) {
+	var gs []*planter
+	for _, p := range All() {
+		if p.SizeSpread > 0 {
+			gs = append(gs, newPlanter(p, newRNG(DefaultSeed)))
+		}
+	}
+	var sum uint64
+	for b.Loop() {
+		for _, g := range gs {
+			sum += g.size()
+		}
+	}
+	if sum == 0 {
+		b.Fatal("no sizes drawn")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gs)), "ns/draw")
+}

@@ -28,6 +28,7 @@ func (r *rng) intn(n int) int {
 }
 
 // float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
+func (r *rng) float() float64 { return unitFloat(r.next()) }
+
+// unitFloat maps a 64-bit draw to a float64 in [0, 1) from its top 53 bits.
+func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }

@@ -344,19 +344,12 @@ func newPlanter(p Profile, r *rng) *planter {
 }
 
 // size draws an allocation size: the profile mean scaled by 2^U(-s, s),
-// clamped to [16B, 4MiB] and rounded to the granule.
+// clamped to [16B, 4MiB] and rounded to the granule (drawnSize).
 func (g *planter) size() uint64 {
-	s := g.meanSize
 	if g.p.SizeSpread > 0 {
-		s *= math.Pow(2, (g.r.float()*2-1)*g.p.SizeSpread)
+		return drawnSize(g.meanSize, (g.r.float()*2-1)*g.p.SizeSpread)
 	}
-	if s < 16 {
-		s = 16
-	}
-	if s > 4<<20 {
-		s = 4 << 20
-	}
-	return (uint64(s) + 15) &^ 15
+	return roundSize(g.meanSize)
 }
 
 func (g *planter) allocate(sys *core.System, live *liveSet, rec *recorder) error {

@@ -168,29 +168,9 @@ func traceInfoCmd(args []string) error {
 
 	h := sha256.New()
 	tee := io.TeeReader(r, h)
-	tr, err := workload.NewTraceReader(tee)
+	info, err := workload.ScanReader(tee)
 	if err != nil {
 		return err
-	}
-	hdr := tr.Header()
-	var events, mallocs, plants, frees int64
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		events++
-		switch ev.Op {
-		case workload.EvMalloc:
-			mallocs++
-		case workload.EvPlant:
-			plants++
-		case workload.EvFree:
-			frees++
-		}
 	}
 	// Drain the rest of the tee'd stream (e.g. trailing whitespace after
 	// an NDJSON trace) so the hash covers the whole file and matches the
@@ -200,10 +180,11 @@ func traceInfoCmd(args []string) error {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "format\t%s (version %d)\n", tr.Format(), hdr.Version)
-	fmt.Fprintf(w, "name\t%s\n", hdr.Name)
-	fmt.Fprintf(w, "seed\t%#x\n", hdr.Seed)
-	fmt.Fprintf(w, "events\t%d (%d mallocs, %d plants, %d frees)\n", events, mallocs, plants, frees)
+	fmt.Fprintf(w, "format\t%s (version %d)\n", info.Format, info.Version)
+	fmt.Fprintf(w, "name\t%s\n", info.Name)
+	fmt.Fprintf(w, "seed\t%#x\n", info.Seed)
+	fmt.Fprintf(w, "events\t%d (%d mallocs, %d plants, %d frees)\n",
+		info.Events, info.Mallocs, info.Events-info.Mallocs-info.Frees, info.Frees)
 	if size >= 0 {
 		fmt.Fprintf(w, "size\t%d bytes\n", size)
 	}

@@ -11,10 +11,23 @@ import (
 )
 
 // BenchmarkBinaryTraceDecode measures the CVTR binary decode hot loop in
-// isolation: one reader, built outside the timer over loopingRecords, so
-// each iteration is one Next and allocs/op is exactly the per-record decode
+// isolation: one reader, built outside the timer over loopingMix, so each
+// iteration is one Next and allocs/op is exactly the per-record decode
 // cost. TestBinaryNextZeroAlloc pins that cost at zero.
 func BenchmarkBinaryTraceDecode(b *testing.B) {
+	r := loopingMix(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loopingMix returns a binary reader over a header and then 64 malloc,
+// plant and free records, repeated forever by loopingRecords.
+func loopingMix(tb testing.TB) TraceReader {
 	header := []byte(TraceMagic)
 	header = binary.AppendUvarint(header, uint64(TraceVersion))
 	header = binary.AppendUvarint(header, DefaultSeed)
@@ -41,24 +54,53 @@ func BenchmarkBinaryTraceDecode(b *testing.B) {
 	}
 	r, err := NewTraceReader(&loopingRecords{header: header, body: body})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return r
+}
+
+// BenchmarkTraceWindowDecode measures CVTR window decode in ns/event: a
+// recorded xalancbmk trace at live-ingest's scale (8 MiB heap, 3 sweeps),
+// read through NewTraceReader and a StreamingSource one DefaultWindow at a
+// time. The reader and its window, built per iteration, are outside the
+// timer, so allocs/op is the decode's own.
+func BenchmarkTraceWindowDecode(b *testing.B) {
+	trace := recordXalancbmk(b, Options{MinSweeps: 3, MaxLiveBytes: 8 << 20})
+	events := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Next(); err != nil {
+		b.StopTimer()
+		r, err := NewTraceReader(bytes.NewReader(trace))
+		if err != nil {
 			b.Fatal(err)
 		}
+		src := NewStreamingSource(r, DefaultWindow)
+		events = 0
+		b.StartTimer()
+		for {
+			win, err := src.NextWindow()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += len(win)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
-// BenchmarkIncrementalReplay measures the live analyzer's replay in
-// ns/event: a recorded xalancbmk trace, decoded once into DefaultWindow
-// windows outside the timer, applied window by window through a fresh
-// IncrementalReplay per iteration.
-func BenchmarkIncrementalReplay(b *testing.B) {
-	cfg := core.Config{Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10}}
-	sys, err := core.New(cfg)
+// replayConfig is the live analyzer's quarantine policy
+// (livetrace.AnalysisConfig), under which the benchmarks record and replay.
+var replayConfig = core.Config{Policy: quarantine.Policy{Fraction: 0.25, MinBytes: 64 << 10}}
+
+// recordXalancbmk records a xalancbmk run under replayConfig as a CVTR
+// trace.
+func recordXalancbmk(b *testing.B, opts Options) []byte {
+	b.Helper()
+	sys, err := core.New(replayConfig)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,13 +110,22 @@ func BenchmarkIncrementalReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := Run(sys, p, Options{MinSweeps: 2, MaxLiveBytes: 2 << 20, Stream: w}); err != nil {
+	opts.Stream = w
+	if _, err := Run(sys, p, opts); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewTraceReader(&buf)
+	return buf.Bytes()
+}
+
+// BenchmarkIncrementalReplay measures the live analyzer's replay in
+// ns/event: a recorded xalancbmk trace, decoded once into DefaultWindow
+// windows outside the timer, applied window by window through a fresh
+// IncrementalReplay per iteration.
+func BenchmarkIncrementalReplay(b *testing.B) {
+	r, err := NewTraceReader(bytes.NewReader(recordXalancbmk(b, Options{MinSweeps: 2, MaxLiveBytes: 2 << 20})))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +146,7 @@ func BenchmarkIncrementalReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := core.New(cfg)
+		sys, err := core.New(replayConfig)
 		if err != nil {
 			b.Fatal(err)
 		}

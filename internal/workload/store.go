@@ -65,7 +65,7 @@ func (s *Store) Dir() string { return s.dir }
 // bytes with a full streaming decode (header, every event, the binary end
 // record) before filing them. Re-putting identical bytes is a no-op that
 // returns the same hash. The trace is never materialised: memory use is
-// bounded by the codec's record buffer.
+// bounded by one event window.
 func (s *Store) Put(r io.Reader) (TraceInfo, error) {
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
@@ -237,23 +237,27 @@ func (s *Store) List() ([]TraceInfo, error) {
 }
 
 // ScanTrace streams through the trace file at path, validating it end to
-// end and counting its events. Memory use is bounded by the codec's record
-// buffer; Hash and Size are left for the caller to fill.
+// end and counting its events (ScanReader). Hash and Size are left for the
+// caller to fill.
 func ScanTrace(path string) (TraceInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return TraceInfo{}, err
 	}
 	defer f.Close()
-	tr, err := NewTraceReader(f)
+	return ScanReader(f)
+}
+
+// ScanReader decodes the trace r carries window by window, validating it
+// end to end, and returns its header metadata and event census: events,
+// mallocs and frees, so plants are events − mallocs − frees (a skipped
+// unknown record is no event). Memory use is one event window; Hash and
+// Size are left for the caller to fill.
+func ScanReader(r io.Reader) (TraceInfo, error) {
+	tr, err := NewTraceReader(r)
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	return scanReader(tr)
-}
-
-// scanReader drains tr, returning header metadata and event counts.
-func scanReader(tr TraceReader) (TraceInfo, error) {
 	hdr := tr.Header()
 	info := TraceInfo{
 		Format:  tr.Format(),
@@ -261,20 +265,23 @@ func scanReader(tr TraceReader) (TraceInfo, error) {
 		Name:    hdr.Name,
 		Seed:    hdr.Seed,
 	}
+	src := NewStreamingSource(tr, 0)
 	for {
-		ev, err := tr.Next()
+		win, err := src.NextWindow()
 		if err == io.EOF {
 			return info, nil
 		}
 		if err != nil {
 			return TraceInfo{}, err
 		}
-		info.Events++
-		switch ev.Op {
-		case EvMalloc:
-			info.Mallocs++
-		case EvFree:
-			info.Frees++
+		info.Events += int64(len(win))
+		for _, ev := range win {
+			switch ev.Op {
+			case EvMalloc:
+				info.Mallocs++
+			case EvFree:
+				info.Frees++
+			}
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // Streaming trace pipeline. The TraceReader/TraceWriter interfaces below
-// stream events one at a time through a versioned codec (binary or NDJSON —
-// see docs/TRACE_FORMAT.md), and StreamingSource feeds replays in
-// fixed-size event windows so a multi-GiB trace drives a system with a
-// bounded event buffer.
+// stream events through a versioned codec (binary or NDJSON — see
+// docs/TRACE_FORMAT.md), and StreamingSource feeds replays in fixed-size
+// event windows, each decoded in one call to the reader, so a multi-GiB
+// trace drives a system with a bounded event buffer.
 
 // TraceVersion is the current on-wire trace format version, shared by the
 // binary and NDJSON encodings.
@@ -64,7 +64,9 @@ type TraceHeader struct {
 
 // TraceReader is a streaming source of trace events. Next returns io.EOF
 // after the last event; any other error means the stream is corrupt or
-// truncated. Readers are not safe for concurrent use.
+// truncated. Readers are not safe for concurrent use. Only this package's
+// readers implement it: its unexported window method is the decode
+// StreamingSource hands each window to.
 type TraceReader interface {
 	// Header returns the stream's metadata, available before any event
 	// has been read.
@@ -77,6 +79,11 @@ type TraceReader interface {
 	// Close releases the underlying stream, closing it when the reader
 	// was constructed over an io.Closer.
 	Close() error
+	// window decodes events into buf's spare capacity until buf is full
+	// or the trace ends, returning buf extended by them; an empty
+	// extension without an error is the end of the trace. An error
+	// discards the window, and the reader stays failed.
+	window(buf []TraceEvent) ([]TraceEvent, error)
 }
 
 // TraceWriter is a streaming sink of trace events. The header is written at
@@ -217,9 +224,15 @@ func (bw *BinaryTraceWriter) Close() error {
 	return closeQuiet(bw.c, err)
 }
 
-// BinaryTraceReader decodes the binary trace format. Unknown event opcodes
-// are skipped (their length prefix makes that possible), so older readers
-// tolerate newer writers within a version.
+// BinaryTraceReader decodes the binary trace format in place: every record
+// is parsed straight out of the bufio.Reader's buffered bytes, which it
+// peeks, decodes with binary.Uvarint and then discards, so no record is
+// copied and no byte costs an interface call. One record parser (record)
+// serves Next, StreamingSource's window decode and Store's scan; a window
+// decode reads more only for a record that straddles the end of the 4 KiB
+// read buffer. Unknown event opcodes are skipped (their length prefix
+// makes that possible), so older readers tolerate newer writers within a
+// version.
 type BinaryTraceReader struct {
 	r     *bufio.Reader
 	c     io.Closer
@@ -227,11 +240,6 @@ type BinaryTraceReader struct {
 	count uint64 // event records consumed, including skipped ones
 	done  bool
 	fail  error // sticky decode error: once corrupt, always corrupt
-	// payload is the reusable decode buffer. It lives on the struct rather
-	// than Next's stack so the io.ReadFull interface call cannot force a
-	// per-record heap allocation — the decode hot loop runs at 0 allocs/op
-	// (BenchmarkBinaryTraceDecode asserts this).
-	payload [maxEventPayload]byte
 }
 
 // newBinaryTraceReader parses the binary header from br, which NewTraceReader
@@ -279,125 +287,174 @@ func (br *BinaryTraceReader) Header() TraceHeader { return br.hdr }
 // Format returns FormatBinary.
 func (br *BinaryTraceReader) Format() string { return FormatBinary }
 
-// Next returns the next event. A stream that ends without its end record is
-// reported as truncated rather than io.EOF, so spooled uploads are
-// validated end to end. Decode errors are sticky: once the stream is
-// corrupt, every later call returns the same error — a retry must never
-// resynchronise on garbage and read it as events (or as a clean EOF).
+// Next returns the next event: a window decode of one event. A stream that
+// ends without its end record is reported as truncated rather than io.EOF,
+// so spooled uploads are validated end to end. Decode errors are sticky:
+// once the stream is corrupt, every later call returns the same error — a
+// retry must never resynchronise on garbage and read it as events (or as a
+// clean EOF).
 func (br *BinaryTraceReader) Next() (TraceEvent, error) {
-	if br.fail != nil {
-		return TraceEvent{}, br.fail
+	var one [1]TraceEvent
+	evs, err := br.window(one[:0])
+	if err == nil && len(evs) == 0 {
+		err = io.EOF
 	}
-	ev, err := br.next()
-	if err != nil && err != io.EOF {
-		br.fail = err
+	if err != nil {
+		return TraceEvent{}, err
 	}
-	return ev, err
+	return evs[0], nil
 }
 
-func (br *BinaryTraceReader) next() (TraceEvent, error) {
-	for {
-		if br.done {
-			return TraceEvent{}, io.EOF
-		}
-		op, err := br.r.ReadByte()
-		if err == io.EOF {
-			return TraceEvent{}, fmt.Errorf("workload: truncated trace: missing end record: %w", io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			return TraceEvent{}, err
-		}
-		plen, err := binary.ReadUvarint(br.r)
-		if err != nil {
-			return TraceEvent{}, fmt.Errorf("workload: reading event payload length: %w", noEOF(err))
-		}
-		if plen > maxEventPayload {
-			return TraceEvent{}, fmt.Errorf("workload: event payload length %d exceeds limit %d", plen, maxEventPayload)
-		}
-		if _, err := io.ReadFull(br.r, br.payload[:plen]); err != nil {
-			return TraceEvent{}, fmt.Errorf("workload: reading event payload: %w", noEOF(err))
-		}
-		if op == opEnd {
-			count, n := binary.Uvarint(br.payload[:plen])
-			if n <= 0 {
-				return TraceEvent{}, fmt.Errorf("workload: malformed end record")
+// window decodes events into buf's spare capacity until buf is full or the
+// trace ends, and returns buf extended by them. Records are parsed from the
+// bytes already buffered, and it waits for more only when those end inside
+// a record, so a window never blocks on bytes past its last record. On
+// error it returns buf unextended: a window that hits corruption is
+// discarded.
+func (br *BinaryTraceReader) window(buf []TraceEvent) ([]TraceEvent, error) {
+	evs := buf[:cap(buf)]
+	i := len(buf)
+	for br.fail == nil && !br.done && i < len(evs) {
+		b, _ := br.r.Peek(br.r.Buffered()) // no read: the buffered bytes
+		off := 0
+		for i < len(evs) {
+			n, event, err := br.record(b[off:], &evs[i])
+			if err != nil {
+				br.fail = err
+				break
 			}
-			if count != br.count {
-				return TraceEvent{}, fmt.Errorf("workload: end record count %d != %d events read", count, br.count)
+			if n == 0 {
+				break // b ends inside this record
 			}
-			// The end record must be the last bytes of the stream:
-			// trailing garbage would give the same logical trace a
-			// different content address, so it is corruption, not slack.
-			if _, err := br.r.ReadByte(); err == nil {
-				return TraceEvent{}, fmt.Errorf("workload: trailing bytes after trace end record")
-			} else if err != io.EOF {
-				return TraceEvent{}, err
+			off += n
+			if event {
+				i++
+			} else if br.done {
+				break
 			}
-			br.done = true
-			return TraceEvent{}, io.EOF
 		}
-		br.count++
-		ev, known, err := decodeBinaryEvent(op, br.payload[:plen])
-		if err != nil {
-			return TraceEvent{}, err
+		_, _ = br.r.Discard(off) // off <= Buffered(): cannot fail
+		switch {
+		case br.fail != nil:
+		case br.done:
+			br.fail = br.atEOF()
+		case i < len(evs):
+			br.fail = br.more(len(b) - off)
 		}
-		if !known {
-			continue // forward compatibility: skip unknown record types
+	}
+	if br.fail != nil {
+		return buf, br.fail
+	}
+	return evs[:i], nil
+}
+
+// record decodes the record at the front of b. A known event is stored in
+// *ev and reported with event true; an unknown opcode is counted and
+// skipped; the end record, once its count matches, marks the reader done.
+// n is the record's length in bytes, or 0 when b ends inside the record.
+// The payload-length bound is checked as soon as the length is decoded,
+// before any payload byte is waited for.
+func (br *BinaryTraceReader) record(b []byte, ev *TraceEvent) (n int, event bool, err error) {
+	if len(b) < 2 {
+		return 0, false, nil
+	}
+	plen, k := uint64(b[1]), 1
+	if plen >= 0x80 {
+		if plen, k = binary.Uvarint(b[1:]); k == 0 {
+			return 0, false, nil
+		} else if k < 0 {
+			return 0, false, errors.New("workload: event payload length overflows 64 bits")
 		}
-		return ev, nil
+	}
+	if plen > maxEventPayload {
+		return 0, false, fmt.Errorf("workload: event payload length %d exceeds limit %d", plen, maxEventPayload)
+	}
+	n = 1 + k + int(plen)
+	if len(b) < n {
+		return 0, false, nil
+	}
+	p := b[1+k : n]
+	switch b[0] {
+	case EvMalloc:
+		size, m := binary.Uvarint(p)
+		if m <= 0 || m != len(p) {
+			return 0, false, errors.New("workload: malformed malloc record")
+		}
+		*ev = TraceEvent{Op: EvMalloc, Size: size}
+	case EvPlant:
+		ref, m := binary.Uvarint(p)
+		if m <= 0 {
+			return 0, false, errors.New("workload: malformed plant record")
+		}
+		off, m2 := binary.Uvarint(p[m:])
+		if m2 <= 0 || m+m2 != len(p) {
+			return 0, false, errors.New("workload: malformed plant record")
+		}
+		if ref > uint64(maxInt) {
+			return 0, false, fmt.Errorf("workload: plant ref %d overflows int", ref)
+		}
+		*ev = TraceEvent{Op: EvPlant, Ref: int(ref), Size: off}
+	case EvFree:
+		ref, m := binary.Uvarint(p)
+		if m <= 0 || m != len(p) {
+			return 0, false, errors.New("workload: malformed free record")
+		}
+		if ref > uint64(maxInt) {
+			return 0, false, fmt.Errorf("workload: free ref %d overflows int", ref)
+		}
+		*ev = TraceEvent{Op: EvFree, Ref: int(ref)}
+	case opEnd:
+		// The payload is exactly the count: trailing payload bytes would
+		// give the same logical trace a second content address.
+		count, m := binary.Uvarint(p)
+		if m <= 0 || m != len(p) {
+			return 0, false, errors.New("workload: malformed end record")
+		}
+		if count != br.count {
+			return 0, false, fmt.Errorf("workload: end record count %d != %d events read", count, br.count)
+		}
+		br.done = true
+		return n, false, nil
+	default:
+		br.count++ // forward compatibility: skip unknown record types
+		return n, false, nil
+	}
+	br.count++
+	return n, true, nil
+}
+
+// more blocks until at least one byte beyond the have bytes of a partial
+// record is buffered. The stream ending first is truncation: at a record
+// boundary the end record is missing, inside a record the record is cut.
+func (br *BinaryTraceReader) more(have int) error {
+	b, err := br.r.Peek(have + 1)
+	switch {
+	case len(b) > have:
+		return nil
+	case err == io.EOF && have == 0:
+		return fmt.Errorf("workload: truncated trace: missing end record: %w", io.ErrUnexpectedEOF)
+	case err == io.EOF:
+		return fmt.Errorf("workload: truncated trace record: %w", io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("workload: reading trace record: %w", err)
+}
+
+// atEOF checks that the end record was the last bytes of the stream:
+// trailing garbage would give the same logical trace a different content
+// address, so it is corruption, not slack.
+func (br *BinaryTraceReader) atEOF() error {
+	switch _, err := br.r.Peek(1); err {
+	case nil:
+		return errors.New("workload: trailing bytes after trace end record")
+	case io.EOF:
+		return nil
+	default:
+		return fmt.Errorf("workload: reading past the end record: %w", err)
 	}
 }
 
 // Close closes the underlying stream when it is a Closer.
 func (br *BinaryTraceReader) Close() error { return closeQuiet(br.c, nil) }
-
-// noEOF converts io.EOF into io.ErrUnexpectedEOF: inside a record, running
-// out of bytes is truncation, not a clean end.
-func noEOF(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// decodeBinaryEvent parses one known event payload; known is false for
-// opcodes this version does not define.
-func decodeBinaryEvent(op byte, payload []byte) (ev TraceEvent, known bool, err error) {
-	ev.Op = op
-	switch op {
-	case EvMalloc:
-		size, n := binary.Uvarint(payload)
-		if n <= 0 || n != len(payload) {
-			return ev, true, fmt.Errorf("workload: malformed malloc record")
-		}
-		ev.Size = size
-	case EvPlant:
-		ref, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return ev, true, fmt.Errorf("workload: malformed plant record")
-		}
-		off, m := binary.Uvarint(payload[n:])
-		if m <= 0 || n+m != len(payload) {
-			return ev, true, fmt.Errorf("workload: malformed plant record")
-		}
-		if ref > uint64(maxInt) {
-			return ev, true, fmt.Errorf("workload: plant ref %d overflows int", ref)
-		}
-		ev.Ref, ev.Size = int(ref), off
-	case EvFree:
-		ref, n := binary.Uvarint(payload)
-		if n <= 0 || n != len(payload) {
-			return ev, true, fmt.Errorf("workload: malformed free record")
-		}
-		if ref > uint64(maxInt) {
-			return ev, true, fmt.Errorf("workload: free ref %d overflows int", ref)
-		}
-		ev.Ref = int(ref)
-	default:
-		return ev, false, nil
-	}
-	return ev, true, nil
-}
 
 const maxInt = int(^uint(0) >> 1)
 
@@ -529,6 +586,22 @@ func (nr *NDJSONTraceReader) Next() (TraceEvent, error) {
 	}
 }
 
+// window decodes events one Next at a time until buf is full or the stream
+// ends.
+func (nr *NDJSONTraceReader) window(buf []TraceEvent) ([]TraceEvent, error) {
+	for len(buf) < cap(buf) {
+		ev, err := nr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, ev)
+	}
+	return buf, nil
+}
+
 // Close closes the underlying stream when it is a Closer.
 func (nr *NDJSONTraceReader) Close() error { return closeQuiet(nr.c, nil) }
 
@@ -601,34 +674,27 @@ func (s *StreamingSource) Header() TraceHeader { return s.r.Header() }
 func (s *StreamingSource) Window() int { return cap(s.buf) }
 
 // NextWindow returns the next window of events, valid until the following
-// call (the buffer is reused). It returns io.EOF when the trace is
-// exhausted; a short final window is not an error. A decode error is
-// terminal and sticky: the partial window is discarded and every later call
-// returns the same error, so a caller that retries past a corrupt tail can
-// never read it as a clean short window or a clean EOF (the underlying
-// reader has consumed bytes up to the corruption; a bare retry would
-// otherwise see io.EOF with an empty buffer).
+// call (the buffer is reused), decoded in one call to the reader. It
+// returns io.EOF when the trace is exhausted; a short final window is not
+// an error. A decode error is terminal and sticky: the partial window is
+// discarded and every later call returns the same error, so a caller that
+// retries past a corrupt tail can never read it as a clean short window or
+// a clean EOF (the underlying reader has consumed bytes up to the
+// corruption; a bare retry would otherwise see io.EOF with an empty
+// buffer).
 func (s *StreamingSource) NextWindow() ([]TraceEvent, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	s.buf = s.buf[:0]
-	for len(s.buf) < cap(s.buf) {
-		ev, err := s.r.Next()
-		if err == io.EOF {
-			if len(s.buf) == 0 {
-				s.err = io.EOF
-				return nil, io.EOF
-			}
-			break
-		}
-		if err != nil {
-			s.err = err
-			return nil, err
-		}
-		s.buf = append(s.buf, ev)
+	win, err := s.r.window(s.buf[:0])
+	if err == nil && len(win) == 0 {
+		err = io.EOF
 	}
-	return s.buf, nil
+	if err != nil {
+		s.err = err
+		return nil, err
+	}
+	return win, nil
 }
 
 // Close closes the underlying reader.

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzBinaryTraceDecode throws arbitrary bytes at the sniffing reader and
@@ -16,7 +18,10 @@ import (
 //   - decode is a function of the bytes: decoding twice yields identical
 //     results;
 //   - decode∘encode∘decode = decode: any stream that decodes cleanly
-//     re-encodes to a stream that decodes to the same events.
+//     re-encodes to a stream that decodes to the same events;
+//   - window decode = per-event decode: StreamingSource windows of 1, 7
+//     and DefaultWindow events, over whole, one-byte and half reads, give
+//     Next's events and outcome (checkWindows).
 func FuzzBinaryTraceDecode(f *testing.F) {
 	// Seed corpus: valid traces of both flavours plus targeted mutations.
 	for seed := int64(1); seed <= 3; seed++ {
@@ -45,6 +50,16 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 	hostile = binary.AppendUvarint(hostile, 1)
 	hostile = binary.AppendUvarint(hostile, 1<<40) // absurd name length
 	f.Add(hostile)
+	// An end record whose payload carries bytes after its count.
+	endSlack := encode(f, TraceHeader{}, []TraceEvent{{Op: EvMalloc, Size: 64}}, binaryWriter)
+	f.Add(append(endSlack[:len(endSlack)-3], opEnd, 3, 1, 0xAA, 0xBB))
+	// A trace longer than the 4 KiB read buffer, so records straddle its
+	// end.
+	long := encode(f, syntheticHeader(5), syntheticTrace(5, 2000), binaryWriter)
+	if len(long) <= maxNDJSONHeaderBytes {
+		f.Fatalf("long seed is %d bytes, want more than the %d-byte read buffer", len(long), maxNDJSONHeaderBytes)
+	}
+	f.Add(long)
 	// NDJSON seeds: every input without the binary magic reaches the NDJSON
 	// decoder.
 	var nd bytes.Buffer
@@ -70,11 +85,12 @@ func FuzzBinaryTraceDecode(f *testing.F) {
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("decode determinism: %v vs %v", err1, err2)
 		}
-		if err1 != nil {
-			return
-		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatal("decode determinism: events diverge")
+		}
+		checkWindows(t, data, first.events, err1)
+		if err1 != nil {
+			return
 		}
 		// NDJSON decodes a negative ref, and a header name that decodes
 		// past maxTraceName (each invalid UTF-8 byte becomes a 3-byte
@@ -116,25 +132,85 @@ type decoded struct {
 	events []TraceEvent
 }
 
-// fuzzDecode drains one sniffed stream with a sanity cap on event count (a
-// fuzz input of n bytes cannot encode more than n records; the cap guards
-// against a decoder bug looping without consuming input).
+// fuzzDecode drains one sniffed stream through Next, returning the events
+// decoded before any error, with a sanity cap on event count (a fuzz input
+// of n bytes cannot encode more than n records; the cap guards against a
+// decoder bug looping without consuming input).
 func fuzzDecode(data []byte) (*decoded, error) {
+	d := &decoded{}
 	r, err := NewTraceReader(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return d, err
 	}
 	defer r.Close()
-	d := &decoded{hdr: r.Header()}
+	d.hdr = r.Header()
 	for i := 0; i <= len(data); i++ {
 		ev, err := r.Next()
 		if err == io.EOF {
 			return d, nil
 		}
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		d.events = append(d.events, ev)
+	}
+	panic("decoder yielded more events than input bytes")
+}
+
+// windowReads are the read shapes checkWindows decodes through: the whole
+// input at once, one byte per Read, and half of each Read's buffer.
+var windowReads = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"bytes.Reader", func(r io.Reader) io.Reader { return r }},
+	{"OneByteReader", iotest.OneByteReader},
+	{"HalfReader", iotest.HalfReader},
+}
+
+// checkWindows is the differential check of the window decode against
+// per-event Next: decoding data in StreamingSource windows must give the
+// events next (Next's, over a bytes.Reader) and nextErr's outcome, io.EOF
+// or an error, for every window size and read shape. On an error, the
+// window that hit it is discarded, so the windows hold next up to the last
+// whole window.
+func checkWindows(t *testing.T, data []byte, next []TraceEvent, nextErr error) {
+	t.Helper()
+	for _, read := range windowReads {
+		for _, window := range []int{1, 7, DefaultWindow} {
+			got, err := windowDecode(read.wrap(bytes.NewReader(data)), window, len(data))
+			if (err == nil) != (nextErr == nil) {
+				t.Fatalf("%s, window %d: outcome %v, per-event Next %v", read.name, window, err, nextErr)
+			}
+			want := next
+			if nextErr != nil {
+				want = next[:len(next)-len(next)%window]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, window %d: %d events, per-event Next %d (error %v)", read.name, window, len(got), len(want), nextErr)
+			}
+		}
+	}
+}
+
+// windowDecode drains one sniffed stream window by window, with
+// fuzzDecode's cap on event count.
+func windowDecode(r io.Reader, window, limit int) ([]TraceEvent, error) {
+	tr, err := NewTraceReader(r)
+	if err != nil {
+		return nil, err
+	}
+	src := NewStreamingSource(tr, window)
+	var events []TraceEvent
+	for len(events) <= limit {
+		win, err := src.NextWindow()
+		if err == io.EOF {
+			return events, nil
+		}
+		if err != nil {
+			return events, err
+		}
+		events = append(events, win...)
 	}
 	panic("decoder yielded more events than input bytes")
 }

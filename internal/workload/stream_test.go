@@ -67,7 +67,7 @@ func readEvents(r TraceReader) ([]TraceEvent, error) {
 }
 
 // encode runs events through a TraceWriter constructor over a buffer.
-func encode(t *testing.T, hdr TraceHeader, events []TraceEvent, newWriter func(io.Writer, TraceHeader) (TraceWriter, error)) []byte {
+func encode(t testing.TB, hdr TraceHeader, events []TraceEvent, newWriter func(io.Writer, TraceHeader) (TraceWriter, error)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := newWriter(&buf, hdr)
@@ -221,8 +221,9 @@ func TestTraceReaderBoundsSniff(t *testing.T) {
 }
 
 // TestBinaryDecoderRejectsCorruption exercises the strict paths: truncation
-// (missing end record), a wrong end-record count, oversized payloads, and a
-// bad magic.
+// (missing end record), a wrong end-record count, oversized payloads, a bad
+// magic, and bytes after the end record's count, in its payload or after
+// it.
 func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 	data := encode(t, syntheticHeader(4), syntheticTrace(4, 100), binaryWriter)
 
@@ -266,6 +267,12 @@ func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 	// bytes — must be rejected, or content addressing splits.
 	if err := drain(append(bytes.Clone(data), "junk"...)); err == nil {
 		t.Error("trailing bytes after end record accepted")
+	}
+	// Trailing bytes inside the end record's payload, after its count: the
+	// same split, one record earlier.
+	one := encode(t, TraceHeader{}, []TraceEvent{{Op: EvMalloc, Size: 64}}, binaryWriter)
+	if err := drain(append(one[:len(one)-3], opEnd, 3, 1, 0xAA, 0xBB)); err == nil {
+		t.Error("end record with trailing payload bytes accepted")
 	}
 }
 
@@ -638,7 +645,7 @@ func TestStreamingSourceEOFSticky(t *testing.T) {
 
 // loopingRecords serves a binary header once, then cycles a pre-encoded
 // body of records forever, never the end record, so AllocsPerRun and
-// BenchmarkBinaryTraceDecode can measure a steady-state Next.
+// BenchmarkBinaryTraceDecode can measure a steady-state decode.
 type loopingRecords struct {
 	header []byte
 	body   []byte
@@ -659,22 +666,11 @@ func (l *loopingRecords) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestBinaryNextZeroAlloc pins the decode hot loop at zero heap allocations
-// per record: the reader owns its payload buffer, so io.ReadFull cannot
-// force a per-record escape.
+// TestBinaryNextZeroAlloc pins Next at zero heap allocations per record:
+// its one-event window lives on its stack, and records are decoded in place
+// from the read buffer.
 func TestBinaryNextZeroAlloc(t *testing.T) {
-	header := []byte(TraceMagic)
-	header = binary.AppendUvarint(header, TraceVersion)
-	header = binary.AppendUvarint(header, 1) // seed
-	header = binary.AppendUvarint(header, 0) // empty name
-	payload := binary.AppendUvarint(nil, 4096)
-	body := append([]byte{EvMalloc}, binary.AppendUvarint(nil, uint64(len(payload)))...)
-	body = append(body, payload...)
-
-	r, err := NewTraceReader(&loopingRecords{header: header, body: body})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := loopingMix(t)
 	allocs := testing.AllocsPerRun(10000, func() {
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
@@ -682,5 +678,19 @@ func TestBinaryNextZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("BinaryTraceReader.Next allocates %.2f per record, want 0", allocs)
+	}
+}
+
+// TestBinaryNextWindowZeroAlloc pins the window decode at zero heap
+// allocations per window, at steady state.
+func TestBinaryNextWindowZeroAlloc(t *testing.T) {
+	src := NewStreamingSource(loopingMix(t), DefaultWindow)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := src.NextWindow(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("StreamingSource.NextWindow allocates %.2f per window, want 0", allocs)
 	}
 }

@@ -132,12 +132,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// replayCmd streams a trace file (any encoding) under both the CHERIvoke
-// and direct-free configurations, printing the comparison. Each mode is a
-// separate streaming pass over the file; nothing is materialised. With
-// -stats it instead prints the CHERIvoke pass's accumulated StreamStats as
-// JSON — the same shape a live session reports, so the two can be diffed
-// byte-for-byte.
+// replayCmd streams a trace file (any encoding) under the CHERIvoke
+// configuration, with a direct-free system fed the same mallocs and frees
+// as they are replayed, and prints the comparison. It is one streaming pass
+// over the file; nothing is materialised. With -stats it instead prints the
+// CHERIvoke replay's accumulated StreamStats as JSON — the same shape a
+// live session reports, so the two can be diffed byte-for-byte.
 func replayCmd(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	stats := fs.Bool("stats", false, "print the CHERIvoke replay's accumulated stream stats as JSON (the live-session reconciliation format)")
@@ -161,7 +161,7 @@ func replayCmd(args []string) error {
 // replayStats replays path under the live-ingestion analysis configuration
 // and prints the accumulated StreamStats JSON.
 func replayStats(path string) error {
-	st, _, err := replayFile(path, livetrace.AnalysisConfig())
+	st, _, err := replayFile(path, nil)
 	if err != nil {
 		return err
 	}
@@ -173,33 +173,33 @@ func replayStats(path string) error {
 	return nil
 }
 
-// replayCompare is the classic two-pass comparison: the live-ingestion
-// analysis configuration (the paper's CHERIvoke defaults) against the
-// direct-free baseline.
+// replayCompare compares the live-ingestion analysis configuration (the
+// paper's CHERIvoke defaults) against the direct-free baseline in one pass.
 func replayCompare(path string) error {
-	for i, mode := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"CHERIvoke", livetrace.AnalysisConfig()},
-		{"direct-free", core.Config{DirectFree: true}},
-	} {
-		st, hdr, err := replayFile(path, mode.cfg)
-		if err != nil {
-			return fmt.Errorf("replaying under %s: %w", mode.name, err)
-		}
-		if i == 0 {
-			fmt.Printf("trace %q: %d events (seed %#x)\n", hdr.Name, st.Events, hdr.Seed)
-		}
-		fmt.Printf("  %-12s heap %6.2f MiB, %3d sweeps, %6d caps revoked, sweep time %8.3f ms\n",
-			mode.name, float64(st.HeapBytes)/(1<<20), st.Sweeps, st.CapsRevoked, st.SweepSeconds*1e3)
+	base, err := core.New(core.Config{DirectFree: true})
+	if err != nil {
+		return err
 	}
+	st, hdr, err := replayFile(path, base)
+	if err != nil {
+		return fmt.Errorf("replaying: %w", err)
+	}
+	fmt.Printf("trace %q: %d events (seed %#x)\n", hdr.Name, st.Events, hdr.Seed)
+	line := func(name string, heap, sweeps, caps uint64, sweepSeconds float64) {
+		fmt.Printf("  %-12s heap %6.2f MiB, %3d sweeps, %6d caps revoked, sweep time %8.3f ms\n",
+			name, float64(heap)/(1<<20), sweeps, caps, sweepSeconds*1e3)
+	}
+	line("CHERIvoke", st.HeapBytes, st.Sweeps, st.CapsRevoked, st.SweepSeconds)
+	bs := base.Stats()
+	line("direct-free", base.HeapBytes(), bs.Sweeps, bs.CapsRevoked, bs.SweepSeconds)
 	return nil
 }
 
-// replayFile streams the trace at path through a fresh system built from
-// cfg and returns the replay's StreamStats and the trace header.
-func replayFile(path string, cfg core.Config) (workload.StreamStats, workload.TraceHeader, error) {
+// replayFile streams the trace at path through a fresh system under the
+// live-ingestion analysis configuration, feeding base (when non-nil) the
+// same mallocs and frees, and returns the replay's StreamStats and the
+// trace header.
+func replayFile(path string, base *core.System) (workload.StreamStats, workload.TraceHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return workload.StreamStats{}, workload.TraceHeader{}, err
@@ -210,11 +210,11 @@ func replayFile(path string, cfg core.Config) (workload.StreamStats, workload.Tr
 		return workload.StreamStats{}, workload.TraceHeader{}, err
 	}
 	defer tr.Close()
-	sys, err := core.New(cfg)
+	sys, err := core.New(livetrace.AnalysisConfig())
 	if err != nil {
 		return workload.StreamStats{}, workload.TraceHeader{}, err
 	}
-	st, err := workload.ReplayStreamStats(sys, workload.NewStreamingSource(tr, 0))
+	st, err := workload.NewIncrementalReplay(sys, base).Replay(workload.NewStreamingSource(tr, 0))
 	return st, tr.Header(), err
 }
 

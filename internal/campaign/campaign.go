@@ -105,9 +105,12 @@ type Spec struct {
 	// shard count prices sweep time only; the traffic charge ignores it.
 	Traffic string `json:"traffic,omitempty"`
 
-	// Baseline additionally runs, per job, a matched direct-free run
-	// (same seed, event volume bounded to the job's frees) and records
-	// its peak footprint for memory-overhead normalisation (Figure 5b).
+	// Baseline gives each job a matched direct-free system that receives
+	// the job's mallocs and frees, but not its plants, as they happen, in
+	// generated and trace jobs alike, and records its peak footprint for
+	// memory-overhead normalisation (Figure 5b). That is the footprint a
+	// second, direct-free run of the same seed bounded to the job's frees
+	// would reach, without running the workload twice.
 	Baseline bool `json:"baseline,omitempty"`
 
 	// SweepImageSelf re-sweeps each job's final heap image

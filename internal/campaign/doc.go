@@ -2,8 +2,9 @@
 // declarative parameter-sweep specification (workload profiles × system
 // variants × quarantine fractions × heap scales × seeds) into an ordered
 // list of jobs, runs them on a bounded worker pool — one isolated
-// core.System per job — and aggregates the per-job results into artifacts
-// (JSON/CSV) and summary statistics.
+// core.System per job, plus, for a Spec.Baseline job, the direct-free
+// system its events feed as they happen — and aggregates the per-job
+// results into artifacts (JSON/CSV) and summary statistics.
 //
 // Determinism is the contract: job expansion order is fixed, every job is
 // self-seeded and shares no state with its siblings, and results are

@@ -151,18 +151,16 @@ func runJob(spec Spec, job Job, traces TraceOpener) JobResult {
 	if err != nil {
 		return failed(job, err)
 	}
+	if wopts.Baseline, err = baselineSystem(job); err != nil {
+		return failed(job, err)
+	}
 	res, err := workload.Run(sys, p, wopts)
 	if err != nil {
 		return failed(job, err)
 	}
 
 	jr := assemble(job, sys, cfg, res)
-
-	if job.Baseline && !job.Variant.DirectFree {
-		if err := runBaseline(&jr, p, job); err != nil {
-			return failed(job, err)
-		}
-	}
+	jr.setBaseline(wopts.Baseline)
 	if err := imageSweeps(spec, job, sys, &jr); err != nil {
 		return failed(job, err)
 	}
@@ -191,19 +189,18 @@ func runTraceJob(spec Spec, job Job, traces TraceOpener) JobResult {
 	if err != nil {
 		return failed(job, err)
 	}
-	res, err := workload.RunStream(sys, src, p)
+	base, err := baselineSystem(job)
+	if err != nil {
+		return failed(job, err)
+	}
+	res, err := workload.RunStream(sys, base, src, p)
 	if err != nil {
 		return failed(job, err)
 	}
 
 	jr := assemble(job, sys, cfg, res)
 	jr.TraceHash = hash
-
-	if job.Baseline && !job.Variant.DirectFree {
-		if err := runTraceBaseline(&jr, spec, job, traces); err != nil {
-			return failed(job, err)
-		}
-	}
+	jr.setBaseline(base)
 	if err := imageSweeps(spec, job, sys, &jr); err != nil {
 		return failed(job, err)
 	}
@@ -300,35 +297,24 @@ func decompose(st core.Stats, res workload.Result) (quarOnly, plusShadow, plusSw
 	return 1 + quarDelta, 1 + quarDelta + shadowDelta, 1 + quarDelta + shadowDelta + sweepDelta
 }
 
-// runBaseline replays the same profile and seed against the insecure
-// direct-free system, bounded to the job's event volume (sweeps never fire
-// in direct mode, so the free count is the only terminator), and records
-// the memory-overhead normalisation.
-func runBaseline(jr *JobResult, p workload.Profile, job Job) error {
-	events := int(jr.Frees)
-	if events == 0 {
-		events = 1
+// baselineSystem returns the matched direct-free system a Spec.Baseline job
+// feeds its mallocs and frees to as they happen (workload.Options.Baseline),
+// or nil when the job wants no baseline or is itself direct-free.
+func baselineSystem(job Job) (*core.System, error) {
+	if !job.Baseline || job.Variant.DirectFree {
+		return nil, nil
 	}
-	sys, err := core.New(core.Config{DirectFree: true})
-	if err != nil {
-		return err
-	}
-	res, err := workload.Run(sys, p, workload.Options{
-		Seed:         job.Seed,
-		MaxLiveBytes: job.MaxLiveBytes,
-		MinSweeps:    1, // never reached in direct mode
-		MaxEvents:    events,
-	})
-	if err != nil {
-		return fmt.Errorf("baseline run: %w", err)
-	}
-	jr.setBaseline(res.PeakFootprint)
-	return nil
+	return core.New(core.Config{DirectFree: true})
 }
 
-// setBaseline records the direct-free run's peak footprint and the memory
-// overhead it normalises: the job's peak over the baseline's, never below 1.
-func (jr *JobResult) setBaseline(peak uint64) {
+// setBaseline records the baseline system's peak footprint, if the job had
+// one, and the memory overhead it normalises: the job's peak over the
+// baseline's, never below 1.
+func (jr *JobResult) setBaseline(base *core.System) {
+	if base == nil {
+		return
+	}
+	peak := base.MemoryFootprint()
 	jr.BaselinePeakFootprint = peak
 	jr.MemoryOverhead = 1.0
 	if peak > 0 && jr.PeakFootprint > 0 {
@@ -336,26 +322,4 @@ func (jr *JobResult) setBaseline(peak uint64) {
 			jr.MemoryOverhead = over
 		}
 	}
-}
-
-// runTraceBaseline is runBaseline for trace jobs: the identical event
-// stream replayed against the insecure direct-free system. No event bound
-// is needed — the trace is the bound.
-func runTraceBaseline(jr *JobResult, spec Spec, job Job, traces TraceOpener) error {
-	tr, _, err := traces.OpenTrace(job.TraceRef)
-	if err != nil {
-		return fmt.Errorf("baseline trace: %w", err)
-	}
-	defer tr.Close()
-	src := workload.NewStreamingSource(tr, spec.TraceWindow)
-	sys, err := core.New(core.Config{DirectFree: true})
-	if err != nil {
-		return err
-	}
-	res, err := workload.RunStream(sys, src, traceProfile(job, src.Header()))
-	if err != nil {
-		return fmt.Errorf("baseline replay: %w", err)
-	}
-	jr.setBaseline(res.PeakFootprint)
-	return nil
 }

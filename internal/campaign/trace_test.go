@@ -64,8 +64,8 @@ func mustJobs(t testing.TB, spec Spec) []Job {
 // TestTraceCampaignMatchesGenerator replays a recorded trace through a
 // TraceRef campaign and checks the measured results match the generator
 // campaign that would have produced the same events: same system activity,
-// same sweeps, same simulated overheads, and the artifact carries the
-// trace's content hash.
+// same sweeps, same simulated overheads, the same matched direct-free
+// baseline, and the artifact carries the trace's content hash.
 func TestTraceCampaignMatchesGenerator(t *testing.T) {
 	genSpec := Spec{
 		Profiles:  []string{"omnetpp"},
@@ -73,6 +73,7 @@ func TestTraceCampaignMatchesGenerator(t *testing.T) {
 		MinSweeps: 2,
 		MaxEvents: 20000,
 		Traffic:   TrafficX86,
+		Baseline:  true,
 	}
 	store, hash := recordCampaignTrace(t, genSpec)
 
@@ -116,6 +117,10 @@ func TestTraceCampaignMatchesGenerator(t *testing.T) {
 	}
 	if g.PeakFootprint != tr.PeakFootprint {
 		t.Fatalf("peak footprint %d vs %d", g.PeakFootprint, tr.PeakFootprint)
+	}
+	if g.BaselinePeakFootprint == 0 || g.BaselinePeakFootprint != tr.BaselinePeakFootprint || g.MemoryOverhead != tr.MemoryOverhead {
+		t.Fatalf("baseline: generator footprint %d, overhead %v; trace %d, %v",
+			g.BaselinePeakFootprint, g.MemoryOverhead, tr.BaselinePeakFootprint, tr.MemoryOverhead)
 	}
 	if g.Traffic == nil || tr.Traffic == nil {
 		t.Fatal("traffic reports missing")

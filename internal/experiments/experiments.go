@@ -167,7 +167,7 @@ type Fig5Row struct {
 
 // Fig5 regenerates Figure 5 over the SPEC subset: normalised execution time
 // (5a) and memory utilisation (5b) for CHERIvoke (measured on the simulated
-// system, with a matched direct-free run normalising memory) and
+// system, with a matched direct-free system normalising memory) and
 // Oscar/pSweeper/DangSan/Boehm-GC (cost models).
 func Fig5(opts Options) ([]Fig5Row, error) {
 	spec := opts.spec(workload.Names(workload.SPEC()))

@@ -140,7 +140,7 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	defer stop()
 
 	// Spool in the store's directory so filing the finished stream is a
-	// same-filesystem rename inside Store.Put.
+	// same-filesystem rename inside Store.File.
 	spool, err := os.CreateTemp(mgr.cfg.Store.Dir(), "live-*.spool")
 	if err != nil {
 		return fmt.Errorf("livetrace: creating spool: %w", err)
@@ -236,12 +236,7 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	if err := spool.Close(); err != nil {
 		return fmt.Errorf("livetrace: closing spool: %w", err)
 	}
-	f, err := os.Open(spool.Name())
-	if err != nil {
-		return fmt.Errorf("livetrace: reopening spool: %w", err)
-	}
-	info, err := mgr.cfg.Store.Put(f)
-	f.Close()
+	info, err := mgr.cfg.Store.File(spool.Name())
 	if err != nil {
 		return fmt.Errorf("livetrace: filing trace: %w", err)
 	}
@@ -290,7 +285,7 @@ func (s *Session) analyze(pending <-chan []workload.TraceEvent, free chan<- []wo
 		out.err = err
 		cancel()
 	} else {
-		ir = workload.NewIncrementalReplay(sys)
+		ir = workload.NewIncrementalReplay(sys, nil)
 	}
 	for buf := range pending {
 		if out.err == nil {

@@ -11,6 +11,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"repro/internal/cap"
@@ -470,12 +471,27 @@ func (m *Memory) RawStoreCap(addr uint64, c cap.Capability) error {
 	if err != nil {
 		return err
 	}
-	w := addr % PageSize / WordSize
 	lo, hi := c.Encode()
-	m.setWord(p, w, lo)
-	m.setWord(p, w+1, hi)
-	if m.setTag(p, uint(addr%PageSize/GranuleSize), c.Tag()) {
-		if c.Tag() {
+	m.storeGranule(p, uint(addr%PageSize/GranuleSize), lo, hi, c.Tag())
+	return nil
+}
+
+// storeGranule is the capability store every store path shares: it writes
+// the image lo, hi into granule g of p, resolving the granule's line once
+// for both words (an all-zero image leaves an unwritten line unwritten),
+// sets the granule's tag to tag with the counts in step, marks the page
+// CapDirty on its first tagged store, and counts the store.
+func (m *Memory) storeGranule(p *page, g uint, lo, hi uint64, tag bool) {
+	l := g / GranulesPerLine
+	i := m.table(p)[l]
+	if i == 0 && lo|hi != 0 {
+		i = m.newLine(p, l)
+	}
+	if i != 0 {
+		m.lineAt(i)[g%GranulesPerLine] = [granuleWords]uint64{lo, hi}
+	}
+	if m.setTag(p, g, tag) {
+		if tag {
 			m.stats.TagsSet++
 			if !p.capDirty {
 				p.capDirty = true
@@ -486,6 +502,64 @@ func (m *Memory) RawStoreCap(addr uint64, c cap.Capability) error {
 		}
 	}
 	m.stats.CapStores++
+}
+
+// PageMask marks granules of one page: bit j of word i is granule 64i+j,
+// the layout of PageView.TagWord.
+type PageMask [GranulesPerPage / 64]uint64
+
+// Set marks granule g (0..GranulesPerPage-1).
+func (pm *PageMask) Set(g uint) { pm[g/64] |= 1 << (g % 64) }
+
+// StoreSelfCaps stores, in each granule of the page at base that mask
+// marks, auth with its address moved to that granule: the self-referential
+// capabilities a workload plants in an object. Its effect and its error are
+// those of StoreCap(auth, a, auth.SetAddr(a)) for each marked granule a in
+// ascending order, stopping at the first error. When auth authorises the
+// whole marked span, keeps its tag at both ends of it and the page is
+// mapped, the checks and the page lookup are made once and each granule
+// goes through the shared store kernel; otherwise the granules are stored
+// one by one, so the error and the stores before it are exactly StoreCap's.
+func (m *Memory) StoreSelfCaps(auth cap.Capability, base uint64, mask *PageMask) error {
+	first, last := -1, -1
+	for w, word := range mask {
+		if word != 0 {
+			if first < 0 {
+				first = w*64 + bits.TrailingZeros64(word)
+			}
+			last = w*64 + 63 - bits.LeadingZeros64(word)
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	from, to := base+uint64(first)*GranuleSize, base+uint64(last)*GranuleSize
+	need := cap.PermStore | cap.PermStoreCap
+	if !auth.Perms().Has(cap.PermGlobal) {
+		need |= cap.PermStoreLocalCap
+	}
+	// An address keeps a capability's tag while it lies in the encoding's
+	// representable region, one contiguous window, so the span's granules
+	// all keep auth's tag when its first and last do.
+	var p *page
+	if base%PageSize == 0 && auth.CheckAccess("storecap", from, to+GranuleSize-from, need) == nil &&
+		auth.SetAddr(from).Tag() && (to == from || auth.SetAddr(to).Tag()) {
+		p, _ = m.pageFor(base)
+	}
+	_, meta := auth.Encode() // the image of auth.SetAddr(a) is (a, meta)
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			g := uint(w*64 + bits.TrailingZeros64(word))
+			a := base + uint64(g)*GranuleSize
+			if p == nil {
+				if err := m.StoreCap(auth, a, auth.SetAddr(a)); err != nil {
+					return err
+				}
+				continue
+			}
+			m.storeGranule(p, g, a, meta, true)
+		}
+	}
 	return nil
 }
 

@@ -30,6 +30,7 @@ const (
 	opClearTag
 	opLaunder
 	opMapOutside
+	opStoreSelfCaps
 	numOps
 )
 
@@ -102,7 +103,90 @@ func (r *refMemory) storeCap(addr uint64, c cap.Capability) error {
 	return nil
 }
 
+// storeSelfCaps is the reference for Memory.StoreSelfCaps: StoreCap of
+// auth, its address moved to the granule, into each marked granule in
+// ascending order, stopping at the first error. An authority failure is
+// reported as its cap sentinel, which the Memory's error wraps.
+func (r *refMemory) storeSelfCaps(auth cap.Capability, base uint64, mask *PageMask) error {
+	for g := uint(0); g < GranulesPerPage; g++ {
+		if mask[g/64]&(1<<(g%64)) == 0 {
+			continue
+		}
+		addr := base + uint64(g)*GranuleSize
+		c := auth.SetAddr(addr)
+		need := cap.PermStore
+		if c.Tag() {
+			need |= cap.PermStoreCap
+			if !c.Perms().Has(cap.PermGlobal) {
+				need |= cap.PermStoreLocalCap
+			}
+		}
+		if err := auth.CheckAccess("storecap", addr, GranuleSize, need); err != nil {
+			return errors.Unwrap(err)
+		}
+		if err := r.storeCap(addr, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (p *refPage) holdsCap() bool { return slices.Contains(p.tags[:], true) }
+
+// selfCapsAuth picks the authority of a page-store operation from its
+// argument: the whole address space, or one that fails on some or all of
+// the page's granules — bounds covering only the page's lower or upper
+// half, no tag, no PermStoreCap, or a local capability without
+// PermStoreLocalCap.
+func selfCapsAuth(auth cap.Capability, base uint64, arg byte) cap.Capability {
+	switch arg % 6 {
+	case 0:
+		return auth
+	case 1:
+		c, _ := auth.SetBoundsExact(base, PageSize/2)
+		return c
+	case 2:
+		c, _ := auth.SetBoundsExact(base+PageSize/2, PageSize/2)
+		return c
+	case 3:
+		return auth.ClearTag()
+	case 4:
+		return auth.ClearPerms(cap.PermStoreCap)
+	default:
+		return auth.ClearPerms(cap.PermGlobal | cap.PermStoreLocalCap)
+	}
+}
+
+// selfCapsMask derives a page-store operation's granule mask from its
+// granule and argument bytes: granule g alone, a dense or a sparse
+// pseudo-random mask, or the run of granules from g to the page's end.
+func selfCapsMask(g, arg byte) (mask PageMask) {
+	x := uint64(g)<<8 | uint64(arg)
+	draw := func() uint64 { // splitmix64
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+	switch arg / 6 % 4 {
+	case 0:
+		mask.Set(uint(g))
+	case 1:
+		for i := range mask {
+			mask[i] = draw()
+		}
+	case 2:
+		for i := range mask {
+			mask[i] = draw() & draw() & draw()
+		}
+	default:
+		for i := uint(g); i < GranulesPerPage; i++ {
+			mask.Set(i)
+		}
+	}
+	return mask
+}
 
 // applyOp decodes one operation, applies it to m and ref, and returns the
 // two errors for the caller to compare. Stores are authorised by auth,
@@ -131,6 +215,9 @@ func applyOp(m *Memory, ref *refMemory, op []byte, auth, obj cap.Capability) (go
 	case opStoreCap:
 		c := [...]cap.Capability{obj, obj.ClearTag(), cap.Null}[arg%3]
 		return m.StoreCap(auth, granule, c), ref.storeCap(granule, c)
+	case opStoreSelfCaps:
+		a, mask := selfCapsAuth(auth, base, arg), selfCapsMask(op[2], arg)
+		return m.StoreSelfCaps(a, base, &mask), ref.storeSelfCaps(a, base, &mask)
 	case opClearTag:
 		err := m.ClearTag(granule)
 		p := ref.pages[base]
@@ -320,6 +407,17 @@ var modelScenarios = map[string][]byte{
 		opLaunder, 0, 0, 0, opStoreWord, 0, 1, 2, opClearTag, 0, 0, 0, opClearTag, 0, 4, 0,
 		opLaunder, 0, 0, 0, opStoreCap, 1, 0, 0, opStoreCap, 1, 0, 1,
 		opStoreCap, 1, 0, 0, opUnmap, 0, 0, 0, opLaunder, 1, 0, 0,
+	},
+	// Page stores of self-referential capabilities under each authority
+	// and mask shape: an authority that fails part-way leaves the granules
+	// below the failure stored; one page is unmapped.
+	"self-caps": {
+		opMap, 0, 0, 3, opStoreSelfCaps, 0, 5, 0, opStoreSelfCaps, 1, 9, 6,
+		opStoreSelfCaps, 2, 3, 13, opStoreSelfCaps, 3, 200, 18, opStoreSelfCaps, 0, 100, 19,
+		opStoreSelfCaps, 1, 7, 8, opStoreSelfCaps, 2, 1, 9, opStoreSelfCaps, 3, 2, 10,
+		opStoreSelfCaps, 1, 4, 11, opStoreSelfCaps, 5, 0, 12, opStoreWord, 0, 5, 1,
+		opStoreSelfCaps, 0, 40, 24, opStoreSelfCaps, 2, 0, 14, opStoreSelfCaps, 3, 200, 20,
+		opStoreSelfCaps, 3, 6, 1, opLaunder, 3, 0, 0,
 	},
 	// Ranges outside the 48-bit address space.
 	"outside": {

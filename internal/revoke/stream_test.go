@@ -105,7 +105,7 @@ func TestStreamedSweepStatsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := workload.NewIncrementalReplay(sysMem).ApplyWindow(events); err != nil {
+		if err := workload.NewIncrementalReplay(sysMem, nil).ApplyWindow(events); err != nil {
 			t.Fatalf("shards=%d: whole replay: %v", shards, err)
 		}
 

@@ -150,7 +150,7 @@ func BenchmarkIncrementalReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ir := NewIncrementalReplay(sys)
+		ir := NewIncrementalReplay(sys, nil)
 		b.StartTimer()
 		for _, win := range windows {
 			if err := ir.ApplyWindow(win); err != nil {

@@ -1,9 +1,10 @@
 package workload
 
 // blockLen is the number of elements in one block of a blockTable. A block
-// of the live set's 32 B handles or of the replay's 32 B capabilities is
-// 32 KiB, which Go 1.24's allocator serves as a large object with a span of
-// its own (anything over 32,760 B is one).
+// of the replay's 32 B capabilities is 32 KiB, which Go 1.24's allocator
+// serves as a large object with a span of its own (anything over 32,760 B
+// is one); a block of the live set's 16 B handles is 16 KiB, and one of a
+// baseline twin's 8 B addresses 8 KiB.
 const blockLen = 1024
 
 // blockTable is a table of T indexed from 0 that grows at its tail in

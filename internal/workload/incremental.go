@@ -61,9 +61,12 @@ type IncrementalReplay struct {
 
 // NewIncrementalReplay returns a replay accumulator over sys. The system
 // must be fresh (no prior activity): the accumulator snapshots absolute
-// counters from it.
-func NewIncrementalReplay(sys *core.System) *IncrementalReplay {
-	return &IncrementalReplay{sys: sys}
+// counters from it. base, when non-nil, is a fresh direct-free system
+// (Figure 5b's matched baseline) that receives the trace's mallocs and
+// frees, but not its plants, as they are applied; the stats describe sys
+// alone.
+func NewIncrementalReplay(sys, base *core.System) *IncrementalReplay {
+	return &IncrementalReplay{sys: sys, st: replayState{twin: twin{sys: base}}}
 }
 
 // ApplyWindow replays one window of events and brings the stats snapshot up
@@ -118,7 +121,12 @@ func (ir *IncrementalReplay) Stats() StreamStats { return ir.stats }
 // final stats — the post-hoc form of the live firehose's accumulation, and
 // the reference side of its reconciliation check.
 func ReplayStreamStats(sys *core.System, src *StreamingSource) (StreamStats, error) {
-	ir := NewIncrementalReplay(sys)
+	return NewIncrementalReplay(sys, nil).Replay(src)
+}
+
+// Replay applies every remaining window of src and returns the final
+// stats.
+func (ir *IncrementalReplay) Replay(src *StreamingSource) (StreamStats, error) {
 	for {
 		win, err := src.NextWindow()
 		if err == io.EOF {

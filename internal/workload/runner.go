@@ -34,6 +34,12 @@ type Options struct {
 	// codec with constant memory. The caller creates the writer (and its
 	// header) and closes it after Run returns.
 	Stream TraceWriter
+
+	// Baseline, when non-nil, is a fresh direct-free system (Figure 5b's
+	// matched baseline) that receives the run's mallocs and frees, but
+	// not its plants, as they happen. Its footprint after Run is the
+	// footprint a direct-free run of the same events reaches.
+	Baseline *core.System
 }
 
 func (o Options) withDefaults() Options {
@@ -75,10 +81,14 @@ type Result struct {
 	// to the profile's reuse factor (§6.1.1).
 	CacheEffectSeconds float64
 
-	// PeakFootprint is the high-water simulated memory footprint (heap +
-	// shadow map for CHERIvoke; heap only for the direct baseline). The
-	// footprint never shrinks (core.System.MemoryFootprint), so it is the
-	// footprint at the end of the run.
+	// PeakFootprint is the high-water simulated memory footprint, mapped
+	// heap plus shadow map (core.System.MemoryFootprint). A direct-free
+	// system maps a shadow map too: core grows it and the quarantine
+	// planes with the heap in every mode, so the direct baseline's
+	// footprint counts its shadow map as well (1,000 direct 4 KiB mallocs
+	// map 4,194,304 heap bytes and reach a 4,227,072-byte footprint). The
+	// footprint never shrinks, so it is the footprint at the end of the
+	// run.
 	PeakFootprint uint64
 
 	// Scale is simulated-live-heap ÷ profile reference heap.
@@ -131,6 +141,7 @@ func Run(sys *core.System, p Profile, opts Options) (Result, error) {
 
 	g := newPlanter(p, r)
 	rec := &recorder{w: opts.Stream}
+	tw := &twin{sys: opts.Baseline}
 
 	// Build-up phase: reach the steady-state live heap. A dead Stream
 	// sink (e.g. a closed pipe) aborts the loops promptly — there is no
@@ -138,29 +149,33 @@ func Run(sys *core.System, p Profile, opts Options) (Result, error) {
 	// latched error is surfaced below.
 	var live liveSet
 	for sys.LiveBytes() < targetLive && rec.err == nil {
-		if err := g.allocate(sys, &live, rec); err != nil {
+		if err := g.allocate(sys, &live, rec, tw); err != nil {
 			return res, err
 		}
 		res.Mallocs++
 	}
 
-	// Churn phase.
+	// Churn phase. Every iteration frees: the allocation just made keeps
+	// the live set non-empty.
 	if p.AllocIntensive() {
 		for ev := 0; ev < opts.MaxEvents && rec.err == nil; ev++ {
 			if int(sys.Stats().Sweeps) >= opts.MinSweeps {
 				break
 			}
-			if err := g.allocate(sys, &live, rec); err != nil {
+			if err := g.allocate(sys, &live, rec, tw); err != nil {
 				return res, err
 			}
 			res.Mallocs++
-			h, ok := live.take(r, p.TemporalFrag)
+			idx, h, ok := live.take(r, p.TemporalFrag)
 			if !ok {
 				continue
 			}
-			rec.free(h.idx)
-			if err := sys.FreeAddr(h.addr); err != nil {
-				return res, fmt.Errorf("workload %s: freeing %#x: %w", p.Name, h.addr, err)
+			rec.free(idx)
+			if err := sys.FreeAddr(h.addr()); err != nil {
+				return res, fmt.Errorf("workload %s: freeing %#x: %w", p.Name, h.addr(), err)
+			}
+			if err := tw.free(idx, live.head); err != nil {
+				return res, fmt.Errorf("workload %s: %w", p.Name, err)
 			}
 			res.Frees++
 			res.FreedBytes += h.size
@@ -220,8 +235,9 @@ func finishMeasurement(sys *core.System, p Profile, res *Result) {
 
 // liveSet tracks live allocations for the churn phase: FIFO order for
 // grouped lifetimes, with tombstoned random removal for interleaved ones.
-// Handles are numbered in the order added; those in [head, items.len())
-// may be live, and the blocks the head has passed are reused at the tail.
+// It holds one handle per malloc in birth order, so a handle's position is
+// its allocation index; those in [head, items.len()) may be live, and the
+// blocks the head has passed are reused at the tail.
 type liveSet struct {
 	items    blockTable[handle]
 	head     int
@@ -229,57 +245,115 @@ type liveSet struct {
 	ptrCount int // live pointer-bearing objects
 }
 
+// handle is one allocation in 16 bytes: its granule-aligned base, with the
+// dead and caps flags in the low bits, and its length.
 type handle struct {
-	addr uint64
+	word uint64 // base | handleDead | handleCaps
 	size uint64
-	idx  int // birth-order allocation index (for trace recording)
-	dead bool
-	caps bool // object carries planted capabilities
 }
+
+const (
+	handleDead = 1 << iota // taken from the set
+	handleCaps             // the object carries planted capabilities
+)
+
+func (h handle) addr() uint64 { return h.word &^ (mem.GranuleSize - 1) }
+func (h handle) caps() bool   { return h.word&handleCaps != 0 }
 
 func (l *liveSet) add(h handle) {
 	l.items.push(h)
 	l.count++
-	if h.caps {
+	if h.caps() {
 		l.ptrCount++
 	}
 }
 
 // take removes either the oldest live handle (grouped lifetimes) or, with
-// probability frag, a uniformly random one (temporal fragmentation).
-func (l *liveSet) take(r *rng, frag float64) (handle, bool) {
+// probability frag, a uniformly random one (temporal fragmentation), and
+// returns it with its allocation index.
+func (l *liveSet) take(r *rng, frag float64) (int, handle, bool) {
 	if l.count == 0 {
-		return handle{}, false
+		return 0, handle{}, false
 	}
 	if r.float() < frag {
 		// Random pick: probe tombstoned slots.
 		for tries := 0; tries < 32; tries++ {
-			h := l.items.at(l.head + r.intn(l.items.len()-l.head))
-			if !h.dead {
-				h.dead = true
-				l.count--
-				if h.caps {
-					l.ptrCount--
-				}
-				return *h, true
+			i := l.head + r.intn(l.items.len()-l.head)
+			if h := l.items.at(i); h.word&handleDead == 0 {
+				h.word |= handleDead
+				l.kill(*h)
+				return i, *h, true
 			}
 		}
 		// Dense tombstones: fall through to FIFO.
 	}
 	for l.head < l.items.len() {
-		h := *l.items.at(l.head)
+		i := l.head
+		h := *l.items.at(i)
 		l.head++
-		if !h.dead {
+		if h.word&handleDead == 0 {
 			l.items.dropBelow(l.head)
-			l.count--
-			if h.caps {
-				l.ptrCount--
-			}
-			return h, true
+			l.kill(h)
+			return i, h, true
 		}
 	}
 	l.items.dropBelow(l.head)
-	return handle{}, false
+	return 0, handle{}, false
+}
+
+// kill counts h out of the live set.
+func (l *liveSet) kill(h handle) {
+	l.count--
+	if h.caps() {
+		l.ptrCount--
+	}
+}
+
+// twin is Figure 5b's matched direct-free baseline riding along a run: it
+// receives the run's mallocs and frees, keyed by allocation index, as they
+// happen, and none of its plants, which a direct-free footprint does not
+// see. The events are exactly those a second direct-free run of the same
+// generator would make, because the generator sees its system only through
+// padded lengths and live bytes, which depend only on the sizes drawn. A
+// twin with no system does nothing.
+type twin struct {
+	sys   *core.System
+	addrs blockTable[uint64] // the twin's base of each allocation index
+}
+
+// malloc and free do nothing for a twin with no system, and inline to that
+// check.
+func (t *twin) malloc(size uint64) error {
+	if t.sys == nil {
+		return nil
+	}
+	return t.mallocOn(size)
+}
+
+func (t *twin) mallocOn(size uint64) error {
+	c, err := t.sys.Malloc(size)
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	t.addrs.push(c.Base())
+	return nil
+}
+
+// free frees allocation idx and releases the table's blocks below head,
+// an index below which every allocation has been freed.
+func (t *twin) free(idx, head int) error {
+	if t.sys == nil {
+		return nil
+	}
+	return t.freeOn(idx, head)
+}
+
+func (t *twin) freeOn(idx, head int) error {
+	if err := t.sys.FreeAddr(*t.addrs.at(idx)); err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	t.addrs.dropBelow(head)
+	return nil
 }
 
 // planter allocates objects and plants self-referential capabilities inside
@@ -352,12 +426,16 @@ func (g *planter) size() uint64 {
 	return roundSize(g.meanSize)
 }
 
-func (g *planter) allocate(sys *core.System, live *liveSet, rec *recorder) error {
+func (g *planter) allocate(sys *core.System, live *liveSet, rec *recorder, tw *twin) error {
 	size := g.size()
-	idx := rec.malloc(size)
+	rec.malloc(size)
+	idx := live.items.len()
 	c, err := sys.Malloc(size)
 	if err != nil {
 		return err
+	}
+	if err := tw.malloc(size); err != nil {
+		return fmt.Errorf("workload %s: %w", g.p.Name, err)
 	}
 	// Low-density profiles (milc's 3% of pages) can otherwise leave zero
 	// pointer objects alive at simulation scale; keep at least one so
@@ -384,40 +462,51 @@ func (g *planter) allocate(sys *core.System, live *liveSet, rec *recorder) error
 			if end > c.Len() {
 				end = c.Len()
 			}
-			if err := g.plantSpan(sys, c, off, end, rec, idx); err != nil {
+			if err := g.plantSpan(sys.Mem(), c, off, end, rec, idx); err != nil {
 				return err
 			}
 		}
 	} else if force || (g.pointerFrac > 0 && g.r.float() < g.pointerFrac) {
 		isPtr = true
-		if err := g.plantSpan(sys, c, 0, c.Len(), rec, idx); err != nil {
+		if err := g.plantSpan(sys.Mem(), c, 0, c.Len(), rec, idx); err != nil {
 			return err
 		}
 	}
-	live.add(handle{addr: c.Base(), size: c.Len(), idx: idx, caps: isPtr})
+	h := handle{word: c.Base(), size: c.Len()}
+	if isPtr {
+		h.word |= handleCaps
+	}
+	live.add(h)
 	return nil
 }
 
 // plantSpan plants capabilities over [off, end) of the object on a
 // per-granule Bernoulli draw, always planting at least one so the span
-// really carries a pointer.
-func (g *planter) plantSpan(sys *core.System, c cap.Capability, off, end uint64, rec *recorder, idx int) error {
+// really carries a pointer. The draws mark a page's granules in a mask, and
+// each page the span touches is stored in one call.
+func (g *planter) plantSpan(m *mem.Memory, c cap.Capability, off, end uint64, rec *recorder, idx int) error {
 	start := off
 	planted := false
+	page := (c.Base() + off) &^ (mem.PageSize - 1)
+	var mask mem.PageMask
 	for ; off+mem.GranuleSize <= end; off += mem.GranuleSize {
-		if g.r.float() < g.granuleProb {
-			if err := sys.Mem().StoreCap(c, c.Base()+off, c.SetAddr(c.Base()+off)); err != nil {
+		if g.r.float() >= g.granuleProb {
+			continue
+		}
+		addr := c.Base() + off
+		if p := addr &^ (mem.PageSize - 1); p != page {
+			if err := m.StoreSelfCaps(c, page, &mask); err != nil {
 				return err
 			}
-			rec.plant(idx, off)
-			planted = true
+			page, mask = p, mem.PageMask{}
 		}
+		mask.Set(uint(addr % mem.PageSize / mem.GranuleSize))
+		rec.plant(idx, off)
+		planted = true
 	}
-	if !planted {
-		if err := sys.Mem().StoreCap(c, c.Base()+start, c.SetAddr(c.Base()+start)); err != nil {
-			return err
-		}
+	if !planted { // page is still the page of start
+		mask.Set(uint((c.Base() + start) % mem.PageSize / mem.GranuleSize))
 		rec.plant(idx, start)
 	}
-	return nil
+	return m.StoreSelfCaps(c, page, &mask)
 }

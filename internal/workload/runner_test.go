@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/quarantine"
@@ -169,35 +170,36 @@ func TestDirectModeRun(t *testing.T) {
 
 // TestLiveSetMatchesSlice drives liveSet across many blocks, with the head
 // passing some and random picks landing in others, against a plain slice
-// with the same numbering: every take must return the same handle.
+// with the same numbering: every take must return the same handle and
+// allocation index.
 func TestLiveSetMatchesSlice(t *testing.T) {
 	r, rr := newRNG(7), newRNG(7)
 	var l liveSet
 	var ref []handle // ref[head:] may be live, as in l
 	head, count := 0, 0
-	refTake := func(frag float64) (handle, bool) {
+	refTake := func(frag float64) (int, handle, bool) {
 		if count == 0 {
-			return handle{}, false
+			return 0, handle{}, false
 		}
 		if rr.float() < frag {
 			for tries := 0; tries < 32; tries++ {
 				i := head + rr.intn(len(ref)-head)
-				if !ref[i].dead {
-					ref[i].dead = true
+				if ref[i].word&handleDead == 0 {
+					ref[i].word |= handleDead
 					count--
-					return ref[i], true
+					return i, ref[i], true
 				}
 			}
 		}
 		for head < len(ref) {
-			h := ref[head]
+			i := head
 			head++
-			if !h.dead {
+			if ref[i].word&handleDead == 0 {
 				count--
-				return h, true
+				return i, ref[i], true
 			}
 		}
-		return handle{}, false
+		return 0, handle{}, false
 	}
 	next := 0
 	for round := 0; round < 40; round++ {
@@ -208,7 +210,10 @@ func TestLiveSetMatchesSlice(t *testing.T) {
 			adds, takes = blockLen/2, 2*blockLen
 		}
 		for range adds {
-			h := handle{addr: uint64(next) * 16, size: 16, idx: next, caps: next%3 == 0}
+			h := handle{word: uint64(next) * 16, size: 16}
+			if next%3 == 0 {
+				h.word |= handleCaps
+			}
 			next++
 			l.add(h)
 			ref = append(ref, h)
@@ -216,10 +221,10 @@ func TestLiveSetMatchesSlice(t *testing.T) {
 		}
 		for i := range takes {
 			frag := float64(i%4) / 4
-			got, ok := l.take(r, frag)
-			want, wantOK := refTake(frag)
-			if got != want || ok != wantOK {
-				t.Fatalf("round %d take %d: got %+v, %v; want %+v, %v", round, i, got, ok, want, wantOK)
+			gotIdx, got, ok := l.take(r, frag)
+			wantIdx, want, wantOK := refTake(frag)
+			if gotIdx != wantIdx || got != want || ok != wantOK {
+				t.Fatalf("round %d take %d: got %d %+v, %v; want %d %+v, %v", round, i, gotIdx, got, ok, wantIdx, want, wantOK)
 			}
 		}
 		if l.count != count {
@@ -231,30 +236,39 @@ func TestLiveSetMatchesSlice(t *testing.T) {
 	}
 }
 
+// TestHandleLayout pins a live-set handle at 16 bytes: the live set holds
+// one per malloc of a run, so its size shows in the host's peak memory.
+func TestHandleLayout(t *testing.T) {
+	if n := unsafe.Sizeof(handle{}); n != 16 {
+		t.Errorf("handle is %d bytes, want 16", n)
+	}
+}
+
 func TestLiveSetTake(t *testing.T) {
 	r := newRNG(1)
 	var l liveSet
 	for i := uint64(0); i < 10; i++ {
-		l.add(handle{addr: i, size: 16})
+		l.add(handle{word: i * 16, size: 16})
 	}
 	// FIFO mode returns in insertion order.
-	h, ok := l.take(r, 0)
-	if !ok || h.addr != 0 {
-		t.Errorf("FIFO take = %+v", h)
+	idx, h, ok := l.take(r, 0)
+	if !ok || idx != 0 || h.addr() != 0 {
+		t.Errorf("FIFO take = %d, %+v", idx, h)
 	}
-	// Random mode never returns an already-taken handle.
-	seen := map[uint64]bool{0: true}
+	// Random mode never returns an already-taken handle, and a handle's
+	// index is its position.
+	seen := map[int]bool{0: true}
 	for i := 0; i < 9; i++ {
-		h, ok := l.take(r, 1)
+		idx, h, ok := l.take(r, 1)
 		if !ok {
 			t.Fatalf("take %d failed", i)
 		}
-		if seen[h.addr] {
-			t.Fatalf("handle %d returned twice", h.addr)
+		if seen[idx] || h.addr() != uint64(idx)*16 {
+			t.Fatalf("take %d returned index %d, handle %+v", i, idx, h)
 		}
-		seen[h.addr] = true
+		seen[idx] = true
 	}
-	if _, ok := l.take(r, 0.5); ok {
+	if _, _, ok := l.take(r, 0.5); ok {
 		t.Error("take from empty set succeeded")
 	}
 }

@@ -19,8 +19,9 @@ import (
 // campaign jobs resolve Spec.TraceRef against it — the hash in an artifact
 // therefore names the exact input bytes of every job that used it.
 //
-// Nothing is ever held in memory: Put streams to disk while hashing, and
-// OpenTrace hands back a streaming reader over the stored file.
+// Nothing is ever held in memory: Put spools to disk, File hashes and
+// validates a spooled file in one read, and OpenTrace hands back a
+// streaming reader over the stored file.
 type Store struct {
 	dir string
 }
@@ -61,39 +62,60 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Put spools r to disk, hashing as it copies, then validates the spooled
-// bytes with a full streaming decode (header, every event, the binary end
-// record) before filing them. Re-putting identical bytes is a no-op that
-// returns the same hash. The trace is never materialised: memory use is
-// bounded by one event window.
+// Put spools r into a temporary file in the store's directory and files it
+// (File). Re-putting identical bytes is a no-op that returns the same hash.
+// The trace is never materialised: memory use is bounded by one event
+// window.
 func (s *Store) Put(r io.Reader) (TraceInfo, error) {
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("workload: spooling trace: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-
-	h := sha256.New()
-	size, err := io.Copy(io.MultiWriter(tmp, h), r)
+	_, err = io.Copy(tmp, r)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("workload: spooling trace: %w", err)
 	}
+	return s.File(tmp.Name())
+}
 
-	info, err := ScanTrace(tmp.Name())
+// File files the spooled trace at path, which must lie in the store's
+// directory so that filing is a rename. One read of the file hashes it and
+// validates it with a full streaming decode (header, every event, the
+// binary end record); the file is then renamed to its content address, or
+// left for the caller to remove when identical content is already stored.
+func (s *Store) File(path string) (TraceInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return TraceInfo{}, fmt.Errorf("workload: filing trace: %w", err)
+	}
+	h := sha256.New()
+	r := io.TeeReader(f, h)
+	info, err := ScanReader(r)
+	if err == nil {
+		// The decoders read to the end of the trace; hash anything
+		// left all the same, so the address covers every byte.
+		_, err = io.Copy(io.Discard, r)
+	}
+	f.Close()
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("workload: %w: %v", ErrInvalidTrace, err)
 	}
 	info.Hash = hex.EncodeToString(h.Sum(nil))
-	info.Size = size
+	fi, err := os.Stat(path)
+	if err != nil {
+		return TraceInfo{}, fmt.Errorf("workload: filing trace: %w", err)
+	}
+	info.Size = fi.Size()
 
 	final := filepath.Join(s.dir, info.Hash+traceExt)
 	if _, err := os.Stat(final); err == nil {
 		return info, nil // identical content already stored
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(path, final); err != nil {
 		return TraceInfo{}, fmt.Errorf("workload: filing trace: %w", err)
 	}
 	if meta, err := json.Marshal(info); err == nil {

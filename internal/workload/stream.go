@@ -700,19 +700,21 @@ func (s *StreamingSource) NextWindow() ([]TraceEvent, error) {
 // Close closes the underlying reader.
 func (s *StreamingSource) Close() error { return s.r.Close() }
 
-// RunStream replays a streamed trace against sys through ReplayStreamStats
-// and measures it the way Run measures a generated workload, using p for the
-// timing metadata the trace itself does not carry (free rate, cache-reuse
-// factor). Callers resolve p from the stream header's benchmark name
-// (ByName) or supply an explicit profile for controlled comparisons; a zero
-// Profile yields the nominal timing window.
+// RunStream replays a streamed trace against sys through an
+// IncrementalReplay and measures it the way Run measures a generated
+// workload, using p for the timing metadata the trace itself does not carry
+// (free rate, cache-reuse factor). Callers resolve p from the stream
+// header's benchmark name (ByName) or supply an explicit profile for
+// controlled comparisons; a zero Profile yields the nominal timing window.
+// base, when non-nil, is Options.Baseline's direct-free system, fed the
+// trace's mallocs and frees as they are replayed.
 //
 // The replay applies exactly the recorded event sequence, so the sweeps it
 // triggers — and their revoke.Stats, DRAM-traffic counters included — are
 // byte-identical to the run that recorded the trace, against the same
 // configuration.
-func RunStream(sys *core.System, src *StreamingSource, p Profile) (Result, error) {
-	st, err := ReplayStreamStats(sys, src)
+func RunStream(sys, base *core.System, src *StreamingSource, p Profile) (Result, error) {
+	st, err := NewIncrementalReplay(sys, base).Replay(src)
 	if err != nil {
 		return Result{Profile: p}, err
 	}

@@ -2,10 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -463,6 +466,66 @@ func TestStoreRoundTrip(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Errorf("leftover spool file %s", e.Name())
 		}
+	}
+}
+
+// TestStoreFile files spooled traces in place: a valid spool is renamed to
+// its content address with the hash of its bytes, a spool of content
+// already stored is left where it is, and an invalid one is refused as
+// ErrInvalidTrace and left for the caller.
+func TestStoreFile(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encode(t, syntheticHeader(8), syntheticTrace(8, 300), ndjsonWriter)
+	spool := func(b []byte) string {
+		t.Helper()
+		f, err := os.CreateTemp(store.Dir(), "live-*.spool")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return f.Name()
+	}
+	path := spool(data)
+	info, err := store.File(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if info.Hash != hex.EncodeToString(sum[:]) || info.Size != int64(len(data)) || info.Format != FormatNDJSON || info.Events != 300 {
+		t.Fatalf("filed info %+v", info)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("spool still at %s after filing: %v", path, err)
+	}
+	if stored, err := os.ReadFile(filepath.Join(store.Dir(), info.Hash+traceExt)); err != nil || !bytes.Equal(stored, data) {
+		t.Fatalf("stored bytes differ from the spool: %v", err)
+	}
+	if st, err := store.Stat(info.Hash); err != nil || st != info {
+		t.Fatalf("stat %+v, %v; want %+v", st, err, info)
+	}
+
+	dup := spool(data)
+	if again, err := store.File(dup); err != nil || again != info {
+		t.Fatalf("re-filed %+v, %v; want %+v", again, err, info)
+	}
+	if _, err := os.Stat(dup); err != nil {
+		t.Fatalf("duplicate spool not left for the caller: %v", err)
+	}
+
+	bad := spool(data[:len(data)-10])
+	if _, err := store.File(bad); !errors.Is(err, ErrInvalidTrace) {
+		t.Fatalf("truncated spool filed: %v", err)
+	}
+	if _, err := os.Stat(bad); err != nil {
+		t.Fatalf("rejected spool not left for the caller: %v", err)
 	}
 }
 

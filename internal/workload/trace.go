@@ -34,8 +34,10 @@ type TraceEvent struct {
 // capability the replay's own allocator returned, untagged once freed. It
 // grows in blocks with the number of mallocs (allocation metadata), while
 // the event stream itself needs no buffering beyond the caller's window.
+// The twin, when it has a system, receives the mallocs and frees.
 type replayState struct {
 	caps blockTable[cap.Capability]
+	twin twin
 }
 
 // apply executes one trace event against sys; i is the event's position,
@@ -48,6 +50,9 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
 		st.caps.push(c)
+		if err := st.twin.malloc(ev.Size); err != nil {
+			return fmt.Errorf("workload: replay event %d: %w", i, err)
+		}
 	case EvPlant:
 		c, err := st.live(i, ev.Ref)
 		if err != nil {
@@ -65,6 +70,9 @@ func (st *replayState) apply(sys *core.System, i int, ev TraceEvent) error {
 			return fmt.Errorf("workload: replay event %d: %w", i, err)
 		}
 		*st.caps.at(ev.Ref) = c.ClearTag()
+		if err := st.twin.free(ev.Ref, 0); err != nil {
+			return fmt.Errorf("workload: replay event %d: %w", i, err)
+		}
 	default:
 		return fmt.Errorf("workload: replay event %d: unknown op %q", i, ev.Op)
 	}
@@ -86,11 +94,11 @@ func (st *replayState) live(i, ref int) (cap.Capability, error) {
 
 // recorder is the generator-to-stream adapter: it forwards the run's exact
 // event sequence to a streaming TraceWriter (Options.Stream). Nil-safe; an
-// inactive recorder hands out index -1 and drops everything.
+// inactive recorder drops everything. Plants and frees name an allocation
+// by its index, which the caller keeps (liveSet).
 type recorder struct {
-	w    TraceWriter
-	next int   // next allocation index
-	err  error // first stream-write failure, surfaced by Run
+	w   TraceWriter
+	err error // first stream-write failure, surfaced by Run
 }
 
 // active reports whether a sink is attached.
@@ -107,14 +115,11 @@ func (r *recorder) emit(ev TraceEvent) {
 	}
 }
 
-func (r *recorder) malloc(size uint64) int {
+func (r *recorder) malloc(size uint64) {
 	if !r.active() {
-		return -1
+		return
 	}
-	idx := r.next
-	r.next++
 	r.emit(TraceEvent{Op: EvMalloc, Size: size})
-	return idx
 }
 
 func (r *recorder) plant(ref int, off uint64) {
@@ -125,7 +130,7 @@ func (r *recorder) plant(ref int, off uint64) {
 }
 
 func (r *recorder) free(ref int) {
-	if !r.active() || ref < 0 {
+	if !r.active() {
 		return
 	}
 	r.emit(TraceEvent{Op: EvFree, Ref: ref})

@@ -50,7 +50,7 @@ func recordedRun(t *testing.T) (TraceHeader, []TraceEvent, Result) {
 // replay applies events to sys in one window, the way a replay of a trace
 // held whole runs, and returns the number of events applied.
 func replay(sys *core.System, events []TraceEvent) (int, error) {
-	ir := NewIncrementalReplay(sys)
+	ir := NewIncrementalReplay(sys, nil)
 	err := ir.ApplyWindow(events)
 	return int(ir.Stats().Events), err
 }

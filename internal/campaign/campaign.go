@@ -215,12 +215,17 @@ type Job struct {
 // before its job list is allocated.
 const MaxJobs = 10000
 
-// checkSweeps rejects a variant or image-sweep revoke configuration that
-// revoke.Config.Validate refuses (a shard width outside [0, MaxShards] or an
-// unknown kernel), and a laundering image sweep (see Spec.ImageSweeps). Jobs
-// checks every variant; runJob checks the job it is handed again, because a
-// worker's job never passed through Jobs.
-func checkSweeps(v Variant, imageSweeps []revoke.Config) error {
+// checkJob rejects a negative min_sweeps or max_events, which would end the
+// churn phase at once and leave the job measuring nothing; a variant or
+// image-sweep revoke configuration that revoke.Config.Validate refuses (a
+// shard width outside [0, MaxShards] or an unknown kernel); and a
+// laundering image sweep (see Spec.ImageSweeps). Jobs checks every variant;
+// runJob checks the job it is handed again, because a worker's job never
+// passed through Jobs.
+func checkJob(v Variant, minSweeps, maxEvents int, imageSweeps []revoke.Config) error {
+	if minSweeps < 0 || maxEvents < 0 {
+		return fmt.Errorf("campaign: negative min_sweeps %d or max_events %d", minSweeps, maxEvents)
+	}
 	if err := v.Revoke.Validate(); err != nil {
 		return fmt.Errorf("campaign: variant %q: %w", v.Name, err)
 	}
@@ -274,7 +279,7 @@ func (s Spec) Jobs() ([]Job, error) {
 		}
 	}
 	for _, v := range s.Variants {
-		if err := checkSweeps(v, s.ImageSweeps); err != nil {
+		if err := checkJob(v, s.MinSweeps, s.MaxEvents, s.ImageSweeps); err != nil {
 			return nil, err
 		}
 	}

@@ -107,6 +107,13 @@ func TestJobsValidation(t *testing.T) {
 	if _, err := (Spec{ImageSweeps: []revoke.Config{{UseCapDirty: true, Launder: true}}}).Jobs(); err == nil {
 		t.Error("laundering image sweep not rejected")
 	}
+	// Either would end the churn phase at once and measure nothing.
+	if _, err := (Spec{MinSweeps: -1}).Jobs(); err == nil {
+		t.Error("negative min_sweeps not rejected")
+	}
+	if _, err := (Spec{MaxEvents: -1}).Jobs(); err == nil {
+		t.Error("negative max_events not rejected")
+	}
 	jobs, err := (Spec{}).Jobs()
 	if err != nil {
 		t.Fatal(err)

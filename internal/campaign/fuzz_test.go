@@ -36,6 +36,8 @@ func FuzzCampaignSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"profiles":["povray","hmmer"],"seeds":[` + strings.Join(seeds, ",") + `]}`))
 	f.Add([]byte(`{"profiles":["povray"],"variants":[{"name":"wide","revoke":{"shards":9}}]}`))
+	f.Add([]byte(`{"profiles":["omnetpp"],"max_live":[1048576],"min_sweeps":-1}`))
+	f.Add([]byte(`{"profiles":["omnetpp"],"max_live":[1048576],"max_events":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxSpecBytes {
 			return
@@ -58,7 +60,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		imageSweeps := spec.withDefaults().ImageSweeps
 		for _, job := range jobs {
-			if err := checkSweeps(job.Variant, imageSweeps); err != nil {
+			if err := checkJob(job.Variant, job.MinSweeps, job.MaxEvents, imageSweeps); err != nil {
 				t.Fatalf("job %d fails the per-job check: %v", job.ID, err)
 			}
 			if _, ok := workload.ByName(job.Profile); !ok && job.TraceRef == "" {

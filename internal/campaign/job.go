@@ -125,7 +125,7 @@ func ExecuteJob(spec Spec, job Job, traces TraceOpener) JobResult {
 // or streamed from the spec's trace — and measures everything the
 // aggregations need. It shares no state with other jobs.
 func runJob(spec Spec, job Job, traces TraceOpener) JobResult {
-	if err := checkSweeps(job.Variant, spec.ImageSweeps); err != nil {
+	if err := checkJob(job.Variant, job.MinSweeps, job.MaxEvents, spec.ImageSweeps); err != nil {
 		return failed(job, err)
 	}
 	if job.TraceRef != "" {

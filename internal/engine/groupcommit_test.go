@@ -137,6 +137,62 @@ func TestGroupCommitNoEarlyAckOnSyncFailure(t *testing.T) {
 	}
 }
 
+// TestFailedReadNeverTruncates proves only a torn tail is truncated: when
+// a handle's reads fail, as an I/O error on a shared mount makes them, its
+// reads and writes fail with ErrStore, the log keeps its length, and every
+// record another handle acknowledged survives.
+func TestFailedReadNeverTruncates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.db")
+	a, err := OpenSQLiteStore(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenSQLiteStore(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := range 3 {
+		if err := a.PublishJob(testJobKey(900+i), "writer", campaign.JobResult{Job: campaign.Job{ID: 900 + i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// b's descriptor turns write-only: every ReadAt fails with EBADF, while
+	// fstat, flock, WriteAt and Truncate still work.
+	b.mu.Lock()
+	b.f.Close()
+	b.f, err = os.OpenFile(path, os.O_WRONLY, 0)
+	b.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Job(testJobKey(900)); !errors.Is(err, ErrStore) {
+		t.Errorf("Job through a handle whose reads fail: err = %v, want ErrStore", err)
+	}
+	if err := b.PutCampaign(Campaign{ID: "c000001", Seq: 1}); !errors.Is(err, ErrStore) {
+		t.Errorf("PutCampaign through a handle whose reads fail: err = %v, want ErrStore", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != before.Size() {
+		t.Fatalf("log after the failed write: %v, %v; want its %d bytes untouched", st.Size(), err, before.Size())
+	}
+	fresh, err := OpenSQLiteStore(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for i := range 3 {
+		if jr, err := fresh.Job(testJobKey(900 + i)); err != nil || jr.Job.ID != 900+i {
+			t.Errorf("acknowledged job %d after the failed write: ID %d, err %v", i, jr.Job.ID, err)
+		}
+	}
+}
+
 // TestGroupCommitPerTxnErrors proves a failing transaction inside a batch
 // (a lost CAS, a held lease) fails only its own caller: the rest of the
 // batch commits, durably.

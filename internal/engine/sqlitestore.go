@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -51,19 +52,20 @@ var sqliteMaxRecord uint64 = 64 << 20
 // layer's tables at the log's latest state and catches up by scanning the
 // log's unread tail before each operation, under a shared or exclusive
 // advisory lock on the file (reads skip even that when a stat shows the
-// file unmoved since the last scan). Mutations are group-committed:
+// file ending at the handle's scan offset). Mutations are group-committed:
 // concurrent transactions queue, and a leader drains the queue under one
 // exclusive lock, appends every staged record with one WriteAt, and fsyncs
 // once for the whole batch — callers are acknowledged only after that
 // fsync, so an acknowledged write is durable and a torn one is rolled back
-// (truncated by the next writer), never served. The single exception is a
-// batch of nothing but lease records, which commits without the fsync:
-// lease durability is worthless (a crash losing a lease is the TTL-steal
-// path working as designed) and sibling processes read the page cache, not
-// the platter. The log is append-only and is not compacted; for the record
-// volumes the engine writes (one campaign record per state transition, one
-// result, one record per job) growth is modest, and a fresh file starts a
-// new log.
+// (truncated by the next writer), never served. Only a torn tail is
+// truncated: a read that fails fails the operation and leaves the file as
+// it is. The single exception to the fsync is a batch of nothing but lease
+// records, which commits without it: lease durability is worthless (a
+// crash losing a lease is the TTL-steal path working as designed) and
+// sibling processes read the page cache, not the platter. The log is
+// append-only and is not compacted; for the record volumes the engine
+// writes (one campaign record per state transition, one result, one record
+// per job) growth is modest, and a fresh file starts a new log.
 type SQLiteStore struct {
 	records // the tables, and mu, which also guards the log state below
 
@@ -73,13 +75,11 @@ type SQLiteStore struct {
 	// store was opened as its single owner (OpenStateDir); Close drops it.
 	ownerLock *os.File
 
-	// scanned is the log offset up to which the tables reflect the file.
+	// scanned is the log offset up to which the tables reflect the file:
+	// the end of the last good record. A read whose fstat size matches it
+	// skips the flock/scan round-trip entirely (the log below scanned is
+	// immutable).
 	scanned int64
-	// statSize is the file size at which the last scan ended on a record
-	// boundary, the torn record's start when it stopped at a torn tail. A
-	// read whose stat matches it skips the flock/scan round-trip entirely
-	// (the log below statSize is immutable).
-	statSize int64
 
 	// qmu guards the group-commit queue. Transactions enqueue here; the
 	// first enqueuer becomes the leader and commits batches until the
@@ -129,7 +129,6 @@ func OpenSQLiteStore(path string, logf func(format string, args ...any)) (*SQLit
 		f.Close()
 		return nil, err
 	}
-	s.statSize = s.scanned
 	return s, nil
 }
 
@@ -228,6 +227,9 @@ func (s *SQLiteStore) sync() error {
 	return s.f.Sync()
 }
 
+// castagnoli is the CRC-32C table of every record's checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // appendRecord encodes one record into buf-appendable form.
 func appendRecord(dst []byte, kind byte, key string, val []byte) []byte {
 	start := len(dst)
@@ -236,142 +238,101 @@ func appendRecord(dst []byte, kind byte, key string, val []byte) []byte {
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	dst = append(dst, val...)
-	sum := crc32.Checksum(dst[start:], crc32.MakeTable(crc32.Castagnoli))
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// catchUp scans the log from s.scanned to EOF, folding every complete,
-// checksum-valid record into the tables. A torn or corrupt tail stops the
-// scan: s.scanned and s.statSize are left at the last good boundary, and
-// tornAt reports that offset so a writer (holding the exclusive lock) can
-// truncate the tail away — the crash-recovery "WAL replay". Callers must
-// hold at least a shared flock on s.f.
+// catchUp folds the log's unread tail, from s.scanned to the end of the
+// file, into the tables in one pass over a buffered reader. A torn tail
+// stops the scan with s.scanned at the last good boundary, which tornAt
+// reports so a writer (holding the exclusive lock) can truncate the tail
+// away: the crash-recovery "WAL replay". A failed read is an error, never
+// a torn tail, so nothing is truncated on its account. Callers must hold
+// at least a shared flock on s.f.
 func (s *SQLiteStore) catchUp() (tornAt int64, torn bool, err error) {
 	st, err := s.f.Stat()
 	if err != nil {
 		return 0, false, fmt.Errorf("engine: store file: %w", err)
 	}
-	size := st.Size()
-	s.statSize = size
-	if size <= s.scanned {
+	left := st.Size() - s.scanned
+	if left <= 0 {
 		return 0, false, nil
 	}
-	base := s.scanned
-	r := io.NewSectionReader(s.f, base, size-base)
-	br := &countingByteReader{r: r, size: size - base}
-	for {
-		recStart := base + br.n
-		kind, key, val, ok, err := readOneRecord(br)
-		if err != nil {
+	br := bufio.NewReaderSize(io.NewSectionReader(s.f, s.scanned, left), int(min(left, 64<<10)))
+	for left > 0 {
+		kind, key, val, n, err := readRecord(br, left)
+		switch {
+		case err != nil:
 			return 0, false, err
-		}
-		if !ok {
-			if recStart < size {
-				s.statSize = recStart
-				return recStart, true, nil
-			}
-			return 0, false, nil
+		case n == 0:
+			return s.scanned, true, nil
 		}
 		s.apply(kind, key, val)
-		s.scanned = base + br.n
+		s.scanned += n
+		left -= n
 	}
+	return 0, false, nil
 }
 
-// countingByteReader adapts an io.Reader into the ByteReader binary.Uvarint
-// needs while tracking how many bytes were consumed.
-type countingByteReader struct {
-	r    io.Reader
-	n    int64
-	size int64 // bytes r holds: a longer length prefix is a torn tail
-	buf  [1]byte
-}
-
-// ReadByte implements io.ByteReader.
-func (c *countingByteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(c.r, c.buf[:]); err != nil {
-		return 0, err
+// readRecord decodes the record at the front of br, which holds the log's
+// last left bytes, and returns its length n. The record is torn, and n 0,
+// when a declared length passes sqliteMaxRecord or the end of the log, a
+// length prefix does not end inside the log, fewer than four checksum
+// bytes remain, or the checksum is bad. err is a failed read, never a torn
+// record.
+func readRecord(br *bufio.Reader, left int64) (kind byte, key string, val []byte, n int64, err error) {
+	b, err := br.Peek(1)
+	if err != nil {
+		return 0, "", nil, 0, err
 	}
-	c.n++
-	return c.buf[0], nil
-}
-
-// Read implements io.Reader.
-func (c *countingByteReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readOneRecord decodes one record from br. ok is false — with a nil
-// error — when the remaining bytes do not form a complete valid record:
-// a torn tail, not a failure.
-func readOneRecord(br *countingByteReader) (kind byte, key string, val []byte, ok bool, err error) {
-	kind, rerr := br.ReadByte()
-	if rerr != nil {
-		return 0, "", nil, false, nil
-	}
-	sum := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	sum.Write([]byte{kind})
-	keyLen, rerr := readUvarint(br, sum)
-	if rerr != nil || keyLen > sqliteMaxRecord || keyLen > uint64(br.size-br.n) {
-		return 0, "", nil, false, nil
-	}
-	keyBuf := make([]byte, keyLen)
-	if _, rerr := io.ReadFull(br, keyBuf); rerr != nil {
-		return 0, "", nil, false, nil
-	}
-	sum.Write(keyBuf)
-	valLen, rerr := readUvarint(br, sum)
-	if rerr != nil || valLen > sqliteMaxRecord || valLen > uint64(br.size-br.n) {
-		return 0, "", nil, false, nil
-	}
-	val = make([]byte, valLen)
-	if _, rerr := io.ReadFull(br, val); rerr != nil {
-		return 0, "", nil, false, nil
-	}
-	sum.Write(val)
-	var crcBuf [4]byte
-	if _, rerr := io.ReadFull(br, crcBuf[:]); rerr != nil {
-		return 0, "", nil, false, nil
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != sum.Sum32() {
-		return 0, "", nil, false, nil
-	}
-	return kind, string(keyBuf), val, true, nil
-}
-
-// readUvarint reads a uvarint from br, feeding the consumed bytes into sum.
-func readUvarint(br *countingByteReader, sum io.Writer) (uint64, error) {
-	var x uint64
-	var shift uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := br.ReadByte()
+	kind, n = b[0], 1
+	sum := crc32.Update(0, castagnoli, b)
+	_, _ = br.Discard(1) // peeked: cannot fail
+	var fields [2][]byte // the key, then the value
+	for i := range fields {
+		b, err := br.Peek(int(min(left-n, binary.MaxVarintLen64)))
 		if err != nil {
-			return 0, err
+			return 0, "", nil, 0, err
 		}
-		sum.Write([]byte{b})
-		if b < 0x80 {
-			return x | uint64(b)<<shift, nil
+		l, k := binary.Uvarint(b)
+		if k <= 0 || l > sqliteMaxRecord || l > uint64(left-n-int64(k)) {
+			return 0, "", nil, 0, nil
 		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
+		sum = crc32.Update(sum, castagnoli, b[:k])
+		_, _ = br.Discard(k) // k <= len(b), peeked: cannot fail
+		fields[i] = make([]byte, l)
+		if _, err := io.ReadFull(br, fields[i]); err != nil {
+			return 0, "", nil, 0, err
+		}
+		sum = crc32.Update(sum, castagnoli, fields[i])
+		n += int64(k) + int64(l)
 	}
-	return 0, fmt.Errorf("engine: uvarint overflow")
+	if left-n < 4 {
+		return 0, "", nil, 0, nil
+	}
+	if b, err = br.Peek(4); err != nil {
+		return 0, "", nil, 0, err
+	}
+	if binary.LittleEndian.Uint32(b) != sum {
+		return 0, "", nil, 0, nil
+	}
+	_, _ = br.Discard(4) // peeked: cannot fail
+	return kind, string(fields[0]), fields[1], n + 4, nil
 }
 
 // refresh implements txnLog, catching the tables up with the log. The clean
-// fast path is one fstat: when the file size matches the last scan's,
-// nothing was appended — the log below that offset is immutable (appends
-// only grow the file; truncation only removes torn bytes past every
-// validated record boundary), so the tables are current and the flock/scan
-// round-trip is skipped. A torn tail observed under the shared lock is not
-// folded in; reads rescan it until a writer truncates it.
+// fast path is one fstat: when the file size equals the handle's scan
+// offset, nothing was appended — the log below that offset is immutable
+// (appends only grow the file; truncation only removes torn bytes past
+// every validated record boundary), so the tables are current and the
+// flock/scan round-trip is skipped. A torn tail observed under the shared
+// lock is not folded in; reads rescan it until a writer truncates it. A
+// failed read is an ErrStore error.
 func (s *SQLiteStore) refresh() error {
 	st, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrStore, s.path, err)
 	}
-	if st.Size() == s.statSize {
+	if st.Size() == s.scanned {
 		s.cleanReads.Inc()
 		return nil
 	}
@@ -451,7 +412,6 @@ func (s *SQLiteStore) commitBatch(batch []*storeTxn) {
 			if err := s.f.Truncate(tornAt); err != nil {
 				return fmt.Errorf("%w: truncating torn tail of %s: %v", ErrStore, s.path, err)
 			}
-			s.statSize = tornAt
 		}
 		v := s.view()
 		for _, t := range batch {
@@ -485,7 +445,6 @@ func (s *SQLiteStore) commitBatch(batch []*storeTxn) {
 		// durability, never precede it.
 		s.fold(v)
 		s.scanned += int64(len(buf))
-		s.statSize = s.scanned
 		s.batchSize.Observe(float64(len(batch)))
 		return nil
 	}()

@@ -46,6 +46,7 @@ func FuzzSQLiteLogTail(f *testing.F) {
 	f.Add(badCRC)                                                   // a bad CRC over a new k1
 	f.Add(binary.AppendUvarint([]byte{3}, 1<<63))                   // a 2^63 length prefix
 	f.Add(append([]byte{3}, strings.Repeat("\x80", 11)...))         // eleven continuation bytes
+	f.Add(append([]byte{3}, strings.Repeat("\x80", 9)+"\x02"...))   // a ten-byte prefix past 2^64
 	f.Add(sameLength)                                               // the length the next write appends
 	f.Add(append(slices.Clone(k1Image), []byte{1, 7, 'c', '0'}...)) // a valid k1 record, then a torn one
 	f.Fuzz(func(t *testing.T, tail []byte) {

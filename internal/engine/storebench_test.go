@@ -6,8 +6,10 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,6 +108,48 @@ func BenchmarkStoreLeaseCycle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkStoreOpen measures joining a long-lived shared store: opening a
+// log of 20,000 job and 20,000 lease records (about 24 MB) and serving one
+// Job read, which scans the whole log. It reports µs per record. The log is
+// written once, outside the timer, by 32 writers whose records the group
+// committer batches, so building it takes a few thousand fsyncs, not 20,000.
+func BenchmarkStoreOpen(b *testing.B) {
+	const jobs, writers = 20000, 32
+	path := filepath.Join(b.TempDir(), "store.db")
+	w, err := engine.OpenSQLiteStore(path, b.Logf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := g; n < jobs && errs[g] == nil; n += writers {
+				if errs[g] = w.PublishJob(benchJobKey(n), "writer", benchJR(n)); errs[g] == nil {
+					errs[g] = w.AcquireJobLease(benchJobKey(n), "bench", time.Hour)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(append(errs, w.Close())...); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		s, err := engine.OpenSQLiteStore(path, b.Logf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Job(benchJobKey(jobs - 1)); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*2*jobs), "µs/record")
 }
 
 // BenchmarkStoreWriteContention measures N goroutines writing distinct

@@ -82,7 +82,8 @@ type Stats struct {
 // line granularity (Table 2). A page slot is 40 bytes. The page's first
 // nonzero store gives it a 256 B line table, and a line's first nonzero
 // store gives that line 64 B; an unwritten line, and so an unwritten page,
-// reads as zero. A fully written page costs 4 KiB + 256 B. The page,
+// reads as zero. A fully written page costs 4 KiB + 256 B, which Unmap
+// gives back for later stores to reuse. The page,
 // cap-page and cap-line counts behind Density change with every tag
 // transition, Map and Unmap.
 type Memory struct {
@@ -91,6 +92,8 @@ type Memory struct {
 	lines      []*lineBlock  // line i is lines[i/lineBlockLines][i%lineBlockLines]
 	tablesUsed uint32        // line tables handed out
 	linesUsed  uint32        // lines handed out
+	freeTables []uint32      // zeroed line tables an Unmap gave back
+	freeLines  []uint32      // zeroed lines an Unmap gave back
 	mapped     int           // mapped pages
 	capPages   int           // mapped pages holding a tag
 	capLines   int           // lines of mapped pages holding a tag
@@ -176,7 +179,7 @@ func (m *Memory) Map(addr, size uint64) error {
 // Unmap removes the pages covering [addr, addr+size), which must be
 // page-aligned and inside the 48-bit address space. Unmapped holes in the
 // range are ignored, matching munmap semantics. An unmapped page's line
-// table and lines are not reused; they are freed with the Memory.
+// table and lines are zeroed and handed out again by later stores.
 func (m *Memory) Unmap(addr, size uint64) error {
 	end, err := pageRange("Unmap", addr, size)
 	if err != nil {
@@ -211,13 +214,27 @@ func (m *Memory) Unmap(addr, size uint64) error {
 	return nil
 }
 
-// drop takes unmapped pages out of the counts.
+// drop takes unmapped pages out of the counts and puts their line tables
+// and lines, zeroed, on the free lists newLine takes from first.
 func (m *Memory) drop(pages []page) {
 	for i := range pages {
-		if pages[i].capCount > 0 {
+		p := &pages[i]
+		if p.capCount > 0 {
 			m.capPages--
-			m.capLines -= int(pages[i].capLines)
+			m.capLines -= int(p.capLines)
 		}
+		if p.table == 0 {
+			continue
+		}
+		t := m.table(p)
+		for _, l := range t {
+			if l != 0 {
+				*m.lineAt(l) = line{}
+				m.freeLines = append(m.freeLines, l)
+			}
+		}
+		*t = lineTable{}
+		m.freeTables = append(m.freeTables, p.table)
 	}
 	m.mapped -= len(pages)
 }
@@ -286,21 +303,31 @@ func (m *Memory) setWord(p *page, w, val uint64) {
 	m.lineAt(i)[w/granuleWords%GranulesPerLine][w%granuleWords] = val
 }
 
-// newLine gives the unwritten line l of p the next free line, and p the
-// next free line table if it has none, allocating a block when the last one
-// is full, and returns the line's index.
+// newLine gives the unwritten line l of p a free line, and p a free line
+// table if it has none, and returns the line's index. Each comes from its
+// free list while that holds one, else from the next slot of the last
+// block, allocating a block when that one is full.
 func (m *Memory) newLine(p *page, l uint) uint32 {
 	if p.table == 0 {
-		p.table = tableBlockPages + m.tablesUsed
-		m.tablesUsed++
-		if int(p.table/tableBlockPages) == len(m.tables) {
-			m.tables = append(m.tables, new(tableBlock))
+		if n := len(m.freeTables) - 1; n >= 0 {
+			p.table, m.freeTables = m.freeTables[n], m.freeTables[:n]
+		} else {
+			p.table = tableBlockPages + m.tablesUsed
+			m.tablesUsed++
+			if int(p.table/tableBlockPages) == len(m.tables) {
+				m.tables = append(m.tables, new(tableBlock))
+			}
 		}
 	}
-	i := lineBlockLines + m.linesUsed
-	m.linesUsed++
-	if int(i/lineBlockLines) == len(m.lines) {
-		m.lines = append(m.lines, new(lineBlock))
+	var i uint32
+	if n := len(m.freeLines) - 1; n >= 0 {
+		i, m.freeLines = m.freeLines[n], m.freeLines[:n]
+	} else {
+		i = lineBlockLines + m.linesUsed
+		m.linesUsed++
+		if int(i/lineBlockLines) == len(m.lines) {
+			m.lines = append(m.lines, new(lineBlock))
+		}
 	}
 	m.table(p)[l] = i
 	return i

@@ -357,6 +357,43 @@ func TestPageViewSeesLinePoolGrowth(t *testing.T) {
 	}
 }
 
+// TestUnmapReclaimsLines maps a page at a fresh address, writes one word
+// of each of its lines and unmaps it, 2,000 times over, as a heap that
+// unmaps every large free does. Each cycle reuses the line table and lines
+// the last one gave back, zeroed, so the Memory holds the one block of
+// each kind the first cycle needed, and every line reads only its new word.
+func TestUnmapReclaimsLines(t *testing.T) {
+	m := New()
+	for c := uint64(0); c < 2000; c++ {
+		base := heapBase + 2*c*PageSize
+		if err := m.Map(base, PageSize); err != nil {
+			t.Fatal(err)
+		}
+		w := c % lineWords
+		for a := base; a < base+PageSize; a += LineSize {
+			if err := m.RawStoreWord(a+w*WordSize, c+1); err != nil {
+				t.Fatal(err)
+			}
+			for v := uint64(0); v < lineWords; v++ {
+				want := uint64(0)
+				if v == w {
+					want = c + 1
+				}
+				if got, _ := m.RawLoadWord(a + v*WordSize); got != want {
+					t.Fatalf("cycle %d: word %#x reads %#x, want %#x", c, a+v*WordSize, got, want)
+				}
+			}
+		}
+		if err := m.Unmap(base, PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.PageCount() != 0 || len(m.lines) > 2 || len(m.tables) > 2 {
+		t.Errorf("after 2,000 map/write/unmap cycles: %d pages mapped, %d line blocks, %d table blocks; want 0, at most 2, at most 2",
+			m.PageCount(), len(m.lines), len(m.tables))
+	}
+}
+
 // TestPageSlotLayout pins a page slot at 40 bytes with no pointer for the
 // garbage collector to scan: a heap maps one slot per page.
 func TestPageSlotLayout(t *testing.T) {

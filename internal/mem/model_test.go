@@ -419,6 +419,15 @@ var modelScenarios = map[string][]byte{
 		opStoreSelfCaps, 0, 40, 24, opStoreSelfCaps, 2, 0, 14, opStoreSelfCaps, 3, 200, 20,
 		opStoreSelfCaps, 3, 6, 1, opLaunder, 3, 0, 0,
 	},
+	// Written pages unmapped off a region's end give their line tables
+	// and lines back; a Map extension over the trimmed slots, and a page
+	// past them, take them again, and one-word stores into the reused
+	// lines leave the rest of each line zero.
+	"reuse": {
+		opMap, 0, 0, 2, opStoreCap, 1, 5, 0, opStoreWord, 2, 4, 1, opStoreCap, 2, 6, 0,
+		opUnmap, 1, 0, 1, opMap, 1, 0, 1, opStoreWord, 1, 4, 1, opStoreWord, 2, 7, 3,
+		opMap, 3, 0, 0, opStoreWord, 3, 5, 2, opStoreCap, 1, 6, 0,
+	},
 	// Ranges outside the 48-bit address space.
 	"outside": {
 		opMapOutside, 0, 0, 0, opMapOutside, 0, 0, 1, opMapOutside, 0, 0, 2,

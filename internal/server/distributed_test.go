@@ -265,8 +265,9 @@ func TestInternalJobsKeyMismatch(t *testing.T) {
 
 // TestInternalJobsRejectsBadSweepConfigs: a worker checks the job it is
 // handed, which never passed through Spec.Jobs. A variant one shard past
-// revoke.MaxShards, an image sweep with an unknown kernel and a laundering
-// image sweep each come back as a failed job instead of running.
+// revoke.MaxShards, an image sweep with an unknown kernel, a laundering
+// image sweep and a negative min_sweeps or max_events (which would measure
+// nothing) each come back as a failed job instead of running.
 func TestInternalJobsRejectsBadSweepConfigs(t *testing.T) {
 	worker := newWorker(t, "")
 	for _, tc := range []struct {
@@ -280,6 +281,8 @@ func TestInternalJobsRejectsBadSweepConfigs(t *testing.T) {
 		{"laundering image sweep", "launders", func(s *campaign.Spec, _ *campaign.Job) {
 			s.ImageSweeps = []revoke.Config{{UseCapDirty: true, Launder: true}}
 		}},
+		{"negative min_sweeps", "min_sweeps -1", func(_ *campaign.Spec, j *campaign.Job) { j.MinSweeps = -1 }},
+		{"negative max_events", "max_events -1", func(_ *campaign.Spec, j *campaign.Job) { j.MaxEvents = -1 }},
 	} {
 		spec := distSpec()
 		jobs, err := spec.Jobs()

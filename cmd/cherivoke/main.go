@@ -26,6 +26,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/livetrace"
@@ -271,9 +272,9 @@ func fig5(opts experiments.Options) error {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "geomean\t%.3f", experiments.Geomean(cv))
+	fmt.Fprintf(w, "geomean\t%.3f", campaign.Geomean(cv))
 	for _, s := range schemes {
-		fmt.Fprintf(w, "\t%.3f", experiments.Geomean(per[s]))
+		fmt.Fprintf(w, "\t%.3f", campaign.Geomean(per[s]))
 	}
 	fmt.Fprintln(w)
 	if err := w.Flush(); err != nil {
@@ -308,7 +309,7 @@ func fig6(opts experiments.Options) error {
 			totals = append(totals, d.PlusSweep)
 		}
 	}
-	fmt.Fprintf(w, "geomean (SPEC)\t\t\t%.3f\n", experiments.Geomean(totals))
+	fmt.Fprintf(w, "geomean (SPEC)\t\t\t%.3f\n", campaign.Geomean(totals))
 	return w.Flush()
 }
 

@@ -33,6 +33,15 @@ func quickSpec() Spec {
 	}
 }
 
+func TestGeomean(t *testing.T) {
+	if g := Geomean([]float64{2, 8}); g != 4 {
+		t.Errorf("Geomean(2,8) = %f", g)
+	}
+	if g := Geomean(nil); g != 0 {
+		t.Errorf("Geomean(nil) = %f", g)
+	}
+}
+
 func TestJobsExpansionOrder(t *testing.T) {
 	spec := quickSpec()
 	jobs, err := spec.Jobs()

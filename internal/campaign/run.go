@@ -250,13 +250,13 @@ func summarize(jobs []JobResult) Summary {
 		s.TotalCapsRevoked += j.Stats.CapsRevoked
 		s.TotalFrees += j.Frees
 	}
-	s.GeomeanRuntime = geomean(runtimes)
+	s.GeomeanRuntime = Geomean(runtimes)
 	return s
 }
 
-// geomean returns the geometric mean of vals (0 for empty or non-positive
+// Geomean returns the geometric mean of vals (0 for empty or non-positive
 // input).
-func geomean(vals []float64) float64 {
+func Geomean(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}

@@ -18,18 +18,19 @@ import (
 var storeOpBuckets = obs.ExpBuckets(0.0001, 2, 14)
 
 // records is the Store contract written once: every method but Close, over
-// one set of tables holding the latest campaign, result and job JSON and
-// the live job leases. Records are kept as their JSON encodings, so a cache
-// hit takes the same serialisation round-trip on every backend. A backend
-// embeds records and supplies the two things it adds (txnLog). Once
-// instrumented, records times every operation it serves.
+// one set of tables holding the latest campaign, result, job and live lease
+// JSON. Records are kept as their JSON encodings and decoded on read, so a
+// cache hit takes the same serialisation round-trip on every backend and a
+// log's catch-up decodes nothing. A backend embeds records and supplies the
+// two things it adds (txnLog). Once instrumented, records times every
+// operation it serves.
 type records struct {
 	// mu guards the tables, and the backend's own state alongside them.
 	mu        sync.Mutex
 	campaigns map[string][]byte
 	results   map[string][]byte
 	jobs      map[string][]byte
-	leases    map[string]lease
+	leases    map[string][]byte
 
 	// signal wakes in-process lease waiters when a write changed a lease
 	// or published a job record.
@@ -62,7 +63,7 @@ func (r *records) init(log txnLog, path string, logf func(format string, args ..
 	r.campaigns = map[string][]byte{}
 	r.results = map[string][]byte{}
 	r.jobs = map[string][]byte{}
-	r.leases = map[string]lease{}
+	r.leases = map[string][]byte{}
 	r.log, r.path, r.logf = log, path, logf
 }
 
@@ -92,9 +93,13 @@ func (r *records) observe(op string, start time.Time, err *error) {
 	}
 }
 
-// apply folds one record into the tables; a lease record with an empty
-// owner is a release. Callers hold mu. Table values are replaced, never
-// written in place, so a value read under mu may be decoded after it.
+// releaseRecord is the encoding stageLease writes for a release, lease{}.
+// Marshalling a string and an int64 cannot fail.
+var releaseRecord, _ = json.Marshal(lease{})
+
+// apply folds one record into the tables; a lease record holding
+// releaseRecord is a release. Callers hold mu. Table values are replaced,
+// never written in place, so a value read under mu may be decoded after it.
 func (r *records) apply(kind byte, key string, val []byte) {
 	switch kind {
 	case recCampaign:
@@ -104,15 +109,10 @@ func (r *records) apply(kind byte, key string, val []byte) {
 	case recJob:
 		r.jobs[key] = val
 	case recLease:
-		var l lease
-		if err := json.Unmarshal(val, &l); err != nil {
-			r.logf("engine: skipping corrupted lease record for %q: %v", key, err)
-			return
-		}
-		if l.Owner == "" {
+		if bytes.Equal(val, releaseRecord) {
 			delete(r.leases, key)
 		} else {
-			r.leases[key] = l
+			r.leases[key] = val
 		}
 	default:
 		r.logf("engine: skipping record of unknown kind %d", kind)
@@ -121,7 +121,7 @@ func (r *records) apply(kind byte, key string, val []byte) {
 
 // view returns an empty view over the tables for one write.
 func (r *records) view() *txnView {
-	return &txnView{r: r, campaigns: map[string][]byte{}, jobs: map[string][]byte{}, leases: map[string]lease{}}
+	return &txnView{r: r, campaigns: map[string][]byte{}, jobs: map[string][]byte{}, leases: map[string][]byte{}}
 }
 
 // fold applies every record v staged, in staging order — the order a later
@@ -165,8 +165,8 @@ type txnView struct {
 
 	campaigns map[string][]byte
 	jobs      map[string][]byte
-	leases    map[string]lease // zero Owner = staged release tombstone
-	touched   bool             // a lease or job record was staged; waiters care
+	leases    map[string][]byte
+	touched   bool // a lease or job record was staged; waiters care
 }
 
 // campaign reads id through the overlay.
@@ -187,20 +187,35 @@ func (v *txnView) job(key string) ([]byte, bool) {
 	return b, ok
 }
 
-// lease reads key's lease through the overlay; a staged tombstone reads as
+// lease reads key's lease through the overlay; a staged release reads as
 // absent.
 func (v *txnView) lease(key string) (lease, bool) {
-	if l, ok := v.leases[key]; ok {
-		return l, l.Owner != ""
+	b, ok := v.leases[key]
+	if !ok {
+		b = v.r.leases[key]
 	}
-	l, ok := v.r.leases[key]
-	return l, ok
+	return v.r.decodeLease(key, b)
 }
 
-// stage appends one record to the write and, for campaigns and jobs, the
-// overlay. It refuses a key or value longer than sqliteMaxRecord, the log
-// reader's bound, on either backend: a SQLiteStore reader would take it for
-// a torn tail, and a record one backend holds the other can too.
+// decodeLease decodes one lease value. A missing value or a release reads
+// as absent, and so does a value that does not decode, which is logged.
+func (r *records) decodeLease(key string, b []byte) (lease, bool) {
+	if b == nil {
+		return lease{}, false
+	}
+	var l lease
+	if err := json.Unmarshal(b, &l); err != nil {
+		r.logf("engine: skipping corrupted lease record %q in %s: %v", key, r.path, err)
+		return lease{}, false
+	}
+	return l, l.Owner != ""
+}
+
+// stage appends one record to the write and, for campaigns, jobs and
+// leases, the overlay. It refuses a key or value longer than
+// sqliteMaxRecord, the log reader's bound, on either backend: a SQLiteStore
+// reader would take it for a torn tail, and a record one backend holds the
+// other can too.
 func (v *txnView) stage(kind byte, key string, val []byte) error {
 	if uint64(len(key)) > sqliteMaxRecord || uint64(len(val)) > sqliteMaxRecord {
 		return fmt.Errorf("engine: %d-byte record %q exceeds the store's %d-byte record bound", len(val), key, sqliteMaxRecord)
@@ -212,23 +227,20 @@ func (v *txnView) stage(kind byte, key string, val []byte) error {
 	case recJob:
 		v.jobs[key] = val
 		v.touched = true
+	case recLease:
+		v.leases[key] = val
+		v.touched = true
 	}
 	return nil
 }
 
-// stageLease stages one lease record; a zero-Owner lease is the release
-// tombstone.
+// stageLease stages one lease record; lease{} is the release.
 func (v *txnView) stageLease(key string, l lease) error {
 	b, err := json.Marshal(l)
 	if err != nil {
 		return err
 	}
-	if err := v.stage(recLease, key, b); err != nil {
-		return err
-	}
-	v.leases[key] = l
-	v.touched = true
-	return nil
+	return v.stage(recLease, key, b)
 }
 
 // putRecord validates, marshals, and writes one record.
@@ -395,13 +407,14 @@ func (r *records) PeekJobLease(key string) (owner string, held bool, err error) 
 	if !validRecordName(key) {
 		return "", false, fmt.Errorf("engine: invalid lease key %q", key)
 	}
-	err = r.read(func() error {
-		if l, ok := r.leases[key]; ok && l.live(time.Now()) {
-			owner, held = l.Owner, true
-		}
-		return nil
-	})
-	return owner, held, err
+	var raw []byte
+	if err := r.read(func() error { raw = r.leases[key]; return nil }); err != nil {
+		return "", false, err
+	}
+	if l, ok := r.decodeLease(key, raw); ok && l.live(time.Now()) {
+		return l.Owner, true, nil
+	}
+	return "", false, nil
 }
 
 // LeaseChanged implements Store. Arming a channel is not a store operation

@@ -1,9 +1,13 @@
 package engine_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +239,48 @@ func TestSQLiteStoreCorruptChecksumDropped(t *testing.T) {
 	}
 	if _, err := re.Campaign("c000002"); !errors.Is(err, engine.ErrNotFound) {
 		t.Errorf("corrupted record served: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestSQLiteStoreCorruptLeaseReadsAbsent appends a checksum-valid lease
+// record whose value is not JSON over a held lease. Like a campaign or job
+// value that does not decode, the lease is logged and reads as absent, so
+// another owner can take it.
+func TestSQLiteStoreCorruptLeaseReadsAbsent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.db")
+	key := strings.Repeat("c3", 32)
+	s := openSQLite(t, path)
+	if err := s.AcquireJobLease(key, "first", time.Hour); err != nil {
+		t.Fatalf("AcquireJobLease: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	const value = "{not json"
+	rec := []byte{4} // the lease record kind
+	rec = binary.AppendUvarint(rec, uint64(len(key)))
+	rec = append(rec, key...)
+	rec = binary.AppendUvarint(rec, uint64(len(value)))
+	rec = append(rec, value...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
+	appendBytes(t, path, rec)
+
+	var logged []string
+	re, err := engine.OpenSQLiteStore(path, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatalf("OpenSQLiteStore: %v", err)
+	}
+	defer re.Close()
+	if owner, held, err := re.PeekJobLease(key); err != nil || held {
+		t.Fatalf("PeekJobLease = %q, %v, %v; want the corrupted lease absent", owner, held, err)
+	}
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "corrupted lease") }) {
+		t.Errorf("corrupted lease not logged: %q", logged)
+	}
+	if err := re.AcquireJobLease(key, "second", time.Hour); err != nil {
+		t.Fatalf("AcquireJobLease over the corrupted lease: %v", err)
 	}
 }
 

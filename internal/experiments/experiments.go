@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/baseline"
 	"repro/internal/campaign"
@@ -190,19 +189,4 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// Geomean returns the geometric mean of vals.
-func Geomean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(vals)))
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/sim"
 )
 
@@ -95,7 +96,7 @@ func TestFig6ShapeMatchesPaper(t *testing.T) {
 			runtimes = append(runtimes, d.PlusSweep)
 		}
 	}
-	if g := Geomean(runtimes); g < 1.02 || g > 1.09 {
+	if g := campaign.Geomean(runtimes); g < 1.02 || g > 1.09 {
 		t.Errorf("SPEC geomean %.4f, want ~1.047 (within [1.02, 1.09])", g)
 	}
 }
@@ -117,11 +118,11 @@ func TestFig5CheriVokeWins(t *testing.T) {
 			schemeRun[name] = append(schemeRun[name], o.Runtime)
 		}
 	}
-	cvG := Geomean(cvRun)
+	cvG := campaign.Geomean(cvRun)
 	// Figure 5a: CHERIvoke "significantly outperforms any other
 	// technique" in the geomean.
 	for name, runs := range schemeRun {
-		if g := Geomean(runs); g <= cvG {
+		if g := campaign.Geomean(runs); g <= cvG {
 			t.Errorf("%s geomean %.3f <= CHERIvoke %.3f", name, g, cvG)
 		}
 	}
@@ -142,7 +143,7 @@ func TestFig5CheriVokeWins(t *testing.T) {
 		t.Errorf("DangSan max %.3f, want > 4 (paper: 31.6 cut off)", maxDS)
 	}
 	// Figure 5b: CHERIvoke memory overhead average ~12.5%, max ~1.35.
-	memG := Geomean(cvMem)
+	memG := campaign.Geomean(cvMem)
 	if memG > 1.35 || memG < 1.0 {
 		t.Errorf("CHERIvoke memory geomean %.3f, want ~1.1", memG)
 	}
@@ -318,14 +319,5 @@ func TestFig10ShardInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("Figure 10 artifact differs between serial and sharded sweeps:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); g != 4 {
-		t.Errorf("Geomean(2,8) = %f", g)
-	}
-	if g := Geomean(nil); g != 0 {
-		t.Errorf("Geomean(nil) = %f", g)
 	}
 }

@@ -7,13 +7,13 @@
 //
 // The contract has three legs (docs/LIVE.md):
 //
-//   - Backpressure, never loss: a bounded ring of window buffers circulates
-//     between the socket reader and the analyzer. The reader acquires a free
-//     buffer before decoding the next window, so when the analyzer falls
-//     behind the reader stops draining the socket and TCP flow control
-//     pushes back on the producer. No window is ever dropped and no
-//     unbounded queue exists (cherivoke_live_dropped_windows_total is
-//     always zero by construction).
+//   - Backpressure, never loss: a session reads, decodes and analyses its
+//     stream a window at a time on the connection's goroutine, and reads
+//     the connection only to decode the next window. While a window is
+//     analysed nothing drains the socket, so TCP flow control pushes back
+//     on the producer. No window is ever queued or dropped
+//     (cherivoke_live_dropped_windows_total is always zero by
+//     construction).
 //   - Reconciliation: on clean end of stream the spooled bytes are filed in
 //     the content-addressed trace store and replayed from scratch; the
 //     fresh replay's StreamStats must equal the live session's accumulated
@@ -74,7 +74,6 @@ type Info struct {
 	Windows uint64 `json:"windows"` // windows analyzed so far
 	Events  uint64 `json:"events"`  // events analyzed so far
 	Bytes   uint64 `json:"bytes"`   // bytes read from the connection
-	Stalls  uint64 `json:"stalls"`  // backpressure stalls (reader waited)
 
 	// TraceHash and Reconciled are set only on a done session: the stored
 	// trace's content address, and the reconciliation verdict (always true

@@ -12,15 +12,11 @@ import (
 
 // Defaults and bounds for session configuration.
 const (
-	// DefaultPending is the bounded ring depth: at most this many decoded
-	// windows wait between the socket reader and the analyzer before the
-	// reader stops draining the connection.
-	DefaultPending = 4
 	// DefaultIdleTimeout tears down a session whose connection delivers no
 	// bytes for this long.
 	DefaultIdleTimeout = 60 * time.Second
 	// MaxWindow caps a client-requested window size so a hostile request
-	// cannot make the server allocate an arbitrarily large event ring.
+	// cannot make the server allocate an arbitrarily large event buffer.
 	MaxWindow = 1 << 16
 )
 
@@ -30,21 +26,12 @@ type Config struct {
 	// its directory so the final rename is same-filesystem.
 	Store *workload.Store
 
-	// Pending is the ring depth in windows (0 = DefaultPending).
-	Pending int
-
 	// IdleTimeout fails a session when its connection goes quiet for this
 	// long (0 = DefaultIdleTimeout; negative disables).
 	IdleTimeout time.Duration
 
 	// Metrics, when non-nil, receives the live-session instruments.
 	Metrics *obs.Registry
-
-	// analyzerGate, when non-nil, makes every analyzer wait for one token
-	// per window before applying it — the fault-injection tests' handle
-	// for holding the analyzer still deterministically. A gated analyzer
-	// still unblocks on manager shutdown.
-	analyzerGate chan struct{}
 }
 
 // Manager owns the live sessions of one server: it mints session IDs,
@@ -54,7 +41,6 @@ type Manager struct {
 	m      metrics
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -65,9 +51,6 @@ type Manager struct {
 
 // NewManager returns a Manager over cfg.Store.
 func NewManager(cfg Config) *Manager {
-	if cfg.Pending <= 0 {
-		cfg.Pending = DefaultPending
-	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
@@ -133,28 +116,13 @@ func (m *Manager) List() []Info {
 	return out
 }
 
-// Close tears down every running session (they finish failed with a
-// shutdown error) and waits for all analyzer goroutines to exit. Safe to
-// call more than once.
+// Close tears down every running session: each finishes failed at its
+// next window, and Begin refuses from then on. Safe to call more than once.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	m.cancel()
-	m.wg.Wait()
-}
-
-// track registers one analyzer goroutine with the manager's wait group,
-// refusing when the manager is already closing (Close may already be in
-// wg.Wait; adding after that would race).
-func (m *Manager) track() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.wg.Add(1)
-	return true
 }
 
 // metrics holds the live-session instruments; the zero value is the
@@ -165,21 +133,22 @@ type metrics struct {
 	failed      *obs.Counter
 	bytes       *obs.Counter
 	windows     *obs.Counter
-	stalls      *obs.Counter
-	dropped     *obs.Counter
 	subscribers *obs.Gauge
 }
 
 // newMetrics materialises the live instruments against r (all no-ops when
-// r is nil). The dropped-windows counter is created — so it renders as an
-// explicit 0 on /metrics — but never incremented: the bounded ring makes
-// dropping structurally impossible, and CI asserts the zero.
+// r is nil). The dropped-windows counter is registered — so it renders as
+// an explicit 0 on /metrics — but never incremented: a session reads its
+// connection only to decode the window it applies next, so it has nothing
+// to drop, and CI asserts the zero.
 func newMetrics(r *obs.Registry) metrics {
 	if r == nil {
 		return metrics{}
 	}
 	sessions := r.CounterVec("cherivoke_live_sessions_total",
 		"Live trace sessions finished, by outcome.", "outcome")
+	r.Counter("cherivoke_live_dropped_windows_total",
+		"Live windows dropped under backpressure. Always zero: a session stops reading its connection while it analyses a window instead of dropping one.")
 	return metrics{
 		active: r.Gauge("cherivoke_live_sessions_active",
 			"Live trace sessions currently ingesting."),
@@ -189,10 +158,6 @@ func newMetrics(r *obs.Registry) metrics {
 			"Trace bytes read from live ingestion connections."),
 		windows: r.Counter("cherivoke_live_windows_total",
 			"Event windows analyzed across all live sessions."),
-		stalls: r.Counter("cherivoke_live_backpressure_stalls_total",
-			"Times a live reader found no free window buffer and stopped draining its socket until the analyzer caught up."),
-		dropped: r.Counter("cherivoke_live_dropped_windows_total",
-			"Live windows dropped under backpressure. Always zero: the bounded ring stalls the reader instead of dropping."),
 		subscribers: r.Gauge("cherivoke_live_subscribers",
 			"SSE subscribers currently attached to live sessions."),
 	}

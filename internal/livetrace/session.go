@@ -2,6 +2,7 @@ package livetrace
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,7 +18,7 @@ import (
 )
 
 // subscriberBuffer is each SSE subscriber's frame-channel depth. A consumer
-// slower than the analyzer has intermediate frames coalesced (each frame is
+// slower than the session has intermediate frames coalesced (each frame is
 // a complete snapshot, so skipping frames loses nothing); the terminal
 // transition is guaranteed separately by the channel close.
 const subscriberBuffer = 16
@@ -40,7 +41,6 @@ type Session struct {
 	format     string
 	windows    uint64
 	events     uint64
-	stalls     uint64
 	traceHash  string
 	reconciled bool
 	finalStats *workload.StreamStats
@@ -65,7 +65,6 @@ func (s *Session) Info() Info {
 		Windows:    s.windows,
 		Events:     s.events,
 		Bytes:      s.bytes.Load(),
-		Stalls:     s.stalls,
 		TraceHash:  s.traceHash,
 		Reconciled: s.reconciled,
 		Created:    s.created,
@@ -116,29 +115,17 @@ func (s *Session) Subscribe() (frames <-chan Frame, cancel func(), live bool) {
 // for a reconciled done session). setDeadline, when non-nil, is used to
 // roll an idle deadline forward before every read (the HTTP handler passes
 // http.ResponseController.SetReadDeadline). Run must be called exactly
-// once, on the connection's goroutine: blocking instead of spawning is what
-// ties the session's lifetime to the connection's.
+// once, on the connection's goroutine, and starts no goroutine of its own:
+// reading, decoding and analysing on that one goroutine is what ties the
+// session's lifetime to the connection's and pushes back on the producer.
 func (s *Session) Run(ctx context.Context, body io.Reader, setDeadline func(time.Time) error) error {
 	err := s.run(ctx, body, setDeadline)
 	s.finish(err)
 	return err
 }
 
-// analysisResult is what the analyzer goroutine hands back on exit.
-type analysisResult struct {
-	stats workload.StreamStats
-	err   error
-}
-
 func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time.Time) error) error {
 	mgr := s.mgr
-	// A session dies with its connection (ctx) or its manager, whichever
-	// goes first.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(mgr.ctx, cancel)
-	defer stop()
-
 	// Spool in the store's directory so filing the finished stream is a
 	// same-filesystem rename inside Store.File.
 	spool, err := os.CreateTemp(mgr.cfg.Store.Dir(), "live-*.spool")
@@ -166,66 +153,35 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	s.name, s.format = hdr.Name, tr.Format()
 	s.mu.Unlock()
 	source := workload.NewStreamingSource(tr, s.window)
-
-	// The bounded ring: every window buffer circulates free -> pending ->
-	// free. The reader takes a free buffer BEFORE decoding the next
-	// window, so at most cfg.Pending decoded windows ever wait for the
-	// analyzer; with none free the reader stops draining the socket and
-	// TCP flow control pushes back on the producer. Holding a ring token
-	// also guarantees the pending send below never blocks, so nothing is
-	// ever dropped and no unbounded queue exists.
-	depth := mgr.cfg.Pending
-	free := make(chan []workload.TraceEvent, depth)
-	pending := make(chan []workload.TraceEvent, depth)
-	for i := 0; i < depth; i++ {
-		free <- make([]workload.TraceEvent, 0, s.window)
+	sys, err := core.New(AnalysisConfig())
+	if err != nil {
+		return fmt.Errorf("livetrace: analysis: %w", err)
 	}
+	ir := workload.NewIncrementalReplay(sys, nil)
 
-	if !mgr.track() {
-		return fmt.Errorf("livetrace: manager closed")
-	}
-	res := make(chan analysisResult, 1)
-	go s.analyze(pending, free, res, cancel)
-
-	readErr := func() error {
-		for {
-			if ctx.Err() != nil {
-				return fmt.Errorf("livetrace: session torn down: %w", context.Cause(ctx))
-			}
-			var buf []workload.TraceEvent
-			select {
-			case buf = <-free:
-			default:
-				// Analyzer behind, every buffer pending: a
-				// backpressure stall. Block without reading the
-				// socket until a buffer frees or teardown.
-				s.noteStall()
-				select {
-				case buf = <-free:
-				case <-ctx.Done():
-					return fmt.Errorf("livetrace: session torn down: %w", context.Cause(ctx))
-				}
-			}
-			win, err := source.NextWindow()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("livetrace: %w", err)
-			}
-			pending <- append(buf[:0], win...)
+	// Read, decode and apply a window at a time on this goroutine. The
+	// connection is read only inside NextWindow, so while a window is
+	// applied nothing drains the socket: when analysis falls behind, TCP
+	// flow control pushes back on the producer, and no window is ever
+	// queued or dropped. A session dies with its connection (ctx) or its
+	// manager, whichever goes first, at its next window.
+	for {
+		if err := cmp.Or(ctx.Err(), mgr.ctx.Err()); err != nil {
+			return fmt.Errorf("livetrace: session torn down: %w", err)
 		}
-	}()
-	close(pending)
-	ares := <-res
-	// An analysis failure cancels ctx to stop the reader; report the root
-	// cause, not the induced teardown.
-	if ares.err != nil {
-		return fmt.Errorf("livetrace: analysis: %w", ares.err)
+		win, err := source.NextWindow()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("livetrace: %w", err)
+		}
+		if err := ir.ApplyWindow(win); err != nil {
+			return fmt.Errorf("livetrace: analysis: %w", err)
+		}
+		s.publish(ir.Stats(), len(win))
 	}
-	if readErr != nil {
-		return readErr
-	}
+	stats := ir.Stats()
 
 	// Clean end of trace. Drain whatever the decoder has not consumed
 	// through the tee (belt-and-braces: the codecs read to EOF on their
@@ -250,7 +206,7 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	if err != nil {
 		return fmt.Errorf("livetrace: reconciliation replay of %s: %w", info.Hash, err)
 	}
-	liveJSON, err := json.Marshal(ares.stats)
+	liveJSON, err := json.Marshal(stats)
 	if err != nil {
 		return err
 	}
@@ -265,47 +221,9 @@ func (s *Session) run(ctx context.Context, body io.Reader, setDeadline func(time
 	s.mu.Lock()
 	s.traceHash = info.Hash
 	s.reconciled = true
-	final := ares.stats
-	s.finalStats = &final
+	s.finalStats = &stats
 	s.mu.Unlock()
 	return nil
-}
-
-// analyze is the session's single worker goroutine: it applies pending
-// windows to a fresh CHERIvoke system through the incremental accumulator
-// and publishes a frame per window. On an apply error it cancels the
-// session (stopping the reader) but keeps draining the ring so the reader
-// can never deadlock on a free buffer.
-func (s *Session) analyze(pending <-chan []workload.TraceEvent, free chan<- []workload.TraceEvent, res chan<- analysisResult, cancel context.CancelFunc) {
-	defer s.mgr.wg.Done()
-	var out analysisResult
-	var ir *workload.IncrementalReplay
-	sys, err := core.New(AnalysisConfig())
-	if err != nil {
-		out.err = err
-		cancel()
-	} else {
-		ir = workload.NewIncrementalReplay(sys, nil)
-	}
-	for buf := range pending {
-		if out.err == nil {
-			if gate := s.mgr.cfg.analyzerGate; gate != nil {
-				select {
-				case <-gate:
-				case <-s.mgr.ctx.Done():
-				}
-			}
-			if err := ir.ApplyWindow(buf); err != nil {
-				out.err = err
-				cancel()
-			} else {
-				out.stats = ir.Stats()
-				s.publish(out.stats, len(buf))
-			}
-		}
-		free <- buf[:0]
-	}
-	res <- out
 }
 
 // publish records one analyzed window and fans the snapshot out to
@@ -330,14 +248,6 @@ func (s *Session) publish(stats workload.StreamStats, events int) {
 		default:
 		}
 	}
-	s.mu.Unlock()
-}
-
-// noteStall counts one backpressure stall.
-func (s *Session) noteStall() {
-	s.mgr.m.stalls.Inc()
-	s.mu.Lock()
-	s.stalls++
 	s.mu.Unlock()
 }
 

@@ -1,10 +1,10 @@
 // Fault injection for live ingestion: every way a stream can die —
-// mid-stream disconnect, torn tail, backpressure stall, manager shutdown —
+// mid-stream disconnect, torn tail, idle connection, manager shutdown —
 // must end in a clean terminal state: session failed, spool removed, no
 // goroutine leaked, no partial stats published as final. The happy path
 // must end done, filed in the store, and reconciled byte-identically with
-// a post-hoc replay. These tests are in-package to reach the analyzerGate
-// hook that holds the analyzer still deterministically.
+// a post-hoc replay, and must never read its connection further ahead of
+// the analysis than the window it decodes.
 package livetrace
 
 import (
@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -62,18 +63,6 @@ func recordEncoded(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // assertNoSpools fails if any live-*.spool file survived in the store dir:
@@ -234,63 +223,138 @@ func TestLiveSessionMidStreamDisconnect(t *testing.T) {
 	assertNoSpools(t, store)
 }
 
-func TestLiveSessionBackpressureStall(t *testing.T) {
+// TestLiveSessionBackpressure pins that a session reads its connection only
+// to decode the window it applies next: while it analyses a window nothing
+// drains the socket, so a producer faster than the analysis is pushed back
+// on by TCP flow control instead of filling a queue. On every read of the
+// body, the bytes read so far must lie within the end of the next window
+// plus the decoder's 4 KiB read buffer. A reader that decoded windows ahead
+// of the analysis would pass that bound by whole windows.
+func TestLiveSessionBackpressure(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	gate := make(chan struct{})
-	m, store := newTestManager(t, Config{Pending: 2, analyzerGate: gate})
-	sess, err := m.Begin(64)
+	const window = 1024
+	ends := windowEnds(t, encoded, window)
+	if len(ends) < 4 {
+		t.Fatalf("trace has %d windows of %d events; the bound needs several", len(ends), window)
+	}
+	m, store := newTestManager(t, Config{})
+	sess, err := m.Begin(window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- sess.Run(context.Background(), bytes.NewReader(encoded), nil) }()
-
-	// With the analyzer held still, the reader fills the 2-deep ring and
-	// must then stall — stop consuming input — rather than buffer or drop.
-	waitFor(t, "a backpressure stall", func() bool { return sess.Info().Stalls >= 1 })
-	stalledAt := sess.Info().Bytes
-
-	// Still stalled a beat later: nothing is being drained past the ring.
-	time.Sleep(20 * time.Millisecond)
-	if got := sess.Info().Bytes; got != stalledAt {
-		t.Fatalf("reader kept draining while stalled: %d -> %d bytes", stalledAt, got)
+	body := &probeReader{r: bytes.NewReader(encoded), windows: func() uint64 { return sess.Info().Windows }}
+	if err := sess.Run(context.Background(), body, nil); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-
-	// Release the analyzer; the stream must complete and reconcile as if
-	// the stall never happened.
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("Run after stall: %v", err)
+	if info := sess.Info(); info.State != StateDone || !info.Reconciled || info.Windows != uint64(len(ends)) {
+		t.Fatalf("want done+reconciled over %d windows, got %+v", len(ends), info)
 	}
-	info := sess.Info()
-	if info.State != StateDone || !info.Reconciled || info.Stats == nil {
-		t.Fatalf("want done+reconciled after stall, got %+v", info)
-	}
-	if info.Stalls == 0 {
-		t.Fatal("stall counter lost")
+	const readBuffer = 4096
+	for _, r := range body.reads {
+		next := len(encoded) // every window applied: only the drain reads
+		if r.windows < uint64(len(ends)) {
+			next = ends[r.windows]
+		}
+		if r.read > next+readBuffer {
+			t.Fatalf("with %d of %d windows applied the session had read %d bytes, past the next window's end at %d plus %d buffered",
+				r.windows, len(ends), r.read, next, readBuffer)
+		}
 	}
 	assertNoSpools(t, store)
+}
+
+// windowEnds returns the stream offset at which each window of the given
+// size ends: a decode through one-byte reads never buffers past the record
+// it waits for, so the bytes read after each window are exactly its end.
+func windowEnds(t *testing.T, encoded []byte, window int) []int {
+	t.Helper()
+	cr := &probeReader{r: iotest.OneByteReader(bytes.NewReader(encoded))}
+	tr, err := workload.NewTraceReader(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := workload.NewStreamingSource(tr, window)
+	var ends []int
+	for {
+		_, err := src.NextWindow()
+		if err == io.EOF {
+			return ends
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, cr.n)
+	}
+}
+
+// probeReader counts the bytes read through it and, when windows is set,
+// records after every read the total so far and the windows applied then.
+type probeReader struct {
+	r       io.Reader
+	n       int
+	windows func() uint64
+	reads   []probeRead
+}
+
+// probeRead is one read seen by a probeReader.
+type probeRead struct {
+	read    int
+	windows uint64
+}
+
+func (p *probeReader) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	p.n += n
+	if p.windows != nil {
+		p.reads = append(p.reads, probeRead{p.n, p.windows()})
+	}
+	return n, err
 }
 
 func TestLiveSessionManagerShutdownMidStream(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	encoded := recordEncoded(t)
-	gate := make(chan struct{}) // never released: the stream cannot finish
-	m, store := newTestManager(t, Config{Pending: 2, analyzerGate: gate})
+	m, store := newTestManager(t, Config{})
 	sess, err := m.Begin(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- sess.Run(context.Background(), bytes.NewReader(encoded), nil) }()
+	frames, cancel, live := sess.Subscribe()
+	if !live {
+		t.Fatal("session not live before Run")
+	}
+	defer cancel()
 
-	// Park the reader on the ring (deterministic: the gated analyzer
-	// consumes nothing), then shut the manager down mid-stream.
-	waitFor(t, "the reader to park on the ring", func() bool { return sess.Info().Stalls >= 1 })
+	// The producer sends half the stream, and the rest only once the
+	// manager has shut down, so the stream cannot end before the shutdown.
+	pr, pw := io.Pipe()
+	closed := make(chan struct{})
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		half := len(encoded) / 2
+		if _, err := pw.Write(encoded[:half]); err != nil {
+			return
+		}
+		<-closed
+		if _, err := pw.Write(encoded[half:]); err != nil {
+			return
+		}
+		pw.Close()
+	}()
+	done := make(chan error, 1)
+	go func() { done <- sess.Run(context.Background(), pr, nil) }()
+
+	if _, ok := <-frames; !ok {
+		t.Fatal("session ended before its first frame")
+	}
 	m.Close()
+	close(closed)
 
 	err = <-done
+	pr.CloseWithError(errors.New("test over")) // unblock the producer
+	<-wrote
 	if err == nil {
 		t.Fatal("session survived manager shutdown")
 	}

@@ -24,9 +24,9 @@ import (
 	"repro/internal/workload"
 )
 
-// newLiveTestServer is newTestServer plus a Server.Close cleanup: live
-// sessions own goroutines, so the server must be torn down (after the
-// listener, so in-flight requests finish first) for the leak check to pass.
+// newLiveTestServer serves a Server from httptest for the live tests. The
+// cleanup closes the listener first, so in-flight live requests finish,
+// and then the server, whose live manager fails any session still running.
 func newLiveTestServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
 	s, err := New(opts)

@@ -188,7 +188,7 @@ func New(opts Options) (*Server, error) {
 }
 
 // Close releases the server's background resources: live trace sessions
-// (torn down and waited for), the coordinator's worker health-probe loop,
+// (each fails at its next window), the coordinator's worker health-probe loop,
 // the store's file handle and state-directory lock where it has them, and
 // the temporary trace directory. Other in-flight requests are unaffected.
 func (s *Server) Close() {

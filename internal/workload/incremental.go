@@ -50,8 +50,9 @@ type StreamStats struct {
 
 // IncrementalReplay applies a streamed trace to a system window by window,
 // maintaining an exact StreamStats between windows. It is the engine under
-// ReplayStreamStats and RunStream and the live firehose's analyzer. Not safe for concurrent
-// use; Stats returns a copy, so the caller may publish snapshots freely.
+// ReplayStreamStats and RunStream, and each live session applies its
+// windows through one as they arrive. Not safe for concurrent use; Stats
+// returns a copy, so the caller may publish snapshots freely.
 type IncrementalReplay struct {
 	sys     *core.System
 	st      replayState

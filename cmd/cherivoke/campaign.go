@@ -234,11 +234,11 @@ func campaignCmd(args []string) error {
 		return err
 	}
 	defer store.Close()
-	// The CLI opens a state directory without its owner lock, so the
-	// engine treats it as shared: the CLI is a secondary consumer and
-	// must not declare a serving process's live campaigns interrupted,
-	// and the lease protocol lets a CLI run and a fleet resolve the
-	// same spec concurrently without duplicating a single job.
+	// The CLI opens a state directory without its owner lock, so the open
+	// recovers nothing: the CLI is a secondary consumer and must not
+	// declare a serving process's live campaigns interrupted, and the
+	// lease protocol lets a CLI run and a fleet resolve the same spec
+	// concurrently without duplicating a single job.
 	eng, err := engine.New(store, engine.Options{Traces: traces})
 	if err != nil {
 		return err

@@ -288,3 +288,40 @@ func TestRunCancelled(t *testing.T) {
 		t.Error("cancelled run returned nil error")
 	}
 }
+
+// TestUnmapLargeVariantUnmapsMilcFrees runs the §8 "unmap large frees"
+// variant where it has something to do: milc frees chunks that span whole
+// pages. With Variant.UnmapLarge those frees are unmapped instead of
+// quarantined, so the job unmaps address space and sweeps less than its
+// stop-the-world twin, which unmaps nothing. max_events stays small: an
+// unmap job's host memory grows with every free it retires.
+func TestUnmapLargeVariantUnmapsMilcFrees(t *testing.T) {
+	unmap := PaperVariant()
+	unmap.Name, unmap.UnmapLarge = "unmap-large", true
+	spec := Spec{
+		Profiles:  []string{"milc"},
+		Variants:  []Variant{PaperVariant(), unmap},
+		MaxLive:   []uint64{4 << 20},
+		MinSweeps: 1,
+		MaxEvents: 300,
+	}
+	res, err := Run(context.Background(), spec, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	stw, um := res.Jobs[0].Stats, res.Jobs[1].Stats
+	t.Logf("stop-the-world: %d frees, %d sweeps, %d B unmapped; unmap_large: %d frees, %d sweeps, %d B unmapped in %d chunks",
+		stw.Frees, stw.Sweeps, stw.UnmappedBytes, um.Frees, um.Sweeps, um.UnmappedBytes, um.UnmappedChunks)
+	if stw.UnmappedBytes != 0 || stw.Sweeps == 0 {
+		t.Errorf("stop-the-world job unmapped %d bytes over %d sweeps, want none over at least one", stw.UnmappedBytes, stw.Sweeps)
+	}
+	if um.UnmappedBytes == 0 {
+		t.Error("unmap_large job unmapped nothing: the variant did not reach the system")
+	}
+	if um.Sweeps >= stw.Sweeps {
+		t.Errorf("unmap_large job swept %d times, stop-the-world %d; want fewer", um.Sweeps, stw.Sweeps)
+	}
+}

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"log"
+	"log/slog"
 	"runtime"
 	"strconv"
 	"sync"
@@ -28,13 +28,11 @@ type DispatcherOptions struct {
 	// flooded.
 	InFlight int
 
-	// Logf receives dispatch diagnostics (worker down, job reassigned,
-	// local fallback). Nil uses the standard logger.
-	Logf func(format string, args ...any)
-
 	// Metrics, when set, instruments the dispatcher: per-worker dispatch
 	// outcomes, in-flight gauges, markdowns, reassignments, local
-	// fallbacks, and health-probe results. Observation-only.
+	// fallbacks, and health-probe results. Observation-only. Stats and
+	// WorkerStates read the same counters, kept in a private registry when
+	// this is nil.
 	Metrics *obs.Registry
 }
 
@@ -58,6 +56,9 @@ type DispatcherOptions struct {
 //   - down workers are re-probed every probeInterval and rejoin when
 //     their health endpoint answers.
 //
+// Its diagnostics (worker down, job rerouted, local fallback, worker
+// revived) go to obs.Logger("dispatch"), and its tallies are its metrics.
+//
 // Results are unaffected by any of this: workers execute
 // campaign.ExecuteJob on the same inputs, so where a job ran is invisible
 // in the artifacts.
@@ -69,18 +70,16 @@ type Dispatcher struct {
 	// fleet must not translate into Capacity concurrent local
 	// simulations.
 	localSlots chan struct{}
-	logf       func(format string, args ...any)
+	log        *slog.Logger
 	m          dispatchMetrics
 
 	stopOnce sync.Once
 	stop     chan struct{}
-
-	mu    sync.Mutex
-	stats DispatchStats
 }
 
 // DispatchStats counts where a dispatcher's jobs ran and how its fleet has
-// behaved — the coordinator's /healthz and /metrics surface.
+// behaved — the coordinator's /healthz surface, read off the counters its
+// /metrics exports.
 type DispatchStats struct {
 	// Remote counts jobs executed by a worker.
 	Remote int `json:"remote"`
@@ -107,18 +106,16 @@ type dispatchWorker struct {
 	runner *RemoteRunner
 	slots  chan struct{}
 
-	// Per-worker instruments, materialised once at construction (no-ops
-	// without a registry).
+	// Per-worker instruments, materialised once at construction.
 	okJobs    *obs.Counter
 	errJobs   *obs.Counter
 	rejJobs   *obs.Counter
 	inflightG *obs.Gauge
-	markdownC *obs.Counter
+	markdownC *obs.Counter // healthy→down transitions
 
 	mu         sync.Mutex
 	down       bool
 	dispatched int // jobs handed to this worker (any outcome)
-	markdowns  int // healthy→down transitions
 }
 
 func (w *dispatchWorker) isDown() bool {
@@ -132,9 +129,6 @@ func (w *dispatchWorker) setDown(down bool) (changed bool) {
 	defer w.mu.Unlock()
 	changed = w.down != down
 	w.down = down
-	if changed && down {
-		w.markdowns++
-	}
 	return changed
 }
 
@@ -147,15 +141,15 @@ func NewDispatcher(workers []*RemoteRunner, opts DispatcherOptions) *Dispatcher 
 	if inflight <= 0 {
 		inflight = 4
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = log.Printf
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
 	d := &Dispatcher{
 		local:      &LocalRunner{Traces: opts.Traces},
 		localSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		logf:       logf,
-		m:          newDispatchMetrics(opts.Metrics),
+		log:        obs.Logger("dispatch"),
+		m:          newDispatchMetrics(reg),
 		stop:       make(chan struct{}),
 	}
 	for _, r := range workers {
@@ -193,9 +187,19 @@ func (d *Dispatcher) Capacity() int {
 
 // Stats returns a snapshot of where jobs have run so far.
 func (d *Dispatcher) Stats() DispatchStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+	revived := int(d.m.revived.Value())
+	st := DispatchStats{
+		Reassigned:    int(d.m.reassigned.Value()),
+		LocalFallback: int(d.m.localFallback.Value()),
+		Probes:        revived + int(d.m.stillDown.Value()),
+		Revived:       revived,
+	}
+	for _, w := range d.workers {
+		st.Remote += int(w.okJobs.Value())
+		st.Rejected += int(w.rejJobs.Value())
+		st.Markdowns += int(w.markdownC.Value())
+	}
+	return st
 }
 
 // WorkerState is one worker's externally visible dispatch state.
@@ -224,7 +228,7 @@ func (d *Dispatcher) WorkerStates() []WorkerState {
 			Down:       w.down,
 			InFlight:   len(w.slots),
 			Dispatched: w.dispatched,
-			Markdowns:  w.markdowns,
+			Markdowns:  int(w.markdownC.Value()),
 		}
 		w.mu.Unlock()
 	}
@@ -278,12 +282,6 @@ func (d *Dispatcher) RunJob(ctx context.Context, key string, spec campaign.Spec,
 		<-w.slots
 		if err == nil {
 			w.okJobs.Inc()
-			d.mu.Lock()
-			d.stats.Remote++
-			if off > 0 {
-				d.stats.Reassigned++
-			}
-			d.mu.Unlock()
 			if off > 0 {
 				d.m.reassigned.Inc()
 			}
@@ -296,26 +294,17 @@ func (d *Dispatcher) RunJob(ctx context.Context, key string, spec campaign.Spec,
 			// The worker is alive and said no to this job; keep it in
 			// the rotation and route the job onward.
 			w.rejJobs.Inc()
-			d.mu.Lock()
-			d.stats.Rejected++
-			d.mu.Unlock()
-			d.logf("engine: job %.12s rerouted: %v", key, err)
+			d.log.Info("job rerouted", "job", key, "error", err.Error())
 			continue
 		}
 		w.errJobs.Inc()
 		if w.setDown(true) {
 			w.markdownC.Inc()
-			d.mu.Lock()
-			d.stats.Markdowns++
-			d.mu.Unlock()
-			d.logf("engine: worker %s marked down: %v", w.runner.URL(), err)
+			d.log.Info("worker marked down", "worker", w.runner.URL(), "error", err.Error())
 		}
 	}
-	d.mu.Lock()
-	d.stats.LocalFallback++
-	d.mu.Unlock()
 	d.m.localFallback.Inc()
-	d.logf("engine: no worker available for job %.12s; executing locally", key)
+	d.log.Info("no worker available; executing locally", "job", key)
 	return d.runLocal(ctx, key, spec, job)
 }
 
@@ -356,19 +345,13 @@ func (d *Dispatcher) probeDown(ctx context.Context) {
 		if !w.isDown() {
 			continue
 		}
-		d.mu.Lock()
-		d.stats.Probes++
-		d.mu.Unlock()
 		if err := w.runner.Healthy(ctx); err == nil {
 			if w.setDown(false) {
-				d.m.probes.With("revived").Inc()
-				d.mu.Lock()
-				d.stats.Revived++
-				d.mu.Unlock()
-				d.logf("engine: worker %s healthy again", w.runner.URL())
+				d.m.revived.Inc()
+				d.log.Info("worker healthy again", "worker", w.runner.URL())
 			}
 		} else {
-			d.m.probes.With("still_down").Inc()
+			d.m.stillDown.Inc()
 		}
 	}
 }

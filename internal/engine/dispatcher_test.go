@@ -61,16 +61,13 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	return w
 }
 
-// newTestDispatcher builds a dispatcher over the given fake workers with a
-// quiet logger and cleans it up with the test.
+// newTestDispatcher builds a dispatcher over the given fake workers and
+// cleans it up with the test.
 func newTestDispatcher(t *testing.T, opts DispatcherOptions, workers ...*fakeWorker) *Dispatcher {
 	t.Helper()
 	remotes := make([]*RemoteRunner, len(workers))
 	for i, w := range workers {
 		remotes[i] = NewRemoteRunner(w.ts.URL, "")
-	}
-	if opts.Logf == nil {
-		opts.Logf = t.Logf
 	}
 	d := NewDispatcher(remotes, opts)
 	t.Cleanup(d.Close)

@@ -12,20 +12,24 @@
 //     SQLiteStore appends every record to one crash-safe log file that any
 //     number of processes may share (OpenStore("sqlite:PATH")), or that a
 //     serving process owns exclusively as a state directory
-//     (OpenStateDir). The engine reads sharing off the store: only a
-//     SQLiteStore without the owner lock is shared. An exclusive engine
-//     recovers on open: campaigns that were running when the process died
-//     are finalised from their stored result or marked failed.
+//     (OpenStateDir). Recovery is that owner's act: holding the lock,
+//     OpenStateDir finalises the campaigns that were running when the
+//     previous owner died, from their stored result or as failed. No
+//     other open recovers, since a running record may be a live peer's.
 //
-//   - Engine: the execution front. Every job is keyed by JobKey — a SHA-256
-//     over the canonical serialisation of everything that determines its
-//     result (profile, variant, fraction, seed, heap scale, workload
-//     bounds, traffic model, image-sweep plan, and the full content hash of
-//     any replayed trace) — so resubmitted or overlapping campaigns reuse
-//     stored JobResults instead of re-running them. Because campaign
-//     artifacts are deterministic, a warm-cache rerun yields byte-identical
-//     JSON and CSV artifacts to a cold run; the cache changes cost, never
-//     results.
+//   - Engine: the execution front. It keeps in memory only the campaigns
+//     it is running; every other campaign — finished here, from before a
+//     restart, or submitted by a peer sharing the store — is read from the
+//     store, on every backend.
+//
+//     Every job is keyed by JobKey — a SHA-256 over the canonical
+//     serialisation of everything that determines its result (profile,
+//     variant, fraction, seed, heap scale, workload bounds, traffic model,
+//     image-sweep plan, and the full content hash of any replayed trace) —
+//     so resubmitted or overlapping campaigns reuse stored JobResults
+//     instead of re-running them. Because campaign artifacts are
+//     deterministic, a warm-cache rerun yields byte-identical JSON and CSV
+//     artifacts to a cold run; the cache changes cost, never results.
 //
 //   - Runner: the distribution seam. The engine runs every cache-miss job
 //     under a store lease on its configured Runner, with the job's key, and

@@ -93,27 +93,30 @@ type Options struct {
 }
 
 // Engine executes campaigns against a Store: submissions are persisted,
-// jobs are deduplicated by JobKey against the job-result store, finished
-// artifacts are persisted, and the whole registry is rebuilt from the store
-// on construction — state survives a restart.
+// jobs are deduplicated by JobKey against the job-result store, and finished
+// artifacts are persisted. The engine holds in memory only the campaigns it
+// is running; the store is its record of every other campaign — one this
+// engine finished, one from before a restart, or one another engine sharing
+// the store submitted — so every read of such a campaign goes to the store.
 type Engine struct {
 	store   Store
 	opts    Options
 	metrics engineMetrics
 	owner   string // fleet-unique lease owner identity
-	shared  bool   // other engines may write the store (see sharedStore)
 
 	mu   sync.Mutex
 	seq  int
 	runs map[string]*run
 }
 
-// run is one campaign's live state: the mutating record plus progress
-// subscribers. Recovered and finished campaigns keep a run with closed set.
+// run is one running campaign's live state: the mutating record plus
+// progress subscribers. closed marks a finished run, which leaves the engine
+// once its terminal record is stored and stays when that write failed.
 type run struct {
+	cancel context.CancelFunc // set before the run is published; never changes
+
 	mu     sync.Mutex
 	rec    Campaign
-	cancel context.CancelFunc
 	subs   map[chan Event]struct{}
 	closed bool
 }
@@ -126,67 +129,25 @@ type Event struct {
 	Progress *campaign.Progress
 }
 
-// New builds an Engine over store, recovering persisted state: records are
-// loaded, the ID sequence resumes past the highest stored record, and —
-// unless the store is shared — any campaign still marked running (the
-// process died mid-run) is finalised from its stored Result when the final
-// write made it to disk, or marked failed when it did not. Its cache-hit
-// count is lost either way; its jobs' results are not — they were published
-// as each job finished and will serve a resubmission without a single
-// re-execution.
+// New builds an Engine over store. It reads nothing from the store but the
+// ID sequence, which resumes past every record the store has evidence of.
+// Restart recovery is not the engine's: only a state directory's owner may
+// finalise the campaigns a dead process left running (OpenStateDir).
 func New(store Store, opts Options) (*Engine, error) {
-	shared := sharedStore(store)
 	// Both built-in backends time their own operations (records).
 	if s, ok := store.(interface{ instrument(*obs.Registry) }); ok {
 		s.instrument(opts.Metrics)
 	}
-	recs, err := store.Campaigns()
-	if err != nil {
-		return nil, err
-	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = defaultLeaseTTL
 	}
-	e := &Engine{store: store, opts: opts, metrics: newEngineMetrics(opts.Metrics), owner: leaseOwnerID(), shared: shared, runs: make(map[string]*run, len(recs))}
-	// Resume the ID sequence past every record the store has evidence of
-	// — a corrupted (hence unlisted) record still fences off its ID, so
-	// its orphaned result artifact can never be served for a new
-	// campaign.
-	if e.seq, err = store.MaxSeq(); err != nil {
+	// A corrupted (hence unlisted) record still fences off its ID, so its
+	// orphaned result artifact can never be served for a new campaign.
+	seq, err := store.MaxSeq()
+	if err != nil {
 		return nil, err
 	}
-	for _, rec := range recs {
-		if rec.Seq > e.seq {
-			e.seq = rec.Seq
-		}
-		if rec.State == StateRunning && !shared {
-			if res, err := store.Result(rec.ID); err == nil {
-				rec.finishFrom(res)
-			} else {
-				rec.State = StateFailed
-				rec.Error = "interrupted by restart before completion"
-			}
-			// The true finish time died with the process; recovery
-			// time keeps the "finished is set once terminal"
-			// contract.
-			rec.Finished = time.Now().UTC()
-			if err := store.PutCampaign(rec); err != nil {
-				return nil, fmt.Errorf("engine: recovering campaign %s: %w", rec.ID, err)
-			}
-		}
-		e.runs[rec.ID] = &run{rec: rec, closed: true}
-	}
-	return e, nil
-}
-
-// sharedStore reports whether other engines may write store concurrently:
-// a SQLiteStore opened without its state directory's owner lock. A MemStore
-// and an owner-locked state directory are exclusive. Get, List and Result
-// read a shared store for campaigns other engines submitted, and New leaves
-// its running records — a live peer's — to the store's single owner.
-func sharedStore(store Store) bool {
-	s, ok := store.(*SQLiteStore)
-	return ok && s.ownerLock == nil
+	return &Engine{store: store, opts: opts, metrics: newEngineMetrics(opts.Metrics), owner: leaseOwnerID(), seq: seq, runs: map[string]*run{}}, nil
 }
 
 // resolveTraceHash maps a spec's trace ref to the full content hash of the
@@ -279,9 +240,9 @@ func (e *Engine) Submit(ctx context.Context, spec campaign.Spec, workers int) (C
 
 // execute runs one submitted campaign to completion, persisting the Result
 // before the terminal record write: a crash between the two leaves a
-// running record that New completes from the stored Result, whereas the
-// reverse order could mark done a campaign whose artifact never reached
-// the disk.
+// running record that the state directory's next owner completes from the
+// stored Result (recoverInterrupted), whereas the reverse order could mark
+// done a campaign whose artifact never reached the disk.
 func (e *Engine) execute(ctx context.Context, r *run) {
 	r.mu.Lock()
 	id, spec, workers, traceHash := r.rec.ID, r.rec.Spec, r.rec.Workers, r.rec.TraceHash
@@ -330,10 +291,11 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 		rec.Error = err.Error()
 	}
 	// Persist the terminal record before publishing it, so whoever sees
-	// the campaign finish sees what a restart would serve. Best effort: if
-	// the write fails, New re-finalises the still-running record from the
-	// stored Result on next open.
-	_ = e.store.PutCampaign(rec)
+	// the campaign finish sees what a restart would serve.
+	perr := e.store.PutCampaign(rec)
+	if perr != nil {
+		lg.Warn("storing the terminal record failed; the store still reads running", "error", perr.Error())
+	}
 
 	r.mu.Lock()
 	r.rec = rec
@@ -344,6 +306,14 @@ func (e *Engine) execute(ctx context.Context, r *run) {
 	r.subs = nil
 	r.closed = true
 	r.mu.Unlock()
+	// The store answers for the campaign from here on. When the terminal
+	// write failed the run stays, so this process still reports the truth
+	// while the store reads running.
+	if perr == nil {
+		e.mu.Lock()
+		delete(e.runs, rec.ID)
+		e.mu.Unlock()
+	}
 	lg.Info("campaign finished",
 		"state", rec.State,
 		"jobs_done", rec.JobsDone,
@@ -385,30 +355,22 @@ func (e *Engine) run(id string) *run {
 	return e.runs[id]
 }
 
-// Get returns a campaign's current record snapshot. On a shared store, an ID
-// this engine does not hold is looked up in the store, so either
-// coordinator sharing a store answers for any campaign — live local runs
-// stay authoritative because the local record is always at least as fresh
-// as the stored one.
+// Get returns a campaign's current record snapshot: a run of this engine's
+// own, or else the store's record. A run is looked up first and leaves only
+// once its terminal record is stored, so no read between the two is stale.
 func (e *Engine) Get(id string) (Campaign, bool) {
-	r := e.run(id)
-	if r == nil {
-		if e.shared {
-			if rec, err := e.store.Campaign(id); err == nil {
-				return rec, true
-			}
-		}
-		return Campaign{}, false
+	if r := e.run(id); r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.rec, true
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rec, true
+	rec, err := e.store.Campaign(id)
+	return rec, err == nil
 }
 
 // List returns every campaign's record, sorted by submission sequence — a
-// stable order for repeated polls, across restarts included. On a shared
-// store the listing merges in campaigns other engines submitted to the store,
-// with this engine's own live records taking precedence.
+// stable order for repeated polls, across restarts included: the store's
+// records, with this engine's runs taking precedence.
 func (e *Engine) List() []Campaign {
 	e.mu.Lock()
 	rs := make([]*run, 0, len(e.runs))
@@ -424,12 +386,12 @@ func (e *Engine) List() []Campaign {
 		local[r.rec.ID] = struct{}{}
 		r.mu.Unlock()
 	}
-	if e.shared {
-		if recs, err := e.store.Campaigns(); err == nil {
-			for _, rec := range recs {
-				if _, ok := local[rec.ID]; !ok {
-					out = append(out, rec)
-				}
+	// Read after the runs: a run missing from them left only after its
+	// terminal record was stored.
+	if recs, err := e.store.Campaigns(); err == nil {
+		for _, rec := range recs {
+			if _, ok := local[rec.ID]; !ok {
+				out = append(out, rec)
 			}
 		}
 	}
@@ -437,14 +399,10 @@ func (e *Engine) List() []Campaign {
 	return out
 }
 
-// Result returns a campaign's stored artifact; ErrNotFound covers both an
-// unknown ID and a campaign without a result (still running, cancelled, or
-// failed before completion). On a shared store the ID need not be local: a
-// finished sibling's artifact is served from the store, bytes identical.
+// Result returns a campaign's stored artifact, bytes identical whichever
+// engine ran it; ErrNotFound covers both an unknown ID and a campaign
+// without a result (still running, cancelled, or failed before completion).
 func (e *Engine) Result(id string) (*campaign.Result, error) {
-	if e.run(id) == nil && !e.shared {
-		return nil, ErrNotFound
-	}
 	return e.store.Result(id)
 }
 
@@ -463,25 +421,23 @@ func (e *Engine) ServeJob(key string, run func() campaign.JobResult) (jr campaig
 	return jr, false
 }
 
-// Cancel requests cancellation of a running campaign; it reports whether
-// the ID is known (cancelling a finished campaign is a no-op).
+// Cancel requests cancellation of a campaign this engine runs; it reports
+// whether the ID is known. Cancelling any other campaign — finished, or run
+// by another engine sharing the store — is a no-op.
 func (e *Engine) Cancel(id string) bool {
 	r := e.run(id)
 	if r == nil {
-		return false
+		_, err := e.store.Campaign(id)
+		return err == nil
 	}
-	r.mu.Lock()
-	cancel := r.cancel
-	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	r.cancel()
 	return true
 }
 
-// Subscribe registers for a campaign's events; the channel closes when the
-// campaign finishes. live is false when the campaign has already finished
-// (or the ID is unknown) — the caller reads the terminal state via Get.
+// Subscribe registers for the events of a campaign this engine runs; the
+// channel closes when the campaign finishes. live is false for any other
+// campaign (finished, another engine's, or unknown) — the caller reads its
+// state via Get.
 func (e *Engine) Subscribe(id string) (ch <-chan Event, unsubscribe func(), live bool) {
 	r := e.run(id)
 	if r == nil {

@@ -301,8 +301,9 @@ func TestSubmitRestartRecovery(t *testing.T) {
 }
 
 // TestRecoveryFinalisesInterruptedCampaigns covers the two mid-crash
-// shapes: a running record whose Result reached the disk is completed from
-// it; one without a Result is marked failed.
+// shapes recoverInterrupted finalises: a running record whose Result
+// reached the store is completed from it; one without a Result is marked
+// failed.
 func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 	store := NewMemStore()
 	e, err := New(store, Options{Workers: 1})
@@ -327,6 +328,9 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := recoverInterrupted(store); err != nil {
+		t.Fatal(err)
+	}
 	e2, err := New(store, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +343,7 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 		t.Error("finalised record has no finished time")
 	}
 	got, _ = e2.Get(orphaned.ID)
-	if got.State != StateFailed || got.Error == "" {
+	if got.State != StateFailed || got.Error != "interrupted by restart before completion" {
 		t.Errorf("orphaned running record not failed: %+v", got)
 	}
 	if got.Finished.IsZero() {
@@ -354,6 +358,43 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 		t.Errorf("sequence reused: %+v", rec)
 	}
 	waitState(t, e2, rec.ID)
+}
+
+// TestOwnerOpenRecovers pins where recovery happens: OpenStateDir with
+// owner set finalises the running records an unlocked open of the same
+// directory left, and an unlocked open — `campaign -statedir` — recovers
+// nothing.
+func TestOwnerOpenRecovers(t *testing.T) {
+	dir := t.TempDir()
+	seed, err := OpenStateDir(dir, false, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}
+	if err := seed.PutCampaign(running); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	unlocked, err := OpenStateDir(dir, false, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := unlocked.Campaign(running.ID)
+	unlocked.Close()
+	if err != nil || got.State != StateRunning {
+		t.Fatalf("an unlocked open touched the running record: %+v, %v", got, err)
+	}
+
+	owner, err := OpenStateDir(dir, true, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	got, err = owner.Campaign(running.ID)
+	if err != nil || got.State != StateFailed || got.Error != "interrupted by restart before completion" || got.Finished.IsZero() {
+		t.Fatalf("the owner's open did not finalise the running record: %+v, %v", got, err)
+	}
 }
 
 // TestSharedOpenLeavesRunningRecords pins the secondary-consumer contract:

@@ -129,20 +129,56 @@ func TestSubmitConflictIsNotAFailure(t *testing.T) {
 	waitState(t, e, rec.ID)
 }
 
-// TestRecoverySurfacesStoreFailure proves New does not swallow a store that
-// fails while recovering persisted state.
+// TestRecoverySurfacesStoreFailure proves recoverInterrupted does not
+// swallow a store that fails while finalising an interrupted campaign.
 func TestRecoverySurfacesStoreFailure(t *testing.T) {
 	seed := NewMemStore()
 	if err := seed.PutCampaign(Campaign{ID: "c000001", Seq: 1, State: StateRunning}); err != nil {
 		t.Fatal(err)
 	}
-	// Op 1 is New's MaxSeq scan (Campaigns is not routed through the
-	// decorator); op 2 is the recovery PutCampaign finalising the
-	// interrupted record.
-	fs := &faultStore{Store: seed, fail: map[int]bool{2: true}}
-	if _, err := New(fs, Options{}); !errors.Is(err, errBrokenDisk) {
-		t.Fatalf("New over a store failing recovery writes: err = %v, want the store's failure", err)
+	// Campaigns and Result are not routed through the decorator, so op 1
+	// is the PutCampaign finalising the interrupted record.
+	fs := &faultStore{Store: seed, fail: map[int]bool{1: true}}
+	if err := recoverInterrupted(fs); !errors.Is(err, errBrokenDisk) {
+		t.Fatalf("recovery over a store failing its writes: err = %v, want the store's failure", err)
 	}
+}
+
+// TestFailedTerminalWriteKeepsRun proves a campaign whose terminal record
+// cannot be stored stays in the engine's memory, so the engine still
+// reports how it ended while the store reads running.
+func TestFailedTerminalWriteKeepsRun(t *testing.T) {
+	store := NewMemStore()
+	e, err := New(&failingCampaignStore{Store: store}, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec, err := e.Submit(context.Background(), testSpec(), 1)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if final := waitState(t, e, rec.ID); final.State != StateDone {
+		t.Fatalf("campaign state %q, want %q", final.State, StateDone)
+	}
+	if stored, err := store.Campaign(rec.ID); err != nil || stored.State != StateRunning {
+		t.Fatalf("stored record %+v, %v; want the running record the failed write left", stored, err)
+	}
+	if got, ok := e.Get(rec.ID); !ok || got.State != StateDone {
+		t.Errorf("Get reads %q after the terminal write failed, want %q", got.State, StateDone)
+	}
+	if list := e.List(); len(list) != 1 || list[0].State != StateDone {
+		t.Errorf("List reads %+v after the terminal write failed", list)
+	}
+}
+
+// failingCampaignStore fails every PutCampaign — the terminal record write —
+// while CreateCampaign and the rest of the store work.
+type failingCampaignStore struct {
+	Store
+}
+
+func (f *failingCampaignStore) PutCampaign(Campaign) error {
+	return errBrokenDisk
 }
 
 // TestFailedJobPutDoesNotFailTheJob proves a job whose result cannot be

@@ -44,24 +44,23 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	}
 }
 
-// dispatchMetrics holds the dispatcher's instruments; the zero value is the
-// disabled form (obs instruments no-op on nil receivers).
+// dispatchMetrics holds the dispatcher's instruments, which are also its
+// tallies (Dispatcher.Stats reads them back).
 type dispatchMetrics struct {
 	jobs          *obs.CounterVec // labels: worker, outcome (ok|error|rejected)
 	inflight      *obs.GaugeVec   // label: worker
 	markdowns     *obs.CounterVec // label: worker
 	reassigned    *obs.Counter
 	localFallback *obs.Counter
-	fallbackExec  *obs.Counter    // jobs executed via the local-fallback path
-	probes        *obs.CounterVec // label: result (revived|still_down)
+	fallbackExec  *obs.Counter // jobs executed via the local-fallback path
+	revived       *obs.Counter // health probes that revived a down worker
+	stillDown     *obs.Counter // health probes a down worker failed
 }
 
-// newDispatchMetrics materialises the dispatcher's instruments against r
-// (all no-ops when r is nil).
+// newDispatchMetrics materialises the dispatcher's instruments against r.
 func newDispatchMetrics(r *obs.Registry) dispatchMetrics {
-	if r == nil {
-		return dispatchMetrics{}
-	}
+	probes := r.CounterVec("cherivoke_dispatch_probe_total",
+		"Health probes of down workers, by result (revived, still_down).", "result")
 	return dispatchMetrics{
 		jobs: r.CounterVec("cherivoke_dispatch_jobs_total",
 			"Jobs dispatched to a worker, by worker URL and outcome (ok, error, rejected).",
@@ -77,7 +76,7 @@ func newDispatchMetrics(r *obs.Registry) dispatchMetrics {
 		fallbackExec: r.CounterVec(obs.MetricJobsExecuted,
 			"Jobs executed in this process, by execution path.",
 			obs.MetricJobsExecutedLabel).With("fallback"),
-		probes: r.CounterVec("cherivoke_dispatch_probe_total",
-			"Health probes of down workers, by result (revived, still_down).", "result"),
+		revived:   probes.With("revived"),
+		stillDown: probes.With("still_down"),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // StateFile is the store file a state directory holds: OpenStateDir(dir)
@@ -17,10 +18,11 @@ const StateFile = "state.cvk"
 //	mem:           in-memory, nothing survives the process
 //	sqlite:PATH    shared single-file store (SQLiteStore)
 //
-// An engine over a sqlite: store treats it as shared (see New). Specs of
-// the retired backends — dir:PATH, blob:PATH, or a bare path — are refused
-// with an error naming the replacement. logf receives corruption warnings;
-// nil means the standard logger.
+// Opening a sqlite: store recovers nothing: its running records may be live
+// peers' campaigns (see OpenStateDir). Specs of the retired backends —
+// dir:PATH, blob:PATH, or a bare path — are refused with an error naming
+// the replacement. logf receives corruption warnings; nil means the
+// standard logger.
 func OpenStore(spec string, logf func(format string, args ...any)) (Store, error) {
 	scheme, path, ok := strings.Cut(spec, ":")
 	if !ok || strings.ContainsAny(scheme, `/.\`) {
@@ -55,8 +57,9 @@ func OpenStore(spec string, logf func(format string, args ...any)) (Store, error
 // otherwise silently appear empty. With owner set the caller becomes the
 // directory's single owner: the store takes the exclusive advisory lock
 // dir/.lock, failing at once if another process holds it, and releases it
-// on Close. logf receives corruption warnings; nil means the standard
-// logger.
+// on Close; holding it, the owner recovers the campaigns a dead process
+// left running (recoverInterrupted). Without owner nothing is recovered.
+// logf receives corruption warnings; nil means the standard logger.
 func OpenStateDir(dir string, owner bool, logf func(format string, args ...any)) (*SQLiteStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: creating state directory: %w", err)
@@ -80,8 +83,47 @@ func OpenStateDir(dir string, owner bool, logf func(format string, args ...any))
 		}
 		return nil, err
 	}
+	if lock == nil {
+		return s, nil
+	}
 	s.ownerLock = lock
+	if err := recoverInterrupted(s); err != nil {
+		s.Close() // drops the lock too
+		return nil, err
+	}
 	return s, nil
+}
+
+// recoverInterrupted finalises every campaign still marked running, which
+// only the store's single owner may do: on a store others write, a running
+// record may be a live peer's campaign. A campaign whose Result reached the
+// store is finished from it; any other is marked failed. Its cache-hit count
+// is lost either way; its jobs' results are not — they were published as
+// each job finished and will serve a resubmission without a single
+// re-execution.
+func recoverInterrupted(store Store) error {
+	recs, err := store.Campaigns()
+	if err != nil {
+		return fmt.Errorf("engine: listing campaigns to recover: %w", err)
+	}
+	for _, rec := range recs {
+		if rec.State != StateRunning {
+			continue
+		}
+		if res, err := store.Result(rec.ID); err == nil {
+			rec.finishFrom(res)
+		} else {
+			rec.State = StateFailed
+			rec.Error = "interrupted by restart before completion"
+		}
+		// The true finish time died with the process; recovery time keeps
+		// the "finished is set once terminal" contract.
+		rec.Finished = time.Now().UTC()
+		if err := store.PutCampaign(rec); err != nil {
+			return fmt.Errorf("engine: recovering campaign %s: %w", rec.ID, err)
+		}
+	}
+	return nil
 }
 
 // takeDirLock takes dir/.lock exclusively without blocking: two unaware

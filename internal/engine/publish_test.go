@@ -44,21 +44,17 @@ func (f *flakyRunner) RunJob(ctx context.Context, key string, spec campaign.Spec
 // resubmission executes the job again and finishes done, with no cache hit.
 func TestFailedJobIsNeverPublished(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		store  func(t *testing.T) Store
-		shared bool
+		name  string
+		store func(t *testing.T) Store
 	}{
-		{"MemStore", func(*testing.T) Store { return NewMemStore() }, false},
-		{"SharedSQLiteStore", func(t *testing.T) Store { return openTestSQLite(t) }, true},
+		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
+		{"SharedSQLiteStore", func(t *testing.T) Store { return openTestSQLite(t) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runner := &flakyRunner{seen: map[string]bool{}}
 			e, err := New(tc.store(t), Options{Runner: runner, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if e.shared != tc.shared {
-				t.Fatalf("engine shared = %v, want %v", e.shared, tc.shared)
 			}
 			rec, err := e.Submit(context.Background(), testSpec(), 1)
 			if err != nil {
@@ -158,12 +154,11 @@ func perOp(samples []obs.Sample, name string) map[string]float64 {
 // lease records cost no fsync.
 func TestColdJobStoreWork(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		open   func(t *testing.T) Store
-		shared bool
+		name string
+		open func(t *testing.T) Store
 	}{
-		{"MemStore", func(*testing.T) Store { return NewMemStore() }, false},
-		{"SharedSQLite", func(t *testing.T) Store { return openTestSQLite(t) }, true},
+		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
+		{"SharedSQLite", func(t *testing.T) Store { return openTestSQLite(t) }},
 		{"OwnedStateDir", func(t *testing.T) Store {
 			s, err := OpenStateDir(t.TempDir(), true, t.Logf)
 			if err != nil {
@@ -171,7 +166,7 @@ func TestColdJobStoreWork(t *testing.T) {
 			}
 			t.Cleanup(func() { s.Close() })
 			return s
-		}, false},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.open(t)
@@ -179,9 +174,6 @@ func TestColdJobStoreWork(t *testing.T) {
 			e, err := New(s, Options{Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if e.shared != tc.shared {
-				t.Fatalf("engine shared = %v, want %v", e.shared, tc.shared)
 			}
 			spec := testSpec()
 			spec.Seeds = []uint64{1, 2, 3, 4}

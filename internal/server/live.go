@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"repro/internal/livetrace"
 )
 
 // handleLiveIngest implements POST /live: the request body is an indefinite
@@ -83,44 +85,7 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown live session")
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	// Subscribe before the snapshot so a terminal transition landing in
-	// between is still delivered (as the channel close).
-	ch, cancel, live := sess.Subscribe()
-	if live {
-		defer cancel()
-	}
-	if _, err := w.Write(event("info", sess.Info())); err != nil {
-		return
-	}
-	flusher.Flush()
-	if !live {
-		return // already terminal; the info event said so
-	}
-	for {
-		select {
-		case frame, open := <-ch:
-			if !open {
-				// Terminal: emit the final state directly so every
-				// stream ends with it even if frames were coalesced.
-				_, _ = w.Write(event("info", sess.Info()))
-				flusher.Flush()
-				return
-			}
-			if _, err := w.Write(event("stats", frame)); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamEvents(w, r, sess.Subscribe,
+		func() []byte { return event("info", sess.Info()) },
+		func(f livetrace.Frame) []byte { return event("stats", f) })
 }

@@ -143,23 +143,16 @@ func New(opts Options) (*Server, error) {
 	s.store = store
 	_, inMemory := store.(*engine.MemStore)
 	s.hasStore = !inMemory
-	// The engine reads sharing off the store: a sqlite: store has live
-	// peers, whose running campaigns this process's open must not finalise
-	// as interrupted, while the owner-locked state directory recovers.
 	engOpts := engine.Options{Workers: opts.Workers, Traces: traces, Metrics: s.reg}
 	if len(opts.WorkerURLs) > 0 {
 		remotes := make([]*engine.RemoteRunner, len(opts.WorkerURLs))
 		for i, url := range opts.WorkerURLs {
 			remotes[i] = engine.NewRemoteRunner(url, opts.AuthToken)
 		}
-		dlog := obs.Logger("dispatch")
 		s.dispatcher = engine.NewDispatcher(remotes, engine.DispatcherOptions{
 			Traces:   traces,
 			InFlight: opts.WorkerInFlight,
 			Metrics:  s.reg,
-			Logf: func(format string, args ...any) {
-				dlog.Info(fmt.Sprintf(format, args...))
-			},
 		})
 		engOpts.Runner = s.dispatcher
 		if engOpts.Workers == 0 {
@@ -424,13 +417,42 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams a campaign's progress as server-sent events: an
 // initial "status" event, one "progress" event per completed job (cached
 // jobs carry "cached": true), and a final "status" event when the campaign
-// finishes.
+// finishes. A campaign this process does not run gets its stored status,
+// and the stream closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.engine.Get(id); !ok {
 		httpError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
+	s.metrics.sse.Inc()
+	defer s.metrics.sse.Dec()
+	streamEvents(w, r,
+		func() (<-chan engine.Event, func(), bool) { return s.engine.Subscribe(id) },
+		func() []byte {
+			rec, _ := s.engine.Get(id)
+			return event("status", statusOf(rec))
+		},
+		func(ev engine.Event) []byte {
+			switch ev.Type {
+			case "progress":
+				return event("progress", ev.Progress)
+			case "status":
+				return event("status", statusOf(*ev.Status))
+			}
+			return nil
+		})
+}
+
+// streamEvents is the server-sent-event protocol both event streams share.
+// It subscribes before writing the first snapshot, so a terminal transition
+// landing in between still arrives, as the channel's close; relays each
+// frame the subscription delivers (a nil encoding skips it); and, when the
+// channel closes, writes the snapshot again, so every stream ends with the
+// final state even when frames were dropped or coalesced for a slow
+// client. A subscription that is not live gets the snapshot alone. It
+// returns when the stream ends or the client leaves.
+func streamEvents[T any](w http.ResponseWriter, r *http.Request, subscribe func() (<-chan T, func(), bool), snapshot func() []byte, frame func(T) []byte) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -439,46 +461,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	s.metrics.sse.Inc()
-	defer s.metrics.sse.Dec()
 
-	// Subscribe before the initial snapshot so a completion landing in
-	// between is still delivered (as the closing broadcast).
-	ch, unsubscribe, live := s.engine.Subscribe(id)
-	if live {
-		defer unsubscribe()
-	}
-	rec, _ := s.engine.Get(id)
-	if _, err := w.Write(event("status", statusOf(rec))); err != nil {
+	ch, cancel, live := subscribe()
+	defer cancel()
+	if _, err := w.Write(snapshot()); err != nil {
 		return
 	}
 	flusher.Flush()
 	if !live {
-		return // already finished; the status event said so
+		return
 	}
 	for {
 		select {
-		case ev, open := <-ch:
+		case v, open := <-ch:
 			if !open {
-				// The campaign finished. Broadcast frames are
-				// dropped for slow subscribers, so emit the
-				// terminal status directly to guarantee every
-				// stream ends with one.
-				rec, _ := s.engine.Get(id)
-				_, _ = w.Write(event("status", statusOf(rec)))
+				_, _ = w.Write(snapshot())
 				flusher.Flush()
 				return
 			}
-			var frame []byte
-			switch ev.Type {
-			case "progress":
-				frame = event("progress", ev.Progress)
-			case "status":
-				frame = event("status", statusOf(*ev.Status))
-			default:
+			b := frame(v)
+			if b == nil {
 				continue
 			}
-			if _, err := w.Write(frame); err != nil {
+			if _, err := w.Write(b); err != nil {
 				return
 			}
 			flusher.Flush()

@@ -23,8 +23,7 @@ import (
 // distributed worker with -worker, a coordinator with -worker-urls or
 // -workers-from (see docs/DEPLOYMENT.md).
 //
-//	cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-statedir dir]
-//	                [-store mem:|sqlite:path]
+//	cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-store mem:|sqlite:path]
 //	                [-worker] [-worker-urls url,url] [-workers-from file]
 //	                [-auth-token tok] [-worker-inflight N] [-pprof]
 func serveCmd(args []string) error {
@@ -32,8 +31,7 @@ func serveCmd(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "default campaign worker-pool width (0 = GOMAXPROCS, or the fleet capacity when coordinating)")
 	traceDir := fs.String("tracedir", "", "trace-store directory (default: a temporary directory)")
-	stateDir := fs.String("statedir", "", "persistent state directory, owned and locked by this process: campaigns, artifacts, and the job-result store (dir/state.cvk) survive restarts (default: in-memory)")
-	storeSpec := fs.String("store", "", "state store spec: mem: or sqlite:PATH; sqlite: is shared — multiple coordinators and workers may point at one path (supersedes -statedir)")
+	storeSpec := fs.String("store", "", "state store spec: mem: or sqlite:PATH (default: in-memory); campaigns, artifacts, and job results in a sqlite: file survive restarts, and multiple coordinators and workers may share one path")
 	worker := fs.Bool("worker", false, "worker mode: expose the internal job-execution API (POST /internal/jobs)")
 	workerURLs := fs.String("worker-urls", "", "coordinator mode: comma-separated worker base URLs to shard campaign jobs across")
 	workersFrom := fs.String("workers-from", "", "coordinator mode: file of worker base URLs, one per line ('#' comments)")
@@ -42,7 +40,7 @@ func serveCmd(args []string) error {
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof (profiling endpoints reveal heap contents; off by default)")
 	liveIdle := fs.Duration("live-idle", 0, "idle timeout for live trace ingestion connections (0 = 60s, negative disables)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-statedir dir] [-store spec]")
+		fmt.Fprintln(os.Stderr, "usage: cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-store spec]")
 		fmt.Fprintln(os.Stderr, "                       [-worker] [-worker-urls url,url] [-workers-from file] [-auth-token tok] [-worker-inflight N] [-pprof]")
 		fs.PrintDefaults()
 	}
@@ -56,7 +54,6 @@ func serveCmd(args []string) error {
 	svc, err := server.New(server.Options{
 		Workers:         *workers,
 		TraceDir:        *traceDir,
-		StateDir:        *stateDir,
 		Store:           *storeSpec,
 		Worker:          *worker,
 		WorkerURLs:      urls,
@@ -81,11 +78,8 @@ func serveCmd(args []string) error {
 	if *pprofFlag {
 		fmt.Printf("  profiling: /debug/pprof enabled\n")
 	}
-	switch {
-	case *storeSpec != "":
+	if *storeSpec != "" {
 		fmt.Printf("  state store: %s\n", *storeSpec)
-	case *stateDir != "":
-		fmt.Printf("  state persisted under %s\n", *stateDir)
 	}
 	if *worker {
 		fmt.Printf("  worker mode: POST /internal/jobs enabled (auth %s)\n", authMode(*authToken))
@@ -143,28 +137,26 @@ func workerList(flagList, fromFile string) ([]string, error) {
 // campaignCmd runs one campaign locally on the worker pool and writes its
 // artifacts.
 //
-//	cherivoke campaign [-workers N] [-statedir dir] [-trace file|-] [-o results.json] [-csv results.csv] [spec.json]
+//	cherivoke campaign [-workers N] [-store spec] [-trace file|-] [-o results.json] [-csv results.csv] [spec.json]
 //
 // Without a spec file it runs the default campaign: every profile under the
 // paper-default CHERIvoke configuration. With -trace, every job replays the
 // given trace stream ('-' spools stdin to disk first, so `trace record |
 // campaign -trace -` never materialises the event sequence in memory).
 // Jobs are resolved through an engine over an in-memory store; with
-// -statedir DIR, over the persistent job-result store DIR/state.cvk,
-// exactly as -store sqlite:DIR/state.cvk would: results computed by any
-// earlier run (or by a server sharing the directory) are served from the
-// store, and artifacts are byte-identical either way.
+// -store sqlite:PATH, over the persistent job-result store PATH: results
+// computed by any earlier run (or by a server sharing the file) are served
+// from the store, and artifacts are byte-identical either way.
 func campaignCmd(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS); never changes results")
 	jsonOut := fs.String("o", "", "write the JSON artifact to this file (default: summary only)")
 	csvOut := fs.String("csv", "", "write the CSV artifact to this file")
 	traceIn := fs.String("trace", "", "replay this trace file ('-' = stdin) instead of generating workloads")
-	stateDir := fs.String("statedir", "", "persistent job-result store dir/state.cvk: serve previously computed jobs from it, store new ones into it")
-	storeSpec := fs.String("store", "", "job-result store spec: mem: or sqlite:PATH (supersedes -statedir)")
+	storeSpec := fs.String("store", "", "job-result store spec: mem: or sqlite:PATH (default: in-memory); a sqlite: file serves previously computed jobs and stores new ones")
 	quiet := fs.Bool("q", false, "suppress per-job progress on stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cherivoke campaign [-workers N] [-statedir dir] [-store spec] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]")
+		fmt.Fprintln(os.Stderr, "usage: cherivoke campaign [-workers N] [-store spec] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]")
 		fmt.Fprintln(os.Stderr, "runs the default all-profiles campaign when no spec file is given")
 		fs.PrintDefaults()
 	}
@@ -221,24 +213,15 @@ func campaignCmd(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "campaign: %d jobs\n", len(jobs))
 	start := time.Now()
-	var store engine.Store
-	switch {
-	case *storeSpec != "":
-		store, err = engine.OpenStore(*storeSpec, nil)
-	case *stateDir != "":
-		store, err = engine.OpenStateDir(*stateDir, false, nil)
-	default:
-		store = engine.NewMemStore()
-	}
+	// A lone opener of a sqlite: file recovers the campaigns dead
+	// processes left running; beside a serving process the open recovers
+	// nothing, and the lease protocol lets a CLI run and a fleet resolve
+	// the same spec concurrently without duplicating a single job.
+	store, err := engine.OpenStore(*storeSpec, nil)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-	// The CLI opens a state directory without its owner lock, so the open
-	// recovers nothing: the CLI is a secondary consumer and must not
-	// declare a serving process's live campaigns interrupted, and the
-	// lease protocol lets a CLI run and a fleet resolve the same spec
-	// concurrently without duplicating a single job.
 	eng, err := engine.New(store, engine.Options{Traces: traces})
 	if err != nil {
 		return err
@@ -262,7 +245,7 @@ func campaignCmd(args []string) error {
 
 	s := res.Summary
 	fmt.Printf("campaign done: %d jobs (%d failed) in %s\n", s.Jobs, s.Failed, elapsed.Round(time.Millisecond))
-	if *stateDir != "" || *storeSpec != "" {
+	if *storeSpec != "" {
 		fmt.Printf("  result store: %d of %d jobs served from cache\n", stats.CacheHits, stats.Jobs)
 	}
 	fmt.Printf("  geomean runtime %.3f, max %.3f\n", s.GeomeanRuntime, s.MaxRuntime)

@@ -8,8 +8,8 @@
 //	cherivoke trace info <file|->
 //	cherivoke replay [-stats] <file>                   # replay a trace under both allocators
 //	cherivoke live [-server URL] [-window N] <file|->  # stream a trace into a running server's /live
-//	cherivoke campaign [-workers N] [-statedir dir] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]
-//	cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-statedir dir] [-pprof]
+//	cherivoke campaign [-workers N] [-store spec] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]
+//	cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-store spec] [-pprof]
 //
 // Output is textual: each figure prints the same rows/series the paper
 // plots. Everything is deterministic for a given seed: figure sweeps run as
@@ -76,8 +76,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "       cherivoke trace info <file|->\n")
 		fmt.Fprintf(os.Stderr, "       cherivoke replay [-stats] <file>\n")
 		fmt.Fprintf(os.Stderr, "       cherivoke live [-server URL] [-window N] <file|->\n")
-		fmt.Fprintf(os.Stderr, "       cherivoke campaign [-workers N] [-statedir dir] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]\n")
-		fmt.Fprintf(os.Stderr, "       cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-statedir dir]\n")
+		fmt.Fprintf(os.Stderr, "       cherivoke campaign [-workers N] [-store spec] [-trace file|-] [-o out.json] [-csv out.csv] [spec.json]\n")
+		fmt.Fprintf(os.Stderr, "       cherivoke serve [-addr :8080] [-workers N] [-tracedir dir] [-store spec]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -170,3 +170,59 @@ func TestTraceRunRequiresOpener(t *testing.T) {
 		t.Fatal("Run accepted a trace spec without a trace opener")
 	}
 }
+
+// TestQuarantineFractionMetamorphic checks that a larger quarantine
+// fraction never increases the sweep count. Each of the 17 profiles is
+// recorded once at -quick scale and the trace replayed at five fractions:
+// the mallocs and frees are the trace's at every fraction, and the sweeps
+// never rise as the fraction grows. A sweep fires once the bytes freed
+// since the last one reach fraction × live bytes, and a trace fixes both,
+// so the k-th sweep at a smaller fraction comes no later than at a larger
+// one. A generated run would not show this: it churns until MinSweeps
+// sweeps have fired, so its sweep count is fixed by construction.
+func TestQuarantineFractionMetamorphic(t *testing.T) {
+	fractions := []float64{0.05, 0.1, 0.25, 0.5, 1.0}
+	varied := 0 // profiles whose sweep count moves with the fraction
+	for _, p := range workload.All() {
+		store, hash := recordCampaignTrace(t, Spec{
+			Profiles:  []string{p.Name},
+			MaxLive:   []uint64{4 << 20},
+			MinSweeps: 2,
+		})
+		res, err := Run(context.Background(), Spec{
+			TraceRef:  hash,
+			Fractions: fractions,
+			MaxLive:   []uint64{4 << 20},
+		}, RunOptions{Workers: 2, Traces: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps := make([]uint64, len(res.Jobs))
+		for i, jr := range res.Jobs {
+			if jr.Error != "" {
+				t.Fatalf("%s at fraction %v: %s", p.Name, jr.Job.Fraction, jr.Error)
+			}
+			if jr.Job.Fraction != fractions[i] {
+				t.Fatalf("%s: job %d has fraction %v, want %v", p.Name, i, jr.Job.Fraction, fractions[i])
+			}
+			if first := res.Jobs[0]; jr.Mallocs != first.Mallocs || jr.Frees != first.Frees {
+				t.Errorf("%s: fraction %v replayed %d mallocs and %d frees, fraction %v %d and %d",
+					p.Name, jr.Job.Fraction, jr.Mallocs, jr.Frees, first.Job.Fraction, first.Mallocs, first.Frees)
+			}
+			sweeps[i] = jr.Stats.Sweeps
+		}
+		for i := 1; i < len(sweeps); i++ {
+			if sweeps[i] > sweeps[i-1] {
+				t.Errorf("%s: sweeps %v at fractions %v rise from %v to %v", p.Name, sweeps, fractions, fractions[i-1], fractions[i])
+				break
+			}
+		}
+		if sweeps[0] != sweeps[len(sweeps)-1] {
+			varied++
+		}
+		t.Logf("%s: sweeps %v at fractions %v", p.Name, sweeps, fractions)
+	}
+	if varied == 0 {
+		t.Fatal("no profile's sweep count moved with the fraction; the check is vacuous")
+	}
+}

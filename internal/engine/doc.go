@@ -10,12 +10,12 @@
 //     times every operation. Its two backends supply only a write and a
 //     catch-up read: MemStore keeps the tables in process memory;
 //     SQLiteStore appends every record to one crash-safe log file that any
-//     number of processes may share (OpenStore("sqlite:PATH")), or that a
-//     serving process owns exclusively as a state directory
-//     (OpenStateDir). Recovery is that owner's act: holding the lock,
-//     OpenStateDir finalises the campaigns that were running when the
-//     previous owner died, from their stored result or as failed. No
-//     other open recovers, since a running record may be a live peer's.
+//     number of processes may share (OpenStore("sqlite:PATH")). Recovery
+//     is the lone opener's act: an open that finds no other handle on the
+//     file (every handle holds PATH.lock shared until Close) finalises the
+//     campaigns that were running when their processes died, from their
+//     stored result or as failed. No other open recovers, since a running
+//     record may be a live peer's.
 //
 //   - Engine: the execution front. It keeps in memory only the campaigns
 //     it is running; every other campaign — finished here, from before a

@@ -131,8 +131,8 @@ type Event struct {
 
 // New builds an Engine over store. It reads nothing from the store but the
 // ID sequence, which resumes past every record the store has evidence of.
-// Restart recovery is not the engine's: only a state directory's owner may
-// finalise the campaigns a dead process left running (OpenStateDir).
+// Restart recovery is not the engine's: a sqlite: file's lone opener
+// finalises the campaigns dead processes left running (OpenSQLiteStore).
 func New(store Store, opts Options) (*Engine, error) {
 	// Both built-in backends time their own operations (records).
 	if s, ok := store.(interface{ instrument(*obs.Registry) }); ok {
@@ -240,7 +240,7 @@ func (e *Engine) Submit(ctx context.Context, spec campaign.Spec, workers int) (C
 
 // execute runs one submitted campaign to completion, persisting the Result
 // before the terminal record write: a crash between the two leaves a
-// running record that the state directory's next owner completes from the
+// running record that the store's next lone opener completes from the
 // stored Result (recoverInterrupted), whereas the reverse order could mark
 // done a campaign whose artifact never reached the disk.
 func (e *Engine) execute(ctx context.Context, r *run) {
@@ -434,14 +434,21 @@ func (e *Engine) Cancel(id string) bool {
 	return true
 }
 
-// Subscribe registers for the events of a campaign this engine runs; the
-// channel closes when the campaign finishes. live is false for any other
-// campaign (finished, another engine's, or unknown) — the caller reads its
+// storePoll is how often a subscription to another engine's campaign
+// re-reads the campaign's stored record.
+const storePoll = 250 * time.Millisecond
+
+// Subscribe registers for the events of a running campaign; the channel
+// closes when the campaign finishes. For a campaign another engine sharing
+// the store runs, the channel carries no events, since the stored record
+// holds no progress, and closes once a re-read of the record, every
+// storePoll, no longer reads running; unsubscribing stops the re-reads.
+// live is false for a finished or unknown campaign — the caller reads its
 // state via Get.
 func (e *Engine) Subscribe(id string) (ch <-chan Event, unsubscribe func(), live bool) {
 	r := e.run(id)
 	if r == nil {
-		return nil, func() {}, false
+		return e.followStored(id)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -455,6 +462,32 @@ func (e *Engine) Subscribe(id string) (ch <-chan Event, unsubscribe func(), live
 		defer r.mu.Unlock()
 		delete(r.subs, c)
 	}, true
+}
+
+// followStored is Subscribe for a campaign this engine does not run.
+func (e *Engine) followStored(id string) (<-chan Event, func(), bool) {
+	running := func() bool {
+		rec, err := e.store.Campaign(id)
+		return err == nil && rec.State == StateRunning
+	}
+	if !running() {
+		return nil, func() {}, false
+	}
+	c := make(chan Event)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer close(c)
+		tick := time.NewTicker(storePoll)
+		defer tick.Stop()
+		for running() {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return c, cancel, true
 }
 
 // jobRunner builds the campaign pool's cache and runner for one campaign: a

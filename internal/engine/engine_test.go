@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -197,12 +200,12 @@ func TestResolveDedupByteIdentical(t *testing.T) {
 }
 
 // TestSubmitRestartRecovery drives the full persistence story on a real
-// state directory: a submitted campaign's record and artifacts survive an
+// store file: a submitted campaign's record and artifacts survive an
 // engine reopen byte for byte, and resubmitting its spec to the fresh
 // engine performs zero job executions.
 func TestSubmitRestartRecovery(t *testing.T) {
-	dir := t.TempDir()
-	store1, err := OpenStateDir(dir, true, t.Logf)
+	path := filepath.Join(t.TempDir(), "state.cvk")
+	store1, err := OpenSQLiteStore(path, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +227,12 @@ func TestSubmitRestartRecovery(t *testing.T) {
 	}
 	json1, csv1 := artifacts(t, res1)
 
-	// "Restart": the first owner goes away, and a fresh store and engine
-	// open the same directory.
+	// "Restart": the first handle goes away, and a fresh store and engine
+	// open the same file.
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := OpenStateDir(dir, true, t.Logf)
+	store2, err := OpenSQLiteStore(path, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +363,13 @@ func TestRecoveryFinalisesInterruptedCampaigns(t *testing.T) {
 	waitState(t, e2, rec.ID)
 }
 
-// TestOwnerOpenRecovers pins where recovery happens: OpenStateDir with
-// owner set finalises the running records an unlocked open of the same
-// directory left, and an unlocked open — `campaign -statedir` — recovers
-// nothing.
-func TestOwnerOpenRecovers(t *testing.T) {
-	dir := t.TempDir()
-	seed, err := OpenStateDir(dir, false, t.Logf)
+// TestLoneOpenRecovers pins where recovery happens: a handle opened beside
+// another handle on one sqlite: file leaves a running record alone, since
+// it may be a live peer's campaign, and the first open after every handle
+// has closed finalises it.
+func TestLoneOpenRecovers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.cvk")
+	seed, err := OpenSQLiteStore(path, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,33 +377,100 @@ func TestOwnerOpenRecovers(t *testing.T) {
 	if err := seed.PutCampaign(running); err != nil {
 		t.Fatal(err)
 	}
+
+	beside, err := OpenSQLiteStore(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := beside.Campaign(running.ID)
+	if err != nil || got.State != StateRunning {
+		t.Fatalf("an open beside a live handle touched the running record: %+v, %v", got, err)
+	}
+	beside.Close()
 	seed.Close()
 
-	unlocked, err := OpenStateDir(dir, false, t.Logf)
+	lone, err := OpenSQLiteStore(path, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := unlocked.Campaign(running.ID)
-	unlocked.Close()
-	if err != nil || got.State != StateRunning {
-		t.Fatalf("an unlocked open touched the running record: %+v, %v", got, err)
-	}
-
-	owner, err := OpenStateDir(dir, true, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	got, err = owner.Campaign(running.ID)
+	defer lone.Close()
+	got, err = lone.Campaign(running.ID)
 	if err != nil || got.State != StateFailed || got.Error != "interrupted by restart before completion" || got.Finished.IsZero() {
-		t.Fatalf("the owner's open did not finalise the running record: %+v, %v", got, err)
+		t.Fatalf("the lone open did not finalise the running record: %+v, %v", got, err)
+	}
+}
+
+// logRecords counts the records of the log file at path.
+func logRecords(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := int64(len(b) - 8) // past the header
+	br := bufio.NewReader(bytes.NewReader(b[8:]))
+	n := 0
+	for left > 0 {
+		_, _, _, size, err := readRecord(br, left)
+		if err != nil || size == 0 {
+			t.Fatalf("record %d of %s unreadable (size %d, %v)", n, path, size, err)
+		}
+		left -= size
+		n++
+	}
+	return n
+}
+
+// TestConcurrentOpensRecoverOnce opens one file 8 times at once over a
+// running record no live handle holds: every open succeeds, every handle
+// reads the record failed, and exactly one recovery record is appended,
+// since only one opener can win the lock alone.
+func TestConcurrentOpensRecoverOnce(t *testing.T) {
+	const opens = 8
+	for round := range 5 {
+		path := filepath.Join(t.TempDir(), "state.cvk")
+		seed, err := OpenSQLiteStore(path, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		running := Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}
+		if err := seed.PutCampaign(running); err != nil {
+			t.Fatal(err)
+		}
+		seed.Close()
+
+		stores := make([]*SQLiteStore, opens)
+		errs := make([]error, opens)
+		var wg sync.WaitGroup
+		for i := range opens {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stores[i], errs[i] = OpenSQLiteStore(path, t.Logf)
+			}()
+		}
+		wg.Wait()
+		for i, s := range stores {
+			if errs[i] != nil {
+				t.Fatalf("round %d: open %d: %v", round, i, errs[i])
+			}
+			got, err := s.Campaign(running.ID)
+			if err != nil || got.State != StateFailed || got.Finished.IsZero() {
+				t.Errorf("round %d: handle %d reads %q (finished %v), %v; want the record failed", round, i, got.State, got.Finished, err)
+			}
+		}
+		if n := logRecords(t, path); n != 2 {
+			t.Errorf("round %d: the log holds %d records, want the running record and one recovery", round, n)
+		}
+		for _, s := range stores {
+			s.Close()
+		}
 	}
 }
 
 // TestSharedOpenLeavesRunningRecords pins the secondary-consumer contract:
-// an engine over a shared store — a SQLiteStore opened without its state
-// directory's owner lock — must not declare another process's live campaign
-// interrupted.
+// an engine over a shared store — a SQLiteStore its handle's open did not
+// recover — must not declare another process's live campaign interrupted.
 func TestSharedOpenLeavesRunningRecords(t *testing.T) {
 	store := openTestSQLite(t)
 	live := Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}

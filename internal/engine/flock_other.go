@@ -6,8 +6,8 @@ import "os"
 
 // On platforms without flock(2) the helpers degrade to no-ops: a single
 // process stays correct (the stores' own mutexes serialise it), but
-// cross-process exclusion — including a state directory's owner lock — is
-// not enforced.
+// cross-process exclusion is not enforced, and every sqlite: open counts
+// as the file's lone opener and recovers it.
 
 // flockExclusive is a no-op on platforms without flock(2).
 func flockExclusive(*os.File) error { return nil }

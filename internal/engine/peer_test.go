@@ -36,10 +36,11 @@ func recordJSON(t *testing.T, rec Campaign) []byte {
 
 // TestPeerReadsStoredStatus opens a second engine on one sqlite: file while
 // the first engine's campaign is held running, and requires the peer to
-// follow that campaign to its end through the store: once the first engine
-// reads done, so do the peer's Get and List, with the same record bytes.
-// The peer serves the same artifact, knows the ID for Cancel, and has no
-// live stream to offer.
+// follow that campaign to its end through the store: the peer's
+// subscription carries no events and closes once the campaign ends, and
+// once the first engine reads done, so do the peer's Get and List, with the
+// same record bytes. The peer serves the same artifact, knows the ID for
+// Cancel, and has no live stream to offer once the campaign is done.
 func TestPeerReadsStoredStatus(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.db")
 	open := func() *SQLiteStore {
@@ -66,8 +67,26 @@ func TestPeerReadsStoredStatus(t *testing.T) {
 	if got, ok := b.Get(rec.ID); !ok || got.State != StateRunning {
 		t.Fatalf("peer reads %+v (known %v) while the campaign is held running", got, ok)
 	}
+	ch, unsubscribe, live := b.Subscribe(rec.ID)
+	if !live {
+		t.Fatal("peer offers no stream for a running campaign")
+	}
+	defer unsubscribe()
+	select {
+	case ev, open := <-ch:
+		t.Fatalf("peer stream delivered %+v (open %v) while the campaign is held running", ev, open)
+	case <-time.After(2 * storePoll):
+	}
 
 	close(gate)
+	select {
+	case ev, open := <-ch:
+		if open {
+			t.Fatalf("peer stream delivered %+v, want no events", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer stream still open 10 s after the campaign was released")
+	}
 	final := waitState(t, a, rec.ID)
 	if final.State != StateDone {
 		t.Fatalf("campaign ended %q (error %q)", final.State, final.Error)
@@ -100,12 +119,12 @@ func TestPeerReadsStoredStatus(t *testing.T) {
 		t.Error("peer Cancel does not know the campaign")
 	}
 	if _, _, live := b.Subscribe(rec.ID); live {
-		t.Error("peer offers a live stream for a campaign it does not run")
+		t.Error("peer offers a live stream for a finished campaign")
 	}
 }
 
 // TestFinishedCampaignReadsFromStore pins a finished campaign's answers once
-// its run has left memory, on the exclusive stores: Get and List give the
+// its run has left memory, on both backends: Get and List give the
 // record the stream's last status event carried, byte for byte; Result the
 // artifact a direct run gives; Subscribe no live stream; Cancel knows the
 // ID. The engine then holds no run at all.
@@ -116,14 +135,7 @@ func TestFinishedCampaignReadsFromStore(t *testing.T) {
 		open func(t *testing.T) Store
 	}{
 		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
-		{"OwnedStateDir", func(t *testing.T) Store {
-			s, err := OpenStateDir(t.TempDir(), true, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
-		}},
+		{"SQLite", func(t *testing.T) Store { return openTestSQLite(t) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})

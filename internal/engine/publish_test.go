@@ -148,10 +148,9 @@ func perOp(samples []obs.Sample, name string) map[string]float64 {
 // TestColdJobStoreWork counts the store work of a 4-job cold campaign on
 // one engine: two key hashes per job (the pool's lookup and the lease
 // runner), two job reads (the lookup and the double-check under the lease),
-// one lease acquire and one publish per job — the same in memory, on a
-// shared store and on an owner-locked state directory — and, on the log,
-// at most 8 fsyncs from open. An exclusive store takes the leases too, but
-// lease records cost no fsync.
+// one lease acquire and one publish per job — the same in memory and on
+// the log — and, on the log, at most 8 fsyncs from open. Lease records
+// cost no fsync.
 func TestColdJobStoreWork(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -159,14 +158,6 @@ func TestColdJobStoreWork(t *testing.T) {
 	}{
 		{"MemStore", func(*testing.T) Store { return NewMemStore() }},
 		{"SharedSQLite", func(t *testing.T) Store { return openTestSQLite(t) }},
-		{"OwnedStateDir", func(t *testing.T) Store {
-			s, err := OpenStateDir(t.TempDir(), true, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.open(t)
@@ -298,8 +289,8 @@ func recordTrace(t *testing.T) (*workload.Store, string) {
 	return store, info.Hash
 }
 
-// TestResolveExecutesWithItsTraceOpener pins the `campaign -statedir DIR
-// -trace FILE` shape: an engine built with a trace opener resolves a
+// TestResolveExecutesWithItsTraceOpener pins the `campaign -store
+// sqlite:PATH -trace FILE` shape: an engine built with a trace opener resolves a
 // trace-driven spec against it, for execution as well as for the key.
 func TestResolveExecutesWithItsTraceOpener(t *testing.T) {
 	traces, hash := recordTrace(t)

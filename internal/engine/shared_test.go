@@ -29,9 +29,8 @@ func (c *countingRunner) RunJob(ctx context.Context, key string, spec campaign.S
 // the same campaign, and between them execute every job exactly once, with
 // byte-identical artifacts and distinct CAS-minted IDs.
 func TestSharedEnginesExecuteEachJobOnce(t *testing.T) {
-	// The subtest names the backend: a shared store is a SQLiteStore opened
-	// without its state directory's owner lock, and a MemStore engine is
-	// always exclusive.
+	// The subtest names the backend: a shared store is a SQLiteStore, and a
+	// MemStore engine is always exclusive.
 	t.Run("SQLiteStore", func(t *testing.T) {
 		store := openTestSQLite(t)
 		counter := &countingRunner{inner: &LocalRunner{}}

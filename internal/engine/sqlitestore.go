@@ -66,14 +66,18 @@ var sqliteMaxRecord uint64 = 64 << 20
 // append-only and is not compacted; for the record volumes the engine
 // writes (one campaign record per state transition, one result, one record
 // per job) growth is modest, and a fresh file starts a new log.
+//
+// Every handle holds a shared flock on PATH.lock until Close or its
+// process's death. It is a second file because a long-lived lock on the
+// log would block the log's own batch flocks, and a flock, not an fcntl
+// lock, because two handles in one process must see each other.
 type SQLiteStore struct {
 	records // the tables, and mu, which also guards the log state below
 
 	f *os.File
 
-	// ownerLock is the state directory's exclusive advisory lock when the
-	// store was opened as its single owner (OpenStateDir); Close drops it.
-	ownerLock *os.File
+	// lock is PATH.lock, held shared until Close drops it.
+	lock *os.File
 
 	// scanned is the log offset up to which the tables reflect the file:
 	// the end of the last good record. A read whose fstat size matches it
@@ -112,21 +116,48 @@ type storeTxn struct {
 	done chan struct{}
 }
 
-// OpenSQLiteStore opens (creating if needed) the shared single-file store
-// at path. logf receives corruption warnings; nil means the standard
-// logger.
+// OpenSQLiteStore opens (creating if needed) the store file at path, in a
+// directory that must exist. An opener that wins PATH.lock exclusively has
+// the file alone, so every campaign still running is a dead process's: it
+// finalises them (recoverInterrupted) before it shares the lock. Any other
+// opener waits for the shared lock, past a first opener's recovery, and
+// recovers nothing, since a running record may be a live peer's campaign.
+// logf receives corruption warnings; nil means the standard logger.
 func OpenSQLiteStore(path string, logf func(format string, args ...any)) (*SQLiteStore, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
+	lock, err := os.OpenFile(path+".lock", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("engine: opening store lock: %w", err)
+	}
+	alone, err := flockTryExclusive(lock)
+	if err == nil && !alone {
+		err = flockShared(lock)
+	}
+	if err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("engine: locking %s: %w", lock.Name(), err)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
+		lock.Close()
 		return nil, fmt.Errorf("engine: opening store file: %w", err)
 	}
-	s := &SQLiteStore{f: f}
+	s := &SQLiteStore{f: f, lock: lock}
 	s.init(s, path, logf)
-	if err := s.initHeader(); err != nil {
-		f.Close()
+	err = s.initHeader()
+	if err == nil && alone {
+		// Converting the lock may release it for an instant; an opener
+		// that wins it then finds nothing left running.
+		if err = recoverInterrupted(s); err == nil {
+			if err = flockShared(lock); err != nil {
+				err = fmt.Errorf("engine: locking %s: %w", lock.Name(), err)
+			}
+		}
+	}
+	if err != nil {
+		s.Close() // drops the lock too
 		return nil, err
 	}
 	return s, nil
@@ -160,8 +191,8 @@ func (s *SQLiteStore) instrument(r *obs.Registry) {
 		"Store reads served from the in-memory tables after one fstat, with no flock or log rescan.")
 }
 
-// Close implements Store: it releases the store's file handle and, for a
-// state directory's owner, the directory lock. Operations after Close fail.
+// Close implements Store: it releases the store's file handle and its
+// lock. Operations after Close fail.
 func (s *SQLiteStore) Close() error {
 	s.qmu.Lock()
 	s.closed = true
@@ -170,11 +201,9 @@ func (s *SQLiteStore) Close() error {
 	// later batch fails cleanly on the closed descriptor.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ownerLock != nil {
-		s.ownerLock.Close() // closing the descriptor drops its flock
-		s.ownerLock = nil
-	}
-	return s.f.Close()
+	err := s.f.Close()
+	s.lock.Close() // closing the descriptor drops its flock
+	return err
 }
 
 // initHeader writes the file header if the file is empty, or validates it

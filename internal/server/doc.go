@@ -4,9 +4,9 @@
 // artifacts and the paper's figure tables, and ingests workload traces into
 // a content-addressed store that campaign specs reference by hash
 // (Spec.TraceRef). All campaign state lives in the engine's Store: with
-// Options.StateDir set, campaigns, artifacts, and the deduplicating
-// job-result cache survive restarts, and resubmitted specs are answered
-// without re-executing a single job.
+// Options.Store naming a sqlite: file, campaigns, artifacts, and the
+// deduplicating job-result cache survive restarts, and resubmitted specs
+// are answered without re-executing a single job.
 //
 //	POST   /campaigns              submit a campaign        -> 202 + id
 //	GET    /campaigns              list statuses (submission order)

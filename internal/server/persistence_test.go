@@ -5,11 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -31,13 +30,13 @@ func get(t *testing.T, url string) (int, []byte, http.Header) {
 
 // TestServerRestartRecovery is the HTTP-layer acceptance test for the
 // store-backed engine: a campaign completed before a "restart" (a fresh
-// Server over the same state directory) serves byte-identical status, JSON,
+// Server over the same store file) serves byte-identical status, JSON,
 // and CSV bodies afterwards, and resubmitting its spec performs zero job
 // executions — every result comes from the store, and the warm artifacts
 // equal the cold ones byte for byte.
 func TestServerRestartRecovery(t *testing.T) {
-	state := t.TempDir()
-	s1, err := New(Options{Workers: 2, StateDir: state})
+	state := "sqlite:" + filepath.Join(t.TempDir(), "state.cvk")
+	s1, err := New(Options{Workers: 2, Store: state})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +49,10 @@ func TestServerRestartRecovery(t *testing.T) {
 	_, json1, _ := get(t, ts1.URL+"/campaigns/"+sub.ID+"/results")
 	_, csv1, _ := get(t, ts1.URL+"/campaigns/"+sub.ID+"/results?format=csv")
 	ts1.Close()
-	// The state directory has one owner at a time: the first server lets
-	// go of its lock before the second opens it.
 	s1.Close()
 
-	// Restart: a fresh server process over the same state directory.
-	ts2 := newTestServer(t, Options{Workers: 2, StateDir: state})
+	// Restart: a fresh server process over the same store file.
+	ts2 := newTestServer(t, Options{Workers: 2, Store: state})
 	code, status2, _ := get(t, ts2.URL+"/campaigns/"+sub.ID)
 	if code != http.StatusOK {
 		t.Fatalf("status after restart: %d", code)
@@ -100,43 +97,54 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestStateDirLockExcludesSecondOwner proves the -statedir lock: while a
-// server owns a state directory, a second server on it — or any other
-// process taking the lock, checked with flock(1) — fails loudly instead of
-// racing the owner's recovery, and the directory is free again once the
-// owner closes.
-func TestStateDirLockExcludesSecondOwner(t *testing.T) {
+// TestLoneServerRecovers pins restart recovery at the HTTP layer: a server
+// opened on a sqlite: file beside a live handle serves that handle's
+// running campaign as running, another process — flock(1) — finds the
+// file's lock held shared, and a server opened once every handle has
+// closed serves the campaign failed, interrupted by the restart.
+func TestLoneServerRecovers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.cvk")
+	seed, err := engine.OpenSQLiteStore(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := engine.Campaign{ID: "c000001", Seq: 1, Spec: testSpec(), State: StateRunning, JobsTotal: 1, Created: time.Now().UTC()}
+	if err := seed.PutCampaign(running); err != nil {
+		t.Fatal(err)
+	}
+	status := func(ts *httptest.Server) Status {
+		var st Status
+		if code := getJSON(t, ts.URL+"/campaigns/"+running.ID, &st); code != http.StatusOK {
+			t.Fatalf("status code %d", code)
+		}
+		return st
+	}
+
+	beside, err := New(Options{Workers: 1, Store: "sqlite:" + path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(beside.Handler())
+	if st := status(ts); st.State != StateRunning {
+		t.Errorf("a server opened beside a live handle serves %+v, want running", st)
+	}
 	flock, err := exec.LookPath("flock")
 	if err != nil {
 		t.Fatalf("flock(1) not found: %v", err)
 	}
-	state := t.TempDir()
-	owner, err := New(Options{Workers: 1, StateDir: state})
-	if err != nil {
-		t.Fatal(err)
+	for mode, free := range map[string]bool{"--exclusive": false, "--shared": true} {
+		if err := exec.Command(flock, "--nonblock", mode, path+".lock", "true").Run(); (err == nil) != free {
+			t.Errorf("flock(1) %s on the lock of a held store: %v", mode, err)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(state, engine.StateFile)); err != nil {
-		t.Errorf("state file missing under the state directory: %v", err)
-	}
-	if second, err := New(Options{Workers: 1, StateDir: state}); err == nil {
-		second.Close()
-		t.Fatal("a second server opened a state directory another server owns")
-	} else if !strings.Contains(err.Error(), "locked") {
-		t.Errorf("second owner's error does not say the directory is locked: %v", err)
-	}
-	lockOther := exec.Command(flock, "--nonblock", "--exclusive", filepath.Join(state, ".lock"), "true")
-	if out, err := lockOther.CombinedOutput(); err == nil {
-		t.Fatal("another process took a held state-directory lock")
-	} else if _, exited := err.(*exec.ExitError); !exited {
-		t.Fatalf("running flock(1): %v (%s)", err, out)
-	}
+	ts.Close()
+	beside.Close()
+	seed.Close()
 
-	owner.Close()
-	next, err := New(Options{Workers: 1, StateDir: state})
-	if err != nil {
-		t.Fatalf("state directory still locked after its owner closed: %v", err)
+	lone := newTestServer(t, Options{Workers: 1, Store: "sqlite:" + path})
+	if st := status(lone); st.State != StateFailed || st.Error != "interrupted by restart before completion" || st.Finished == nil {
+		t.Errorf("a server opened alone serves %+v, want the campaign failed by recovery", st)
 	}
-	next.Close()
 }
 
 // TestServerCSVContentDisposition pins the download filename: derived from

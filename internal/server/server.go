@@ -29,21 +29,14 @@ type Options struct {
 	// survive for the server's lifetime only).
 	TraceDir string
 
-	// StateDir roots the engine's persistent state (campaign records,
-	// result artifacts, the deduplicating job-result store) in the store
-	// file StateDir/state.cvk (see engine.OpenStateDir). The server owns
-	// the directory: it holds the directory's exclusive advisory lock until
-	// Close, so a second server pointed at it fails loudly, and it runs
-	// restart recovery. Empty keeps everything in memory, like the
-	// pre-engine server.
-	StateDir string
-
 	// Store selects the engine's store by spec — "mem:" or "sqlite:PATH"
-	// (see engine.OpenStore). It supersedes StateDir when both are set.
-	// The sqlite: backend is shared: any number of coordinators and
-	// workers may point at the same path, job execution is deduplicated
-	// fleet-wide through store leases, and recovery is skipped on open (a
-	// peer's running campaign is live, not interrupted).
+	// (see engine.OpenStore); empty keeps everything in memory. A sqlite:
+	// file holds the engine's persistent state (campaign records, result
+	// artifacts, the deduplicating job-result store) across restarts, and
+	// any number of coordinators and workers may share it: job execution
+	// is deduplicated fleet-wide through store leases, and the campaigns a
+	// dead process left running are recovered only by an open that finds
+	// no other process holding the file (engine.OpenSQLiteStore).
 	Store string
 
 	// Worker exposes the internal job-execution API (POST
@@ -102,14 +95,14 @@ const (
 	StateCancelled = engine.StateCancelled
 )
 
-// New returns a Server ready to serve campaigns. With Options.StateDir set
-// it opens (or recovers) the disk-backed store there: campaigns submitted
-// before a restart are listed with their final status, their artifacts are
-// served, and resubmitted specs are answered from the job-result store
-// without re-executing anything. Options.Store generalises this to the
-// shared backend — several coordinators and workers over one sqlite: file
-// form a fleet computing every job at most once. New fails when it cannot
-// create the trace directory.
+// New returns a Server ready to serve campaigns. With Options.Store naming
+// a sqlite: file it opens (or recovers) the disk-backed store there:
+// campaigns submitted before a restart are listed with their final status,
+// their artifacts are served, and resubmitted specs are answered from the
+// job-result store without re-executing anything; several coordinators and
+// workers over one such file form a fleet computing every job at most
+// once. New fails when it cannot create the trace directory or open the
+// store.
 func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, reg: obs.NewRegistry()}
 	s.metrics = newServerMetrics(s.reg)
@@ -127,15 +120,7 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.traces = traces
-	var store engine.Store
-	switch {
-	case opts.Store != "":
-		store, err = engine.OpenStore(opts.Store, nil)
-	case opts.StateDir != "":
-		store, err = engine.OpenStateDir(opts.StateDir, true, nil)
-	default:
-		store = engine.NewMemStore()
-	}
+	store, err := engine.OpenStore(opts.Store, nil)
 	if err != nil {
 		s.removeTraceTmp()
 		return nil, err
@@ -182,8 +167,8 @@ func New(opts Options) (*Server, error) {
 
 // Close releases the server's background resources: live trace sessions
 // (each fails at its next window), the coordinator's worker health-probe loop,
-// the store's file handle and state-directory lock where it has them, and
-// the temporary trace directory. Other in-flight requests are unaffected.
+// the store's file handle and lock where it has them, and the temporary
+// trace directory. Other in-flight requests are unaffected.
 func (s *Server) Close() {
 	s.live.Close()
 	if s.dispatcher != nil {
@@ -417,8 +402,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams a campaign's progress as server-sent events: an
 // initial "status" event, one "progress" event per completed job (cached
 // jobs carry "cached": true), and a final "status" event when the campaign
-// finishes. A campaign this process does not run gets its stored status,
-// and the stream closes.
+// finishes. A campaign another process runs gets its stored status, no
+// progress, and its terminal status once the store reads it finished; a
+// finished campaign gets its status, and the stream closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.engine.Get(id); !ok {
